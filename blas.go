@@ -36,8 +36,10 @@
 // bounded worker pool sized by QueryOptions.Parallelism (default
 // GOMAXPROCS; 1 forces fully sequential execution):
 //
-//   - the relational engine fans fragment selections out concurrently
-//     and partitions its structural merge joins by ancestor interval;
+//   - the relational engine partitions its structural merge joins by
+//     ancestor interval (its fragment selections are issued one at a
+//     time in plan order — the order is what lets an empty selective
+//     scan skip the expensive ones, so scans are never raced);
 //   - the twig engine reads every label stream through a batched,
 //     prefetching stream layer (async per-stream prefetchers keep
 //     batches in flight so backing-store misses overlap the sweep) and
@@ -48,18 +50,34 @@
 // Results are byte-identical at every Parallelism setting, and so is
 // ExecStats.VisitedElements — each stream record is fetched by exactly
 // one partition. PageReads/PageMisses remain self-consistent under
-// parallelism (atomic, per-query) but can vary slightly with the
-// partition count, since every partition descends the indexes for its
-// own sub-range. The storage layer scales with query parallelism: each
-// relation file's buffer pool is sharded (Options.PoolShards) and page
-// views pin frames instead of holding a pool-wide lock, so concurrent
-// scans overlap their page decoding and backing-store misses.
+// parallelism (atomic, per-query); on the twig engine they can vary
+// slightly with the partition count, since every partition descends the
+// indexes for its own sub-range. The storage layer scales with query
+// parallelism: each relation file's buffer pool is sharded
+// (Options.PoolShards) and page views pin frames instead of holding a
+// pool-wide lock, so concurrent scans overlap their page decoding and
+// backing-store misses.
 //
 // Close tracks in-flight queries with a refcount: it blocks until every
 // active Query has returned, and any Query or DropCaches call issued
 // after Close has begun fails with ErrClosed. DropCaches may run
 // concurrently with queries — it is memory-safe, though it inflates the
 // miss counts those queries observe.
+//
+// # Results
+//
+// A Result's Matches are rendered once: each record's tag and source
+// path come from a per-store intern table keyed by P-label, filled
+// lazily the first time a label appears in any result and shared by all
+// concurrent queries. Every match of one label — within a result and
+// across results — therefore carries the same Tag and Path strings, and
+// finalizing a result costs one []Match allocation plus one decode per
+// label not seen before. Go strings are immutable, so sharing is
+// invisible to callers; the only thing to know is that holding one Match
+// keeps its path string alive, not the result it came from. The table
+// never evicts and cannot outgrow the store's distinct P-labels (one per
+// distinct root-to-node path of the document: a few hundred for the
+// paper's data sets), and nothing is built at Open.
 //
 // # Storage
 //
@@ -137,13 +155,14 @@
 //     closure that outlives the call). Copy out, never retain.
 //   - hotalloc — zero-alloc hot paths. Functions annotated with a
 //     //blas:hotpath directive in their doc comment (the twig join-key
-//     and sweep path, batched record decode, the nil-trace fast paths
-//     in internal/obs) must not call fmt.Sprintf and friends,
-//     concatenate strings in loops, or build map keys from strings;
-//     fmt.Errorf stays legal because error paths are about to abort.
-//     Zero-alloc benchmark guards prove the property dynamically and
-//     TestHotpathAnnotations in twig and obs fails if the annotation
-//     set drifts off the benchmarked functions.
+//     and sweep path, the join arena's append, batched record decode,
+//     the finalize loop, the nil-trace fast paths in internal/obs) must
+//     not call fmt.Sprintf and friends, concatenate strings in loops,
+//     or build map keys from strings; fmt.Errorf stays legal because
+//     error paths are about to abort. Allocation guards prove the
+//     property dynamically and the TestHotpathAnnotations test of each
+//     such package fails if the annotation set drifts off the guarded
+//     functions.
 //   - lockescape — lock scope. While a sync.Mutex/RWMutex is held, no
 //     buffer-pool re-entry (View, Update, Alloc, ...) and no calls
 //     through function-typed parameters: pin the frame, unlock, then
@@ -194,6 +213,7 @@ import (
 	"repro/internal/sqlgen"
 	"repro/internal/translate"
 	"repro/internal/twig"
+	"repro/internal/uint128"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
@@ -771,17 +791,23 @@ func (s *Store) finalizeMatches(ctx *relstore.ExecContext, recs []relstore.Recor
 	return out
 }
 
+// matches is the finalize loop: one Match per record, named through the
+// store's label intern table (core.Store.Names). Results arrive in
+// document order, where runs of one P-label are common, so the table is
+// consulted only when the label changes; the loop itself allocates
+// nothing but the []Match.
+//
+//blas:hotpath
 func (s *Store) matches(recs []relstore.Record) []Match {
 	out := make([]Match, len(recs))
-	for i, r := range recs {
-		m := Match{Start: r.Start, End: r.End, Level: r.Level, Value: r.Data}
-		if tag, ok := s.inner.TagName(r.TagID); ok {
-			m.Tag = tag
+	var names core.NodeNames
+	var last uint128.Uint128
+	for i := range recs {
+		r := &recs[i]
+		if i == 0 || r.PLabel != last {
+			names, last = s.inner.Names(r.PLabel, r.TagID), r.PLabel
 		}
-		if path, err := s.inner.Scheme().DecodePath(r.PLabel); err == nil {
-			m.Path = "/" + strings.Join(path, "/")
-		}
-		out[i] = m
+		out[i] = Match{Start: r.Start, End: r.End, Level: r.Level, Tag: names.Tag, Value: r.Data, Path: names.Path}
 	}
 	return out
 }

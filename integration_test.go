@@ -15,6 +15,26 @@ import (
 	"repro/internal/xpath"
 )
 
+// paperQueries returns the integration corpus: every Fig. 10 and Fig. 15
+// query plus the paper's running example Q (Fig. 2), by data set.
+func paperQueries(t *testing.T) map[string][]string {
+	t.Helper()
+	byDataset := map[string][]string{}
+	for qn, q := range bench.Fig10Queries {
+		ds, err := bench.DatasetOf(qn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byDataset[ds] = append(byDataset[ds], q)
+	}
+	for _, q := range bench.Fig15Queries {
+		byDataset["auction"] = append(byDataset["auction"], q)
+	}
+	byDataset["protein"] = append(byDataset["protein"],
+		`/ProteinDatabase/ProteinEntry[protein//superfamily="cytochrome c"]/reference/refinfo[//author="Evans, M.J." and year="2001"]/title`)
+	return byDataset
+}
+
 // TestPaperQueriesEndToEnd is the repository's strongest guarantee: on
 // each of the three paper data sets (Fig. 12 scale), every Fig. 10 and
 // Fig. 15 query must return exactly the node set the naive reference
@@ -23,20 +43,7 @@ func TestPaperQueriesEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds three paper-scale stores")
 	}
-	queriesByDataset := map[string][]string{}
-	for qn, q := range bench.Fig10Queries {
-		ds, err := bench.DatasetOf(qn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		queriesByDataset[ds] = append(queriesByDataset[ds], q)
-	}
-	for _, q := range bench.Fig15Queries {
-		queriesByDataset["auction"] = append(queriesByDataset["auction"], q)
-	}
-	// The paper's running example Q (Fig. 2).
-	queriesByDataset["protein"] = append(queriesByDataset["protein"],
-		`/ProteinDatabase/ProteinEntry[protein//superfamily="cytochrome c"]/reference/refinfo[//author="Evans, M.J." and year="2001"]/title`)
+	queriesByDataset := paperQueries(t)
 
 	for _, ds := range datagen.Names() {
 		tree, err := datagen.ByName(ds, datagen.Options{Seed: 1})

@@ -15,7 +15,9 @@
 // concurrent readers. Per-query execution statistics (visited elements,
 // page reads/misses) live in the relstore.ExecContext each engine
 // threads through its scans — the store itself holds no query-scoped
-// mutable state.
+// mutable state. Its one lazily filled cache, the label → name intern
+// table behind Names, is lock-protected and only ever grows toward the
+// store's fixed set of distinct P-labels.
 package core
 
 import (
@@ -54,6 +56,7 @@ type Store struct {
 	spFile *pager.File
 	sdFile *pager.File
 	meta   storeMeta
+	names  nameTable // label -> tag/path strings handed to callers, see Names
 }
 
 type storeMeta struct {

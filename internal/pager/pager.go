@@ -159,9 +159,21 @@ func (m *memBacking) WriteAt(p []byte, off int64) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if need := off + int64(len(p)); need > int64(len(m.buf)) {
-		grown := make([]byte, need)
-		copy(grown, m.buf)
-		m.buf = grown
+		old := len(m.buf)
+		if need > int64(cap(m.buf)) {
+			// Page appends arrive one at a time: double, so a build
+			// copies each byte O(1) times instead of once per page.
+			grown := make([]byte, need, max(need, 2*int64(cap(m.buf))))
+			copy(grown, m.buf)
+			m.buf = grown
+		} else {
+			// Capacity past len may hold bytes a Truncate cut off; a
+			// gap below off must read as zeros.
+			m.buf = m.buf[:need]
+			if off > int64(old) {
+				clear(m.buf[old:off])
+			}
+		}
 	}
 	copy(m.buf[off:], p)
 	return len(p), nil

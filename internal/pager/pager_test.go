@@ -402,3 +402,62 @@ func TestShardStatsAggregate(t *testing.T) {
 		}
 	}
 }
+
+// TestMemBackingGrowsGeometrically: page-at-a-time appends (what an
+// in-memory build does) must not reallocate the whole buffer per page,
+// and the bytes must read back; a Truncate followed by a write past the
+// new end must expose zeros in the gap, not the bytes that were cut off.
+func TestMemBackingGrowsGeometrically(t *testing.T) {
+	m := &memBacking{}
+	page := make([]byte, PageSize)
+	const pages = 512
+	reallocs, lastCap := 0, 0
+	for i := 0; i < pages; i++ {
+		for j := range page {
+			page[j] = byte(i)
+		}
+		if _, err := m.WriteAt(page, int64(i)*PageSize); err != nil {
+			t.Fatal(err)
+		}
+		if cap(m.buf) != lastCap {
+			reallocs++
+			lastCap = cap(m.buf)
+		}
+	}
+	if reallocs > 12 {
+		t.Errorf("%d page appends reallocated the buffer %d times, want O(log n)", pages, reallocs)
+	}
+	if len(m.buf) != pages*PageSize {
+		t.Fatalf("len = %d, want %d", len(m.buf), pages*PageSize)
+	}
+	got := make([]byte, PageSize)
+	for _, i := range []int{0, 1, 255, pages - 1} {
+		if _, err := m.ReadAt(got, int64(i)*PageSize); err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != byte(i) || got[PageSize-1] != byte(i) {
+			t.Fatalf("page %d reads back as %d..%d", i, got[0], got[PageSize-1])
+		}
+	}
+
+	if err := m.Truncate(2 * PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.ReadAt(got, 2*PageSize); err == nil {
+		t.Error("read past a truncation succeeded")
+	}
+	// Write page 4, leaving page 2..3 as a hole inside the old capacity.
+	if _, err := m.WriteAt(page, 4*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{2, 3} {
+		if _, err := m.ReadAt(got, int64(i)*PageSize); err != nil {
+			t.Fatal(err)
+		}
+		for j, b := range got {
+			if b != 0 {
+				t.Fatalf("hole page %d byte %d = %d after truncate+extend, want 0", i, j, b)
+			}
+		}
+	}
+}

@@ -83,6 +83,16 @@ type Physical struct {
 // early termination: scan and join work was provably skipped.
 func (p *Physical) ProbedEmpty() bool { return p.KnownEmpty && p.EmptyFragment >= 0 }
 
+// Estimate returns fragment id's cardinality estimate, 0 when planning
+// did not probe (Fixed and NoReorder plans). Engines presize scan
+// results from it; it is a hint, never a bound.
+func (p *Physical) Estimate(id int) uint64 {
+	if p.Est == nil {
+		return 0
+	}
+	return p.Est[id]
+}
+
 // Fixed wraps a logical plan in translation order, without probing the
 // store: scans run in fragment-id order and joins exactly as translated.
 // This is the pre-planner behavior, kept for A/B comparison and for

@@ -1,8 +1,11 @@
 package relengine
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -107,59 +110,106 @@ func TestPartitionedMergeJoinLargeInput(t *testing.T) {
 	}
 }
 
-// TestStructuralMergeJoinChunking exercises the partitioned join
-// directly with synthetic nested intervals, comparing every worker count
-// against the sequential sweep.
+// perTupleMergeJoin is the reference D-join the arena-backed
+// mergeJoinChunk must reproduce pair for pair: the same stack sweep over
+// start-sorted inputs, allocating one slice per tuple.
+func perTupleMergeJoin(tuples [][]relstore.Record, ancCol int, descs []relstore.Record, j translate.Join) [][]relstore.Record {
+	sort.SliceStable(tuples, func(a, b int) bool { return tuples[a][ancCol].Start < tuples[b][ancCol].Start })
+	sort.SliceStable(descs, func(a, b int) bool { return descs[a].Start < descs[b].Start })
+	var out, stack [][]relstore.Record
+	ti := 0
+	for _, d := range descs {
+		for ti < len(tuples) && tuples[ti][ancCol].Start < d.Start {
+			stack = append(stack, tuples[ti])
+			ti++
+		}
+		live := stack[:0]
+		for _, t := range stack {
+			if t[ancCol].End > d.Start {
+				live = append(live, t)
+			}
+		}
+		stack = live
+		for _, t := range stack {
+			if a := t[ancCol]; a.End > d.End && j.LevelOK(a.Level, d.Level) {
+				out = append(out, append(append([]relstore.Record(nil), t...), d))
+			}
+		}
+	}
+	return out
+}
+
+// TestStructuralMergeJoinChunking exercises the arena-backed join
+// directly with synthetic nested intervals: the sequential sweep must
+// equal the per-tuple reference join tuple for tuple, in order, and
+// every partitioned run must produce exactly the same tuples (a nested
+// ancestor pair split by a chunk cut emits them in a different order).
 func TestStructuralMergeJoinChunking(t *testing.T) {
 	rnd := rand.New(rand.NewSource(5))
-	// 300 disjoint ancestor intervals, each containing a random number of
-	// descendants, plus stray descendants outside any ancestor.
+	// 300 ancestor intervals, some nested two deep, each containing a
+	// random number of descendants, plus stray descendants outside any
+	// ancestor. Tuples are two columns wide so the join column is not
+	// the only one carried along.
 	var tuples [][]relstore.Record
 	var descs []relstore.Record
 	pos := uint32(1)
 	for a := 0; a < 300; a++ {
 		ancStart := pos
 		pos++
+		nested := a%5 == 0
+		innerStart := pos
+		if nested {
+			pos++
+		}
 		n := rnd.Intn(8)
 		for d := 0; d < n; d++ {
-			descs = append(descs, relstore.Record{Start: pos, End: pos + 1, Level: 3, TagID: 2})
+			descs = append(descs, relstore.Record{Start: pos, End: pos + 1, Level: 4, TagID: 2, Data: fmt.Sprint("d", pos)})
 			pos += 2
 		}
-		tuples = append(tuples, []relstore.Record{{Start: ancStart, End: pos, Level: 2, TagID: 1}})
+		if nested {
+			tuples = append(tuples, []relstore.Record{{Start: 0, End: 1 << 30, Level: 1}, {Start: innerStart, End: pos, Level: 3, TagID: 1}})
+			pos++
+		}
+		tuples = append(tuples, []relstore.Record{{Start: 0, End: 1 << 30, Level: 1}, {Start: ancStart, End: pos, Level: 2, TagID: 1}})
 		pos++
 		if a%7 == 0 { // a descendant between ancestors: matches nothing
-			descs = append(descs, relstore.Record{Start: pos, End: pos + 1, Level: 3, TagID: 2})
+			descs = append(descs, relstore.Record{Start: pos, End: pos + 1, Level: 4, TagID: 2})
 			pos += 2
 		}
 	}
-	// Shuffle desc order: the join must sort.
+	// Shuffle both inputs: the join must sort.
 	rnd.Shuffle(len(descs), func(i, j int) { descs[i], descs[j] = descs[j], descs[i] })
+	rnd.Shuffle(len(tuples), func(i, j int) { tuples[i], tuples[j] = tuples[j], tuples[i] })
 
-	j := translate.Join{Anc: 0, Desc: 1, Gap: 1}
-	clone := func(ts [][]relstore.Record) [][]relstore.Record {
-		out := make([][]relstore.Record, len(ts))
-		for i, t := range ts {
-			out[i] = append([]relstore.Record(nil), t...)
+	arena := core.NewTuples(2)
+	for _, tp := range tuples {
+		arena.Append(tp, nil)
+	}
+	byPair := func(a, b []relstore.Record) int {
+		return cmp.Or(cmp.Compare(a[1].Start, b[1].Start), cmp.Compare(a[2].Start, b[2].Start))
+	}
+	for _, j := range []translate.Join{{Anc: 0, Desc: 1, Gap: 1}, {Anc: 0, Desc: 1, Gap: 2, Exact: true}} {
+		want := perTupleMergeJoin(tuples, 1, append([]relstore.Record(nil), descs...), j)
+		if len(want) == 0 {
+			t.Fatal("reference join found nothing — test data broken")
 		}
-		return out
-	}
-	want := structuralMergeJoin(clone(tuples), 0, append([]relstore.Record(nil), descs...), j, 1)
-	if len(want) == 0 {
-		t.Fatal("sequential join found nothing — test data broken")
-	}
-	key := func(t []relstore.Record) [2]uint32 { return [2]uint32{t[0].Start, t[1].Start} }
-	wantSet := map[[2]uint32]bool{}
-	for _, tp := range want {
-		wantSet[key(tp)] = true
-	}
-	for _, workers := range []int{2, 3, 8, 16} {
-		got := structuralMergeJoin(clone(tuples), 0, append([]relstore.Record(nil), descs...), j, workers)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d pairs, want %d", workers, len(got), len(want))
-		}
-		for _, tp := range got {
-			if !wantSet[key(tp)] {
-				t.Fatalf("workers=%d: unexpected pair %v", workers, key(tp))
+		for _, workers := range []int{1, 2, 3, 8, 16} {
+			joined := structuralMergeJoin(arena, 1, append([]relstore.Record(nil), descs...), j, workers)
+			if joined.Stride != 3 || joined.Len() != len(want) {
+				t.Fatalf("%v workers=%d: %d tuples of stride %d, want %d of stride 3", j, workers, joined.Len(), joined.Stride, len(want))
+			}
+			got := make([][]relstore.Record, joined.Len())
+			for i := range got {
+				got[i] = joined.At(i)
+			}
+			if workers > 1 {
+				slices.SortFunc(got, byPair)
+				slices.SortFunc(want, byPair)
+			}
+			for i, w := range want {
+				if !slices.Equal(got[i], w) {
+					t.Fatalf("%v workers=%d: tuple %d = %v, reference %v", j, workers, i, got[i], w)
+				}
 			}
 		}
 	}

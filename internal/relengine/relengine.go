@@ -14,17 +14,21 @@
 // join intermediate skips everything after it (Result.EarlyTerminated
 // reports when that saved work).
 //
-// Execution is data-parallel where the plan is embarrassingly parallel
+// Fragment selections are issued strictly in plan order, one at a time
+// (see scanFragments: the planner's order is an early-termination
+// device, and it only works if a later scan cannot start before an
+// earlier one is known non-empty), so page and visited counters are the
+// same at every parallelism. Execution is data-parallel in the joins
 // (cf. Sato et al., "Parallelization of XPath Queries using Modern
-// XQuery Processors", arXiv:1806.07728): fragment selections are
-// independent of each other and run concurrently under a bounded worker
-// pool, and the structural merge join partitions its ancestor input by
-// interval — descendants fall into exactly one partition's interval
-// span, so partitions merge independently. Options.Parallelism bounds
-// the pool; 1 recovers the fully sequential engine. Fragment selections
-// read through the batched stream layer (core.FragmentStream over
-// relstore.BatchIter), which decodes each heap page's records under a
-// single pager view.
+// XQuery Processors", arXiv:1806.07728): the structural merge join
+// partitions its ancestor input by interval — descendants fall into
+// exactly one partition's interval span, so partitions merge
+// independently. Options.Parallelism bounds the pool; 1 recovers the
+// fully sequential engine. Fragment selections read through the batched
+// stream layer (core.FragmentStream over relstore.BatchIter), which
+// decodes each heap page's records under a single pager view, straight
+// into the fragment's binding slice; join intermediates live in flat
+// core.Tuples arenas.
 //
 // Per-query statistics accumulate in the relstore.ExecContext threaded
 // through every scan, so concurrent Execute calls against one store
@@ -39,7 +43,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -60,10 +63,9 @@ const (
 // Options configures execution.
 type Options struct {
 	Join JoinAlgorithm
-	// ExecConfig.Parallelism bounds the worker pool used for fragment
-	// scans and for partitioned merge joins. 0 selects
-	// runtime.GOMAXPROCS(0); 1 runs the engine fully sequentially. The
-	// result is identical either way.
+	// ExecConfig.Parallelism bounds the worker pool used for
+	// partitioned merge joins. 0 selects runtime.GOMAXPROCS(0); 1 runs
+	// the engine fully sequentially. The result is identical either way.
 	core.ExecConfig
 }
 
@@ -110,7 +112,7 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opt
 
 	// Evaluate every fragment, most selective first.
 	scanBegin := tr.Begin()
-	bindings, err := scanFragments(ctx, st, lp.Fragments, p.Scans, workers)
+	bindings, err := scanFragments(ctx, st, p)
 	tr.End(obs.PhaseScan, scanBegin)
 	if err != nil {
 		return nil, err
@@ -127,18 +129,16 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opt
 	defer tr.End(obs.PhaseJoin, joinBegin)
 
 	if len(p.Joins) == 0 {
-		return &Result{Records: finalize(bindings[lp.Return])}, nil
+		return &Result{Records: core.DocOrder(bindings[lp.Return])}, nil
 	}
 
 	// Tuples over the fragments joined so far. cols maps fragment id to
-	// tuple column.
+	// tuple column. The first fragment's bindings are the initial
+	// one-column arena as they stand.
 	cols := map[int]int{}
 	first := p.Joins[0].Anc
 	cols[first] = 0
-	tuples := make([][]relstore.Record, len(bindings[first]))
-	for i, r := range bindings[first] {
-		tuples[i] = []relstore.Record{r}
-	}
+	tuples := core.TuplesOf(bindings[first], 1)
 
 	for ji, j := range p.Joins {
 		ancCol, ok := cols[j.Anc]
@@ -152,7 +152,7 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opt
 			tuples = structuralMergeJoin(tuples, ancCol, bindings[j.Desc], j, workers)
 		}
 		cols[j.Desc] = len(cols)
-		if len(tuples) == 0 {
+		if tuples.Len() == 0 {
 			return &Result{EarlyTerminated: ji < len(p.Joins)-1}, nil
 		}
 	}
@@ -161,72 +161,31 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opt
 	if !ok {
 		return nil, fmt.Errorf("relengine: return fragment %d not joined", lp.Return)
 	}
-	out := make([]relstore.Record, len(tuples))
-	for i, t := range tuples {
-		out[i] = t[retCol]
-	}
-	return &Result{Records: finalize(out)}, nil
+	return &Result{Records: core.DocOrder(tuples.Column(retCol))}, nil
 }
 
-// scanFragments evaluates all fragment selections in the given order,
-// concurrently when the worker budget allows. Fragments are independent
-// selections, so this is the embarrassingly-parallel part of every plan
-// — but order still matters: the sequential path stops at the first
-// empty fragment, so scanning the most selective fragment first (the
-// greedy planner's order) skips the expensive scans exactly when a cheap
-// one proves the plan empty.
-func scanFragments(ctx *relstore.ExecContext, st *core.Store, frags []*translate.Fragment, order []int, workers int) ([][]relstore.Record, error) {
+// scanFragments evaluates the plan's fragment selections one after the
+// other in Physical.Scans order on the calling goroutine, stopping at
+// the first empty one. The order is the planner's whole point — the
+// most selective fragment runs first, so a cheap scan that comes back
+// empty skips the expensive ones — and it only holds if scan k+1 cannot
+// start before scan k is known non-empty; racing the scans would read
+// the large fragments the order exists to avoid, and make the page and
+// visited counters depend on scheduling. Parallelism is spent inside
+// the D-joins instead.
+func scanFragments(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical) ([][]relstore.Record, error) {
+	frags := p.Logical.Fragments
 	bindings := make([][]relstore.Record, len(frags))
-	if workers <= 1 || len(frags) == 1 {
-		for _, i := range order {
-			recs, err := scanFragment(ctx, st, frags[i])
-			if err != nil {
-				return nil, err
-			}
-			if len(recs) == 0 {
-				// Empty selection: the whole plan is empty, skip the rest.
-				return bindings, nil
-			}
-			bindings[i] = recs
+	for _, i := range p.Scans {
+		recs, err := scanFragment(ctx, st, frags[i], p.Estimate(i))
+		if err != nil {
+			return nil, err
 		}
-		return bindings, nil
-	}
-
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	var anyEmpty atomic.Bool
-	for _, i := range order {
-		wg.Add(1)
-		go func(i int, f *translate.Fragment) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			// Best-effort short-circuit: an already-finished empty fragment
-			// makes the whole plan empty, so skip scans that have not
-			// started yet (mirrors the sequential path's early return).
-			if anyEmpty.Load() {
-				return
-			}
-			recs, err := scanFragment(ctx, st, f)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			if len(recs) == 0 {
-				anyEmpty.Store(true)
-			}
-			bindings[i] = recs
-		}(i, frags[i])
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		if len(recs) == 0 {
+			// Empty selection: the whole plan is empty, skip the rest.
+			return bindings, nil
+		}
+		bindings[i] = recs
 	}
 	return bindings, nil
 }
@@ -234,9 +193,10 @@ func scanFragments(ctx *relstore.ExecContext, st *core.Store, frags []*translate
 // scanFragment evaluates one fragment's selection plus local predicates
 // through the shared batched stream layer: records arrive batch-wise
 // with one pager view per heap-page run (instead of one per record),
-// and P-label range/set selections are merged into document order
-// batch-wise as well.
-func scanFragment(ctx *relstore.ExecContext, st *core.Store, f *translate.Fragment) ([]relstore.Record, error) {
+// P-label range/set selections are merged into document order
+// batch-wise as well, and each batch is decoded into, and filtered in,
+// its final place in a result presized from the planner's estimate.
+func scanFragment(ctx *relstore.ExecContext, st *core.Store, f *translate.Fragment, est uint64) ([]relstore.Record, error) {
 	fs, err := st.PrepareFragmentStream(ctx, f)
 	if err != nil {
 		return nil, err
@@ -245,11 +205,7 @@ func scanFragment(ctx *relstore.ExecContext, st *core.Store, f *translate.Fragme
 	if err != nil {
 		return nil, err
 	}
-	recs, err := relstore.CollectAdaptive(ctx, bi)
-	if err != nil {
-		return nil, err
-	}
-	return st.FragmentFilter(f).Apply(recs), nil
+	return relstore.CollectAdaptive(ctx, bi, est, st.FragmentFilter(f).Apply)
 }
 
 // Partition thresholds for the parallel merge join: below these input
@@ -269,71 +225,66 @@ const (
 // in exactly one chunk, so giving each chunk the descendant slice whose
 // starts fall inside the chunk's interval span [first start, max end)
 // reproduces the sequential pairing exactly, with no duplicates.
-func structuralMergeJoin(tuples [][]relstore.Record, ancCol int, descs []relstore.Record, j translate.Join, workers int) [][]relstore.Record {
-	sort.Slice(tuples, func(a, b int) bool { return tuples[a][ancCol].Start < tuples[b][ancCol].Start })
+func structuralMergeJoin(tuples core.Tuples, ancCol int, descs []relstore.Record, j translate.Join, workers int) core.Tuples {
+	tuples = tuples.SortedBy(ancCol)
 	// Scans clustered by {plabel,start} are only start-sorted per plabel
-	// run; order the descendants by start. Records are fat (strings), so
-	// sort an index permutation instead of swapping them directly.
-	descs = sortedByStart(descs)
+	// run; order the descendants by start.
+	descs = core.SortedByStart(descs)
 
-	if workers <= 1 || len(tuples) < minParallelTuples || len(descs) < minParallelDescs {
-		return mergeJoinChunk(tuples, ancCol, descs, j)
+	n := tuples.Len()
+	if workers <= 1 || n < minParallelTuples || len(descs) < minParallelDescs {
+		return mergeJoinChunk(tuples, 0, n, ancCol, descs, j)
 	}
 
 	chunks := workers
-	if chunks > len(tuples)/2 {
-		chunks = len(tuples) / 2
+	if chunks > n/2 {
+		chunks = n / 2
 	}
-	parts := make([][][]relstore.Record, chunks)
+	parts := make([]core.Tuples, chunks)
 	var wg sync.WaitGroup
 	for c := 0; c < chunks; c++ {
-		lo := c * len(tuples) / chunks
-		hi := (c + 1) * len(tuples) / chunks
 		wg.Add(1)
-		go func(c int, part [][]relstore.Record) {
+		go func(c, lo, hi int) {
 			defer wg.Done()
-			minStart := part[0][ancCol].Start
+			minStart := tuples.At(lo)[ancCol].Start
 			maxEnd := uint32(0)
-			for _, t := range part {
-				if t[ancCol].End > maxEnd {
-					maxEnd = t[ancCol].End
+			for i := lo; i < hi; i++ {
+				if end := tuples.At(i)[ancCol].End; end > maxEnd {
+					maxEnd = end
 				}
 			}
 			// Descendant candidates for this chunk: minStart < start < maxEnd.
 			from := sort.Search(len(descs), func(i int) bool { return descs[i].Start > minStart })
 			to := sort.Search(len(descs), func(i int) bool { return descs[i].Start >= maxEnd })
-			parts[c] = mergeJoinChunk(part, ancCol, descs[from:to], j)
-		}(c, tuples[lo:hi])
+			parts[c] = mergeJoinChunk(tuples, lo, hi, ancCol, descs[from:to], j)
+		}(c, c*n/chunks, (c+1)*n/chunks)
 	}
 	wg.Wait()
 
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([][]relstore.Record, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
+	out := parts[0]
+	for _, p := range parts[1:] {
+		out.AppendAll(p)
 	}
 	return out
 }
 
-// mergeJoinChunk runs the stack-based structural merge sweep over
-// start-sorted tuples and descendants.
-func mergeJoinChunk(tuples [][]relstore.Record, ancCol int, descs []relstore.Record, j translate.Join) [][]relstore.Record {
-	var out [][]relstore.Record
-	var stack [][]relstore.Record // open ancestor tuples, outermost first
-	ti := 0
-	for _, d := range descs {
+// mergeJoinChunk runs the stack-based structural merge sweep over the
+// start-sorted tuples [lo, hi) and start-sorted descendants.
+func mergeJoinChunk(tuples core.Tuples, lo, hi, ancCol int, descs []relstore.Record, j translate.Join) core.Tuples {
+	out := core.NewTuples(tuples.Stride + 1)
+	var stack []int32 // open ancestor tuples (arena indexes), outermost first
+	ti := lo
+	for di := range descs {
+		d := &descs[di]
 		// Open all ancestor tuples that start before d.
-		for ti < len(tuples) && tuples[ti][ancCol].Start < d.Start {
-			stack = append(stack, tuples[ti])
+		for ti < hi && tuples.At(ti)[ancCol].Start < d.Start {
+			stack = append(stack, int32(ti))
 			ti++
 		}
 		// Close those that ended before d.
 		live := stack[:0]
 		for _, t := range stack {
-			if t[ancCol].End > d.Start {
+			if tuples.At(int(t))[ancCol].End > d.Start {
 				live = append(live, t)
 			}
 		}
@@ -342,17 +293,15 @@ func mergeJoinChunk(tuples [][]relstore.Record, ancCol int, descs []relstore.Rec
 		// well-formed document nest, so start < d.start && end > d.start
 		// implies end > d.end).
 		for _, t := range stack {
-			a := t[ancCol]
+			tup := tuples.At(int(t))
+			a := &tup[ancCol]
 			if a.End <= d.End {
 				// Defensive: ill-nested inputs (possible only with a
 				// corrupted store) must not produce false positives.
 				continue
 			}
 			if j.LevelOK(a.Level, d.Level) {
-				nt := make([]relstore.Record, len(t)+1)
-				copy(nt, t)
-				nt[len(t)] = d
-				out = append(out, nt)
+				out.Append(tup, descs[di:di+1])
 			}
 		}
 	}
@@ -360,59 +309,16 @@ func mergeJoinChunk(tuples [][]relstore.Record, ancCol int, descs []relstore.Rec
 }
 
 // nestedLoopJoin is the quadratic D-join used by the ablation benchmark.
-func nestedLoopJoin(tuples [][]relstore.Record, ancCol int, descs []relstore.Record, j translate.Join) [][]relstore.Record {
-	var out [][]relstore.Record
-	for _, t := range tuples {
-		a := t[ancCol]
-		for _, d := range descs {
+func nestedLoopJoin(tuples core.Tuples, ancCol int, descs []relstore.Record, j translate.Join) core.Tuples {
+	out := core.NewTuples(tuples.Stride + 1)
+	for i := 0; i < tuples.Len(); i++ {
+		t := tuples.At(i)
+		a := &t[ancCol]
+		for di := range descs {
+			d := &descs[di]
 			if a.Start < d.Start && a.End > d.End && j.LevelOK(a.Level, d.Level) {
-				nt := make([]relstore.Record, len(t)+1)
-				copy(nt, t)
-				nt[len(t)] = d
-				out = append(out, nt)
+				out.Append(t, descs[di:di+1])
 			}
-		}
-	}
-	return out
-}
-
-// sortedByStart returns recs ordered by start position. Already-sorted
-// input (the common case: single-plabel and tag scans) is returned as is;
-// otherwise an index permutation is sorted and applied in one pass, which
-// avoids reflective swaps of the fat record structs.
-func sortedByStart(recs []relstore.Record) []relstore.Record {
-	sorted := true
-	for i := 1; i < len(recs); i++ {
-		if recs[i-1].Start > recs[i].Start {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		return recs
-	}
-	idx := make([]int32, len(recs))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.Slice(idx, func(a, b int) bool { return recs[idx[a]].Start < recs[idx[b]].Start })
-	out := make([]relstore.Record, len(recs))
-	for i, j := range idx {
-		out[i] = recs[j]
-	}
-	return out
-}
-
-// finalize deduplicates by start position and sorts into document order.
-func finalize(recs []relstore.Record) []relstore.Record {
-	if len(recs) == 0 {
-		return nil
-	}
-	recs = sortedByStart(recs)
-	out := recs[:1]
-	for _, r := range recs[1:] {
-		if r.Start != out[len(out)-1].Start {
-			out = append(out, r)
 		}
 	}
 	return out

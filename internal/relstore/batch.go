@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/keyenc"
@@ -317,23 +318,42 @@ func CollectBatches(bi BatchIter, batchSize int) ([]Record, error) {
 	}
 }
 
-// CollectAdaptive drains a batched stream into a slice, sizing every
-// batch from the context's batch controller and reporting each one back
-// to it (fill latency, pager-miss delta). With no controller attached it
-// degrades to CollectBatches at DefaultBatchSize.
-func CollectAdaptive(ctx *ExecContext, bi BatchIter) ([]Record, error) {
+// maxCollectPresize bounds how many records CollectAdaptive allocates on
+// the strength of a size hint alone (3 MiB of Records): an extrapolated
+// or filter-blind estimate may overshoot by orders of magnitude, and
+// past this point doubling costs little.
+const maxCollectPresize = 1 << 16
+
+// CollectAdaptive drains a batched stream into one slice. Every batch is
+// sized by the context's batch controller (DefaultBatchSize without one)
+// and reported back to it (fill latency, pager-miss delta) and is
+// decoded directly into the tail of the result — there is no scratch
+// batch and no copy.
+//
+// sizeHint is the caller's estimate of the stream's length (a planner
+// cardinality estimate; 0 = unknown). It only presizes the result: a
+// hint that is exact costs one allocation, a wrong one costs doubling
+// (too small) or at most maxCollectPresize idle records (too large),
+// never a different answer.
+//
+// keep, when non-nil, filters each decoded batch in place and returns
+// the retained prefix (core.RecFilter.Apply); dropped records are
+// overwritten by the next batch instead of being carried to the end.
+// The result equals filtering the fully collected stream.
+func CollectAdaptive(ctx *ExecContext, bi BatchIter, sizeHint uint64, keep func([]Record) []Record) ([]Record, error) {
 	ctl := ctx.BatchControl()
-	var out []Record
-	var buf []Record
+	// One batch of slack past the hint: the stream's end is only seen
+	// by a NextBatch that returns 0, and it must not force a regrow.
+	out := make([]Record, 0, int(min(sizeHint, maxCollectPresize))+ctl.BatchSize())
 	for {
-		if want := ctl.BatchSize(); want > cap(buf) {
-			buf = make([]Record, want)
-		} else {
-			buf = buf[:want]
+		want := ctl.BatchSize()
+		if len(out)+want > cap(out) {
+			out = slices.Grow(out, max(want, cap(out))) // at least double
 		}
+		tail := out[len(out) : len(out)+want]
 		missBefore := ctx.PageMisses()
 		begin := time.Now()
-		n, err := bi.NextBatch(buf)
+		n, err := bi.NextBatch(tail)
 		if err != nil {
 			return nil, err
 		}
@@ -341,6 +361,9 @@ func CollectAdaptive(ctx *ExecContext, bi BatchIter) ([]Record, error) {
 			return out, nil
 		}
 		ctl.ObserveBatch(n, time.Since(begin), ctx.PageMisses()-missBefore)
-		out = append(out, buf[:n]...)
+		if keep != nil {
+			n = len(keep(tail[:n]))
+		}
+		out = out[:len(out)+n]
 	}
 }

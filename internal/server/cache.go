@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"encoding/json"
 	"sync"
 
 	blas "repro"
@@ -15,7 +16,7 @@ type CacheMetrics struct {
 	Invalidations uint64 `json:"invalidations"` // entries dropped by purge (DELETE /cache, store swap)
 	Entries       int    `json:"entries"`
 	MaxEntries    int    `json:"max_entries"`
-	Bytes         int64  `json:"bytes,omitempty"`     // result cache only
+	Bytes         int64  `json:"bytes,omitempty"`     // result cache only: encoded bytes held
 	MaxBytes      int64  `json:"max_bytes,omitempty"` // result cache only
 }
 
@@ -118,8 +119,8 @@ type resultKey struct {
 	query      string // normalized form
 }
 
-// resultCache is a bounded LRU of query results with both an entry limit
-// and an approximate byte limit. Entries larger than the byte limit are
+// resultCache is a bounded LRU of encoded query results with both an
+// entry limit and a byte limit. Entries larger than the byte limit are
 // not cached at all.
 type resultCache struct {
 	mu         sync.Mutex
@@ -132,10 +133,38 @@ type resultCache struct {
 	hits, misses, evictions, invalidations uint64
 }
 
+// encodedResult is one executed query as the response needs it: the
+// matches already rendered to their JSON array (encoding/json's output
+// for []blas.Match, produced once, when the query ran) beside the count
+// and statistics. It is immutable, so the cache hands the same value to
+// every hit and a hit costs no encoding at all.
+type encodedResult struct {
+	count   int
+	matches []byte
+	stats   blas.ExecStats
+}
+
+// encodeResult renders a result's matches once. A nil match slice
+// encodes as [], so the JSON field is always an array.
+func encodeResult(res *blas.Result) (*encodedResult, error) {
+	matches := res.Matches
+	if matches == nil {
+		matches = []blas.Match{}
+	}
+	raw, err := json.Marshal(matches)
+	if err != nil {
+		return nil, err
+	}
+	return &encodedResult{count: len(matches), matches: raw, stats: res.Stats}, nil
+}
+
+// size is what an entry is charged against the byte limit: the encoded
+// matches it pins, plus a fixed allowance for the entry and its stats.
+func (r *encodedResult) size() int64 { return int64(len(r.matches)) + 256 }
+
 type resultEntry struct {
-	key  resultKey
-	res  *blas.Result
-	size int64
+	key resultKey
+	res *encodedResult
 }
 
 func newResultCache(maxEntries int, maxBytes int64) *resultCache {
@@ -145,18 +174,7 @@ func newResultCache(maxEntries int, maxBytes int64) *resultCache {
 	}
 }
 
-// resultSize approximates a result's resident footprint: the string
-// payloads plus a fixed per-match overhead for the struct fields.
-func resultSize(res *blas.Result) int64 {
-	var n int64 = 256 // entry + stats overhead
-	for i := range res.Matches {
-		m := &res.Matches[i]
-		n += int64(len(m.Tag)+len(m.Value)+len(m.Path)) + 64
-	}
-	return n
-}
-
-func (c *resultCache) get(k resultKey) (*blas.Result, bool) {
+func (c *resultCache) get(k resultKey) (*encodedResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[k]
@@ -169,10 +187,9 @@ func (c *resultCache) get(k resultKey) (*blas.Result, bool) {
 	return el.Value.(*resultEntry).res, true
 }
 
-// put caches a result. The caller must never mutate res afterwards — the
-// cache serves the same *Result to every hit.
-func (c *resultCache) put(k resultKey, res *blas.Result) {
-	size := resultSize(res)
+// put caches an encoded result.
+func (c *resultCache) put(k resultKey, res *encodedResult) {
+	size := res.size()
 	if size > c.maxBytes {
 		return
 	}
@@ -182,14 +199,14 @@ func (c *resultCache) put(k resultKey, res *blas.Result) {
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.entries[k] = c.lru.PushFront(&resultEntry{key: k, res: res, size: size})
+	c.entries[k] = c.lru.PushFront(&resultEntry{key: k, res: res})
 	c.bytes += size
 	for len(c.entries) > c.maxEntries || c.bytes > c.maxBytes {
 		tail := c.lru.Back()
 		c.lru.Remove(tail)
 		e := tail.Value.(*resultEntry)
 		delete(c.entries, e.key)
-		c.bytes -= e.size
+		c.bytes -= e.res.size()
 		c.evictions++
 	}
 }

@@ -70,8 +70,8 @@ type Config struct {
 	// ResultCacheEntries bounds the result LRU. 0 selects 256; negative
 	// disables result caching.
 	ResultCacheEntries int
-	// ResultCacheBytes bounds the result LRU's approximate resident
-	// bytes. 0 selects 64 MiB.
+	// ResultCacheBytes bounds the encoded result bytes the result LRU
+	// holds. 0 selects 64 MiB.
 	ResultCacheBytes int64
 	// DefaultEngine is used when a request names none ("" = relational).
 	DefaultEngine blas.Engine
@@ -308,6 +308,61 @@ type QueryResponse struct {
 	Parallelism int `json:"parallelism"`
 }
 
+// A success body is QueryResponse's JSON, byte for byte, but it is never
+// produced by marshalling a QueryResponse: the matches array arrives
+// already encoded (encodedResult) and is written to the socket verbatim
+// between the two halves of the envelope, wireHead and wireTail, which
+// carry QueryResponse's remaining fields in its order and under its
+// tags. Splicing raw bytes rather than embedding a json.RawMessage
+// matters: encoding/json re-validates and compacts a RawMessage byte by
+// byte, which costs as much as encoding the matches did.
+// TestQueryWireMatchesQueryResponse pins the shapes together.
+type wireHead struct {
+	Query string `json:"query"`
+	Count int    `json:"count"`
+}
+
+type wireTail struct {
+	Stats       blas.ExecStats `json:"stats"`
+	Cached      bool           `json:"cached"`
+	PlanCached  bool           `json:"plan_cached"`
+	PlanNs      int64          `json:"plan_ns"`
+	Parallelism int            `json:"parallelism"`
+}
+
+// queryBody returns the response body in three parts to be written in
+// order; the middle one is res.matches itself, not a copy.
+func queryBody(query string, res *encodedResult, tail wireTail) (prefix, matches, suffix []byte, err error) {
+	head, err := json.Marshal(wireHead{Query: query, Count: res.count})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	tail.Stats = res.stats
+	rest, err := json.Marshal(tail)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	// {"query":..,"count":N} + {"stats":..} -> {..,"count":N,"matches":[..],"stats":..}\n
+	prefix = append(head[:len(head)-1], `,"matches":`...)
+	rest[0] = ','
+	return prefix, res.matches, append(rest, '\n'), nil
+}
+
+func writeQueryResponse(w http.ResponseWriter, query string, res *encodedResult, tail wireTail) {
+	prefix, matches, suffix, err := queryBody(query, res, tail)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	for _, part := range [][]byte{prefix, matches, suffix} {
+		if _, err := w.Write(part); err != nil {
+			return // client went away; nothing to do
+		}
+	}
+}
+
 type errorResponse struct {
 	Error string `json:"error"`
 }
@@ -386,10 +441,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	rk := resultKey{gen: gen, engine: engine, translator: eff, query: norm}
 	if cacheable {
 		if res, ok := s.results.get(rk); ok {
-			writeJSON(w, http.StatusOK, QueryResponse{
-				Query: norm, Count: len(res.Matches), Matches: matchesOf(res),
-				Stats: res.Stats, Cached: true, PlanCached: true,
-			})
+			writeQueryResponse(w, norm, res, wireTail{Cached: true, PlanCached: true})
 			return
 		}
 	}
@@ -460,7 +512,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	type outcome struct {
-		res *blas.Result
+		res *encodedResult
 		err error
 	}
 	done := make(chan outcome, 1)
@@ -474,15 +526,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if gate := s.execGate; gate != nil {
 			gate()
 		}
+		var enc *encodedResult
 		res, err := pq.Query(opts)
 		if err == nil {
-			if cacheable {
-				s.results.put(rk, res)
-			}
-		} else {
-			s.queryErrors.Add(1)
+			enc, err = encodeResult(res)
 		}
-		done <- outcome{res, err}
+		if err != nil {
+			s.queryErrors.Add(1)
+		} else if cacheable {
+			s.results.put(rk, enc)
+		}
+		done <- outcome{enc, err}
 	}()
 
 	select {
@@ -495,24 +549,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, status, o.err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, QueryResponse{
-			Query: norm, Count: len(o.res.Matches), Matches: matchesOf(o.res),
-			Stats: o.res.Stats, PlanCached: planHit, PlanNs: planNs, Parallelism: grant,
-		})
+		writeQueryResponse(w, norm, o.res, wireTail{PlanCached: planHit, PlanNs: planNs, Parallelism: grant})
 	case <-ctx.Done():
 		s.timeouts.Add(1)
 		writeError(w, http.StatusGatewayTimeout,
 			"query abandoned (it runs to completion server-side and holds its admission slot until done)")
 	}
-}
-
-// matchesOf returns the result's matches, never nil, so the JSON field
-// is always an array.
-func matchesOf(res *blas.Result) []blas.Match {
-	if res.Matches == nil {
-		return []blas.Match{}
-	}
-	return res.Matches
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -286,6 +287,109 @@ func TestServerResultCacheBounds(t *testing.T) {
 	_, qr, _ = postQuery(t, ts.URL, QueryRequest{Query: "/catalog/book/title"})
 	if qr.Cached {
 		t.Error("oldest entry survived past the limit")
+	}
+}
+
+// TestQueryWireMatchesQueryResponse pins the spliced success body to the
+// exported response shape: wireHead ++ matches ++ wireTail are
+// QueryResponse's fields, in order, under its tags, and — for a response
+// whose strings need every kind of JSON escaping — the body is byte for
+// byte what marshalling QueryResponse the way the server used to gives.
+func TestQueryWireMatchesQueryResponse(t *testing.T) {
+	var wire []reflect.StructField
+	for _, part := range []any{wireHead{}, struct {
+		Matches []blas.Match `json:"matches"`
+	}{}, wireTail{}} {
+		pt := reflect.TypeOf(part)
+		for i := 0; i < pt.NumField(); i++ {
+			wire = append(wire, pt.Field(i))
+		}
+	}
+	qt := reflect.TypeOf(QueryResponse{})
+	if len(wire) != qt.NumField() {
+		t.Fatalf("the wire parts have %d fields, QueryResponse %d", len(wire), qt.NumField())
+	}
+	for i, w := range wire {
+		if q := qt.Field(i); w.Name != q.Name || w.Tag != q.Tag || w.Type != q.Type {
+			t.Errorf("field %d: wire has %s %v `%s`, QueryResponse %s %v `%s`", i, w.Name, w.Type, w.Tag, q.Name, q.Type, q.Tag)
+		}
+	}
+
+	stats := blas.ExecStats{Translator: blas.TranslatorPushUp, Engine: blas.EngineTwig, Elapsed: 1234, ExecElapsed: 1234, VisitedElements: 7, Joins: 2, Note: "a <note> & more"}
+	for _, matches := range [][]blas.Match{
+		nil,
+		{},
+		{{Start: 1, End: 9, Level: 2, Tag: "title", Value: "Tom & Jerry <i>\"quoted\"</i> \u2028 caf\u00e9 \xff\n", Path: "/catalog/book/title"}, {Start: 11, End: 12, Level: 3, Tag: "@id", Path: "/catalog/book/@id"}},
+	} {
+		enc, err := encodeResult(&blas.Result{Matches: matches, Stats: stats})
+		if err != nil {
+			t.Fatal(err)
+		}
+		asArray := matches
+		if asArray == nil {
+			asArray = []blas.Match{}
+		}
+		for _, cached := range []bool{false, true} {
+			const query = `/q[a="<&>"]`
+			prefix, raw, suffix, err := queryBody(query, enc, wireTail{Cached: cached, PlanCached: true, PlanNs: 5, Parallelism: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := slices.Concat(prefix, raw, suffix)
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(QueryResponse{Query: query, Count: len(matches), Matches: asArray, Stats: stats, Cached: cached, PlanCached: true, PlanNs: 5, Parallelism: 2}); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Errorf("%d matches, cached=%v: wire body\n%s\nQueryResponse body\n%s", len(matches), cached, got, want.Bytes())
+			}
+		}
+	}
+}
+
+// TestServerResultCacheChargesEncodedBytes: an entry is charged its
+// encoded matches, a hit serves the stored bytes unchanged, and a result
+// whose encoding exceeds the byte limit is served but never cached.
+func TestServerResultCacheChargesEncodedBytes(t *testing.T) {
+	st := buildStore(t, testDoc)
+	srv, ts := newTestServer(t, st, Config{})
+	fetch := func(url, query string) (body []byte, matches json.RawMessage, cached bool) {
+		t.Helper()
+		reqBody, _ := json.Marshal(QueryRequest{Query: query})
+		resp, err := http.Post(url+"/query", "application/json", bytes.NewReader(reqBody))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err = io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, err %v: %s", query, resp.StatusCode, err, body)
+		}
+		var parts struct {
+			Matches json.RawMessage `json:"matches"`
+			Cached  bool            `json:"cached"`
+		}
+		if err := json.Unmarshal(body, &parts); err != nil {
+			t.Fatal(err)
+		}
+		return body, parts.Matches, parts.Cached
+	}
+	_, first, cached := fetch(ts.URL, "/catalog/book/title")
+	if cached {
+		t.Fatal("first request was served from the cache")
+	}
+	if got, want := srv.Metrics().ResultCache.Bytes, int64(len(first))+256; got != want {
+		t.Errorf("cache charges %d bytes for a %d-byte matches array, want %d", got, len(first), want)
+	}
+	_, second, cached := fetch(ts.URL, "/catalog/book/title")
+	if !cached || !bytes.Equal(first, second) {
+		t.Errorf("hit: cached=%v, matches array differs from the executed response: %s vs %s", cached, second, first)
+	}
+
+	_, tiny := newTestServer(t, st, Config{ResultCacheBytes: int64(len(first)) + 255})
+	fetch(tiny.URL, "/catalog/book/title")
+	if _, _, cached := fetch(tiny.URL, "/catalog/book/title"); cached {
+		t.Error("a result larger than the byte limit was cached")
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 
 // TestHotpathAnnotations pins the //blas:hotpath annotation set to the
 // functions the zero-alloc guards (TestJoinKeyZeroAlloc /
-// BenchmarkJoinKey) actually measure. If an annotation drifts off a
+// BenchmarkJoinKey, TestCollectSolutionsAllocatesPerChunk) actually
+// measure. If an annotation drifts off a
 // benchmarked function — renamed, moved, deleted — this fails loudly
 // instead of letting hotalloc silently check nothing while the
 // benchmark guards a function the analyzer no longer covers.
@@ -18,7 +19,7 @@ func TestHotpathAnnotations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"assignKey", "collectSolutions", "solutionKey", "spillStarts", "sweep"}
+	want := []string{"assignKey", "climb", "collectSolutions", "solutionKey", "spillStarts", "sweep"}
 	for _, name := range want {
 		if !got[name] {
 			t.Errorf("%s lost its //blas:hotpath annotation; the BenchmarkJoinKey zero-alloc guard and hotalloc no longer cover the same code", name)

@@ -3,6 +3,7 @@ package twig
 import (
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/relstore"
 )
 
@@ -76,7 +77,7 @@ func partitionRoot(recs []relstore.Record, max int) []sweepPart {
 // entirely on the calling goroutine and streams every node — the root
 // stream is materialized only when partition cuts must be derived from
 // it.
-func (e *engine) sweepAll(ctx *relstore.ExecContext, workers int) ([][][]relstore.Record, error) {
+func (e *engine) sweepAll(ctx *relstore.ExecContext, workers int) ([]core.Tuples, error) {
 	if workers <= 1 {
 		return e.sweepPartition(ctx, sweepPart{streamRoot: true}, false)
 	}
@@ -85,11 +86,10 @@ func (e *engine) sweepAll(ctx *relstore.ExecContext, workers int) ([][][]relstor
 	if err != nil {
 		return nil, err
 	}
-	rootRecs, err := relstore.CollectAdaptive(ctx, rootBI)
+	rootRecs, err := relstore.CollectAdaptive(ctx, rootBI, e.rootEst, e.root.filter.Apply)
 	if err != nil {
 		return nil, err
 	}
-	rootRecs = e.root.filter.Apply(rootRecs)
 
 	parts := partitionRoot(rootRecs, workers)
 	tr := ctx.Trace()
@@ -102,7 +102,7 @@ func (e *engine) sweepAll(ctx *relstore.ExecContext, workers int) ([][][]relstor
 
 	// partitionRoot caps len(parts) at workers, so one goroutine per
 	// partition is already the worker bound.
-	results := make([][][][]relstore.Record, len(parts))
+	results := make([][]core.Tuples, len(parts))
 	var wg sync.WaitGroup
 	var errMu sync.Mutex
 	var firstErr error
@@ -128,10 +128,10 @@ func (e *engine) sweepAll(ctx *relstore.ExecContext, workers int) ([][][]relstor
 	}
 
 	// Stitch per-leaf solutions in partition (document) order.
-	leafSols := make([][][]relstore.Record, len(e.leaves))
-	for _, r := range results {
+	leafSols := results[0]
+	for _, r := range results[1:] {
 		for li := range leafSols {
-			leafSols[li] = append(leafSols[li], r[li]...)
+			leafSols[li].AppendAll(r[li])
 		}
 	}
 	return leafSols, nil
@@ -140,13 +140,16 @@ func (e *engine) sweepAll(ctx *relstore.ExecContext, workers int) ([][][]relstor
 // sweepPartition runs one partition's stack-chain sweep. The root
 // stream replays from memory; every other stream opens restricted to
 // the partition's start interval, optionally behind a prefetcher.
-func (e *engine) sweepPartition(ctx *relstore.ExecContext, part sweepPart, prefetch bool) ([][][]relstore.Record, error) {
+func (e *engine) sweepPartition(ctx *relstore.ExecContext, part sweepPart, prefetch bool) ([]core.Tuples, error) {
 	st := &sweepState{
 		eng:     e,
 		streams: make([]*batchStream, len(e.nodes)),
 		stacks:  make([][]stackItem, len(e.nodes)),
-		sols:    make([][][]relstore.Record, len(e.leaves)),
+		sols:    make([]core.Tuples, len(e.leaves)),
 		scratch: make([]relstore.Record, e.maxDepth),
+	}
+	for li, leaf := range e.leaves {
+		st.sols[li] = core.NewTuples(len(leaf.path))
 	}
 	defer st.close()
 	for i, n := range e.nodes {
@@ -175,8 +178,8 @@ type sweepState struct {
 	eng     *engine
 	streams []*batchStream
 	stacks  [][]stackItem
-	sols    [][][]relstore.Record // per leaf, in emission order
-	scratch []relstore.Record     // current path during solution collection
+	sols    []core.Tuples     // per leaf: path solutions in emission order, stride = path length
+	scratch []relstore.Record // current path during solution collection
 }
 
 func (st *sweepState) close() {
@@ -243,42 +246,40 @@ func (st *sweepState) sweep() error {
 
 // collectSolutions enumerates the root-to-leaf path solutions ending at
 // the element just pushed onto leaf q, applying each edge's level-gap
-// constraint.
+// constraint, and appends them to the leaf's solution arena.
 //
 //blas:hotpath
 func (st *sweepState) collectSolutions(q *tnode) {
 	depth := len(q.path)
 	stack := st.stacks[q.id]
 	item := stack[len(stack)-1]
-	if depth == 1 {
-		st.sols[q.leafIdx] = append(st.sols[q.leafIdx], []relstore.Record{item.rec})
+	st.scratch[depth-1] = item.rec
+	st.climb(q, depth-2, item.parentIdx)
+}
+
+// climb binds path level `level` of leaf q to every stack item at or
+// below limit that satisfies the edge to the level beneath it (already
+// bound in scratch), recursing toward the root; past the root the
+// scratch path is one complete solution.
+//
+//blas:hotpath
+func (st *sweepState) climb(q *tnode, level, limit int) {
+	cur := st.scratch[:len(q.path)]
+	if level < 0 {
+		st.sols[q.leafIdx].Append(cur, nil)
 		return
 	}
-	cur := st.scratch[:depth]
-	cur[depth-1] = item.rec
-
-	var up func(level int, limit int)
-	up = func(level, limit int) {
-		if level < 0 {
-			sol := make([]relstore.Record, depth)
-			copy(sol, cur)
-			st.sols[q.leafIdx] = append(st.sols[q.leafIdx], sol)
-			return
+	childRec := &cur[level+1]
+	edge := q.path[level+1].edge
+	nstack := st.stacks[q.path[level].id]
+	for i := 0; i <= limit && i < len(nstack); i++ {
+		it := &nstack[i]
+		// Items on the stack contain the child element by
+		// construction; the edge's level constraint narrows the pick.
+		if !edge.LevelOK(it.rec.Level, childRec.Level) {
+			continue
 		}
-		node := q.path[level]
-		childRec := cur[level+1]
-		edge := q.path[level+1].edge
-		nstack := st.stacks[node.id]
-		for i := 0; i <= limit && i < len(nstack); i++ {
-			it := nstack[i]
-			// Items on the stack contain the child element by
-			// construction; the edge's level constraint narrows the pick.
-			if !edge.LevelOK(it.rec.Level, childRec.Level) {
-				continue
-			}
-			cur[level] = it.rec
-			up(level-1, it.parentIdx)
-		}
+		cur[level] = it.rec
+		st.climb(q, level-1, it.parentIdx)
 	}
-	up(depth-2, item.parentIdx)
 }

@@ -78,7 +78,6 @@ package twig
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -135,7 +134,7 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, cfg
 	}
 	tr := ctx.Trace()
 	scanBegin := tr.Begin()
-	eng, err := build(ctx, st, lp, p.Joins)
+	eng, err := build(ctx, st, p)
 	tr.End(obs.PhaseScan, scanBegin)
 	if err != nil {
 		return nil, err
@@ -188,6 +187,7 @@ type engine struct {
 	plan     *translate.Plan
 	nodes    []*tnode
 	root     *tnode
+	rootEst  uint64 // planner's estimate of the root stream (0 = none)
 	leaves   []*tnode
 	maxDepth int // longest root-to-leaf path
 }
@@ -196,7 +196,8 @@ type engine struct {
 // and the physical join order (the same edge set as the logical joins,
 // so the resulting tree is identical — order only matters to the
 // relational engine's pipeline).
-func build(ctx *relstore.ExecContext, st *core.Store, p *translate.Plan, joins []translate.Join) (*engine, error) {
+func build(ctx *relstore.ExecContext, st *core.Store, phys *planner.Physical) (*engine, error) {
+	p, joins := phys.Logical, phys.Joins
 	eng := &engine{st: st, plan: p}
 	eng.nodes = make([]*tnode, len(p.Fragments))
 	for i, f := range p.Fragments {
@@ -234,6 +235,7 @@ func build(ctx *relstore.ExecContext, st *core.Store, p *translate.Plan, joins [
 	if eng.root == nil {
 		return nil, fmt.Errorf("twig: plan has no root")
 	}
+	eng.rootEst = phys.Estimate(eng.root.id)
 	// Precompute root-to-leaf paths and order leaves depth-first so that
 	// the merge joins on shared prefixes.
 	var dfs func(n *tnode, path []*tnode)
@@ -258,96 +260,65 @@ func build(ctx *relstore.ExecContext, st *core.Store, p *translate.Plan, joins [
 
 // merge joins the per-leaf path solutions (ordered as the sequential
 // sweep emits them) on their shared prefixes and projects the return
-// fragment.
-func (e *engine) merge(leafSols [][][]relstore.Record) (*Result, error) {
-	ret := e.plan.Return
-
-	// Single leaf: path solutions are the matches.
-	if len(e.leaves) == 1 {
-		leaf := e.leaves[0]
-		col := pathIndex(leaf.path, ret)
-		if col < 0 {
-			return nil, fmt.Errorf("twig: return fragment %d not on the only path", ret)
-		}
-		recs := make([]relstore.Record, 0, len(leafSols[0]))
-		for _, s := range leafSols[0] {
-			recs = append(recs, s[col])
-		}
-		return &Result{Records: finalize(recs)}, nil
+// fragment. Partial twig assignments live in one flat arena per fold
+// step; col maps a covered fragment id to its column there.
+func (e *engine) merge(leafSols []core.Tuples) (*Result, error) {
+	col := make([]int, len(e.nodes))
+	for i := range col {
+		col[i] = -1
 	}
-
-	// Multi-leaf: fold leaves in DFS order; each leaf's shared prefix
-	// with the already-covered node set is a prefix of its path.
-	type assign struct {
-		recs map[int]relstore.Record // fragment id -> binding
+	// The first leaf's path solutions are the initial assignments as
+	// they stand (a single-leaf twig has nothing else to fold).
+	for i, n := range e.leaves[0].path {
+		col[n.id] = i
 	}
-	covered := map[int]bool{}
-	var assigns []assign
-	for li, leaf := range e.leaves {
-		sols := leafSols[li]
-		if li == 0 {
-			for _, s := range sols {
-				a := assign{recs: map[int]relstore.Record{}}
-				for i, n := range leaf.path {
-					a.recs[n.id] = s[i]
-				}
-				assigns = append(assigns, a)
-			}
-			for _, n := range leaf.path {
-				covered[n.id] = true
-			}
-			continue
-		}
-		// Shared prefix of this leaf's path.
+	assigns := leafSols[0]
+
+	// Fold the other leaves in DFS order; each leaf's shared prefix with
+	// the already-covered node set is a prefix of its path.
+	for li := 1; li < len(e.leaves); li++ {
+		leaf, sols := e.leaves[li], leafSols[li]
 		shared := 0
-		for shared < len(leaf.path) && covered[leaf.path[shared].id] {
+		for shared < len(leaf.path) && col[leaf.path[shared].id] >= 0 {
 			shared++
 		}
-		// Index the leaf's solutions by the bindings of the shared prefix.
-		index := map[joinKey][][]relstore.Record{}
-		for _, s := range sols {
-			k := solutionKey(s[:shared])
-			index[k] = append(index[k], s)
+		sharedCols := make([]int, shared)
+		for i := range sharedCols {
+			sharedCols[i] = col[leaf.path[i].id]
 		}
-		var next []assign
-		for _, a := range assigns {
-			key := assignKey(a.recs, leaf.path[:shared])
-			for _, s := range index[key] {
-				na := assign{recs: make(map[int]relstore.Record, len(a.recs)+len(leaf.path)-shared)}
-				for k, v := range a.recs {
-					na.recs[k] = v
-				}
-				for i := shared; i < len(leaf.path); i++ {
-					na.recs[leaf.path[i].id] = s[i]
-				}
-				next = append(next, na)
+		// Index the leaf's solutions by the bindings of the shared
+		// prefix as chains through one array: head[k]-1 is the first
+		// solution with key k, next[i]-1 the one after solution i (0
+		// ends a chain). Building back to front keeps every chain in
+		// emission order.
+		n := sols.Len()
+		head := make(map[joinKey]int32, n)
+		next := make([]int32, n)
+		for i := n - 1; i >= 0; i-- {
+			k := solutionKey(sols.At(i)[:shared])
+			next[i] = head[k]
+			head[k] = int32(i + 1)
+		}
+		joined := core.NewTuples(assigns.Stride + len(leaf.path) - shared)
+		for ai, na := 0, assigns.Len(); ai < na; ai++ {
+			a := assigns.At(ai)
+			for si := head[assignKey(a, sharedCols)]; si != 0; si = next[si-1] {
+				joined.Append(a, sols.At(int(si - 1))[shared:])
 			}
 		}
-		assigns = next
-		for _, n := range leaf.path {
-			covered[n.id] = true
+		for i := shared; i < len(leaf.path); i++ {
+			col[leaf.path[i].id] = assigns.Stride + i - shared
 		}
-		if len(assigns) == 0 {
+		assigns = joined
+		if assigns.Len() == 0 {
 			return &Result{}, nil
 		}
 	}
-	if !covered[ret] {
+	ret := e.plan.Return
+	if col[ret] < 0 {
 		return nil, fmt.Errorf("twig: return fragment %d not covered by any path", ret)
 	}
-	recs := make([]relstore.Record, 0, len(assigns))
-	for _, a := range assigns {
-		recs = append(recs, a.recs[ret])
-	}
-	return &Result{Records: finalize(recs)}, nil
-}
-
-func pathIndex(path []*tnode, id int) int {
-	for i, n := range path {
-		if n.id == id {
-			return i
-		}
-	}
-	return -1
+	return &Result{Records: core.DocOrder(assigns.Column(col[ret]))}, nil
 }
 
 // --- shared-prefix join keys ---
@@ -400,36 +371,22 @@ func solutionKey(recs []relstore.Record) joinKey {
 	return k
 }
 
-// assignKey keys a partial twig assignment by the bindings of the given
-// path prefix.
+// assignKey keys a partial twig assignment (one arena row) by the
+// bindings in the given columns — the shared path prefix's.
 //
 //blas:hotpath
-func assignKey(m map[int]relstore.Record, nodes []*tnode) joinKey {
-	k := joinKey{n: uint16(len(nodes))}
-	if len(nodes) > joinKeyInline {
-		starts := make([]uint32, 0, len(nodes)-joinKeyInline)
-		for _, n := range nodes[joinKeyInline:] {
-			starts = append(starts, m[n.id].Start)
+func assignKey(row []relstore.Record, cols []int) joinKey {
+	k := joinKey{n: uint16(len(cols))}
+	if len(cols) > joinKeyInline {
+		starts := make([]uint32, 0, len(cols)-joinKeyInline)
+		for _, c := range cols[joinKeyInline:] {
+			starts = append(starts, row[c].Start)
 		}
 		k.spill = spillStarts(starts)
-		nodes = nodes[:joinKeyInline]
+		cols = cols[:joinKeyInline]
 	}
-	for i, n := range nodes {
-		k.inline[i] = m[n.id].Start
+	for i, c := range cols {
+		k.inline[i] = row[c].Start
 	}
 	return k
-}
-
-func finalize(recs []relstore.Record) []relstore.Record {
-	if len(recs) == 0 {
-		return nil
-	}
-	sort.Slice(recs, func(a, b int) bool { return recs[a].Start < recs[b].Start })
-	out := recs[:1]
-	for _, r := range recs[1:] {
-		if r.Start != out[len(out)-1].Start {
-			out = append(out, r)
-		}
-	}
-	return out
 }

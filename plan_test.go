@@ -40,14 +40,17 @@ func buildSkewed(t *testing.T) *Store {
 // TestGreedyReadsFewerPagesOnSkew is the planner's acceptance bar: on
 // the skewed corpus, greedy ordering must read strictly fewer pages
 // than the translator's fixed order — including the pages its own
-// selectivity probes cost.
+// selectivity probes cost. The bar holds at every parallelism, pinned
+// here rather than left to GOMAXPROCS: the plan's order is only worth
+// anything if the executor cannot start the huge scans before the tiny
+// one has come back empty, so the counters must not move with P at all.
 func TestGreedyReadsFewerPagesOnSkew(t *testing.T) {
 	st := buildSkewed(t)
-	run := func(noReorder bool) ExecStats {
+	run := func(noReorder bool, par int) ExecStats {
 		if err := st.DropCaches(); err != nil {
 			t.Fatal(err)
 		}
-		res, err := st.Query(skewedQuery, QueryOptions{Translator: TranslatorPushUp, NoReorder: noReorder})
+		res, err := st.Query(skewedQuery, QueryOptions{Translator: TranslatorPushUp, NoReorder: noReorder, Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,13 +59,30 @@ func TestGreedyReadsFewerPagesOnSkew(t *testing.T) {
 		}
 		return res.Stats
 	}
-	fixed := run(true)
-	greedy := run(false)
-	if greedy.PageReads >= fixed.PageReads {
-		t.Errorf("greedy read %d pages, fixed %d — want strictly fewer", greedy.PageReads, fixed.PageReads)
-	}
-	if !greedy.EarlyTerminated {
-		t.Error("greedy run did not report early termination")
+	var fixed1, greedy1 ExecStats
+	for _, par := range []int{1, 2, 4} {
+		fixed := run(true, par)
+		greedy := run(false, par)
+		if greedy.PageReads >= fixed.PageReads {
+			t.Errorf("P=%d: greedy read %d pages, fixed %d — want strictly fewer", par, greedy.PageReads, fixed.PageReads)
+		}
+		if !greedy.EarlyTerminated {
+			t.Errorf("P=%d: greedy run did not report early termination", par)
+		}
+		if par == 1 {
+			fixed1, greedy1 = fixed, greedy
+			continue
+		}
+		for _, c := range []struct {
+			order    string
+			got, at1 ExecStats
+		}{{"fixed", fixed, fixed1}, {"greedy", greedy, greedy1}} {
+			if c.got.VisitedElements != c.at1.VisitedElements || c.got.PageReads != c.at1.PageReads || c.got.PageMisses != c.at1.PageMisses {
+				t.Errorf("P=%d %s order: visited/reads/misses = %d/%d/%d, at P=1 %d/%d/%d — scan issue must not depend on parallelism",
+					par, c.order, c.got.VisitedElements, c.got.PageReads, c.got.PageMisses,
+					c.at1.VisitedElements, c.at1.PageReads, c.at1.PageMisses)
+			}
+		}
 	}
 	if m := st.Metrics(); m.EarlyTerminations == 0 {
 		t.Error("StoreMetrics.EarlyTerminations = 0 after an early-terminated query")
