@@ -82,21 +82,19 @@
 // # Storage
 //
 // The two relations live in paged heap files behind bulk-loaded B+-tree
-// indexes (internal/relstore). Since format 2, heap pages are columnar
+// indexes (internal/relstore). Heap pages (format BLASREL2) are columnar
 // and delta-compressed: a page's cluster-key-ordered records are cut
 // into runs sharing the cluster prefix, and each run stores its starts
 // as ascending delta-varints, its ends/levels/value-lengths as packed
 // varint columns, and its values out-of-line — so a batched scan decodes
 // a whole run with one branch-light loop per column, and start-range
 // restrictions are evaluated on the packed starts before any record
-// materializes. Build always writes the current format; Open reads both
-// the current and the previous format (older stores keep working
-// read-only), and a store written by a newer, unknown format is rejected
-// with an error naming the fix: rebuild with blasload. Scan results are
-// byte-identical across formats. Batch sizes and prefetch depths adapt
-// per query (see QueryOptions.BatchSize/PrefetchDepth); the chosen batch
-// sizes surface in StoreMetrics.BatchSizes and per-query decode work in
-// ExecStats.Phases.
+// materializes. Build writes this format and Open reads only it: a store
+// in any other format (an older BLASREL1 store included) is rejected
+// with an error naming the fix, rebuild with blasload. Batch sizes and
+// prefetch depths adapt per query (see QueryOptions.BatchSize/
+// PrefetchDepth); the chosen batch sizes surface in
+// StoreMetrics.BatchSizes and per-query decode work in ExecStats.Phases.
 //
 // # Observability
 //
@@ -388,9 +386,6 @@ const (
 type QueryOptions struct {
 	Translator Translator
 	Engine     Engine
-	// NestedLoopJoin forces the quadratic D-join (ablation; relational
-	// engine only).
-	NestedLoopJoin bool
 	// Parallelism bounds the worker pool one query may use, on either
 	// engine: fragment scans and partitioned D-joins on the relational
 	// engine, stream prefetchers and the partitioned holistic sweep on
@@ -587,11 +582,7 @@ func (s *Store) run(ctx *relstore.ExecContext, phys *planner.Physical, planElaps
 		early = res.EarlyTerminated
 		recs = s.finalizeMatches(ctx, res.Records)
 	default:
-		jo := relengine.Options{ExecConfig: cfg}
-		if opts.NestedLoopJoin {
-			jo.Join = relengine.NestedLoopJoin
-		}
-		res, err := relengine.Execute(ctx, s.inner, phys, jo)
+		res, err := relengine.Execute(ctx, s.inner, phys, relengine.Options{ExecConfig: cfg})
 		if err != nil {
 			s.metrics.QueryFailed()
 			return nil, err

@@ -199,21 +199,6 @@ func TestNegativeParallelismRejected(t *testing.T) {
 	}
 }
 
-func TestNestedLoopOption(t *testing.T) {
-	st := buildCatalog(t)
-	a, err := st.Query("//book[author]/title", QueryOptions{Translator: TranslatorSplit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := st.Query("//book[author]/title", QueryOptions{Translator: TranslatorSplit, NestedLoopJoin: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Matches) != len(b.Matches) {
-		t.Fatal("join algorithms disagree")
-	}
-}
-
 func TestGenerateDataset(t *testing.T) {
 	var buf bytes.Buffer
 	if err := GenerateDataset(&buf, "shakespeare", DatasetOptions{Seed: 1}); err != nil {

@@ -10,7 +10,6 @@
 //	blasbench -fig overlap -engine both   # P=1 vs P=GOMAXPROCS, both engines
 //	blasbench -fig plan                   # fixed vs greedy physical plan order
 //	blasbench -fig serve                  # serving tier: cold vs warm plan cache over HTTP
-//	blasbench -fig decode                 # columnar vs legacy heap-page decode
 //
 // With -json DIR every figure additionally writes its measurements as
 // DIR/BENCH_<fig>.json (schema blas-bench-trajectory/v1: figure, git
@@ -32,7 +31,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "", "figure to reproduce: 11, 12, 13, 14, 15, 16, 17, 18, overlap, plan, serve or decode")
+	fig := flag.String("fig", "", "figure to reproduce: 11, 12, 13, 14, 15, 16, 17, 18, overlap, plan or serve")
 	all := flag.Bool("all", false, "run every figure")
 	factor := flag.Int("factor", 1, "data scale factor for figures 13-15 and overlap")
 	factorsStr := flag.String("factors", "1,2,3,4,5", "scale factors for figures 16-18")
@@ -91,9 +90,6 @@ func main() {
 			case "serve":
 				// Not a paper figure: blasd serving tier, cold vs warm.
 				return serveFigure(os.Stdout, h, *factor)
-			case "decode":
-				// Not a paper figure: columnar vs legacy heap-page decode.
-				return h.DecodeFig(os.Stdout)
 			}
 			return fmt.Errorf("unknown figure %q", name)
 		}()

@@ -17,9 +17,9 @@ import (
 // returned, or captured by a goroutine or escaping closure.
 //
 // The analysis is value-level and deliberately treats function-call
-// results as clean: every in-tree decoder (decodeRecord, string(...),
-// binary reads) copies out of the page, so a call boundary is where the
-// copy-out happens. A helper that returns a sub-slice of its argument
+// results as clean: every in-tree decoder (uint128.FromBytes,
+// string(...), binary reads) copies out of the page, so a call boundary
+// is where the copy-out happens. A helper that returns a sub-slice of its argument
 // would evade the check — keep decoding in the callback or copy first.
 var PagerPin = &Analyzer{
 	Name: "pagerpin",

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/relstore"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
@@ -24,11 +25,14 @@ func TestLabelTreeMatchesShredder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := st.SP().ScanPLabelExact(nil, lbl)
-	if !it.Next() {
+	recs, err := relstore.CollectBatches(st.SP().ScanPLabelExactBatch(nil, lbl, 0, 0), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 {
 		t.Fatal("b not found in store")
 	}
-	rec := it.Record()
+	rec := recs[0]
 	b := tree.Children[0]
 	if labels[b].Start != rec.Start || labels[b].End != rec.End || labels[b].Level != rec.Level {
 		t.Fatalf("helper labels %v != store record %d,%d,%d", labels[b], rec.Start, rec.End, rec.Level)

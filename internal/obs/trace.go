@@ -53,8 +53,8 @@ const (
 	// PhaseFinalize is record-to-match conversion in the public API.
 	PhaseFinalize
 	// PhaseDecode is the cumulative time spent decoding heap-page records
-	// in the batch layer (column-group decodes on format-2 pages, slotted
-	// record parsing on format-1). Like PhasePrefetchStall it accumulates
+	// in the batch layer (the column-group decodes of columnar heap
+	// pages). Like PhasePrefetchStall it accumulates
 	// across concurrent streams and overlaps the scan/sweep spans, so it
 	// is reported alongside the breakdown but excluded from the
 	// sum-to-total invariant.

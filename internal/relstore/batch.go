@@ -2,13 +2,12 @@ package relstore
 
 import (
 	"container/heap"
-	"encoding/binary"
-	"fmt"
 	"slices"
 	"time"
 
 	"repro/internal/keyenc"
 	"repro/internal/obs"
+	"repro/internal/pbtree"
 	"repro/internal/uint128"
 )
 
@@ -19,30 +18,31 @@ import (
 // stream stays cheap.
 const DefaultBatchSize = 256
 
-// BatchIter is the batched counterpart of Iter: NextBatch fills dst with
+// BatchIter is the one scan API of a Relation: NextBatch fills dst with
 // up to len(dst) consecutive records of the stream and returns how many
 // it produced. A return of (0, nil) means the stream is exhausted.
 //
-// Unlike Iter, a BatchIter backed by an index scan decodes all records
-// that live on one heap page inside a single pager view, so a batch of
-// records clustered on k pages costs k pool requests instead of one per
-// record. Like Iter, a BatchIter is not safe for concurrent use itself,
-// but any number of them may run concurrently over one Relation.
+// Every scan takes the query's *ExecContext; the records it decodes and
+// the pages it touches are accounted there (a nil context is valid and
+// discards the counts). A batch decodes all the records it needs from
+// one heap page inside a single pager view, so a batch of records
+// clustered on k pages costs k pool requests, not one per record. A
+// BatchIter is not safe for concurrent use itself, but any number of
+// them may run concurrently over one Relation.
 type BatchIter interface {
 	NextBatch(dst []Record) (int, error)
 }
 
 // fetchBatch decodes the records addressed by locs into dst (len(dst)
 // must equal len(locs)). Runs of consecutive locators on the same heap
-// page are decoded under one pager view, which is what makes batched
-// scans cheaper than record-at-a-time fetches: the pool is consulted
-// once per page run, not once per record. Every decoded record is
-// accounted to ctx.
+// page are decoded under one pager view, and runs of consecutive slots
+// within it with one column-group pass each: the pool is consulted once
+// per page run, not once per record. Every decoded record is accounted
+// to ctx.
 //
 //blas:hotpath
 func (r *Relation) fetchBatch(ctx *ExecContext, locs []Locator, dst []Record) error {
 	tr := ctx.Trace()
-	columnar := r.meta.format == FormatColumnar
 	for i := 0; i < len(locs); {
 		j := i + 1
 		for j < len(locs) && locs[j].Page == locs[i].Page {
@@ -51,30 +51,16 @@ func (r *Relation) fetchBatch(ctx *ExecContext, locs []Locator, dst []Record) er
 		lo, hi := i, j
 		err := r.f.ViewCounted(locs[lo].Page, ctx.pageCounters(), func(p []byte) error {
 			begin := tr.Begin()
-			n := int(binary.LittleEndian.Uint16(p[0:2]))
-			if columnar {
-				// Decode maximal runs of consecutive slots with one
-				// column-group pass each.
-				for k := lo; k < hi; {
-					m := k + 1
-					for m < hi && locs[m].Slot == locs[m-1].Slot+1 {
-						m++
-					}
-					s := int(locs[k].Slot)
-					if err := decodeColSlots(p, r.meta.kind, s, s+(m-k), dst[k:m]); err != nil {
-						return err
-					}
-					k = m
+			for k := lo; k < hi; {
+				m := k + 1
+				for m < hi && locs[m].Slot == locs[m-1].Slot+1 {
+					m++
 				}
-				tr.End(obs.PhaseDecode, begin)
-				return nil
-			}
-			for k := lo; k < hi; k++ {
-				if int(locs[k].Slot) >= n {
-					return fmt.Errorf("relstore: slot %d out of range on page %d (%d records)", locs[k].Slot, locs[k].Page, n)
+				s := int(locs[k].Slot)
+				if err := decodeColSlots(p, r.meta.kind, s, s+(m-k), dst[k:m]); err != nil {
+					return err
 				}
-				off := int(binary.LittleEndian.Uint16(p[heapHeader+2*int(locs[k].Slot):]))
-				dst[k] = decodeRecord(p[off:])
+				k = m
 			}
 			tr.End(obs.PhaseDecode, begin)
 			return nil
@@ -89,15 +75,12 @@ func (r *Relation) fetchBatch(ctx *ExecContext, locs []Locator, dst []Record) er
 	return nil
 }
 
-// indexBatchIter drains an index iterator in locator batches and decodes
-// them with fetchBatch.
+// indexBatchIter drains a start-index scan in locator batches and
+// decodes them with fetchBatch.
 type indexBatchIter struct {
 	r    *Relation
 	ctx  *ExecContext
-	it   interface{ Next() bool }
-	val  func() []byte
-	ierr func() error
-
+	it   *pbtree.Iter
 	locs []Locator
 	done bool
 }
@@ -108,12 +91,12 @@ func (b *indexBatchIter) NextBatch(dst []Record) (int, error) {
 	}
 	locs := b.locs[:0]
 	for len(locs) < len(dst) && b.it.Next() {
-		locs = append(locs, decodeLocator(b.val()))
+		locs = append(locs, decodeLocator(b.it.Value()))
 	}
 	b.locs = locs
 	if len(locs) < len(dst) {
 		b.done = true
-		if err := b.ierr(); err != nil {
+		if err := b.it.Err(); err != nil {
 			return 0, err
 		}
 	}
@@ -126,81 +109,51 @@ func (b *indexBatchIter) NextBatch(dst []Record) (int, error) {
 	return len(locs), nil
 }
 
-// clusterStartKey builds a cluster-index bound for records of one
-// cluster-key prefix (plabel or tag) at the given start position.
-func clusterStartKey(prefix []byte, start uint32) []byte {
-	return append(append(make([]byte, 0, len(prefix)+4), prefix...), keyenc.Uint32(start)...)
-}
-
-// clusterBatchRange returns the cluster-index [from, to) bounds for one
-// prefix restricted to starts in [lo, hi) (hi == 0 means unbounded).
-func clusterBatchRange(prefix []byte, lo, hi uint32) (from, to []byte) {
-	from = prefix
-	if lo != 0 {
-		from = clusterStartKey(prefix, lo)
+// clusterSeekKey returns the cluster-index key at which a scan of one
+// cluster-key prefix (plabel or tag) restricted to starts >= lo begins.
+func clusterSeekKey(prefix []byte, lo uint32) []byte {
+	if lo == 0 {
+		return prefix
 	}
-	if hi != 0 {
-		to = clusterStartKey(prefix, hi)
-	} else {
-		to = keyenc.PrefixSuccessor(prefix)
-	}
-	return from, to
+	return append(prefix, keyenc.Uint32(lo)...)
 }
 
-func (r *Relation) scanClusterBatch(ctx *ExecContext, from, to []byte) BatchIter {
-	it := r.cluster.ScanCounted(from, to, ctx.pageCounters())
-	return &indexBatchIter{r: r, ctx: ctx, it: it, val: it.Value, ierr: it.Err}
-}
-
-// ScanAllBatch iterates every record, in cluster-key order, in batches.
-// On a columnar relation the index is probed for exactly one position
-// (the first entry); the scan then walks the heap pages directly.
+// ScanAllBatch iterates every record in cluster-key order. The index is
+// probed for exactly one position (the first entry); the scan then walks
+// the heap pages directly.
 func (r *Relation) ScanAllBatch(ctx *ExecContext) BatchIter {
-	if r.meta.format == FormatColumnar {
-		return r.seekHeapRun(ctx, nil, uint128.Uint128{}, 0, 0, true)
-	}
-	return r.scanClusterBatch(ctx, nil, nil)
+	return r.seekHeapRun(ctx, nil, uint128.Uint128{}, 0, 0, true)
 }
 
-// ScanPLabelExactBatch is the batched ScanPLabelExact, additionally
-// restricted to records whose start lies in [lo, hi) (hi == 0 means
-// unbounded). The restriction is pushed into the cluster-key range —
-// records outside it are never fetched or counted — which is what lets a
-// partitioned sweep split one stream across workers without reading any
-// record twice. The relation must be plabel-clustered.
+// ScanPLabelExactBatch iterates the records with plabel == p in start
+// order, restricted to those whose start lies in [lo, hi) (hi == 0 means
+// unbounded). The restriction is pushed into the scan — records outside
+// it are never decoded or counted — which is what lets a partitioned
+// sweep split one stream across workers without reading any record
+// twice. The heap is cluster-ordered and contiguous, so the scan seeks
+// once via the index, then walks the heap pages directly, cutting on the
+// packed starts — no index leaves past the seek. The relation must be
+// plabel-clustered.
 func (r *Relation) ScanPLabelExactBatch(ctx *ExecContext, p uint128.Uint128, lo, hi uint32) BatchIter {
-	from, to := clusterBatchRange(keyenc.Uint128(p), lo, hi)
-	if r.meta.format == FormatColumnar {
-		// Columnar heaps are cluster-ordered and contiguous: seek once via
-		// the index, then walk the heap pages directly, cutting on the
-		// packed starts — no index leaves past the seek.
-		return r.seekHeapRun(ctx, from, p, 0, hi, false)
-	}
-	return r.scanClusterBatch(ctx, from, to)
+	return r.seekHeapRun(ctx, clusterSeekKey(keyenc.Uint128(p), lo), p, 0, hi, false)
 }
 
-// ScanTagBatch is the batched ScanTag with the same [lo, hi) start
-// restriction as ScanPLabelExactBatch. The relation must be
-// tag-clustered.
+// ScanTagBatch iterates the records with the given tag id in start
+// order, with the same [lo, hi) start restriction as
+// ScanPLabelExactBatch. The relation must be tag-clustered.
 func (r *Relation) ScanTagBatch(ctx *ExecContext, tagID uint32, lo, hi uint32) BatchIter {
-	from, to := clusterBatchRange(keyenc.Uint32(tagID), lo, hi)
-	if r.meta.format == FormatColumnar {
-		return r.seekHeapRun(ctx, from, uint128.Uint128{}, tagID, hi, false)
-	}
-	return r.scanClusterBatch(ctx, from, to)
+	return r.seekHeapRun(ctx, clusterSeekKey(keyenc.Uint32(tagID), lo), uint128.Uint128{}, tagID, hi, false)
 }
 
-// ScanStartRangeBatch is the batched ScanStartRange: document order via
-// the start index, restricted to starts in [lo, hi) (hi == 0 means
-// unbounded).
+// ScanStartRangeBatch iterates the records with lo <= start < hi (hi == 0
+// means unbounded) in document order via the start index.
 func (r *Relation) ScanStartRangeBatch(ctx *ExecContext, lo, hi uint32) BatchIter {
 	from := keyenc.Uint32(lo)
 	var to []byte
 	if hi != 0 {
 		to = keyenc.Uint32(hi)
 	}
-	it := r.startIdx.ScanCounted(from, to, ctx.pageCounters())
-	return &indexBatchIter{r: r, ctx: ctx, it: it, val: it.Value, ierr: it.Err}
+	return &indexBatchIter{r: r, ctx: ctx, it: r.startIdx.ScanCounted(from, to, ctx.pageCounters())}
 }
 
 // --- k-way batch merge ---
@@ -229,9 +182,9 @@ func (r *mergeBatchRun) refill() (bool, error) {
 
 // MergeBatchesByStart combines start-ordered batched streams into one
 // start-ordered batched stream (k-way heap merge). Start positions are
-// unique document positions, so the merge order is total. It is the
-// batched counterpart of MergeByStart, used for P-label set and range
-// fragments whose selections span several cluster runs.
+// unique document positions, so the merge order is total. It builds the
+// document-order streams of P-label set and range fragments, whose
+// selections span several cluster runs.
 func MergeBatchesByStart(runs []BatchIter, batchSize int) (BatchIter, error) {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize

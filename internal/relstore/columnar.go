@@ -9,10 +9,10 @@ import (
 	"repro/internal/uint128"
 )
 
-// --- columnar heap page layout (format 2) ---
+// --- columnar heap page layout (BLASREL2) ---
 //
-// A format-2 heap page stores its cluster-key-ordered records as runs of
-// column groups instead of slotted record-at-a-time encodings:
+// A heap page stores its cluster-key-ordered records as runs of column
+// groups:
 //
 //	[0:2]  record count
 //	[2:4]  run count
@@ -37,8 +37,8 @@ import (
 // deltas are small; ends are encoded relative to their own start, which
 // keeps them small regardless of nesting. The column byte lengths in the
 // run header let a decoder position every column cursor without scanning,
-// so a whole run decodes with one branch-light loop per column. Locators
-// are unchanged: Slot is the record's ordinal position on the page.
+// so a whole run decodes with one branch-light loop per column. A
+// Locator's Slot is the record's ordinal position on the page.
 
 const (
 	colPageHeader = 4 // record count + run count
@@ -82,7 +82,7 @@ func sameRun(kind Clustering, a, b *Record) bool {
 	return a.TagID == b.TagID
 }
 
-// colRecordCost returns the encoded size of r on a format-2 page: the
+// colRecordCost returns the encoded size of r on a heap page: the
 // varint column bytes, the value bytes, and (on SD) the plabel column
 // entry. prev is the preceding record of the run, nil when r opens one.
 func colRecordCost(kind Clustering, prev, r *Record) int {
@@ -198,16 +198,28 @@ type colRun struct {
 	values    int
 }
 
-// colPageCounts reads the page header.
-func colPageCounts(p []byte) (nrecs, nruns int) {
-	return int(binary.LittleEndian.Uint16(p[0:2])), int(binary.LittleEndian.Uint16(p[2:4]))
+// colPageCounts reads the page header and checks that the run
+// directory it announces fits the page.
+func colPageCounts(p []byte) (nrecs, nruns int, err error) {
+	nrecs, nruns = int(binary.LittleEndian.Uint16(p[0:2])), int(binary.LittleEndian.Uint16(p[2:4]))
+	if colPageHeader+colRunDirEnt*nruns > len(p) {
+		return 0, 0, fmt.Errorf("relstore: corrupt columnar page: %d-run directory overruns the page", nruns)
+	}
+	return nrecs, nruns, nil
 }
 
-// colRunAt parses run ri's directory entry and block header.
-func colRunAt(p []byte, kind Clustering, ri int) colRun {
+// colRunAt parses run ri's directory entry and block header. It checks
+// once per run that the header, every column start and (on SD) the
+// plabel column lie inside the page, so the per-record decode loops can
+// index p without further checks: a varint cursor that starts inside p
+// never leaves it.
+func colRunAt(p []byte, kind Clustering, ri int) (colRun, error) {
 	off := int(binary.LittleEndian.Uint16(p[colPageHeader+colRunDirEnt*ri:]))
 	first := int(binary.LittleEndian.Uint16(p[colPageHeader+colRunDirEnt*ri+2:]))
 	var r colRun
+	if off+runHeaderSize(kind) > len(p) {
+		return r, fmt.Errorf("relstore: corrupt columnar page: run %d block offset %d past the page", ri, off)
+	}
 	r.firstSlot = first
 	if kind == ClusterPLabel {
 		r.plabel = uint128.FromBytes(p[off:])
@@ -218,17 +230,22 @@ func colRunAt(p []byte, kind Clustering, ri int) colRun {
 		r.levels = r.ends + int(binary.LittleEndian.Uint16(p[off+24:]))
 		r.vlens = r.levels + int(binary.LittleEndian.Uint16(p[off+26:]))
 		r.values = r.vlens + int(binary.LittleEndian.Uint16(p[off+28:]))
-		return r
+	} else {
+		r.tagID = binary.LittleEndian.Uint32(p[off:])
+		r.count = int(binary.LittleEndian.Uint16(p[off+4:]))
+		r.plabels = off + sdRunHeader
+		r.starts = r.plabels + 16*r.count
+		r.ends = r.starts + int(binary.LittleEndian.Uint16(p[off+6:]))
+		r.levels = r.ends + int(binary.LittleEndian.Uint16(p[off+8:]))
+		r.vlens = r.levels + int(binary.LittleEndian.Uint16(p[off+10:]))
+		r.values = r.vlens + int(binary.LittleEndian.Uint16(p[off+12:]))
 	}
-	r.tagID = binary.LittleEndian.Uint32(p[off:])
-	r.count = int(binary.LittleEndian.Uint16(p[off+4:]))
-	r.plabels = off + sdRunHeader
-	r.starts = r.plabels + 16*r.count
-	r.ends = r.starts + int(binary.LittleEndian.Uint16(p[off+6:]))
-	r.levels = r.ends + int(binary.LittleEndian.Uint16(p[off+8:]))
-	r.vlens = r.levels + int(binary.LittleEndian.Uint16(p[off+10:]))
-	r.values = r.vlens + int(binary.LittleEndian.Uint16(p[off+12:]))
-	return r
+	// Columns are laid out in order, so the last column end bounds them
+	// all (on SD the plabel column ends where the starts begin).
+	if r.values > len(p) {
+		return r, fmt.Errorf("relstore: corrupt columnar page: run %d columns end at %d, past the page", ri, r.values)
+	}
+	return r, nil
 }
 
 // decodeRunRecords materializes the run's records with relative indices
@@ -286,10 +303,10 @@ func decodeRunRecords(p []byte, kind Clustering, run colRun, a, b int, dst []Rec
 			return fmt.Errorf("relstore: corrupt vlens column at offset %d", vOff)
 		}
 		vOff += n
-		val += int(vl)
-		if val > len(p) {
+		if vl > uint64(len(p)-val) {
 			return fmt.Errorf("relstore: value bytes run past page end (offset %d)", val)
 		}
+		val += int(vl)
 	}
 	blobStart, aOff := val, vOff
 	for i := a; i < b; i++ {
@@ -298,10 +315,10 @@ func decodeRunRecords(p []byte, kind Clustering, run colRun, a, b int, dst []Rec
 			return fmt.Errorf("relstore: corrupt vlens column at offset %d", vOff)
 		}
 		vOff += n
-		val += int(vl)
-		if val > len(p) {
+		if vl > uint64(len(p)-val) {
 			return fmt.Errorf("relstore: value bytes run past page end (offset %d)", val)
 		}
+		val += int(vl)
 	}
 	blob := string(p[blobStart:val])
 	vOff, off := aOff, 0
@@ -325,35 +342,41 @@ func decodeRunRecords(p []byte, kind Clustering, run colRun, a, b int, dst []Rec
 	return nil
 }
 
-// decodeColSlots decodes page slots [lo, hi) of a format-2 page into
+// decodeColSlots decodes page slots [lo, hi) of a columnar page into
 // dst[0 : hi-lo], walking the run directory and decoding each run's
-// overlap.
+// overlap. A directory whose runs leave any of those slots uncovered is
+// corrupt.
 //
 //blas:hotpath
 func decodeColSlots(p []byte, kind Clustering, lo, hi int, dst []Record) error {
-	nrecs, nruns := colPageCounts(p)
+	nrecs, nruns, err := colPageCounts(p)
+	if err != nil {
+		return err
+	}
 	if lo < 0 || hi > nrecs || lo > hi {
 		return fmt.Errorf("relstore: slots [%d, %d) out of range on columnar page (%d records)", lo, hi, nrecs)
 	}
 	origLo := lo
 	for ri := 0; ri < nruns && lo < hi; ri++ {
-		run := colRunAt(p, kind, ri)
+		run, err := colRunAt(p, kind, ri)
+		if err != nil {
+			return err
+		}
 		if run.firstSlot+run.count <= lo {
 			continue
 		}
+		if run.firstSlot > lo {
+			return fmt.Errorf("relstore: corrupt columnar page: run %d starts at slot %d, slot %d is in no run", ri, run.firstSlot, lo)
+		}
 		a := lo - run.firstSlot
-		if a < 0 {
-			a = 0
-		}
-		b := hi - run.firstSlot
-		if b > run.count {
-			b = run.count
-		}
-		base := run.firstSlot + a - origLo // dst offset of this run's first decoded record
-		if err := decodeRunRecords(p, kind, run, a, b, dst[base:base+(b-a)]); err != nil {
+		b := min(hi-run.firstSlot, run.count)
+		if err := decodeRunRecords(p, kind, run, a, b, dst[lo-origLo:lo-origLo+(b-a)]); err != nil {
 			return err
 		}
 		lo = run.firstSlot + b
+	}
+	if lo < hi {
+		return fmt.Errorf("relstore: corrupt columnar page: slot %d is in no run", lo)
 	}
 	return nil
 }
@@ -384,13 +407,12 @@ func runStartsUpper(p []byte, run colRun, hi uint32) int {
 	return run.count
 }
 
-// heapRunIter is the cluster-scan iterator for format-2 relations: one
-// index descend finds the first qualifying locator, then the scan walks
-// the contiguous heap pages directly, stopping on the first run whose
-// prefix leaves the selection or whose packed starts reach the upper
-// bound. Index leaf pages are never touched past the initial seek, and
-// only materialized records count as visited — the visited-elements
-// statistic is identical to the index-driven scan's.
+// heapRunIter is the cluster-scan iterator: one index descend finds the
+// first qualifying locator, then the scan walks the contiguous heap
+// pages directly, stopping on the first run whose prefix leaves the
+// selection or whose packed starts reach the upper bound. Index leaf
+// pages are never touched past the initial seek, and only materialized
+// records count as visited.
 type heapRunIter struct {
 	r    *Relation
 	ctx  *ExecContext
@@ -456,7 +478,10 @@ func (h *heapRunIter) NextBatch(dst []Record) (int, error) {
 		produced := 0
 		err := h.r.f.ViewCounted(h.page, h.ctx.pageCounters(), func(p []byte) error {
 			begin := tr.Begin()
-			nrecs, nruns := colPageCounts(p)
+			nrecs, nruns, err := colPageCounts(p)
+			if err != nil {
+				return err
+			}
 			if h.slot >= nrecs {
 				// Off the end of this page (or an empty page): move on.
 				h.page++
@@ -482,7 +507,10 @@ func (h *heapRunIter) NextBatch(dst []Record) (int, error) {
 				start = 0
 			}
 			for ri := start; ri < nruns; ri++ {
-				run := colRunAt(p, h.kind, ri)
+				run, err := colRunAt(p, h.kind, ri)
+				if err != nil {
+					return err
+				}
 				if run.firstSlot+run.count <= h.slot {
 					continue
 				}
@@ -517,6 +545,11 @@ func (h *heapRunIter) NextBatch(dst []Record) (int, error) {
 				if n+produced == len(dst) {
 					break
 				}
+			}
+			if !h.done && h.slot < nrecs && n+produced < len(dst) {
+				// Every run was walked and the page's records were not
+				// all reached: retrying the page would make no progress.
+				return fmt.Errorf("relstore: corrupt columnar page %d: slot %d is in no run", h.page, h.slot)
 			}
 			if !h.done && h.slot >= nrecs {
 				h.page++

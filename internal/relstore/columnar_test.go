@@ -1,10 +1,13 @@
 package relstore
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/pager"
@@ -55,10 +58,9 @@ func genColumnarCorpus(rng *rand.Rand, nRuns int) []Record {
 	return recs
 }
 
-func buildFormatT(t testing.TB, kind Clustering, recs []Record, format int) *Relation {
+func buildT(t testing.TB, kind Clustering, recs []Record) *Relation {
 	t.Helper()
-	f := pager.OpenMem(1024)
-	r, err := BuildFormat(f, kind, recs, format)
+	r, err := Build(pager.OpenMem(1024), kind, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,69 +83,105 @@ func drainBatch(t testing.TB, bi BatchIter, bufSize int) []Record {
 	}
 }
 
-// TestColumnarLegacyEquivalence is the round-trip property test: the
-// same records built in both page formats must decode byte-identically
-// through every scan path, with matching visited counts on full drains.
+// sortedByCluster returns a copy of recs in the relation's cluster-key
+// order: {plabel, start} on SP, {tag, start} on SD.
+func sortedByCluster(kind Clustering, recs []Record) []Record {
+	out := append([]Record(nil), recs...)
+	sort.Slice(out, func(i, j int) bool {
+		a, b := &out[i], &out[j]
+		if kind == ClusterPLabel && a.PLabel != b.PLabel {
+			return a.PLabel.Less(b.PLabel)
+		}
+		if kind == ClusterTag && a.TagID != b.TagID {
+			return a.TagID < b.TagID
+		}
+		return a.Start < b.Start
+	})
+	return out
+}
+
+// sortedByStart returns a copy of recs in document (start) order.
+func sortedByStart(recs []Record) []Record {
+	out := append([]Record(nil), recs...)
+	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	return out
+}
+
+// within returns, in order, the records of recs that keep accepts (nil
+// accepts all) and whose start lies in [lo, hi) (hi == 0 = unbounded):
+// the in-memory answer of a restricted scan.
+func within(recs []Record, lo, hi uint32, keep func(*Record) bool) []Record {
+	var out []Record
+	for i := range recs {
+		r := &recs[i]
+		if r.Start >= lo && (hi == 0 || r.Start < hi) && (keep == nil || keep(r)) {
+			out = append(out, *r)
+		}
+	}
+	return out
+}
+
+func hasPLabel(p uint128.Uint128) func(*Record) bool {
+	return func(r *Record) bool { return r.PLabel == p }
+}
+
+// TestColumnarLegacyEquivalence is the round-trip property test: records
+// built into either relation must decode byte-identically to the input,
+// sorted in memory, through every cluster scan path, and a full drain
+// must visit each record exactly once.
 func TestColumnarLegacyEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	recs := genColumnarCorpus(rng, 40)
 	for _, kind := range []Clustering{ClusterPLabel, ClusterTag} {
-		leg := buildFormatT(t, kind, recs, FormatLegacy)
-		col := buildFormatT(t, kind, recs, FormatColumnar)
+		rel := buildT(t, kind, recs)
+		want := sortedByCluster(kind, recs)
 
-		lc, cc := NewExecContext(), NewExecContext()
-		a, err := Collect(leg.ScanAll(lc))
+		ctx := NewExecContext()
+		got, err := CollectBatches(rel.ScanAllBatch(ctx), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Collect(col.ScanAll(cc))
-		if err != nil {
-			t.Fatal(err)
+		if !recordsEqual(got, want) {
+			t.Fatalf("kind %v: ScanAllBatch differs from the input (%d vs %d records)", kind, len(got), len(want))
 		}
-		if !recordsEqual(a, b) {
-			t.Fatalf("kind %v: ScanAll differs between formats (%d vs %d records)", kind, len(a), len(b))
-		}
-		if lc.Visited() != cc.Visited() {
-			t.Errorf("kind %v: full-drain visited differs: legacy %d, columnar %d", kind, lc.Visited(), cc.Visited())
+		if ctx.Visited() != uint64(len(recs)) {
+			t.Errorf("kind %v: full drain visited %d, want %d", kind, ctx.Visited(), len(recs))
 		}
 
 		if kind == ClusterPLabel {
 			for _, p := range []uint128.Uint128{u(1), u(3), u(40), u(9999)} {
-				a := drainBatch(t, leg.ScanPLabelExactBatch(nil, p, 0, 0), 128)
-				b := drainBatch(t, col.ScanPLabelExactBatch(nil, p, 0, 0), 128)
-				if !recordsEqual(a, b) {
-					t.Fatalf("plabel %v: batch scans differ (%d vs %d)", p, len(a), len(b))
+				got := drainBatch(t, rel.ScanPLabelExactBatch(nil, p, 0, 0), 128)
+				if w := within(want, 0, 0, hasPLabel(p)); !recordsEqual(got, w) {
+					t.Fatalf("plabel %v: batch scan differs from the input (%d vs %d)", p, len(got), len(w))
 				}
 			}
 		} else {
 			for tag := uint32(1); tag <= 14; tag++ {
-				a := drainBatch(t, leg.ScanTagBatch(nil, tag, 0, 0), 128)
-				b := drainBatch(t, col.ScanTagBatch(nil, tag, 0, 0), 128)
-				if !recordsEqual(a, b) {
-					t.Fatalf("tag %d: batch scans differ (%d vs %d)", tag, len(a), len(b))
+				got := drainBatch(t, rel.ScanTagBatch(nil, tag, 0, 0), 128)
+				if w := within(want, 0, 0, func(r *Record) bool { return r.TagID == tag }); !recordsEqual(got, w) {
+					t.Fatalf("tag %d: batch scan differs from the input (%d vs %d)", tag, len(got), len(w))
 				}
 			}
 		}
 	}
 }
 
-// TestColumnarStartRangeEdges drives the [lo, hi) restriction through
-// both formats at the boundary values the packed-starts cut must get
-// exactly right: bounds equal to record starts (lo inclusive, hi
-// exclusive), bounds past either end, and an empty window.
+// TestColumnarStartRangeEdges drives the [lo, hi) restriction at the
+// boundary values the packed-starts cut must get exactly right: bounds
+// equal to record starts (lo inclusive, hi exclusive), bounds past
+// either end, and an empty window.
 func TestColumnarStartRangeEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	recs := genColumnarCorpus(rng, 12)
-	leg := buildFormatT(t, ClusterPLabel, recs, FormatLegacy)
-	col := buildFormatT(t, ClusterPLabel, recs, FormatColumnar)
+	rel := buildT(t, ClusterPLabel, recs)
+	sorted := sortedByCluster(ClusterPLabel, recs)
 
 	// Collect per-plabel starts to aim the bounds at exact records.
 	byPLabel := map[uint128.Uint128][]uint32{}
-	for _, r := range recs {
+	for _, r := range sorted {
 		byPLabel[r.PLabel] = append(byPLabel[r.PLabel], r.Start)
 	}
 	for p, starts := range byPLabel {
-		sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
 		first, last := starts[0], starts[len(starts)-1]
 		bounds := [][2]uint32{
 			{0, 0},                // unbounded
@@ -160,72 +198,82 @@ func TestColumnarStartRangeEdges(t *testing.T) {
 		}
 		for _, bd := range bounds {
 			lo, hi := bd[0], bd[1]
-			a := drainBatch(t, leg.ScanPLabelExactBatch(nil, p, lo, hi), 64)
-			b := drainBatch(t, col.ScanPLabelExactBatch(nil, p, lo, hi), 64)
-			if !recordsEqual(a, b) {
-				t.Fatalf("plabel %v [%d, %d): formats differ (%d vs %d records)", p, lo, hi, len(a), len(b))
-			}
-			for _, r := range b {
-				if r.Start < lo || (hi != 0 && r.Start >= hi) {
-					t.Fatalf("plabel %v [%d, %d): record start %d outside bounds", p, lo, hi, r.Start)
-				}
+			got := drainBatch(t, rel.ScanPLabelExactBatch(nil, p, lo, hi), 64)
+			if want := within(sorted, lo, hi, hasPLabel(p)); !recordsEqual(got, want) {
+				t.Fatalf("plabel %v [%d, %d): %d records, want %d", p, lo, hi, len(got), len(want))
 			}
 		}
 	}
 }
 
 // TestColumnarStartIndexFetch routes the start-index batch path (index
-// locators resolved through fetchBatch's columnar slot decoding) through
-// both formats.
+// locators resolved through fetchBatch's columnar slot decoding) on
+// both relations and compares it with the input in start order.
 func TestColumnarStartIndexFetch(t *testing.T) {
 	recs := makeRecords(3000)
-	leg := buildFormatT(t, ClusterPLabel, recs, FormatLegacy)
-	col := buildFormatT(t, ClusterPLabel, recs, FormatColumnar)
-	for _, bd := range [][2]uint32{{0, 0}, {101, 1001}, {1, 2}, {5999, 0}} {
-		a := drainBatch(t, leg.ScanStartRangeBatch(nil, bd[0], bd[1]), 100)
-		b := drainBatch(t, col.ScanStartRangeBatch(nil, bd[0], bd[1]), 100)
-		if !recordsEqual(a, b) {
-			t.Fatalf("start range [%d, %d): formats differ (%d vs %d)", bd[0], bd[1], len(a), len(b))
+	byStart := sortedByStart(recs)
+	for _, kind := range []Clustering{ClusterPLabel, ClusterTag} {
+		rel := buildT(t, kind, recs)
+		for _, bd := range [][2]uint32{{0, 0}, {101, 1001}, {1, 2}, {5999, 0}} {
+			ctx := NewExecContext()
+			got := drainBatch(t, rel.ScanStartRangeBatch(ctx, bd[0], bd[1]), 100)
+			want := within(byStart, bd[0], bd[1], nil)
+			if !recordsEqual(got, want) {
+				t.Fatalf("kind %v start range [%d, %d): %d records, want %d", kind, bd[0], bd[1], len(got), len(want))
+			}
+			if ctx.Visited() != uint64(len(want)) {
+				t.Fatalf("kind %v start range [%d, %d): visited %d, want %d", kind, bd[0], bd[1], ctx.Visited(), len(want))
+			}
 		}
 	}
 }
 
-// TestFormatVersionMismatch: a store written by a newer build (unknown
-// magic) must be rejected with an error that names the readable formats
-// and points at rebuilding.
+// TestFormatVersionMismatch: a store in any format but BLASREL2 — the
+// retired BLASREL1 or one written by a newer build — must be rejected
+// with an error that names its magic, the readable format, and points
+// at rebuilding.
 func TestFormatVersionMismatch(t *testing.T) {
-	f := pager.OpenMem(64)
-	if _, err := Build(f, ClusterPLabel, makeRecords(10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Update(0, func(p []byte) error {
-		copy(p, "BLASREL9")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Open(f)
-	if err == nil {
-		t.Fatal("Open accepted an unknown page-format magic")
-	}
-	for _, want := range []string{"BLASREL9", "BLASREL1", "BLASREL2", "blasload"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("format-mismatch error %q does not mention %q", err, want)
+	for _, magic := range []string{"BLASREL1", "BLASREL9"} {
+		f := pager.OpenMem(64)
+		if _, err := Build(f, ClusterPLabel, makeRecords(10)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Update(0, func(p []byte) error {
+			copy(p, magic)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(f)
+		if err == nil {
+			t.Fatalf("Open accepted page-format magic %s", magic)
+		}
+		for _, want := range []string{magic, "BLASREL2", "blasload"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("format-mismatch error %q does not mention %q", err, want)
+			}
 		}
 	}
 }
 
+// TestBuildFormatRejectsUnknown: BuildFormat builds FormatColumnar and
+// rejects every other format number, the retired format 1 included.
 func TestBuildFormatRejectsUnknown(t *testing.T) {
-	for _, format := range []int{0, 3, -1} {
+	for _, format := range []int{0, 1, 3, -1} {
 		if _, err := BuildFormat(pager.OpenMem(16), ClusterPLabel, nil, format); err == nil {
 			t.Errorf("BuildFormat accepted format %d", format)
 		}
 	}
+	r, err := BuildFormat(pager.OpenMem(16), ClusterPLabel, makeRecords(10), FormatColumnar)
+	if err != nil || r.Count() != 10 {
+		t.Fatalf("BuildFormat(FormatColumnar): %v", err)
+	}
 }
 
-// FuzzColumnarRoundTrip builds a derived corpus in both formats and
-// requires identical scans. The corpus shape (run lengths, value sizes,
-// start gaps) is derived from the fuzzed seed.
+// FuzzColumnarRoundTrip builds a derived corpus and requires the full
+// scan and a restricted exact scan to equal the input sorted in memory.
+// The corpus shape (run lengths, value sizes, start gaps) is derived
+// from the fuzzed seed.
 func FuzzColumnarRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint16(10))
 	f.Add(int64(99), uint16(3))
@@ -233,29 +281,137 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nRuns uint16) {
 		rng := rand.New(rand.NewSource(seed))
 		recs := genColumnarCorpus(rng, int(nRuns%64))
-		leg := buildFormatT(t, ClusterPLabel, recs, FormatLegacy)
-		col := buildFormatT(t, ClusterPLabel, recs, FormatColumnar)
-		a, err := Collect(leg.ScanAll(nil))
+		rel := buildT(t, ClusterPLabel, recs)
+		sorted := sortedByCluster(ClusterPLabel, recs)
+		ctx := NewExecContext()
+		got, err := CollectBatches(rel.ScanAllBatch(ctx), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Collect(col.ScanAll(nil))
-		if err != nil {
-			t.Fatal(err)
+		if !recordsEqual(got, sorted) {
+			t.Fatalf("full scan differs from the input: %d vs %d records", len(got), len(sorted))
 		}
-		if !recordsEqual(a, b) {
-			t.Fatalf("formats differ: %d vs %d records", len(a), len(b))
+		if ctx.Visited() != uint64(len(recs)) {
+			t.Fatalf("full drain visited %d, want %d", ctx.Visited(), len(recs))
 		}
 		if len(recs) > 0 {
 			p := recs[rng.Intn(len(recs))].PLabel
 			hi := recs[rng.Intn(len(recs))].Start
-			x := drainBatch(t, leg.ScanPLabelExactBatch(nil, p, 0, hi), 64)
-			y := drainBatch(t, col.ScanPLabelExactBatch(nil, p, 0, hi), 64)
-			if !recordsEqual(x, y) {
-				t.Fatalf("restricted scans differ: %d vs %d records", len(x), len(y))
+			x := drainBatch(t, rel.ScanPLabelExactBatch(nil, p, 0, hi), 64)
+			if y := within(sorted, 0, hi, hasPLabel(p)); !recordsEqual(x, y) {
+				t.Fatalf("restricted scan differs from the input: %d vs %d records", len(x), len(y))
 			}
 		}
 	})
+}
+
+// scanOutcome drains bi and reports its error, turning a panic into a
+// failure message and giving up on a scan that never ends.
+func scanOutcome(bi func() BatchIter) (err error, failure string) {
+	type result struct {
+		err     error
+		failure string
+	}
+	done := make(chan result, 1)
+	go func() {
+		defer func() {
+			if p := recover(); p != nil {
+				done <- result{failure: fmt.Sprintf("panicked: %v", p)}
+			}
+		}()
+		_, err := CollectBatches(bi(), 0)
+		done <- result{err: err}
+	}()
+	select {
+	case r := <-done:
+		return r.err, r.failure
+	case <-time.After(10 * time.Second):
+		return nil, "hung"
+	}
+}
+
+// TestCorruptColumnarPageErrors damages the first heap page of a built
+// relation in the ways the decoder must check once per page or run —
+// an oversized run directory, a run block or column past the page end,
+// an SD plabel column that does not fit, runs that leave slots
+// uncovered — and requires every scan path that reads the page to
+// return an error: never a panic, a hang or silently wrong records.
+func TestCorruptColumnarPageErrors(t *testing.T) {
+	le16 := binary.LittleEndian.PutUint16
+	runOff := func(p []byte, ri int) int { return int(binary.LittleEndian.Uint16(p[colPageHeader+colRunDirEnt*ri:])) }
+	cases := []struct {
+		name         string
+		kinds        []Clustering // nil = both
+		run          int          // the run the corruption hits; the exact scan selects its prefix
+		fullWalkOnly bool         // only ScanAllBatch reaches the damage
+		corrupt      func(kind Clustering, p []byte)
+	}{
+		{"run-count", nil, 0, false, func(_ Clustering, p []byte) { le16(p[2:4], 0xFFFF) }},
+		{"block-offset", nil, 0, false, func(_ Clustering, p []byte) { le16(p[colPageHeader:], 0xFFFF) }},
+		{"starts-length", nil, 0, false, func(kind Clustering, p []byte) {
+			if kind == ClusterPLabel {
+				le16(p[runOff(p, 0)+22:], 0xFFFF)
+			} else {
+				le16(p[runOff(p, 0)+6:], 0xFFFF)
+			}
+		}},
+		{"sd-plabel-column", []Clustering{ClusterTag}, 0, false, func(_ Clustering, p []byte) { le16(p[runOff(p, 0)+4:], 0xFFFF) }},
+		{"slot-gap", nil, 1, false, func(_ Clustering, p []byte) {
+			first := p[colPageHeader+colRunDirEnt+2:]
+			le16(first, binary.LittleEndian.Uint16(first)+1)
+		}},
+		{"record-count-past-runs", nil, 0, true, func(_ Clustering, p []byte) {
+			le16(p[0:2], binary.LittleEndian.Uint16(p[0:2])+5)
+		}},
+	}
+	for _, tc := range cases {
+		kinds := tc.kinds
+		if kinds == nil {
+			kinds = []Clustering{ClusterPLabel, ClusterTag}
+		}
+		for _, kind := range kinds {
+			f := pager.OpenMem(64)
+			rel, err := Build(f, kind, makeRecords(50))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Update(rel.meta.heapFirst, func(p []byte) error {
+				tc.corrupt(kind, p)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			scans := map[string]func() BatchIter{
+				"ScanAllBatch": func() BatchIter { return rel.ScanAllBatch(nil) },
+			}
+			switch {
+			case tc.fullWalkOnly:
+				// Only a scan that walks to the page's end can see an
+				// overstated record count: the selective scans stop at
+				// their prefix, and the start index addresses slots the
+				// runs still cover.
+			case kind == ClusterPLabel:
+				// makeRecords' runs 0..9 all carry plabel 0.
+				scans["ScanPLabelExactBatch"] = func() BatchIter { return rel.ScanPLabelExactBatch(nil, u(0), 0, 0) }
+			default:
+				// SD run ri holds tag ri+1.
+				tag := uint32(tc.run + 1)
+				scans["ScanTagBatch"] = func() BatchIter { return rel.ScanTagBatch(nil, tag, 0, 0) }
+			}
+			if !tc.fullWalkOnly {
+				scans["ScanStartRangeBatch"] = func() BatchIter { return rel.ScanStartRangeBatch(nil, 0, 0) }
+			}
+			for name, scan := range scans {
+				err, failure := scanOutcome(scan)
+				switch {
+				case failure != "":
+					t.Errorf("%s/%v/%s: %s", tc.name, kind, name, failure)
+				case err == nil:
+					t.Errorf("%s/%v/%s: scan of a corrupt page returned no error", tc.name, kind, name)
+				}
+			}
+		}
+	}
 }
 
 // encodeTestPage packs recs (which must fit) into one columnar page.
@@ -362,7 +518,7 @@ func BenchmarkDecodeColumnarPage(b *testing.B) {
 func BenchmarkDecodeColumnarScan(b *testing.B) {
 	recs := makeRecords(100000)
 	f := pager.OpenMem(4096)
-	r, err := BuildFormat(f, ClusterPLabel, recs, FormatColumnar)
+	r, err := Build(f, ClusterPLabel, recs)
 	if err != nil {
 		b.Fatal(err)
 	}

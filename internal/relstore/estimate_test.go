@@ -24,13 +24,7 @@ func TestEstimates(t *testing.T) {
 		t.Fatalf("EstimatePLabelExact(%d) = %d, %v, want 0", n, got, err)
 	}
 	// Range probe vs. true count.
-	trueCount := func(lo, hi uint64) int {
-		recs, err := Collect(sp.ScanPLabelRange(nil, u(lo), u(hi)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(recs)
-	}
+	trueCount := func(lo, hi uint64) int { return len(scanPLabelRange(t, sp, nil, u(lo), u(hi))) }
 	for _, r := range [][2]uint64{{0, 0}, {10, 20}, {0, n / 10}, {100, 400}} {
 		want := trueCount(r[0], r[1])
 		got, err := sp.EstimatePLabelRange(ctx, u(r[0]), u(r[1]))

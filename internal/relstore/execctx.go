@@ -98,15 +98,7 @@ func (c *ExecContext) PageMisses() uint64 {
 	return c.pages.Misses.Load()
 }
 
-// addVisited records one decoded record, nil-safely.
-func (c *ExecContext) addVisited() {
-	if c != nil {
-		c.visited.Add(1)
-	}
-}
-
-// addVisitedN records n decoded records at once (batch fetches),
-// nil-safely.
+// addVisitedN records n decoded records, nil-safely.
 func (c *ExecContext) addVisitedN(n uint64) {
 	if c != nil {
 		c.visited.Add(n)

@@ -22,32 +22,26 @@
 // the paper's experiments report, attributed per query so that any
 // number of queries can run concurrently over one Relation.
 //
-// # On-disk page formats
+// Every read is a batched scan (BatchIter): a cluster scan seeks the
+// clustered index once and then walks the heap pages, and a start-index
+// scan decodes the records of one heap page under a single pager view.
 //
-// Two heap page formats exist; the meta page's magic identifies which
-// one a relation uses, and every page of one relation uses the same
-// format:
+// # On-disk page format
+//
+// The meta page's magic names the heap page format:
 //
 //	format  magic       heap page layout
 //	------  ----------  ----------------------------------------------
-//	1       "BLASREL1"  slotted, record at a time:
-//	                    [0:2] record count, slot offsets (2 B each),
-//	                    then per-record encodings
-//	                    (plabel 16 B, tagID u32, start u32, end u32,
-//	                    level u16, dlen u16, data bytes)
 //	2       "BLASREL2"  columnar, delta-compressed runs — see the
 //	                    layout comment in columnar.go: per cluster-
 //	                    prefix run, starts as ascending delta varints,
 //	                    ends/levels/value-lengths as packed varint
 //	                    columns, values out of line
 //
-// Compatibility contract: Build writes format 2; Open reads either
-// format (format-1 stores keep working read-only, with the original
-// record-at-a-time decode paths), and any other magic is rejected with
-// an unsupported-page-format error. Rebuilding with blasload migrates a
-// store to the current format. Locators, index layouts and every scan
-// API are format-independent, and scan results are byte-identical
-// across formats.
+// Compatibility contract: Build writes BLASREL2 and Open reads BLASREL2;
+// any other magic, BLASREL1 included, is rejected with an error naming
+// it and saying to rebuild the store with blasload. A store is derived
+// from its XML document, so rebuilding is the migration.
 package relstore
 
 import (
@@ -87,35 +81,6 @@ type Record struct {
 	Data   string // text value; "" = null
 }
 
-// recordSize returns the encoded size of r.
-func recordSize(r *Record) int { return 16 + 4 + 4 + 4 + 2 + 2 + len(r.Data) }
-
-// encodeRecord appends r's encoding to dst.
-func encodeRecord(dst []byte, r *Record) []byte {
-	dst = r.PLabel.AppendBytes(dst)
-	var b [16]byte
-	binary.LittleEndian.PutUint32(b[0:], r.TagID)
-	binary.LittleEndian.PutUint32(b[4:], r.Start)
-	binary.LittleEndian.PutUint32(b[8:], r.End)
-	binary.LittleEndian.PutUint16(b[12:], r.Level)
-	binary.LittleEndian.PutUint16(b[14:], uint16(len(r.Data)))
-	dst = append(dst, b[:]...)
-	return append(dst, r.Data...)
-}
-
-// decodeRecord parses a record at buf and returns it.
-func decodeRecord(buf []byte) Record {
-	var r Record
-	r.PLabel = uint128.FromBytes(buf)
-	r.TagID = binary.LittleEndian.Uint32(buf[16:])
-	r.Start = binary.LittleEndian.Uint32(buf[20:])
-	r.End = binary.LittleEndian.Uint32(buf[24:])
-	r.Level = binary.LittleEndian.Uint16(buf[28:])
-	dlen := int(binary.LittleEndian.Uint16(buf[30:]))
-	r.Data = string(buf[32 : 32+dlen])
-	return r
-}
-
 // clusterKey builds the cluster-index key for r.
 func clusterKey(kind Clustering, r *Record, enc *keyenc.Encoder) []byte {
 	enc.Reset()
@@ -128,7 +93,8 @@ func clusterKey(kind Clustering, r *Record, enc *keyenc.Encoder) []byte {
 	return enc.Bytes()
 }
 
-// Locator addresses a record in the heap.
+// Locator addresses a record in the heap: Slot is the record's ordinal
+// position on the page.
 type Locator struct {
 	Page pager.PageID
 	Slot uint16
@@ -148,22 +114,6 @@ func decodeLocator(b []byte) Locator {
 	}
 }
 
-// --- heap page layout ---
-//
-//	[0:2]  record count
-//	[2:..] slot offsets (2 bytes each), then records
-
-const heapHeader = 2
-
-// pageHeaderSize returns the fixed header size of a heap page in the
-// given format (before any slot directory / run directory entries).
-func pageHeaderSize(format int) int {
-	if format == FormatColumnar {
-		return colPageHeader
-	}
-	return heapHeader
-}
-
 // Relation is an open node relation. A Relation is immutable after Build
 // and safe for concurrent scans; per-query statistics accumulate in the
 // ExecContext each scan is given.
@@ -176,7 +126,6 @@ type Relation struct {
 }
 
 type relMeta struct {
-	format    int // heap page format: FormatLegacy or FormatColumnar
 	kind      Clustering
 	count     uint64
 	heapFirst pager.PageID
@@ -186,30 +135,15 @@ type relMeta struct {
 	data      pbtree.Tree
 }
 
-// Heap page formats (see the package doc's format table).
-const (
-	// FormatLegacy is the slotted record-at-a-time layout (v1 stores).
-	FormatLegacy = 1
-	// FormatColumnar is the columnar delta-compressed layout Build
-	// writes.
-	FormatColumnar = 2
-)
+// FormatColumnar is the heap page format Build writes, the columnar
+// delta-compressed layout (see the package doc's format table).
+const FormatColumnar = 2
 
-const (
-	metaMagicV1 = "BLASREL1"
-	metaMagicV2 = "BLASREL2"
-)
-
-func magicFor(format int) string {
-	if format == FormatLegacy {
-		return metaMagicV1
-	}
-	return metaMagicV2
-}
+const metaMagic = "BLASREL2"
 
 func writeMeta(f *pager.File, id pager.PageID, m *relMeta) error {
 	return f.Update(id, func(p []byte) error {
-		copy(p, magicFor(m.format))
+		copy(p, metaMagic)
 		p[8] = byte(m.kind)
 		binary.LittleEndian.PutUint64(p[9:], m.count)
 		binary.LittleEndian.PutUint32(p[17:], uint32(m.heapFirst))
@@ -228,14 +162,9 @@ func writeMeta(f *pager.File, id pager.PageID, m *relMeta) error {
 func readMeta(f *pager.File, id pager.PageID) (relMeta, error) {
 	var m relMeta
 	err := f.View(id, func(p []byte) error {
-		switch string(p[:8]) {
-		case metaMagicV1:
-			m.format = FormatLegacy
-		case metaMagicV2:
-			m.format = FormatColumnar
-		default:
-			return fmt.Errorf("relstore: unsupported page format (magic %q; this build reads %q and %q — rebuild the store with blasload)",
-				p[:8], metaMagicV1, metaMagicV2)
+		if string(p[:8]) != metaMagic {
+			return fmt.Errorf("relstore: unsupported page format (magic %q; this build reads %q — rebuild the store with blasload)",
+				p[:8], metaMagic)
 		}
 		m.kind = Clustering(p[8])
 		if m.kind != ClusterPLabel && m.kind != ClusterTag {
@@ -262,18 +191,8 @@ func readMeta(f *pager.File, id pager.PageID) (relMeta, error) {
 // (FormatColumnar), then the three indexes are bulk loaded. Page 0 of f
 // holds the metadata.
 func Build(f *pager.File, kind Clustering, records []Record) (*Relation, error) {
-	return BuildFormat(f, kind, records, FormatColumnar)
-}
-
-// BuildFormat is Build with an explicit heap page format. FormatLegacy
-// exists for compatibility tests and the decode benchmark; production
-// stores use Build (FormatColumnar).
-func BuildFormat(f *pager.File, kind Clustering, records []Record, format int) (*Relation, error) {
 	if kind != ClusterPLabel && kind != ClusterTag {
 		return nil, fmt.Errorf("relstore: bad clustering %d", kind)
-	}
-	if format != FormatLegacy && format != FormatColumnar {
-		return nil, fmt.Errorf("relstore: unknown page format %d", format)
 	}
 	metaPage, err := f.Alloc()
 	if err != nil {
@@ -298,9 +217,8 @@ func BuildFormat(f *pager.File, kind Clustering, records []Record, format int) (
 		loc Locator
 	}
 	placed := make([]pending, 0, len(recs))
-	var curPage pager.PageID
 	var curRecs []*Record
-	curUsed := pageHeaderSize(format)
+	curUsed := colPageHeader
 	heapFirst, heapLast := pager.PageID(0), pager.PageID(0)
 	havePages := false
 
@@ -317,63 +235,39 @@ func BuildFormat(f *pager.File, kind Clustering, records []Record, format int) (
 			havePages = true
 		}
 		heapLast = id
-		curPage = id
-		err = f.Update(id, func(p []byte) error {
-			if format == FormatColumnar {
-				return encodeColumnarPage(p, kind, curRecs)
-			}
-			binary.LittleEndian.PutUint16(p[0:2], uint16(len(curRecs)))
-			off := heapHeader + 2*len(curRecs)
-			for i, r := range curRecs {
-				binary.LittleEndian.PutUint16(p[heapHeader+2*i:], uint16(off))
-				encoded := encodeRecord(p[off:off], r)
-				off += len(encoded)
-			}
-			return nil
-		})
-		if err != nil {
+		if err := f.Update(id, func(p []byte) error { return encodeColumnarPage(p, kind, curRecs) }); err != nil {
 			return err
 		}
 		for i, r := range curRecs {
-			placed = append(placed, pending{rec: r, loc: Locator{Page: curPage, Slot: uint16(i)}})
+			placed = append(placed, pending{rec: r, loc: Locator{Page: id, Slot: uint16(i)}})
 		}
 		curRecs = curRecs[:0]
-		curUsed = pageHeaderSize(format)
+		curUsed = colPageHeader
 		return nil
 	}
 
 	for _, r := range recs {
-		var need int
-		if format == FormatColumnar {
-			// Exact incremental cost: a record continuing the current
-			// page's last run pays its column bytes only; a record opening
-			// a run additionally pays the directory entry and run header,
-			// and its start is stored absolute.
-			var prev *Record
-			runCost := 0
-			if len(curRecs) > 0 && sameRun(kind, curRecs[len(curRecs)-1], r) {
-				prev = curRecs[len(curRecs)-1]
-			} else {
-				runCost = colRunDirEnt + runHeaderSize(kind)
-			}
-			need = runCost + colRecordCost(kind, prev, r)
-			if colRecordCost(kind, nil, r) > colMaxRecord(kind) {
-				return nil, fmt.Errorf("relstore: record too large (%d bytes of data %q…)", len(r.Data), clip(r.Data, 20))
-			}
-		} else {
-			need = 2 + recordSize(r) // slot + record
-			if recordSize(r) > pager.PageSize-heapHeader-2 {
-				return nil, fmt.Errorf("relstore: record too large (%d bytes, data %q…)", recordSize(r), clip(r.Data, 20))
-			}
+		if colRecordCost(kind, nil, r) > colMaxRecord(kind) {
+			return nil, fmt.Errorf("relstore: record too large (%d bytes of data %q…)", len(r.Data), clip(r.Data, 20))
 		}
+		// Exact incremental cost: a record continuing the current page's
+		// last run pays its column bytes only; a record opening a run
+		// additionally pays the directory entry and run header, and its
+		// start is stored absolute.
+		var prev *Record
+		runCost := 0
+		if len(curRecs) > 0 && sameRun(kind, curRecs[len(curRecs)-1], r) {
+			prev = curRecs[len(curRecs)-1]
+		} else {
+			runCost = colRunDirEnt + runHeaderSize(kind)
+		}
+		need := runCost + colRecordCost(kind, prev, r)
 		if curUsed+need > pager.PageSize {
 			if err := flush(); err != nil {
 				return nil, err
 			}
-			if format == FormatColumnar {
-				// On a fresh page the record opens a run unconditionally.
-				need = colRunDirEnt + runHeaderSize(kind) + colRecordCost(kind, nil, r)
-			}
+			// On a fresh page the record opens a run unconditionally.
+			need = colRunDirEnt + runHeaderSize(kind) + colRecordCost(kind, nil, r)
 		}
 		curRecs = append(curRecs, r)
 		curUsed += need
@@ -442,7 +336,6 @@ func BuildFormat(f *pager.File, kind Clustering, records []Record, format int) (
 	}
 
 	m := relMeta{
-		format:    format,
 		kind:      kind,
 		count:     uint64(len(recs)),
 		heapFirst: heapFirst,
@@ -458,6 +351,15 @@ func BuildFormat(f *pager.File, kind Clustering, records []Record, format int) (
 		return nil, err
 	}
 	return openWithMeta(f, m), nil
+}
+
+// BuildFormat is Build with the heap page format named explicitly.
+// FormatColumnar is the only format; any other value is rejected.
+func BuildFormat(f *pager.File, kind Clustering, records []Record, format int) (*Relation, error) {
+	if format != FormatColumnar {
+		return nil, fmt.Errorf("relstore: unknown page format %d", format)
+	}
+	return Build(f, kind, records)
 }
 
 func clip(s string, n int) string {
@@ -495,37 +397,3 @@ func (r *Relation) Count() uint64 { return r.meta.count }
 // File exposes the underlying paged file (for buffer-pool statistics and
 // cache control).
 func (r *Relation) File() *pager.File { return r.f }
-
-// fetch reads the record at loc, accounting the page request and the
-// decoded record to ctx. decodeRecord copies every field out of the page
-// (strings included), so nothing references the pager's frame once the
-// view callback returns and the frame is unpinned.
-func (r *Relation) fetch(ctx *ExecContext, loc Locator) (Record, error) {
-	var rec Record
-	err := r.f.ViewCounted(loc.Page, ctx.pageCounters(), func(p []byte) error {
-		n := int(binary.LittleEndian.Uint16(p[0:2]))
-		if int(loc.Slot) >= n {
-			return fmt.Errorf("relstore: slot %d out of range on page %d (%d records)", loc.Slot, loc.Page, n)
-		}
-		if r.meta.format == FormatColumnar {
-			s := int(loc.Slot)
-			var one [1]Record
-			if err := decodeColSlots(p, r.meta.kind, s, s+1, one[:]); err != nil {
-				return err
-			}
-			rec = one[0]
-			return nil
-		}
-		off := int(binary.LittleEndian.Uint16(p[heapHeader+2*int(loc.Slot):]))
-		rec = decodeRecord(p[off:])
-		return nil
-	})
-	if err != nil {
-		return Record{}, err
-	}
-	ctx.addVisited()
-	return rec, nil
-}
-
-// Get fetches the record at loc (exported for engines that keep locators).
-func (r *Relation) Get(ctx *ExecContext, loc Locator) (Record, error) { return r.fetch(ctx, loc) }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/keyenc"
 	"repro/internal/pager"
 	"repro/internal/uint128"
 )
@@ -27,6 +28,39 @@ func makeRecords(n int) []Record {
 		}
 	}
 	return recs
+}
+
+// collect drains a batched scan at the default batch size.
+func collect(t testing.TB, bi BatchIter) []Record {
+	t.Helper()
+	recs, err := CollectBatches(bi, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// scanPLabelRange returns the records with lo <= plabel <= hi in
+// (plabel, start) order: one exact scan per distinct label.
+func scanPLabelRange(t testing.TB, r *Relation, ctx *ExecContext, lo, hi uint128.Uint128) []Record {
+	t.Helper()
+	labels, err := r.DistinctPLabels(ctx, lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Record
+	for _, p := range labels {
+		out = append(out, collect(t, r.ScanPLabelExactBatch(ctx, p, 0, 0))...)
+	}
+	return out
+}
+
+// dataIndexRecords resolves the data-index entries for value to their
+// heap records, in (data, start) index order.
+func dataIndexRecords(t testing.TB, r *Relation, value string) []Record {
+	t.Helper()
+	prefix := keyenc.String(value)
+	return collect(t, &indexBatchIter{r: r, it: r.dataIdx.Scan(prefix, keyenc.PrefixSuccessor(prefix))})
 }
 
 func buildSP(t testing.TB, recs []Record) *Relation {
@@ -54,7 +88,7 @@ func TestBuildEmpty(t *testing.T) {
 	if r.Count() != 0 {
 		t.Fatal("count")
 	}
-	got, err := Collect(r.ScanAll(nil))
+	got, err := CollectBatches(r.ScanAllBatch(nil), 0)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("scan of empty relation: %d records, %v", len(got), err)
 	}
@@ -65,10 +99,7 @@ func TestScanAllOrdered(t *testing.T) {
 	// Shuffle the input: Build must sort.
 	rand.New(rand.NewSource(1)).Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
 	r := buildSP(t, recs)
-	got, err := Collect(r.ScanAll(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := collect(t, r.ScanAllBatch(nil))
 	if len(got) != 500 {
 		t.Fatalf("got %d records", len(got))
 	}
@@ -82,10 +113,7 @@ func TestScanAllOrdered(t *testing.T) {
 
 func TestScanPLabelExact(t *testing.T) {
 	r := buildSP(t, makeRecords(100))
-	got, err := Collect(r.ScanPLabelExact(nil, u(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := collect(t, r.ScanPLabelExactBatch(nil, u(3), 0, 0))
 	if len(got) != 10 {
 		t.Fatalf("got %d records, want 10", len(got))
 	}
@@ -98,7 +126,7 @@ func TestScanPLabelExact(t *testing.T) {
 		}
 	}
 	// Missing plabel.
-	got, _ = Collect(r.ScanPLabelExact(nil, u(99)))
+	got = collect(t, r.ScanPLabelExactBatch(nil, u(99), 0, 0))
 	if len(got) != 0 {
 		t.Fatalf("missing plabel returned %d records", len(got))
 	}
@@ -106,25 +134,25 @@ func TestScanPLabelExact(t *testing.T) {
 
 func TestScanPLabelRange(t *testing.T) {
 	r := buildSP(t, makeRecords(100))
-	got, err := Collect(r.ScanPLabelRange(nil, u(2), u(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := scanPLabelRange(t, r, nil, u(2), u(4))
 	if len(got) != 30 {
 		t.Fatalf("got %d records, want 30", len(got))
 	}
-	for _, rec := range got {
+	for i, rec := range got {
 		if rec.PLabel.Less(u(2)) || u(4).Less(rec.PLabel) {
 			t.Fatalf("record out of range: %v", rec.PLabel)
 		}
+		if i > 0 && (got[i-1].PLabel.Cmp(rec.PLabel) > 0 || (got[i-1].PLabel == rec.PLabel && got[i-1].Start >= rec.Start)) {
+			t.Fatalf("range not in (plabel,start) order at %d", i)
+		}
 	}
 	// Inclusive bounds.
-	got, _ = Collect(r.ScanPLabelRange(nil, u(9), u(9)))
+	got = scanPLabelRange(t, r, nil, u(9), u(9))
 	if len(got) != 10 {
 		t.Fatalf("inclusive range got %d", len(got))
 	}
 	// Empty range.
-	got, _ = Collect(r.ScanPLabelRange(nil, u(50), u(60)))
+	got = scanPLabelRange(t, r, nil, u(50), u(60))
 	if len(got) != 0 {
 		t.Fatalf("empty range got %d", len(got))
 	}
@@ -137,10 +165,7 @@ func TestScanTag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Collect(r.ScanTag(nil, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := collect(t, r.ScanTagBatch(nil, 3, 0, 0))
 	want := 0
 	for _, rec := range recs {
 		if rec.TagID == 3 {
@@ -150,19 +175,22 @@ func TestScanTag(t *testing.T) {
 	if len(got) != want {
 		t.Fatalf("got %d, want %d", len(got), want)
 	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1].Start >= got[i].Start {
+	for i, rec := range got {
+		if rec.TagID != 3 {
+			t.Fatalf("record %d has tag %d", i, rec.TagID)
+		}
+		if i > 0 && got[i-1].Start >= rec.Start {
 			t.Fatal("tag scan not start-ordered")
 		}
 	}
 }
 
+// TestScanData checks the data index: its entries for a value resolve
+// to exactly that value's records in start order, and the planner's
+// EstimateData probe counts them.
 func TestScanData(t *testing.T) {
 	r := buildSP(t, makeRecords(130))
-	got, err := Collect(r.ScanData(nil, "val-5"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := dataIndexRecords(t, r, "val-5")
 	if len(got) != 10 {
 		t.Fatalf("got %d, want 10", len(got))
 	}
@@ -174,7 +202,10 @@ func TestScanData(t *testing.T) {
 			t.Fatal("data scan not start-ordered")
 		}
 	}
-	if got, _ := Collect(r.ScanData(nil, "absent")); len(got) != 0 {
+	if n, err := r.EstimateData(nil, "val-5"); err != nil || n != 10 {
+		t.Fatalf("EstimateData(val-5) = %d, %v, want 10", n, err)
+	}
+	if got := dataIndexRecords(t, r, "absent"); len(got) != 0 {
 		t.Fatal("absent value matched")
 	}
 }
@@ -185,21 +216,25 @@ func TestEmptyDataNotIndexed(t *testing.T) {
 		{PLabel: u(2), TagID: 1, Start: 3, End: 4, Level: 1, Data: "x"},
 	}
 	r := buildSP(t, recs)
-	got, _ := Collect(r.ScanData(nil, ""))
-	if len(got) != 0 {
+	if got := dataIndexRecords(t, r, ""); len(got) != 0 {
 		t.Fatalf("empty data indexed: %d", len(got))
+	}
+	if n, err := r.EstimateData(nil, ""); err != nil || n != 0 {
+		t.Fatalf("EstimateData(\"\") = %d, %v, want 0", n, err)
 	}
 }
 
 func TestScanStartRange(t *testing.T) {
 	r := buildSP(t, makeRecords(50))
-	got, err := Collect(r.ScanStartRange(nil, 11, 21))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := collect(t, r.ScanStartRangeBatch(nil, 11, 21))
 	// starts are 2i+1: 11,13,15,17,19 in [11,21)
 	if len(got) != 5 {
 		t.Fatalf("got %d, want 5", len(got))
+	}
+	for i, rec := range got {
+		if want := uint32(11 + 2*i); rec.Start != want {
+			t.Fatalf("record %d start = %d, want %d", i, rec.Start, want)
+		}
 	}
 }
 
@@ -238,14 +273,25 @@ func TestScanPLabelRangeByStart(t *testing.T) {
 		}
 	}
 	r := buildSP(t, recs)
-	it, err := r.ScanPLabelRangeByStart(nil, u(1), u(3))
-	if err != nil {
-		t.Fatal(err)
+	// A P-label range in document order: one exact scan per distinct
+	// label, merged by start — how a range fragment's stream is built.
+	byStart := func(lo, hi uint128.Uint128) []Record {
+		t.Helper()
+		labels, err := r.DistinctPLabels(nil, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := make([]BatchIter, 0, len(labels))
+		for _, p := range labels {
+			runs = append(runs, r.ScanPLabelExactBatch(nil, p, 0, 0))
+		}
+		m, err := MergeBatchesByStart(runs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return collect(t, m)
 	}
-	got, err := Collect(it)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := byStart(u(1), u(3))
 	if len(got) != 60 {
 		t.Fatalf("got %d records, want 60", len(got))
 	}
@@ -255,30 +301,19 @@ func TestScanPLabelRangeByStart(t *testing.T) {
 		}
 	}
 	// Single-plabel fast path.
-	it, err = r.ScanPLabelRangeByStart(nil, u(2), u(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ = Collect(it)
-	if len(got) != 20 {
+	if got := byStart(u(2), u(2)); len(got) != 20 {
 		t.Fatalf("single-run got %d", len(got))
 	}
 	// Empty range.
-	it, err = r.ScanPLabelRangeByStart(nil, u(100), u(200))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if it.Next() {
-		t.Fatal("empty merged range yielded records")
+	if got := byStart(u(100), u(200)); len(got) != 0 {
+		t.Fatalf("empty merged range yielded %d records", len(got))
 	}
 }
 
 func TestVisitedCounter(t *testing.T) {
 	r := buildSP(t, makeRecords(100))
 	ctx := NewExecContext()
-	if _, err := Collect(r.ScanPLabelExact(ctx, u(1))); err != nil {
-		t.Fatal(err)
-	}
+	collect(t, r.ScanPLabelExactBatch(ctx, u(1), 0, 0))
 	if got := ctx.Visited(); got != 10 {
 		t.Fatalf("visited = %d, want 10", got)
 	}
@@ -289,9 +324,7 @@ func TestVisitedCounter(t *testing.T) {
 	if NewExecContext().Visited() != 0 {
 		t.Fatal("fresh context not zero")
 	}
-	if _, err := Collect(r.ScanPLabelExact(nil, u(1))); err != nil {
-		t.Fatal(err)
-	}
+	collect(t, r.ScanPLabelExactBatch(nil, u(1), 0, 0))
 }
 
 func TestExecContextIsolation(t *testing.T) {
@@ -299,12 +332,8 @@ func TestExecContextIsolation(t *testing.T) {
 	// counts — the property the old store-global counters lacked.
 	r := buildSP(t, makeRecords(100))
 	a, b := NewExecContext(), NewExecContext()
-	if _, err := Collect(r.ScanPLabelExact(a, u(1))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Collect(r.ScanPLabelRange(b, u(2), u(4))); err != nil {
-		t.Fatal(err)
-	}
+	collect(t, r.ScanPLabelExactBatch(a, u(1), 0, 0))
+	scanPLabelRange(t, r, b, u(2), u(4))
 	if got := a.Visited(); got != 10 {
 		t.Fatalf("ctx a visited = %d, want 10", got)
 	}
@@ -340,7 +369,7 @@ func TestPersistenceAcrossOpen(t *testing.T) {
 	if r.Count() != 300 {
 		t.Fatalf("count after reopen = %d", r.Count())
 	}
-	got, err := Collect(r.ScanPLabelExact(nil, u(7)))
+	got, err := CollectBatches(r.ScanPLabelExactBatch(nil, u(7), 0, 0), 0)
 	if err != nil || len(got) != 10 {
 		t.Fatalf("scan after reopen: %d, %v", len(got), err)
 	}
@@ -365,7 +394,7 @@ func TestLargeDataValues(t *testing.T) {
 		{PLabel: u(2), TagID: 1, Start: 3, End: 4, Level: 1, Data: "small"},
 	}
 	r := buildSP(t, recs)
-	got, err := Collect(r.ScanAll(nil))
+	got, err := CollectBatches(r.ScanAllBatch(nil), 0)
 	if err != nil || len(got) != 2 {
 		t.Fatalf("got %d, %v", len(got), err)
 	}
@@ -404,10 +433,7 @@ func TestClusteringReducesPageMisses(t *testing.T) {
 	}
 	_ = f.DropCache()
 	f.ResetStats()
-	got, err := Collect(r.ScanPLabelExact(nil, u(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := collect(t, r.ScanPLabelExactBatch(nil, u(5), 0, 0))
 	if len(got) != n/100 {
 		t.Fatalf("got %d", len(got))
 	}
@@ -437,13 +463,18 @@ func BenchmarkScanPLabelExact(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	buf := make([]Record, DefaultBatchSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it := r.ScanPLabelExact(nil, u(uint64(i%10000)))
-		for it.Next() {
-		}
-		if it.Err() != nil {
-			b.Fatal(it.Err())
+		bi := r.ScanPLabelExactBatch(nil, u(uint64(i%10000)), 0, 0)
+		for {
+			n, err := bi.NextBatch(buf)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if n == 0 {
+				break
+			}
 		}
 	}
 }
@@ -456,9 +487,9 @@ func TestScanOrderedAfterShuffledBuildByTag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Collect(r.ScanAll(nil))
-	if err != nil {
-		t.Fatal(err)
+	got := collect(t, r.ScanAllBatch(nil))
+	if len(got) != len(recs) {
+		t.Fatalf("got %d records, want %d", len(got), len(recs))
 	}
 	ok := sort.SliceIsSorted(got, func(i, j int) bool {
 		if got[i].TagID != got[j].TagID {

@@ -1,163 +1,15 @@
 package relstore
 
 import (
-	"container/heap"
-
 	"repro/internal/keyenc"
 	"repro/internal/uint128"
 )
 
-// Iter is a record iterator. All scan methods return one.
-//
-// Every scan takes the query's *ExecContext as its first argument; the
-// records it decodes and the pages it touches are accounted there. A nil
-// context is valid and discards the counts. Iterators are not safe for
-// concurrent use themselves, but any number of iterators — sharing a
-// context or not — may run concurrently over one Relation.
-type Iter interface {
-	// Next advances to the next record, returning false at the end or on
-	// error (check Err).
-	Next() bool
-	// Record returns the current record.
-	Record() Record
-	// Err returns the first error encountered.
-	Err() error
-}
-
-// indexIter fetches records addressed by an index iterator.
-type indexIter struct {
-	r    *Relation
-	ctx  *ExecContext
-	it   interface{ Next() bool }
-	val  func() []byte
-	ierr func() error
-
-	rec Record
-	err error
-}
-
-func (s *indexIter) Next() bool {
-	if s.err != nil {
-		return false
-	}
-	if !s.it.Next() {
-		s.err = s.ierr()
-		return false
-	}
-	loc := decodeLocator(s.val())
-	s.rec, s.err = s.r.fetch(s.ctx, loc)
-	return s.err == nil
-}
-
-func (s *indexIter) Record() Record { return s.rec }
-func (s *indexIter) Err() error     { return s.err }
-
-// scanClusterRange returns records whose cluster key lies in [from, to).
-func (r *Relation) scanClusterRange(ctx *ExecContext, from, to []byte) Iter {
-	it := r.cluster.ScanCounted(from, to, ctx.pageCounters())
-	return &indexIter{r: r, ctx: ctx, it: it, val: it.Value, ierr: it.Err}
-}
-
-// batchRecordIter adapts a BatchIter to the record-at-a-time Iter
-// interface. The columnar cluster scans decode whole runs; going
-// through a batch keeps that shape for the convenience iterators
-// instead of paying a per-record run-prefix decode via fetch. The
-// batch may decode a few records past where the caller stops.
-type batchRecordIter struct {
-	bi   BatchIter
-	buf  []Record
-	n, i int
-	err  error
-}
-
-// batchRecordBuf is the adapter's decode granularity — deliberately
-// smaller than DefaultBatchSize, since record-at-a-time consumers are
-// tests, tools and merges that may hold many iterators at once.
-const batchRecordBuf = 64
-
-func (s *batchRecordIter) Next() bool {
-	if s.err != nil {
-		return false
-	}
-	if s.i+1 < s.n {
-		s.i++
-		return true
-	}
-	if s.buf == nil {
-		s.buf = make([]Record, batchRecordBuf)
-	}
-	n, err := s.bi.NextBatch(s.buf)
-	if err != nil {
-		s.err = err
-		return false
-	}
-	s.n, s.i = n, 0
-	return n > 0
-}
-
-func (s *batchRecordIter) Record() Record { return s.buf[s.i] }
-func (s *batchRecordIter) Err() error     { return s.err }
-
-// ScanAll iterates every record in cluster-key order.
-func (r *Relation) ScanAll(ctx *ExecContext) Iter {
-	if r.meta.format == FormatColumnar {
-		return &batchRecordIter{bi: r.ScanAllBatch(ctx)}
-	}
-	return r.scanClusterRange(ctx, nil, nil)
-}
-
-// ScanPLabelRange iterates records with lo <= plabel <= hi, in
-// (plabel, start) order. The relation must be plabel-clustered.
-func (r *Relation) ScanPLabelRange(ctx *ExecContext, lo, hi uint128.Uint128) Iter {
-	from := keyenc.Uint128(lo)
-	to := keyenc.PrefixSuccessor(keyenc.Uint128(hi))
-	return r.scanClusterRange(ctx, from, to)
-}
-
-// ScanPLabelExact iterates records with plabel == p, in start order.
-func (r *Relation) ScanPLabelExact(ctx *ExecContext, p uint128.Uint128) Iter {
-	if r.meta.format == FormatColumnar {
-		return &batchRecordIter{bi: r.ScanPLabelExactBatch(ctx, p, 0, 0)}
-	}
-	prefix := keyenc.Uint128(p)
-	return r.scanClusterRange(ctx, prefix, keyenc.PrefixSuccessor(prefix))
-}
-
-// ScanTag iterates records with the given tag id, in start order. The
-// relation must be tag-clustered.
-func (r *Relation) ScanTag(ctx *ExecContext, tagID uint32) Iter {
-	if r.meta.format == FormatColumnar {
-		return &batchRecordIter{bi: r.ScanTagBatch(ctx, tagID, 0, 0)}
-	}
-	prefix := keyenc.Uint32(tagID)
-	return r.scanClusterRange(ctx, prefix, keyenc.PrefixSuccessor(prefix))
-}
-
-// ScanData iterates records whose data equals value, in start order,
-// using the data index.
-func (r *Relation) ScanData(ctx *ExecContext, value string) Iter {
-	prefix := keyenc.String(value)
-	it := r.dataIdx.ScanCounted(prefix, keyenc.PrefixSuccessor(prefix), ctx.pageCounters())
-	return &indexIter{r: r, ctx: ctx, it: it, val: it.Value, ierr: it.Err}
-}
-
-// ScanStartRange iterates records with lo <= start < hi via the start
-// index (hi == 0 means unbounded).
-func (r *Relation) ScanStartRange(ctx *ExecContext, lo, hi uint32) Iter {
-	from := keyenc.Uint32(lo)
-	var to []byte
-	if hi != 0 {
-		to = keyenc.Uint32(hi)
-	}
-	it := r.startIdx.ScanCounted(from, to, ctx.pageCounters())
-	return &indexIter{r: r, ctx: ctx, it: it, val: it.Value, ierr: it.Err}
-}
-
-// --- start-ordered merge over a plabel range ---
-
 // DistinctPLabels enumerates the distinct plabel values present in
 // [lo, hi] using a skip scan over the clustered index: only the first
-// entry of each run is touched.
+// entry of each run is touched. A P-label range selection reads its
+// records as one ScanPLabelExactBatch per returned label, combined in
+// document order by MergeBatchesByStart.
 func (r *Relation) DistinctPLabels(ctx *ExecContext, lo, hi uint128.Uint128) ([]uint128.Uint128, error) {
 	var out []uint128.Uint128
 	cur := keyenc.Uint128(lo)
@@ -178,103 +30,4 @@ func (r *Relation) DistinctPLabels(ctx *ExecContext, lo, hi uint128.Uint128) ([]
 		}
 		cur = next
 	}
-}
-
-// ScanPLabelRangeByStart iterates records with lo <= plabel <= hi in
-// document (start) order. Records within one plabel run are already
-// start-ordered (the cluster key is {plabel, start}); runs are combined
-// with a k-way merge, so the stream is produced without materializing it.
-//
-// The holistic twig join engine consumes these streams: TwigStack needs
-// each query node's input sorted by start position.
-func (r *Relation) ScanPLabelRangeByStart(ctx *ExecContext, lo, hi uint128.Uint128) (Iter, error) {
-	plabels, err := r.DistinctPLabels(ctx, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	if len(plabels) == 1 {
-		return r.ScanPLabelExact(ctx, plabels[0]), nil
-	}
-	runs := make([]Iter, 0, len(plabels))
-	for _, p := range plabels {
-		runs = append(runs, r.ScanPLabelExact(ctx, p))
-	}
-	return MergeByStart(runs)
-}
-
-// MergeByStart combines start-ordered iterators into one start-ordered
-// stream (k-way heap merge). It is used to build document-order streams
-// over P-label sets for the twig join engine.
-func MergeByStart(runs []Iter) (Iter, error) {
-	if len(runs) == 1 {
-		return runs[0], nil
-	}
-	m := &mergeIter{}
-	for _, run := range runs {
-		if run.Next() {
-			m.runs = append(m.runs, run)
-		} else if err := run.Err(); err != nil {
-			return nil, err
-		}
-	}
-	heap.Init(m)
-	return m, nil
-}
-
-// mergeIter merges start-ordered runs. Each run in runs is positioned at
-// its current record.
-type mergeIter struct {
-	runs []Iter
-	cur  Record
-	err  error
-	init bool
-}
-
-func (m *mergeIter) Len() int { return len(m.runs) }
-func (m *mergeIter) Less(i, j int) bool {
-	return m.runs[i].Record().Start < m.runs[j].Record().Start
-}
-func (m *mergeIter) Swap(i, j int) { m.runs[i], m.runs[j] = m.runs[j], m.runs[i] }
-func (m *mergeIter) Push(x any)    { m.runs = append(m.runs, x.(Iter)) }
-func (m *mergeIter) Pop() any {
-	x := m.runs[len(m.runs)-1]
-	m.runs = m.runs[:len(m.runs)-1]
-	return x
-}
-
-func (m *mergeIter) Next() bool {
-	if m.err != nil {
-		return false
-	}
-	if m.init {
-		// Advance the run we last emitted from.
-		top := m.runs[0]
-		if top.Next() {
-			heap.Fix(m, 0)
-		} else {
-			if err := top.Err(); err != nil {
-				m.err = err
-				return false
-			}
-			heap.Pop(m)
-		}
-	}
-	m.init = true
-	if len(m.runs) == 0 {
-		return false
-	}
-	m.cur = m.runs[0].Record()
-	return true
-}
-
-func (m *mergeIter) Record() Record { return m.cur }
-func (m *mergeIter) Err() error     { return m.err }
-
-// Collect drains an iterator into a slice (testing and small-result use).
-func Collect(it Iter) ([]Record, error) {
-	var out []Record
-	for it.Next() {
-		out = append(out, it.Record())
-	}
-	return out, it.Err()
 }
