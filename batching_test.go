@@ -1,80 +1,102 @@
-// Batching contract tests (PR 10): QueryOptions.BatchSize and
-// PrefetchDepth must never change results — only buffer sizes and
-// pipeline depth — at every parallelism on both engines; traced queries
-// must account their decode work; and completed queries must feed the
-// store's batch-size histogram.
+// Batching contract tests: every stream reads fixed-size batches, so a
+// query's page reads are a function of its plan and the data, never of
+// buffer-pool state; and traced queries account their decode work.
 package blas
 
 import (
-	"reflect"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/datagen"
 )
 
-func TestBatchKnobsValidation(t *testing.T) {
-	st, err := BuildFromString(concurrencyDoc(), Options{})
+// TestPageReadsIndependentOfPool pins ExecStats.PageReads — the paper's
+// disk-access count — to the plan: the same query on the same store
+// issues the same pool requests whether every page misses (a default
+// pool emptied before each query) or every page hits (a pool that holds
+// the whole store, warmed once), on both engines at P in {1, 2}.
+func TestPageReadsIndependentOfPool(t *testing.T) {
+	var doc strings.Builder
+	if err := GenerateDataset(&doc, datagen.NameAuction, DatasetOptions{Seed: 1, Factor: 1}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := BuildFromString(doc.String(), Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	for _, opts := range []QueryOptions{
-		{BatchSize: -1},
-		{PrefetchDepth: -5},
-	} {
-		if _, err := st.Query("/db/entry", opts); err == nil {
-			t.Errorf("options %+v accepted, want validation error", opts)
-		} else if !strings.Contains(err.Error(), "must be >= 0") {
-			t.Errorf("options %+v: error %q does not explain the bound", opts, err)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var storePages int
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		fi, err := os.Stat(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
 		}
+		storePages += int(fi.Size()/8192) + 1
 	}
-}
-
-// TestBatchKnobsNeverChangeResults pins the acceptance contract: pinned
-// batch sizes and prefetch depths — including values outside the
-// clamping bounds — return byte-identical matches to the adaptive
-// default on both engines at P in {1, 4}.
-func TestBatchKnobsNeverChangeResults(t *testing.T) {
-	st, err := BuildFromString(concurrencyDoc(), Options{})
+	cold, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
+	defer cold.Close()
+	warm, err := Open(Options{Dir: dir, PoolPages: storePages})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close()
 
 	queries := []string{
-		"/db/entry/protein/name",
-		"//superfamily",
-		`//entry[reference//year="1995"]//name`,
+		"/site/regions/asia/item[shipping]/description",
+		"//person[profile/interest]/name",
+		"/site//description//keyword",
+		"//open_auction[bidder/increase]/current",
+		"/site/people/person[address/city]/emailaddress",
+		"//closed_auction[annotation//keyword]/price",
+		"/site/regions//item[payment]/location",
 	}
-	knobs := []QueryOptions{
-		{BatchSize: 1},      // clamps up to MinBatchSize
-		{BatchSize: 64},     // smallest legal
-		{BatchSize: 100000}, // clamps down to MaxBatchSize
-		{PrefetchDepth: 1},  // no pipelining
-		{PrefetchDepth: 99}, // clamps down to the depth ceiling
-		{BatchSize: 64, PrefetchDepth: 8},
+	for _, qn := range bench.QueryOrder(bench.Fig15Queries) {
+		queries = append(queries, bench.Fig15Queries[qn])
 	}
-	for _, engine := range []Engine{EngineRelational, EngineTwig} {
-		for _, q := range queries {
-			base, err := st.Query(q, QueryOptions{Engine: engine, Parallelism: 1})
-			if err != nil {
-				t.Fatalf("%s %s: %v", engine, q, err)
+	engines := []Engine{EngineRelational, EngineTwig}
+	for _, q := range queries {
+		for _, eng := range engines {
+			if _, err := warm.Query(q, QueryOptions{Engine: eng}); err != nil {
+				t.Fatalf("warming %s [%s]: %v", q, eng, err)
 			}
-			if len(base.Matches) == 0 {
-				t.Fatalf("%s %s: empty baseline makes the comparison vacuous", engine, q)
-			}
-			for _, par := range []int{1, 4} {
-				for _, k := range knobs {
-					opts := k
-					opts.Engine = engine
-					opts.Parallelism = par
-					res, err := st.Query(q, opts)
-					if err != nil {
-						t.Fatalf("%s P=%d %s %+v: %v", engine, par, q, k, err)
-					}
-					if !reflect.DeepEqual(res.Matches, base.Matches) {
-						t.Errorf("%s P=%d %s: batch knobs %+v changed the result (%d matches != %d)",
-							engine, par, q, k, len(res.Matches), len(base.Matches))
-					}
+		}
+	}
+	for _, eng := range engines {
+		for _, par := range []int{1, 2} {
+			opts := QueryOptions{Engine: eng, Parallelism: par}
+			for _, q := range queries {
+				if err := cold.DropCaches(); err != nil {
+					t.Fatal(err)
+				}
+				c, err := cold.Query(q, opts)
+				if err != nil {
+					t.Fatalf("%s [%s P=%d] cold: %v", q, eng, par, err)
+				}
+				w, err := warm.Query(q, opts)
+				if err != nil {
+					t.Fatalf("%s [%s P=%d] warm: %v", q, eng, par, err)
+				}
+				if len(c.Matches) == 0 {
+					t.Fatalf("%s [%s P=%d]: empty result makes the comparison vacuous", q, eng, par)
+				}
+				if c.Stats.PageMisses == 0 || w.Stats.PageMisses != 0 {
+					t.Fatalf("%s [%s P=%d]: %d cold / %d warm misses, want some / none", q, eng, par, c.Stats.PageMisses, w.Stats.PageMisses)
+				}
+				if c.Stats.PageReads != w.Stats.PageReads {
+					t.Errorf("%s [%s P=%d]: %d page reads cold, %d warm", q, eng, par, c.Stats.PageReads, w.Stats.PageReads)
 				}
 			}
 		}
@@ -108,40 +130,5 @@ func TestTraceDecodeAccounting(t *testing.T) {
 					engine, par, ph.DecodedRecords, res.Stats.VisitedElements)
 			}
 		}
-	}
-}
-
-// TestStoreMetricsBatchSizes: completed queries merge their batch-size
-// histograms into StoreMetrics under the documented class labels.
-func TestStoreMetricsBatchSizes(t *testing.T) {
-	st, err := BuildFromString(concurrencyDoc(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if m := st.Metrics(); len(m.BatchSizes) != 0 {
-		t.Fatalf("quiescent store reports batch sizes: %v", m.BatchSizes)
-	}
-	for _, engine := range []Engine{EngineRelational, EngineTwig} {
-		if _, err := st.Query("//superfamily", QueryOptions{Engine: engine}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m := st.Metrics()
-	if len(m.BatchSizes) == 0 {
-		t.Fatal("queries completed but StoreMetrics.BatchSizes is empty")
-	}
-	var total uint64
-	for label, count := range m.BatchSizes {
-		if label == "unknown" {
-			t.Errorf("histogram contains the unknown class: %v", m.BatchSizes)
-		}
-		if !strings.Contains(label, "-") && !strings.HasSuffix(label, "+") {
-			t.Errorf("batch-size label %q is not a range", label)
-		}
-		total += count
-	}
-	if total == 0 {
-		t.Errorf("batch-size histogram sums to zero: %v", m.BatchSizes)
 	}
 }

@@ -53,10 +53,10 @@
 // parallelism (atomic, per-query); on the twig engine they can vary
 // slightly with the partition count, since every partition descends the
 // indexes for its own sub-range. The storage layer scales with query
-// parallelism: each relation file's buffer pool is sharded
-// (Options.PoolShards) and page views pin frames instead of holding a
-// pool-wide lock, so concurrent scans overlap their page decoding and
-// backing-store misses.
+// parallelism: each relation file's buffer pool is sharded (one
+// lock-striped shard per CPU, rounded up to a power of two) and page
+// views pin frames instead of holding a pool-wide lock, so concurrent
+// scans overlap their page decoding and backing-store misses.
 //
 // Close tracks in-flight queries with a refcount: it blocks until every
 // active Query has returned, and any Query or DropCaches call issued
@@ -91,10 +91,11 @@
 // restrictions are evaluated on the packed starts before any record
 // materializes. Build writes this format and Open reads only it: a store
 // in any other format (an older BLASREL1 store included) is rejected
-// with an error naming the fix, rebuild with blasload. Batch sizes and
-// prefetch depths adapt per query (see QueryOptions.BatchSize/
-// PrefetchDepth); the chosen batch sizes surface in
-// StoreMetrics.BatchSizes and per-query decode work in ExecStats.Phases.
+// with an error naming the fix, rebuild with blasload. Every stream
+// reads fixed-size record batches and every twig prefetcher keeps two
+// of them in flight, so a query's PageReads depend on its plan, the
+// data and Parallelism, never on what the buffer pool happens to hold;
+// per-query decode work surfaces in ExecStats.Phases.
 //
 // # Observability
 //
@@ -124,8 +125,9 @@
 // Store.Prepare parses, translates and physically plans a query once,
 // returning a PreparedQuery (holding the ordered physical plan) that may
 // be executed any number of times, concurrently, on either engine, with
-// ExecStats.PlanElapsed = 0 — the plan-once, execute-many path. NormalizeQuery maps every spelling of an XPath
-// expression onto one canonical form (the natural cache key), and
+// ExecStats.PlanElapsed = 0 — the plan-once, execute-many path.
+// NormalizeQuery maps every spelling of an XPath expression onto one
+// canonical form (the natural cache key), and
 // Store.Generation identifies a store's labeling scheme: a plan's
 // P-label ranges are minted by one shredding run, so caches holding
 // prepared plans must key them by generation or risk serving stale
@@ -223,11 +225,6 @@ type Options struct {
 	// PoolPages sets the buffer pool capacity per relation file in 8 KiB
 	// pages (0 = default, 512 pages = 4 MiB).
 	PoolPages int
-	// PoolShards sets the number of lock-striped buffer pool shards per
-	// relation file (0 = default: the next power of two >= GOMAXPROCS,
-	// capped at PoolPages). More shards reduce lock contention between
-	// concurrent scans; the default is right for almost everyone.
-	PoolShards int
 }
 
 // ErrClosed is returned by Query, Explain and DropCaches once Close has
@@ -299,7 +296,7 @@ func (s *Store) end() {
 // file is read twice (P-labeling needs the tag universe up front), in
 // streaming fashion.
 func BuildFromFile(path string, opts Options) (*Store, error) {
-	st, err := core.BuildFromFile(path, core.Options{Dir: opts.Dir, PoolPages: opts.PoolPages, PoolShards: opts.PoolShards})
+	st, err := core.BuildFromFile(path, core.Options{Dir: opts.Dir, PoolPages: opts.PoolPages})
 	if err != nil {
 		return nil, err
 	}
@@ -312,7 +309,7 @@ func BuildFromString(doc string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := core.BuildFromTree(tree, core.Options{Dir: opts.Dir, PoolPages: opts.PoolPages, PoolShards: opts.PoolShards})
+	st, err := core.BuildFromTree(tree, core.Options{Dir: opts.Dir, PoolPages: opts.PoolPages})
 	if err != nil {
 		return nil, err
 	}
@@ -321,7 +318,7 @@ func BuildFromString(doc string, opts Options) (*Store, error) {
 
 // Open opens a store previously built with a non-empty Options.Dir.
 func Open(opts Options) (*Store, error) {
-	st, err := core.Open(core.Options{Dir: opts.Dir, PoolPages: opts.PoolPages, PoolShards: opts.PoolShards})
+	st, err := core.Open(core.Options{Dir: opts.Dir, PoolPages: opts.PoolPages})
 	if err != nil {
 		return nil, err
 	}
@@ -392,16 +389,6 @@ type QueryOptions struct {
 	// the twig engine. 0 selects runtime.GOMAXPROCS(0); 1 runs the query
 	// fully sequentially. The result set is identical at every setting.
 	Parallelism int
-	// BatchSize pins the record-batch size of the query's streams. 0
-	// (the default) lets a per-query controller adapt it between 64 and
-	// 4096 records from observed pager miss latency and consumer drain
-	// rate; a positive value fixes it (clamped to the same bounds).
-	// Never changes results — only buffer sizes.
-	BatchSize int
-	// PrefetchDepth pins how many batches each stream prefetcher keeps
-	// in flight. 0 (the default) adapts it from observed consumer
-	// stalls; a positive value fixes it (clamped to [1, 8]).
-	PrefetchDepth int
 	// Trace records a per-phase wall-time breakdown of the execution,
 	// returned in ExecStats.Phases. Off by default; the untraced path
 	// performs no extra allocations or clock reads.
@@ -418,12 +405,6 @@ type QueryOptions struct {
 func (o QueryOptions) validate() error {
 	if o.Parallelism < 0 {
 		return fmt.Errorf("blas: QueryOptions.Parallelism must be >= 0 (0 = GOMAXPROCS, 1 = sequential), got %d", o.Parallelism)
-	}
-	if o.BatchSize < 0 {
-		return fmt.Errorf("blas: QueryOptions.BatchSize must be >= 0 (0 = adaptive), got %d", o.BatchSize)
-	}
-	if o.PrefetchDepth < 0 {
-		return fmt.Errorf("blas: QueryOptions.PrefetchDepth must be >= 0 (0 = adaptive), got %d", o.PrefetchDepth)
 	}
 	return nil
 }
@@ -562,12 +543,7 @@ func (s *Store) Query(query string, opts QueryOptions) (*Result, error) {
 // ctx — planner probe reads already accounted there stay in the stats.
 // run balances QueryBegin with QueryDone or QueryFailed.
 func (s *Store) run(ctx *relstore.ExecContext, phys *planner.Physical, planElapsed time.Duration, opts QueryOptions, trace *obs.Trace) (*Result, error) {
-	cfg := core.ExecConfig{Parallelism: opts.Parallelism, BatchSize: opts.BatchSize, PrefetchDepth: opts.PrefetchDepth}
-	// Attach the batch controller here rather than letting the engine do
-	// it, so its per-size-class batch counts can be harvested into the
-	// store metrics after the run.
-	batchCtl := cfg.BatchController()
-	ctx.SetBatchControl(batchCtl)
+	cfg := core.ExecConfig{Parallelism: opts.Parallelism}
 	lp := phys.Logical
 	execBegin := time.Now()
 	var recs []Match
@@ -608,7 +584,6 @@ func (s *Store) run(ctx *relstore.ExecContext, phys *planner.Physical, planElaps
 	if trace != nil {
 		stats.Phases = phaseBreakdown(trace.Snapshot())
 	}
-	s.metrics.AddBatchSizes(batchCtl.SizeClasses())
 	if early {
 		s.metrics.EarlyTermination()
 	}
@@ -973,11 +948,6 @@ type StoreMetrics struct {
 	Latency           LatencyHistogram            `json:"latency"`
 	ByEngine          map[string]LatencyHistogram `json:"queries_by_engine"`
 	ByTranslator      map[string]uint64           `json:"queries_by_translator"`
-	// BatchSizes is the batch-size histogram of every completed query's
-	// streams: record-count class label (e.g. "64-127", "8192+") to the
-	// number of batches produced in that class. Classes with zero batches
-	// are omitted.
-	BatchSizes map[string]uint64 `json:"batch_sizes"`
 	// Pools maps relation name ("sp", "sd") to its buffer pool traffic.
 	Pools map[string]PoolMetrics `json:"pools"`
 }
@@ -1006,7 +976,6 @@ func (s *Store) Metrics() StoreMetrics {
 		Latency:           latencyHistogram(r.Latency),
 		ByEngine:          make(map[string]LatencyHistogram, len(r.ByEngine)),
 		ByTranslator:      r.ByTranslator,
-		BatchSizes:        make(map[string]uint64),
 		Pools: map[string]PoolMetrics{
 			"sp": poolMetrics(s.inner.SP().File()),
 			"sd": poolMetrics(s.inner.SD().File()),
@@ -1014,11 +983,6 @@ func (s *Store) Metrics() StoreMetrics {
 	}
 	for name, h := range r.ByEngine {
 		m.ByEngine[name] = latencyHistogram(h)
-	}
-	for i, c := range r.BatchSizes {
-		if c != 0 {
-			m.BatchSizes[relstore.BatchSizeClassLabel(i)] = c
-		}
 	}
 	return m
 }

@@ -42,8 +42,6 @@ func main() {
 	stats := flag.String("stats", "text", "execution statistics format: text, json or none")
 	trace := flag.Bool("trace", false, "record a per-phase wall-time breakdown into the stats")
 	parallelism := flag.Int("parallelism", 0, "worker pool per query, both engines: 0 = GOMAXPROCS, 1 = sequential")
-	batchSize := flag.Int("batch-size", 0, "stream batch size in records: 0 = adaptive, positive pins it (clamped to [64, 4096])")
-	prefetchDepth := flag.Int("prefetch-depth", 0, "batches each stream prefetcher keeps in flight: 0 = adaptive, positive pins it (clamped to [1, 8])")
 	noReorder := flag.Bool("no-reorder", false, "skip greedy selectivity ordering; run the translator's fixed order")
 	flag.Parse()
 
@@ -53,14 +51,6 @@ func main() {
 	}
 	if *parallelism < 0 {
 		fmt.Fprintf(os.Stderr, "blasquery: -parallelism must be >= 0 (0 = GOMAXPROCS, 1 = sequential), got %d\n", *parallelism)
-		os.Exit(2)
-	}
-	if *batchSize < 0 {
-		fmt.Fprintf(os.Stderr, "blasquery: -batch-size must be >= 0 (0 = adaptive), got %d\n", *batchSize)
-		os.Exit(2)
-	}
-	if *prefetchDepth < 0 {
-		fmt.Fprintf(os.Stderr, "blasquery: -prefetch-depth must be >= 0 (0 = adaptive), got %d\n", *prefetchDepth)
 		os.Exit(2)
 	}
 	switch *stats {
@@ -83,13 +73,11 @@ func main() {
 	defer st.Close()
 
 	opts := blas.QueryOptions{
-		Translator:    blas.Translator(*translator),
-		Engine:        blas.Engine(*engine),
-		Parallelism:   *parallelism,
-		BatchSize:     *batchSize,
-		PrefetchDepth: *prefetchDepth,
-		Trace:         *trace,
-		NoReorder:     *noReorder,
+		Translator:  blas.Translator(*translator),
+		Engine:      blas.Engine(*engine),
+		Parallelism: *parallelism,
+		Trace:       *trace,
+		NoReorder:   *noReorder,
 	}
 	if *explain {
 		ex, err := st.Explain(*query, opts)

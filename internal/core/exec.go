@@ -20,21 +20,6 @@ type ExecConfig struct {
 	// extra goroutines). Negative values are rejected by Validate. The
 	// result set is identical at every setting.
 	Parallelism int
-
-	// BatchSize pins the record-batch size of the query's streams. 0
-	// (the default) lets the per-query batch controller adapt it within
-	// [relstore.MinBatchSize, relstore.MaxBatchSize] from observed pager
-	// miss latency and consumer drain rate; a positive value fixes it
-	// (clamped to the same bounds). Negative values are rejected by
-	// Validate. Like Parallelism, the setting never changes results —
-	// only buffer sizes.
-	BatchSize int
-
-	// PrefetchDepth pins the number of in-flight batches each stream
-	// prefetcher keeps. 0 (the default) adapts it from observed consumer
-	// stalls; a positive value fixes it (clamped to [1, 8]). Negative
-	// values are rejected by Validate.
-	PrefetchDepth int
 }
 
 // Validate rejects malformed configurations. Both engines call it on
@@ -43,22 +28,12 @@ func (c ExecConfig) Validate() error {
 	if c.Parallelism < 0 {
 		return fmt.Errorf("core: Parallelism must be >= 0 (0 = GOMAXPROCS, 1 = sequential), got %d", c.Parallelism)
 	}
-	if c.BatchSize < 0 {
-		return fmt.Errorf("core: BatchSize must be >= 0 (0 = adaptive), got %d", c.BatchSize)
-	}
-	if c.PrefetchDepth < 0 {
-		return fmt.Errorf("core: PrefetchDepth must be >= 0 (0 = adaptive), got %d", c.PrefetchDepth)
-	}
 	return nil
 }
 
-// BatchController builds the per-query batch controller this
-// configuration asks for. Engines attach it to the query's ExecContext
-// (unless the caller already attached one) so every stream of the query
-// shares one controller and one batch-size histogram.
-func (c ExecConfig) BatchController() *relstore.BatchController {
-	return relstore.NewBatchController(c.BatchSize, c.PrefetchDepth)
-}
+// BatchController returns nil. It exists only for benchmark/ and goes
+// with ROADMAP item 1 (the benchmark harness).
+func (c ExecConfig) BatchController() *relstore.BatchController { return nil }
 
 // Workers resolves the effective worker count.
 func (c ExecConfig) Workers() int {
@@ -132,7 +107,7 @@ func (fs *FragmentStream) Open(ctx *relstore.ExecContext, lo, hi uint32) (relsto
 		if len(runs) == 0 {
 			return emptyBatchIter{}, nil
 		}
-		return relstore.MergeBatchesByStart(runs, ctx.BatchControl().BatchSize())
+		return relstore.MergeBatchesByStart(runs)
 	case translate.AccessPLabelSet:
 		runs := make([]relstore.BatchIter, 0, len(f.Access.Labels))
 		for _, l := range f.Access.Labels {
@@ -141,7 +116,7 @@ func (fs *FragmentStream) Open(ctx *relstore.ExecContext, lo, hi uint32) (relsto
 		if len(runs) == 0 {
 			return emptyBatchIter{}, nil
 		}
-		return relstore.MergeBatchesByStart(runs, ctx.BatchControl().BatchSize())
+		return relstore.MergeBatchesByStart(runs)
 	case translate.AccessTag:
 		return fs.st.sd.ScanTagBatch(ctx, f.Access.TagID, lo, hi), nil
 	case translate.AccessAll:

@@ -40,11 +40,6 @@ type Options struct {
 	// PoolPages is the buffer pool capacity per relation file;
 	// 0 selects the pager default.
 	PoolPages int
-	// PoolShards is the number of lock-striped buffer pool shards per
-	// relation file; 0 selects the pager default
-	// (nextPow2(GOMAXPROCS)). More shards let more concurrent scans of
-	// one relation proceed without lock contention.
-	PoolShards int
 }
 
 // Store is an open BLAS store.
@@ -125,7 +120,7 @@ func (s *Store) Close() error {
 }
 
 func openFiles(opts Options, create bool) (sp, sd *pager.File, err error) {
-	cfg := pager.Config{PoolPages: opts.PoolPages, Shards: opts.PoolShards}
+	cfg := pager.Config{PoolPages: opts.PoolPages}
 	if opts.Dir == "" {
 		return pager.OpenMemConfig(cfg), pager.OpenMemConfig(cfg), nil
 	}

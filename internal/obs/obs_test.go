@@ -200,12 +200,6 @@ func TestRegistryCounts(t *testing.T) {
 	if s.ByTranslator["pushup"] != 2 {
 		t.Errorf("per-translator count = %v", s.ByTranslator)
 	}
-	r.AddBatchSizes([NumBatchClasses]uint64{3, 0, 7})
-	r.AddBatchSizes([NumBatchClasses]uint64{1})
-	bs := r.Snapshot().BatchSizes
-	if bs[0] != 4 || bs[1] != 0 || bs[2] != 7 {
-		t.Errorf("batch-size histogram = %v, want [4 0 7 ...]", bs)
-	}
 	var perEngine uint64
 	for _, h := range s.ByEngine {
 		perEngine += h.Count

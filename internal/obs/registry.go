@@ -24,18 +24,11 @@ type Registry struct {
 	pageMisses atomic.Uint64
 	earlyTerms atomic.Uint64
 	latency    Histogram
-	batchSizes [NumBatchClasses]atomic.Uint64
 
 	mu           sync.RWMutex
 	byEngine     map[string]*Histogram
 	byTranslator map[string]*atomic.Uint64
 }
-
-// NumBatchClasses is the number of power-of-two batch-size classes in
-// the registry's batch-size histogram: class i counts batches of
-// 64·2^i .. 64·2^(i+1)-1 records, with the last class absorbing
-// everything larger.
-const NumBatchClasses = 8
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
@@ -66,17 +59,6 @@ func (r *Registry) QueryDone(engine, translator string, d time.Duration, visited
 	r.pageReads.Add(pageReads)
 	r.pageMisses.Add(pageMisses)
 	r.inFlight.Add(-1)
-}
-
-// AddBatchSizes merges one query's per-size-class batch counts (as
-// harvested from its streams' batch controllers) into the store-wide
-// batch-size histogram.
-func (r *Registry) AddBatchSizes(counts [NumBatchClasses]uint64) {
-	for i, c := range counts {
-		if c != 0 {
-			r.batchSizes[i].Add(c)
-		}
-	}
 }
 
 // EarlyTermination records a query whose execution was cut short by the
@@ -128,7 +110,6 @@ type RegistrySnapshot struct {
 	PageReads    uint64                       `json:"page_reads"`
 	PageMisses   uint64                       `json:"page_misses"`
 	EarlyTerms   uint64                       `json:"early_terminations"`
-	BatchSizes   [NumBatchClasses]uint64      `json:"batch_sizes"`
 	Latency      HistogramSnapshot            `json:"latency"`
 	ByEngine     map[string]HistogramSnapshot `json:"queries_by_engine"`
 	ByTranslator map[string]uint64            `json:"queries_by_translator"`
@@ -148,9 +129,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		ByTranslator: map[string]uint64{},
 	}
 	s.Queries = s.Latency.Count
-	for i := range s.BatchSizes {
-		s.BatchSizes[i] = r.batchSizes[i].Load()
-	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for name, h := range r.byEngine {

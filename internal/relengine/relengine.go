@@ -97,9 +97,6 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opt
 	if err := opts.Validate(); err != nil {
 		return nil, fmt.Errorf("relengine: %w", err)
 	}
-	if ctx.BatchControl() == nil {
-		ctx.SetBatchControl(opts.BatchController())
-	}
 	lp := p.Logical
 	if p.KnownEmpty || lp.Empty() {
 		// A probe-proven empty plan skips every scan and join — zero

@@ -3,7 +3,6 @@ package relstore
 import (
 	"container/heap"
 	"slices"
-	"time"
 
 	"repro/internal/keyenc"
 	"repro/internal/obs"
@@ -11,12 +10,20 @@ import (
 	"repro/internal/uint128"
 )
 
-// DefaultBatchSize is the record-batch size the engines use when they
-// have no reason to pick another one. It is large enough that a batch
-// spans several heap pages on typical documents (so per-page work is
-// amortized) and small enough that a handful of in-flight batches per
-// stream stays cheap.
-const DefaultBatchSize = 256
+// BatchSize is the record-batch size of every engine stream. It is
+// fixed, so a query's page reads depend only on its plan and the data,
+// never on buffer-pool state. 512 is a measured trade-off on the
+// benchmark's auction workloads: smaller batches end mid-page more
+// often, and a page split by a batch boundary is requested once per
+// batch (256 pushed query_cold's page_reads_per_q past its bound);
+// larger ones allocate buffers that small served queries never fill
+// (1024 pushed serve_open's alloc_kb_per_q past its bound).
+const BatchSize = 512
+
+// MaxBatchSize is the batch the benchmark's per-layer decode probe
+// reads with. It exists only for benchmark/ and goes with ROADMAP item
+// 1 (the benchmark harness).
+const MaxBatchSize = 4096
 
 // BatchIter is the one scan API of a Relation: NextBatch fills dst with
 // up to len(dst) consecutive records of the stream and returns how many
@@ -185,16 +192,13 @@ func (r *mergeBatchRun) refill() (bool, error) {
 // unique document positions, so the merge order is total. It builds the
 // document-order streams of P-label set and range fragments, whose
 // selections span several cluster runs.
-func MergeBatchesByStart(runs []BatchIter, batchSize int) (BatchIter, error) {
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
+func MergeBatchesByStart(runs []BatchIter) (BatchIter, error) {
 	if len(runs) == 1 {
 		return runs[0], nil
 	}
 	m := &batchMergeIter{}
 	for _, src := range runs {
-		run := &mergeBatchRun{src: src, buf: make([]Record, batchSize)}
+		run := &mergeBatchRun{src: src, buf: make([]Record, BatchSize)}
 		ok, err := run.refill()
 		if err != nil {
 			return nil, err
@@ -255,7 +259,7 @@ func (m *batchMergeIter) NextBatch(dst []Record) (int, error) {
 // CollectBatches drains a batched stream into a slice.
 func CollectBatches(bi BatchIter, batchSize int) ([]Record, error) {
 	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
+		batchSize = BatchSize
 	}
 	var out []Record
 	buf := make([]Record, batchSize)
@@ -277,11 +281,9 @@ func CollectBatches(bi BatchIter, batchSize int) ([]Record, error) {
 // past this point doubling costs little.
 const maxCollectPresize = 1 << 16
 
-// CollectAdaptive drains a batched stream into one slice. Every batch is
-// sized by the context's batch controller (DefaultBatchSize without one)
-// and reported back to it (fill latency, pager-miss delta) and is
-// decoded directly into the tail of the result — there is no scratch
-// batch and no copy.
+// CollectAdaptive drains a batched stream into one slice. Every batch
+// holds BatchSize records and is decoded directly into the tail of the
+// result — there is no scratch batch and no copy.
 //
 // sizeHint is the caller's estimate of the stream's length (a planner
 // cardinality estimate; 0 = unknown). It only presizes the result: a
@@ -294,18 +296,14 @@ const maxCollectPresize = 1 << 16
 // overwritten by the next batch instead of being carried to the end.
 // The result equals filtering the fully collected stream.
 func CollectAdaptive(ctx *ExecContext, bi BatchIter, sizeHint uint64, keep func([]Record) []Record) ([]Record, error) {
-	ctl := ctx.BatchControl()
 	// One batch of slack past the hint: the stream's end is only seen
 	// by a NextBatch that returns 0, and it must not force a regrow.
-	out := make([]Record, 0, int(min(sizeHint, maxCollectPresize))+ctl.BatchSize())
+	out := make([]Record, 0, int(min(sizeHint, maxCollectPresize))+BatchSize)
 	for {
-		want := ctl.BatchSize()
-		if len(out)+want > cap(out) {
-			out = slices.Grow(out, max(want, cap(out))) // at least double
+		if len(out)+BatchSize > cap(out) {
+			out = slices.Grow(out, max(BatchSize, cap(out))) // at least double
 		}
-		tail := out[len(out) : len(out)+want]
-		missBefore := ctx.PageMisses()
-		begin := time.Now()
+		tail := out[len(out) : len(out)+BatchSize]
 		n, err := bi.NextBatch(tail)
 		if err != nil {
 			return nil, err
@@ -313,7 +311,6 @@ func CollectAdaptive(ctx *ExecContext, bi BatchIter, sizeHint uint64, keep func(
 		if n == 0 {
 			return out, nil
 		}
-		ctl.ObserveBatch(n, time.Since(begin), ctx.PageMisses()-missBefore)
 		if keep != nil {
 			n = len(keep(tail[:n]))
 		}

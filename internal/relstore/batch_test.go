@@ -116,7 +116,7 @@ func TestBatchMergeByStart(t *testing.T) {
 		inRuns[uint128.From64(l)] = true
 	}
 	want := within(sortedByStart(recs), 0, 0, func(r *Record) bool { return inRuns[r.PLabel] })
-	mBatch, err := MergeBatchesByStart(batchRuns, 7)
+	mBatch, err := MergeBatchesByStart(batchRuns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestBatchPageReadAmortization(t *testing.T) {
 		t.Fatal(err)
 	}
 	batchCtx := NewExecContext()
-	brecs, err := CollectBatches(rel.ScanPLabelExactBatch(batchCtx, p, 0, 0), DefaultBatchSize)
+	brecs, err := CollectBatches(rel.ScanPLabelExactBatch(batchCtx, p, 0, 0), BatchSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,12 +174,11 @@ func recordsEqual(a, b []Record) bool {
 // TestCollectAdaptiveHintsAndFilter: CollectAdaptive decodes into a
 // presized result and filters batch by batch, and neither may show in
 // the answer. Whatever the size hint (none, far too small, exact, far
-// too large), with and without a filter, adaptive or pinned batch size,
-// it must return exactly what collect-then-filter returns and account
+// too large), with and without a filter, it must return exactly what collect-then-filter returns and account
 // the same visited records, and — the batch requests being the same —
 // the page reads must not depend on hint or filter.
 func TestCollectAdaptiveHintsAndFilter(t *testing.T) {
-	rel, _ := batchFixture(t, 4, 900)
+	rel, _ := batchFixture(t, 4, 1800)
 	keepLevel3 := func(recs []Record) []Record {
 		out := recs[:0]
 		for _, r := range recs {
@@ -193,11 +192,11 @@ func TestCollectAdaptiveHintsAndFilter(t *testing.T) {
 	for label := uint64(1); label <= 4; label++ {
 		p := uint128.From64(label)
 		refCtx := NewExecContext()
-		all, err := CollectBatches(rel.ScanPLabelExactBatch(refCtx, p, 0, 0), DefaultBatchSize)
+		all, err := CollectBatches(rel.ScanPLabelExactBatch(refCtx, p, 0, 0), BatchSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(all) < 3*DefaultBatchSize {
+		if len(all) < 3*BatchSize {
 			t.Fatalf("label %d: only %d records — fixture too small to span batches", label, len(all))
 		}
 		filters := []struct {
@@ -209,35 +208,29 @@ func TestCollectAdaptiveHintsAndFilter(t *testing.T) {
 			{"level3", keepLevel3, keepLevel3(append([]Record(nil), all...))},
 			{"drop-all", keepNone, nil},
 		}
-		pageReads := map[int]uint64{} // by pinned batch size
 		for _, f := range filters {
 			for _, hint := range []uint64{0, 1, uint64(len(f.want)), uint64(len(all)), 1 << 40} {
-				for _, pinned := range []int{0, 64} {
-					ctx := NewExecContext()
-					ctx.SetBatchControl(NewBatchController(pinned, 0))
-					got, err := CollectAdaptive(ctx, rel.ScanPLabelExactBatch(ctx, p, 0, 0), hint, f.keep)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !recordsEqual(got, f.want) {
-						t.Fatalf("label %d filter %s hint %d batch %d: %d records, want %d", label, f.name, hint, pinned, len(got), len(f.want))
-					}
-					if ctx.Visited() != refCtx.Visited() {
-						t.Errorf("label %d filter %s hint %d batch %d: visited %d, reference %d", label, f.name, hint, pinned, ctx.Visited(), refCtx.Visited())
-					}
-					if want, seen := pageReads[pinned]; !seen {
-						pageReads[pinned] = ctx.PageReads()
-					} else if ctx.PageReads() != want {
-						t.Errorf("label %d filter %s hint %d batch %d: %d page reads, %d without hint or filter", label, f.name, hint, pinned, ctx.PageReads(), want)
-					}
-					if cap(got) > maxCollectPresize+len(all)+MaxBatchSize {
-						t.Errorf("label %d filter %s hint %d: result capacity %d — an oversized hint must not be trusted", label, f.name, hint, cap(got))
-					}
+				ctx := NewExecContext()
+				got, err := CollectAdaptive(ctx, rel.ScanPLabelExactBatch(ctx, p, 0, 0), hint, f.keep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !recordsEqual(got, f.want) {
+					t.Fatalf("label %d filter %s hint %d: %d records, want %d", label, f.name, hint, len(got), len(f.want))
+				}
+				if ctx.Visited() != refCtx.Visited() {
+					t.Errorf("label %d filter %s hint %d: visited %d, reference %d", label, f.name, hint, ctx.Visited(), refCtx.Visited())
+				}
+				if ctx.PageReads() != refCtx.PageReads() {
+					t.Errorf("label %d filter %s hint %d: %d page reads, %d without hint or filter", label, f.name, hint, ctx.PageReads(), refCtx.PageReads())
+				}
+				if cap(got) > maxCollectPresize+len(all)+BatchSize {
+					t.Errorf("label %d filter %s hint %d: result capacity %d — an oversized hint must not be trusted", label, f.name, hint, cap(got))
 				}
 			}
 		}
 	}
-	// A nil context (no counters, no controller) is valid.
+	// A nil context (no counters) is valid.
 	got, err := CollectAdaptive(nil, rel.ScanPLabelExactBatch(nil, uint128.From64(1), 0, 0), 0, nil)
 	if err != nil || len(got) == 0 {
 		t.Fatalf("nil context: %d records, err %v", len(got), err)

@@ -125,11 +125,11 @@ func hasPLabel(p uint128.Uint128) func(*Record) bool {
 	return func(r *Record) bool { return r.PLabel == p }
 }
 
-// TestColumnarLegacyEquivalence is the round-trip property test: records
-// built into either relation must decode byte-identically to the input,
+// TestColumnarRoundTrip is the round-trip property test: records built
+// into either relation must decode byte-identically to the input,
 // sorted in memory, through every cluster scan path, and a full drain
 // must visit each record exactly once.
-func TestColumnarLegacyEquivalence(t *testing.T) {
+func TestColumnarRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	recs := genColumnarCorpus(rng, 40)
 	for _, kind := range []Clustering{ClusterPLabel, ClusterTag} {
@@ -522,7 +522,7 @@ func BenchmarkDecodeColumnarScan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	buf := make([]Record, DefaultBatchSize)
+	buf := make([]Record, BatchSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -24,7 +24,6 @@ type ExecContext struct {
 	visited atomic.Uint64
 	pages   pager.Counters
 	trace   *obs.Trace
-	batch   *BatchController
 }
 
 // NewExecContext returns a fresh context with all counters at zero.
@@ -50,26 +49,13 @@ func (c *ExecContext) Trace() *obs.Trace {
 	return c.trace
 }
 
-// SetBatchControl attaches a batch controller to the context. Streams
-// size their buffers and prefetch pipelines from it via BatchControl();
-// with none attached they fall back to the fixed defaults. Like
-// SetTrace, it must be called before the context is shared with other
-// goroutines.
-func (c *ExecContext) SetBatchControl(b *BatchController) {
-	if c != nil {
-		c.batch = b
-	}
-}
+// BatchController is an empty placeholder. It exists only for
+// benchmark/ and goes with ROADMAP item 1 (the benchmark harness).
+type BatchController struct{}
 
-// BatchControl returns the context's batch controller, nil-safely: a nil
-// context or an unattached query yields a nil *BatchController, whose
-// methods answer the fixed defaults.
-func (c *ExecContext) BatchControl() *BatchController {
-	if c == nil {
-		return nil
-	}
-	return c.batch
-}
+// SetBatchControl does nothing. It exists only for benchmark/ and goes
+// with ROADMAP item 1 (the benchmark harness).
+func (c *ExecContext) SetBatchControl(*BatchController) {}
 
 // Visited returns the number of records decoded by scans under this
 // context.

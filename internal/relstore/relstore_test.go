@@ -285,7 +285,7 @@ func TestScanPLabelRangeByStart(t *testing.T) {
 		for _, p := range labels {
 			runs = append(runs, r.ScanPLabelExactBatch(nil, p, 0, 0))
 		}
-		m, err := MergeBatchesByStart(runs, 0)
+		m, err := MergeBatchesByStart(runs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -463,7 +463,7 @@ func BenchmarkScanPLabelExact(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	buf := make([]Record, DefaultBatchSize)
+	buf := make([]Record, BatchSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bi := r.ScanPLabelExactBatch(nil, u(uint64(i%10000)), 0, 0)

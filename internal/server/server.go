@@ -273,12 +273,6 @@ type QueryRequest struct {
 	// Parallelism requests a per-query worker count (0 = GOMAXPROCS);
 	// the server may grant less under load (see the response field).
 	Parallelism int `json:"parallelism,omitempty"`
-	// BatchSize pins the query's stream batch size (0 = adaptive;
-	// positive values are clamped to [64, 4096]).
-	BatchSize int `json:"batch_size,omitempty"`
-	// PrefetchDepth pins how many batches each stream prefetcher keeps
-	// in flight (0 = adaptive; positive values are clamped to [1, 8]).
-	PrefetchDepth int `json:"prefetch_depth,omitempty"`
 	// Trace returns a per-phase breakdown in stats.phases. Traced
 	// requests bypass the result cache.
 	Trace bool `json:"trace,omitempty"`
@@ -408,12 +402,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case req.Parallelism < 0:
 		writeError(w, http.StatusBadRequest, "parallelism must be >= 0 (0 = server default)")
 		return
-	case req.BatchSize < 0:
-		writeError(w, http.StatusBadRequest, "batch_size must be >= 0 (0 = adaptive)")
-		return
-	case req.PrefetchDepth < 0:
-		writeError(w, http.StatusBadRequest, "prefetch_depth must be >= 0 (0 = adaptive)")
-		return
 	}
 	engine := blas.Engine(req.Engine)
 	if engine == "" {
@@ -497,11 +485,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.clamped.Add(1)
 	}
 	opts := blas.QueryOptions{
-		Engine:        engine,
-		Parallelism:   grant,
-		BatchSize:     req.BatchSize,
-		PrefetchDepth: req.PrefetchDepth,
-		Trace:         req.Trace,
+		Engine:      engine,
+		Parallelism: grant,
+		Trace:       req.Trace,
 	}
 
 	ctx := r.Context()

@@ -630,6 +630,7 @@ func TestServerBadRequests(t *testing.T) {
 	}{
 		{"malformed json", `{"query":`, http.StatusBadRequest},
 		{"unknown field", `{"query":"/a","bogus":1}`, http.StatusBadRequest},
+		{"removed batch_size field", `{"query":"/site","batch_size":64}`, http.StatusBadRequest},
 		{"empty body", ``, http.StatusBadRequest},
 		{"missing query", `{}`, http.StatusBadRequest},
 		{"bad xpath", `{"query":"///[["}`, http.StatusBadRequest},

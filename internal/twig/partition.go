@@ -164,7 +164,7 @@ func (e *engine) sweepPartition(ctx *relstore.ExecContext, part sweepPart, prefe
 		if prefetch {
 			st.streams[i] = newBatchStream(startPrefetch(ctx, bi, n.filter))
 		} else {
-			st.streams[i] = newBatchStream(newSyncSource(ctx, bi, n.filter))
+			st.streams[i] = newBatchStream(newSyncSource(bi, n.filter))
 		}
 	}
 	if err := st.sweep(); err != nil {

@@ -1,8 +1,6 @@
 package twig
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/relstore"
@@ -14,11 +12,7 @@ import (
 // required even when next has not been drained — e.g. when a sibling
 // stream errored mid-sweep).
 //
-// Both pulling sources size their buffers from the query's batch
-// controller (ExecContext.BatchControl) and report every produced batch
-// back to it — fill latency and the pager-miss delta it caused — so the
-// controller can adapt the batch size while the query runs. A nil
-// controller behaves as the fixed defaults.
+// Both pulling sources read relstore.BatchSize records per batch.
 type batchSource interface {
 	next() ([]relstore.Record, error)
 	close()
@@ -41,45 +35,31 @@ func (m *memSource) next() ([]relstore.Record, error) {
 
 func (m *memSource) close() {}
 
-// fillBatch pulls one batch into buf (resized to the controller's
-// current target), filters it, and reports the fill to the controller.
-// It returns the (possibly re-grown) buffer for reuse, the filtered
-// records, and n == 0 at end of stream.
-func fillBatch(ctx *relstore.ExecContext, ctl *relstore.BatchController, bi relstore.BatchIter, f core.RecFilter, buf []relstore.Record) ([]relstore.Record, []relstore.Record, int, error) {
-	if want := ctl.BatchSize(); want > cap(buf) {
-		buf = make([]relstore.Record, want)
-	} else {
-		buf = buf[:want]
-	}
-	missBefore := ctx.PageMisses()
-	begin := time.Now()
+// fillBatch pulls one batch into buf and filters it. It returns the
+// filtered records, and n == 0 at end of stream.
+func fillBatch(bi relstore.BatchIter, f core.RecFilter, buf []relstore.Record) ([]relstore.Record, int, error) {
 	n, err := bi.NextBatch(buf)
 	if err != nil || n == 0 {
-		return buf, nil, 0, err
+		return nil, 0, err
 	}
-	ctl.ObserveBatch(n, time.Since(begin), ctx.PageMisses()-missBefore)
-	return buf, f.Apply(buf[:n]), n, nil
+	return f.Apply(buf[:n]), n, nil
 }
 
 // syncSource pulls batches inline on the sweep goroutine — the fully
 // sequential (Parallelism = 1) mode.
 type syncSource struct {
-	ctx    *relstore.ExecContext
-	ctl    *relstore.BatchController
 	bi     relstore.BatchIter
 	filter core.RecFilter
 	buf    []relstore.Record
 }
 
-func newSyncSource(ctx *relstore.ExecContext, bi relstore.BatchIter, f core.RecFilter) *syncSource {
-	ctl := ctx.BatchControl()
-	return &syncSource{ctx: ctx, ctl: ctl, bi: bi, filter: f, buf: make([]relstore.Record, ctl.BatchSize())}
+func newSyncSource(bi relstore.BatchIter, f core.RecFilter) *syncSource {
+	return &syncSource{bi: bi, filter: f, buf: make([]relstore.Record, relstore.BatchSize)}
 }
 
 func (s *syncSource) next() ([]relstore.Record, error) {
 	for {
-		buf, recs, n, err := fillBatch(s.ctx, s.ctl, s.bi, s.filter, s.buf)
-		s.buf = buf
+		recs, n, err := fillBatch(s.bi, s.filter, s.buf)
 		if err != nil {
 			return nil, err
 		}
@@ -101,37 +81,32 @@ type prefetchMsg struct {
 	err  error
 }
 
-// prefetchSource reads batches on a dedicated goroutine, keeping a
-// controller-chosen number of filtered batches buffered ahead of the
-// consumer. Each batch gets a fresh buffer, so the consumer may hold one
-// while the producer fills the next. The time the consumer spends
-// blocked on the channel accumulates under PhasePrefetchStall (when
-// traced) and feeds the controller's depth adaptation — though a running
-// stream's channel keeps its capacity, so a deepened pipeline takes
-// effect on the streams opened after it (the next sweep partitions).
+// prefetchDepth is the number of filtered batches a prefetcher keeps
+// buffered ahead of its consumer.
+const prefetchDepth = 2
+
+// prefetchSource reads batches on a dedicated goroutine, keeping up to
+// prefetchDepth filtered batches buffered ahead of the consumer. Each
+// batch gets a fresh buffer, so the consumer may hold one while the
+// producer fills the next. The time the consumer spends blocked on the
+// channel accumulates under PhasePrefetchStall when traced.
 type prefetchSource struct {
 	ch     chan prefetchMsg
 	stop   chan struct{}
 	closed bool
 	tr     *obs.Trace
-	ctl    *relstore.BatchController
 }
 
 func startPrefetch(ctx *relstore.ExecContext, bi relstore.BatchIter, f core.RecFilter) *prefetchSource {
-	ctl := ctx.BatchControl()
 	s := &prefetchSource{
-		ch:   make(chan prefetchMsg, ctl.PrefetchDepth()),
+		ch:   make(chan prefetchMsg, prefetchDepth),
 		stop: make(chan struct{}),
 		tr:   ctx.Trace(),
-		ctl:  ctl,
 	}
 	go func() {
 		defer close(s.ch)
 		for {
-			buf := make([]relstore.Record, ctl.BatchSize())
-			missBefore := ctx.PageMisses()
-			begin := time.Now()
-			n, err := bi.NextBatch(buf)
+			recs, n, err := fillBatch(bi, f, make([]relstore.Record, relstore.BatchSize))
 			if err != nil {
 				select {
 				case s.ch <- prefetchMsg{err: err}:
@@ -142,8 +117,6 @@ func startPrefetch(ctx *relstore.ExecContext, bi relstore.BatchIter, f core.RecF
 			if n == 0 {
 				return
 			}
-			ctl.ObserveBatch(n, time.Since(begin), ctx.PageMisses()-missBefore)
-			recs := f.Apply(buf[:n])
 			if len(recs) == 0 {
 				continue
 			}
@@ -158,16 +131,9 @@ func startPrefetch(ctx *relstore.ExecContext, bi relstore.BatchIter, f core.RecF
 }
 
 func (s *prefetchSource) next() ([]relstore.Record, error) {
-	var begin time.Time
-	if s.tr != nil || s.ctl != nil {
-		begin = time.Now()
-	}
+	begin := s.tr.Begin()
 	msg, ok := <-s.ch
-	if !begin.IsZero() {
-		d := time.Since(begin)
-		s.tr.Add(obs.PhasePrefetchStall, d)
-		s.ctl.ObserveStall(d)
-	}
+	s.tr.End(obs.PhasePrefetchStall, begin)
 	if !ok {
 		return nil, nil
 	}

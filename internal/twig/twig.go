@@ -118,15 +118,12 @@ func (r *Result) Starts() []uint32 {
 // rejected. At P > 1 each active partition additionally runs one
 // prefetcher goroutine per non-root stream, so a call uses up to
 // P * (plan fragments) goroutines — prefetchers are I/O-bound and
-// block on a bounded channel (depth chosen by the query's batch
-// controller), so compute concurrency tracks P, not the product. The
-// result is byte-identical at every setting.
+// block on a bounded channel of two batches, so compute concurrency
+// tracks P, not the product. The result is byte-identical at every
+// setting.
 func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, cfg core.ExecConfig) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("twig: %w", err)
-	}
-	if ctx.BatchControl() == nil {
-		ctx.SetBatchControl(cfg.BatchController())
 	}
 	lp := p.Logical
 	if p.KnownEmpty || lp.Empty() {
