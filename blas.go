@@ -154,9 +154,10 @@
 //     field, sent on a channel, returned, captured by a goroutine or a
 //     closure that outlives the call). Copy out, never retain.
 //   - hotalloc — zero-alloc hot paths. Functions annotated with a
-//     //blas:hotpath directive in their doc comment (the twig join-key
-//     and sweep path, the join arena's append, batched record decode,
-//     the finalize loop, the nil-trace fast paths in internal/obs) must
+//     //blas:hotpath directive in their doc comment (the twig sweep and
+//     leaf fold, the relational merge join's inner loop, the join
+//     arena's append, batched record decode, the finalize loop, the
+//     nil-trace fast paths in internal/obs) must
 //     not call fmt.Sprintf and friends, concatenate strings in loops,
 //     or build map keys from strings; fmt.Errorf stays legal because
 //     error paths are about to abort. Allocation guards prove the

@@ -8,8 +8,8 @@ import (
 )
 
 // HotAlloc bans the allocation patterns that once cost the twig merge
-// its speed (the PR-5 joinKey rewrite replaced fmt-built string map
-// keys) inside functions annotated //blas:hotpath:
+// its speed (it built fmt-formatted string map keys per lookup) inside
+// functions annotated //blas:hotpath:
 //
 //   - fmt.Sprintf / Sprint / Sprintln / Appendf calls — every call
 //     allocates and reflects over its operands. fmt.Errorf is exempt:
@@ -17,19 +17,19 @@ import (
 //   - string concatenation inside loops (a + "x", s += "y") — each
 //     iteration reallocates the accumulated string.
 //   - string-built map keys (m[a+"/"+b], m[fmt.Sprintf(...)]) — the
-//     key is allocated per lookup; use a comparable struct key like
-//     twig.joinKey instead.
+//     key is allocated per lookup; key by a comparable struct, or
+//     match on sorted integer ids as twig.foldLeaf does, instead.
 //
 // The annotation is a directive line in the function's doc comment:
 //
 //	//blas:hotpath
 //
 // Nested function literals inherit the enclosing annotation. The
-// zero-alloc benchmark guards (BenchmarkJoinKey, BenchmarkTraceOff)
-// prove the annotated paths allocate nothing; this analyzer keeps the
-// class of regression out at review time, and the TestHotpathAnnotations
-// tests in twig and obs fail if the annotations drift off the
-// benchmarked functions.
+// allocation guards (BenchmarkTraceOff, the AllocatesPerChunk and
+// ZeroAlloc tests) prove the annotated paths allocate nothing, or once
+// per arena chunk; this analyzer keeps the class of regression out at
+// review time, and each package's TestHotpathAnnotations fails if the
+// annotations drift off the guarded functions.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "ban fmt formatting, in-loop string concatenation and string-built map keys in //blas:hotpath functions",
@@ -112,7 +112,7 @@ func checkHotBody(pass *Pass, fmtName string, n ast.Node, inLoop bool) {
 			}
 		case *ast.IndexExpr:
 			if isStringBuiltKey(m.Index, fmtName) {
-				pass.Reportf(m.Index.Pos(), "string-built map key on a %s function allocates per lookup; use a comparable struct key (see twig.joinKey)", HotpathDirective)
+				pass.Reportf(m.Index.Pos(), "string-built map key on a %s function allocates per lookup; use a comparable struct key", HotpathDirective)
 			}
 		}
 		return true

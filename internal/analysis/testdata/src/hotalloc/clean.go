@@ -9,8 +9,7 @@ func notHot(a, b uint32) string {
 
 type key struct{ a, b uint32 }
 
-// lookupStruct uses a comparable struct key — the sanctioned pattern
-// (see twig.joinKey).
+// lookupStruct uses a comparable struct key — the sanctioned pattern.
 //
 //blas:hotpath
 func lookupStruct(counts map[key]int, a, b uint32) int {

@@ -1,127 +1,169 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/relstore"
 )
 
-// tupleChunkShift sizes the chunks of a growing Tuples arena: 1<<9
-// tuples each, a few tens of KiB at the strides real plans reach.
-const tupleChunkShift = 9
+// Chunk geometry of a Tuples arena, in tuples: the first geoChunks
+// chunks hold firstChunk, 2*firstChunk, ... tuples, so a small arena
+// stays small; every later chunk holds 1<<tupleChunkShift tuples (a few
+// tens of KiB at the strides real plans reach).
+const (
+	firstChunk      = 16
+	geoChunks       = 5
+	geoTuples       = firstChunk<<geoChunks - firstChunk // tuples in the geometric chunks
+	tupleChunkShift = 9
+)
 
-// Tuples is an arena of fixed-width record tuples, Stride records each.
-// Both engines keep their join intermediates in one — the relational
-// engine's D-join tuples, the twig engine's path solutions and merged
-// assignments — so producing a tuple copies its records to the end of
-// the current chunk instead of allocating a slice (or a map) of its own.
+// chunkOf locates tuple i: chunk c, tuple k within it.
+func chunkOf(i int) (c, k int) {
+	if i >= geoTuples {
+		i -= geoTuples
+		return geoChunks + i>>tupleChunkShift, i & (1<<tupleChunkShift - 1)
+	}
+	// Chunk c < geoChunks holds tuples [firstChunk<<c - firstChunk,
+	// firstChunk<<(c+1) - firstChunk).
+	j := uint(i + firstChunk)
+	c = bits.Len(j) - bits.Len(firstChunk)
+	return c, int(j) - firstChunk<<c
+}
+
+// chunkTuples is the capacity of chunk c, in tuples.
+func chunkTuples(c int) int {
+	if c < geoChunks {
+		return firstChunk << c
+	}
+	return 1 << tupleChunkShift
+}
+
+// Tuples is an arena of fixed-width tuples, Stride items each. It is the
+// one intermediate-result container of both engines, in three roles:
 //
-// The arena grows a chunk at a time and never moves a tuple once it is
-// written: the first chunk doubles up to 1<<tupleChunkShift tuples,
-// every later one is allocated at that size, so n tuples cost O(n/512)
-// allocations, no re-copying, and at most one chunk of slack. Make one
-// with NewTuples (to fill) or TuplesOf (to view existing records).
-type Tuples struct {
+//   - a fragment's scan bindings: Tuples[relstore.Record], Stride 1
+//     (the relational engine's selections, the twig engine's
+//     materialized root stream);
+//   - a twig leaf's path solutions: Tuples[relstore.Record], Stride =
+//     the leaf's path length;
+//   - join rows: Tuples[int32] whose items index records held by the
+//     arenas above — a relational D-join tuple holds one binding id per
+//     joined fragment, a twig assignment one solution id per folded
+//     leaf. Records are never copied into a join; the return column is
+//     copied once, by DocOrder.
+//
+// Producing a tuple copies it to the end of the last chunk instead of
+// allocating a slice (or a map entry) of its own. The arena grows a
+// chunk at a time and never moves, regrows or copies a tuple once it is
+// written: chunks double from 16 tuples up to 1<<tupleChunkShift and
+// stay at that size, so n tuples cost O(log n + n/512) allocations and
+// at most one chunk of slack.
+type Tuples[T any] struct {
 	Stride int
-	chunks [][]relstore.Record // every chunk but the last holds 1<<shift tuples
-	shift  uint
+	chunks [][]T // chunk c has capacity chunkTuples(c)*Stride
 	n      int
 }
 
 // NewTuples returns an empty arena of the given tuple width.
-func NewTuples(stride int) Tuples { return Tuples{Stride: stride, shift: tupleChunkShift} }
+func NewTuples[T any](stride int) Tuples[T] { return Tuples[T]{Stride: stride} }
 
-// TuplesOf wraps a flat slice of len(recs)/stride tuples as a read-only
-// arena without copying it — a scan's bindings are a one-column arena as
-// they stand. Append must not be called on the result.
-func TuplesOf(recs []relstore.Record, stride int) Tuples {
-	// One chunk holds everything: no index reaches bit 62.
-	return Tuples{Stride: stride, chunks: [][]relstore.Record{recs}, shift: 62, n: len(recs) / stride}
+// Rows returns the one-column join rows 0..n-1: the ids of n bindings
+// (or path solutions) as the initial join tuples.
+func Rows(n int) Tuples[int32] {
+	t := NewTuples[int32](1)
+	var run [1 << tupleChunkShift]int32
+	for lo := 0; lo < n; lo += len(run) {
+		k := min(len(run), n-lo)
+		for i := range k {
+			run[i] = int32(lo + i)
+		}
+		t.Extend(run[:k])
+	}
+	return t
 }
 
 // Len returns the number of tuples.
-func (t Tuples) Len() int { return t.n }
+func (t Tuples[T]) Len() int { return t.n }
 
 // At returns tuple i, aliasing the arena.
-func (t Tuples) At(i int) []relstore.Record {
-	off := (i & (1<<t.shift - 1)) * t.Stride
-	return t.chunks[i>>t.shift][off : off+t.Stride : off+t.Stride]
+func (t Tuples[T]) At(i int) []T {
+	c, k := chunkOf(i)
+	off := k * t.Stride
+	return t.chunks[c][off : off+t.Stride : off+t.Stride]
+}
+
+// Get returns item col of tuple i, aliasing the arena.
+func (t Tuples[T]) Get(i, col int) *T {
+	c, k := chunkOf(i)
+	return &t.chunks[c][k*t.Stride+col]
+}
+
+// Column copies item col of every tuple out of the arena.
+func (t Tuples[T]) Column(col int) []T {
+	out := make([]T, 0, t.n)
+	for _, c := range t.chunks {
+		for k := col; k < len(c); k += t.Stride {
+			out = append(out, c[k])
+		}
+	}
+	return out
+}
+
+// Run returns tuples i..j-1 as one flat slice aliasing the arena — or,
+// when they span chunks, the longest prefix of them inside i's chunk.
+func (t Tuples[T]) Run(i, j int) []T {
+	c, k := chunkOf(i)
+	chunk := t.chunks[c]
+	end := min(k+j-i, len(chunk)/t.Stride)
+	return chunk[k*t.Stride : end*t.Stride]
+}
+
+// last returns the chunk the next tuple goes to, allocating it when the
+// current last chunk is full.
+func (t *Tuples[T]) last() *[]T {
+	c := len(t.chunks) - 1
+	if c < 0 || len(t.chunks[c]) == cap(t.chunks[c]) {
+		c++
+		t.chunks = append(t.chunks, make([]T, 0, chunkTuples(c)*t.Stride))
+	}
+	return &t.chunks[c]
 }
 
 // Append adds the tuple prefix ++ suffix; len(prefix)+len(suffix) must
 // equal Stride.
 //
 //blas:hotpath
-func (t *Tuples) Append(prefix, suffix []relstore.Record) {
-	full := t.Stride << t.shift
-	last := len(t.chunks) - 1
-	if last < 0 || len(t.chunks[last]) == full {
-		size := full
-		if last < 0 {
-			size = min(full, 16*t.Stride)
-		}
-		t.chunks = append(t.chunks, make([]relstore.Record, 0, size))
-		last++
-	} else if c := t.chunks[last]; len(c) == cap(c) {
-		// Only the first chunk starts below full size.
-		t.chunks[last] = slices.Grow(c, min(len(c), full-len(c)))
-	}
-	t.chunks[last] = append(append(t.chunks[last], prefix...), suffix...)
+func (t *Tuples[T]) Append(prefix, suffix []T) {
+	c := t.last()
+	*c = append(append(*c, prefix...), suffix...)
 	t.n++
 }
 
+// Extend appends the len(flat)/Stride tuples laid out back to back in
+// flat, chunk by chunk.
+func (t *Tuples[T]) Extend(flat []T) {
+	for len(flat) > 0 {
+		c := t.last()
+		k := min(len(flat), cap(*c)-len(*c))
+		*c = append(*c, flat[:k]...)
+		t.n += k / t.Stride
+		flat = flat[k:]
+	}
+}
+
 // AppendAll appends every tuple of u (same Stride), in order.
-func (t *Tuples) AppendAll(u Tuples) {
-	for i := 0; i < u.n; i++ {
-		t.Append(u.At(i), nil)
+func (t *Tuples[T]) AppendAll(u Tuples[T]) {
+	for _, c := range u.chunks {
+		t.Extend(c)
 	}
 }
 
-// Column copies column col of every tuple out of the arena.
-func (t Tuples) Column(col int) []relstore.Record {
-	out := make([]relstore.Record, t.n)
-	for i := range out {
-		out[i] = t.At(i)[col]
-	}
-	return out
-}
-
-// SortedBy returns the tuples ordered by the start position of column
-// col (ties keep their order). Already-sorted input — the common case,
-// a start-ordered scan — is returned as is; otherwise the tuples are
-// copied into a new arena in sorted order.
-func (t Tuples) SortedBy(col int) Tuples {
-	order := startOrder(t.n, func(i int) uint32 { return t.At(i)[col].Start })
-	if order == nil {
-		return t
-	}
-	out := NewTuples(t.Stride)
-	for _, k := range order {
-		out.Append(t.At(int(uint32(k))), nil)
-	}
-	return out
-}
-
-// SortedByStart returns recs in document (start) order, ties keeping
-// their order: recs itself when it is already sorted, a sorted copy
-// otherwise.
-func SortedByStart(recs []relstore.Record) []relstore.Record {
-	order := startOrder(len(recs), func(i int) uint32 { return recs[i].Start })
-	if order == nil {
-		return recs
-	}
-	out := make([]relstore.Record, len(recs))
-	for i, k := range order {
-		out[i] = recs[uint32(k)]
-	}
-	return out
-}
-
-// startOrder returns the stable permutation that sorts n items by
-// start(i), as packed start<<32|index keys in sorted order — so the sort
-// compares plain integers instead of going through, and swapping, fat
-// records. It returns nil when the items are already in order.
-func startOrder(n int, start func(int) uint32) []uint64 {
+// SortedBy returns the stable permutation that orders n items by
+// start(i), or nil when they are already in order (the common case: a
+// start-ordered scan). It sorts packed start<<32|index keys, so the sort
+// compares plain integers instead of calling back per comparison.
+func SortedBy(n int, start func(int) uint32) []int32 {
 	sorted := true
 	for i := 1; i < n && sorted; i++ {
 		sorted = start(i-1) <= start(i)
@@ -134,22 +176,67 @@ func startOrder(n int, start func(int) uint32) []uint64 {
 		keys[i] = uint64(start(i))<<32 | uint64(i)
 	}
 	slices.Sort(keys)
-	return keys
+	perm := make([]int32, n)
+	for i, k := range keys {
+		perm[i] = int32(uint32(k))
+	}
+	return perm
 }
 
 // DocOrder is the last step of both engines: the return-node bindings
-// sorted into document order and deduplicated by start position (a
-// start identifies a node). It reuses recs when they are already
-// sorted; nil for an empty input.
-func DocOrder(recs []relstore.Record) []relstore.Record {
-	if len(recs) == 0 {
+// sorted into document order, deduplicated by start position (a start
+// identifies a node; the first of a run is kept) and copied once, at
+// exact size, into the result. The bindings are item col of the tuples
+// of recs — all of them, in order, when ids is nil, else the tuples ids
+// lists. nil when there are none.
+func DocOrder(recs Tuples[relstore.Record], col int, ids []int32) []relstore.Record {
+	n := len(ids)
+	if ids == nil {
+		n = recs.Len()
+	}
+	if n == 0 {
 		return nil
 	}
-	recs = SortedByStart(recs)
-	out := recs[:1]
-	for _, r := range recs[1:] {
-		if r.Start != out[len(out)-1].Start {
-			out = append(out, r)
+	at := func(k int) *relstore.Record {
+		if ids != nil {
+			k = int(ids[k])
+		}
+		return recs.Get(k, col)
+	}
+	sorted, distinct := true, 1
+	for k, prev := 1, at(0).Start; k < n && sorted; k++ {
+		s := at(k).Start
+		sorted = prev <= s
+		if s != prev {
+			distinct, prev = distinct+1, s
+		}
+	}
+	if sorted {
+		out := make([]relstore.Record, 0, distinct)
+		out = append(out, *at(0))
+		for k := 1; k < n; k++ {
+			if r := at(k); r.Start != out[len(out)-1].Start {
+				out = append(out, *r)
+			}
+		}
+		return out
+	}
+	// Packed start<<32|position keys sort as plain integers, stably.
+	keys := make([]uint64, n)
+	for k := range keys {
+		keys[k] = uint64(at(k).Start)<<32 | uint64(k)
+	}
+	slices.Sort(keys)
+	distinct = 1
+	for k := 1; k < n; k++ {
+		if keys[k]>>32 != keys[k-1]>>32 {
+			distinct++
+		}
+	}
+	out := make([]relstore.Record, 0, distinct)
+	for k, key := range keys {
+		if k == 0 || key>>32 != keys[k-1]>>32 {
+			out = append(out, *at(int(uint32(key))))
 		}
 	}
 	return out

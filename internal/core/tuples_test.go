@@ -21,17 +21,19 @@ func tuple(i, stride int, start uint32) []relstore.Record {
 }
 
 // TestTuplesAcrossChunks fills arenas past several chunk boundaries and
-// checks that every access path — At, Column, AppendAll, SortedBy —
-// sees exactly the tuples that were appended, in order.
+// checks that every access path — At, Get, Column, Run, Extend,
+// AppendAll — sees exactly the tuples that were appended, in order.
 func TestTuplesAcrossChunks(t *testing.T) {
 	const chunk = 1 << tupleChunkShift
 	for _, stride := range []int{1, 3} {
-		for _, n := range []int{0, 1, 15, 16, 17, chunk - 1, chunk, chunk + 1, 3*chunk + 7} {
+		for _, n := range []int{0, 1, 15, 16, 17, 48, geoTuples - 1, geoTuples, geoTuples + 1, geoTuples + chunk, 3*chunk + 7} {
 			var want [][]relstore.Record
-			arena := NewTuples(stride)
+			var flat []relstore.Record
+			arena := NewTuples[relstore.Record](stride)
 			for i := 0; i < n; i++ {
 				tp := tuple(i, stride, uint32(10*i))
 				want = append(want, tp)
+				flat = append(flat, tp...)
 				// Split the tuple at a varying point: prefix ++ suffix.
 				arena.Append(tp[:i%(stride+1)], tp[i%(stride+1):])
 			}
@@ -43,10 +45,27 @@ func TestTuplesAcrossChunks(t *testing.T) {
 					t.Fatalf("stride %d n %d: At(%d) = %v, want %v", stride, n, i, arena.At(i), w)
 				}
 			}
-			col := arena.Column(stride - 1)
-			for i, w := range want {
-				if col[i] != w[stride-1] {
-					t.Fatalf("stride %d n %d: Column[%d] = %v, want %v", stride, n, i, col[i], w[stride-1])
+			for c := 0; c < stride; c++ {
+				col := arena.Column(c)
+				for i, w := range want {
+					if col[i] != w[c] || *arena.Get(i, c) != w[c] {
+						t.Fatalf("stride %d n %d: Column(%d)[%d] = %v, Get = %v, want %v", stride, n, c, i, col[i], *arena.Get(i, c), w[c])
+					}
+				}
+			}
+			// Runs of any start tile the requested range in order.
+			for _, from := range []int{0, n / 3, max(n-1, 0)} {
+				var got []relstore.Record
+				for i := from; i < n; {
+					run := arena.Run(i, n)
+					if len(run) == 0 || len(run)%stride != 0 {
+						t.Fatalf("stride %d n %d: Run(%d, %d) has %d records", stride, n, i, n, len(run))
+					}
+					got = append(got, run...)
+					i += len(run) / stride
+				}
+				if !slices.Equal(got, flat[from*stride:]) {
+					t.Fatalf("stride %d n %d: runs from %d differ from the appended tuples", stride, n, from)
 				}
 			}
 			// A tuple handed out by At must not be clobbered by appending
@@ -57,14 +76,24 @@ func TestTuplesAcrossChunks(t *testing.T) {
 					t.Fatalf("stride %d n %d: append through At(0) overwrote tuple 1", stride, n)
 				}
 			}
+			// Bulk extension in uneven pieces equals tuple-wise appends.
+			bulk := NewTuples[relstore.Record](stride)
+			for rest, k := flat, 1; len(rest) > 0; k = k*3 + 1 {
+				m := min(len(rest), k*stride)
+				bulk.Extend(rest[:m])
+				rest = rest[m:]
+			}
 			// Concatenation: a partly filled arena followed by this one.
-			joined := NewTuples(stride)
+			joined := NewTuples[relstore.Record](stride)
 			joined.Append(tuple(-1, stride, 5), nil)
 			joined.AppendAll(arena)
-			if joined.Len() != n+1 {
-				t.Fatalf("stride %d n %d: AppendAll Len = %d", stride, n, joined.Len())
+			if bulk.Len() != n || joined.Len() != n+1 {
+				t.Fatalf("stride %d n %d: Extend Len = %d, AppendAll Len = %d", stride, n, bulk.Len(), joined.Len())
 			}
 			for i, w := range want {
+				if !slices.Equal(bulk.At(i), w) {
+					t.Fatalf("stride %d n %d: after Extend At(%d) = %v, want %v", stride, n, i, bulk.At(i), w)
+				}
 				if !slices.Equal(joined.At(i+1), w) {
 					t.Fatalf("stride %d n %d: after AppendAll At(%d) = %v, want %v", stride, n, i+1, joined.At(i+1), w)
 				}
@@ -73,92 +102,92 @@ func TestTuplesAcrossChunks(t *testing.T) {
 	}
 }
 
-// TestTuplesOfViewsFlatSlice: a wrapped flat slice is indexable as an
-// arena and shares the caller's records.
-func TestTuplesOfViewsFlatSlice(t *testing.T) {
-	var flat []relstore.Record
-	for i := 0; i < 1000; i++ {
-		flat = append(flat, tuple(i, 2, uint32(i))...)
-	}
-	arena := TuplesOf(flat, 2)
-	if arena.Len() != 1000 {
-		t.Fatalf("Len = %d, want 1000", arena.Len())
-	}
-	for _, i := range []int{0, 1, 511, 512, 999} {
-		if got := arena.At(i); &got[0] != &flat[2*i] || len(got) != 2 {
-			t.Fatalf("At(%d) does not alias flat[%d:%d]", i, 2*i, 2*i+2)
+// TestRowsAreIdentity: the initial join rows are the ids 0..n-1.
+func TestRowsAreIdentity(t *testing.T) {
+	for _, n := range []int{0, 1, 511, 512, 513, 1500} {
+		rows := Rows(n)
+		if rows.Len() != n || rows.Stride != 1 {
+			t.Fatalf("Rows(%d): %d rows of stride %d", n, rows.Len(), rows.Stride)
 		}
-	}
-	if TuplesOf(nil, 1).Len() != 0 {
-		t.Fatal("empty view has tuples")
+		for i := 0; i < n; i++ {
+			if rows.At(i)[0] != int32(i) {
+				t.Fatalf("Rows(%d): row %d = %d", n, i, rows.At(i)[0])
+			}
+		}
 	}
 }
 
-// TestSortedByIsStableSort compares SortedBy / SortedByStart / DocOrder
-// with sort.SliceStable on shuffled input with duplicate starts, and
-// checks that sorted input comes back as the same memory.
+// TestSortedByIsStableSort compares SortedBy and DocOrder with
+// sort.SliceStable on shuffled input with duplicate starts, and checks
+// that sorted input needs no permutation.
 func TestSortedByIsStableSort(t *testing.T) {
 	rnd := rand.New(rand.NewSource(3))
 	const n = 2000
-	arena := NewTuples(2)
-	var ref [][]relstore.Record
+	var recs []relstore.Record
 	for i := 0; i < n; i++ {
-		// Column 1 is the sort column; starts repeat, End tells twins apart.
-		tp := []relstore.Record{{Start: uint32(i)}, {Start: uint32(rnd.Intn(n / 4)), End: uint32(i)}}
-		arena.Append(tp, nil)
-		ref = append(ref, tp)
+		// Starts repeat; End tells twins apart.
+		recs = append(recs, relstore.Record{Start: uint32(rnd.Intn(n / 4)), End: uint32(i)})
 	}
-	sort.SliceStable(ref, func(a, b int) bool { return ref[a][1].Start < ref[b][1].Start })
-	sorted := arena.SortedBy(1)
-	for i, w := range ref {
-		if !slices.Equal(sorted.At(i), w) {
-			t.Fatalf("SortedBy: tuple %d = %v, want %v", i, sorted.At(i), w)
-		}
-	}
-	again := sorted.SortedBy(1)
-	if &again.At(0)[0] != &sorted.At(0)[0] {
-		t.Error("SortedBy copied an already sorted arena")
-	}
-
-	recs := arena.Column(1)
 	want := slices.Clone(recs)
 	sort.SliceStable(want, func(a, b int) bool { return want[a].Start < want[b].Start })
-	got := SortedByStart(recs)
-	if !slices.Equal(got, want) {
-		t.Fatal("SortedByStart differs from a stable sort")
+	start := func(recs []relstore.Record) func(int) uint32 {
+		return func(i int) uint32 { return recs[i].Start }
 	}
-	if same := SortedByStart(got); &same[0] != &got[0] {
-		t.Error("SortedByStart copied an already sorted slice")
+	perm := SortedBy(n, start(recs))
+	if len(perm) != n {
+		t.Fatalf("SortedBy returned %d ids for %d shuffled records", len(perm), n)
+	}
+	for i, w := range want {
+		if got := recs[perm[i]]; got != w {
+			t.Fatalf("SortedBy: position %d = %v, want %v", i, got, w)
+		}
+	}
+	if SortedBy(n, start(want)) != nil {
+		t.Error("SortedBy permuted already sorted input")
 	}
 
-	// DocOrder: sorted, one record per start — the first of each run.
+	// DocOrder: sorted, one record per start — the first of each run —
+	// at exact size.
 	var dedup []relstore.Record
 	for i, r := range want {
 		if i == 0 || r.Start != want[i-1].Start {
 			dedup = append(dedup, r)
 		}
 	}
-	if got := DocOrder(slices.Clone(recs)); !slices.Equal(got, dedup) {
-		t.Fatalf("DocOrder returned %d records, want %d", len(got), len(dedup))
+	// The bindings as column 1 of a two-wide arena, listed directly and
+	// through ids (reversed, so the ids carry the order).
+	for _, in := range [][]relstore.Record{recs, want} {
+		arena, reversed := NewTuples[relstore.Record](2), NewTuples[relstore.Record](2)
+		ids := make([]int32, n)
+		for i := range in {
+			arena.Append([]relstore.Record{{Start: 1 << 30}, in[i]}, nil)
+			reversed.Append([]relstore.Record{{Start: 1 << 30}, in[n-1-i]}, nil)
+			ids[i] = int32(n - 1 - i)
+		}
+		for _, got := range [][]relstore.Record{DocOrder(arena, 1, nil), DocOrder(reversed, 1, ids)} {
+			if !slices.Equal(got, dedup) || cap(got) != len(dedup) {
+				t.Fatalf("DocOrder returned %d records (cap %d), want %d", len(got), cap(got), len(dedup))
+			}
+		}
 	}
-	if DocOrder(nil) != nil {
-		t.Error("DocOrder(nil) != nil")
+	if DocOrder(NewTuples[relstore.Record](1), 0, nil) != nil || DocOrder(NewTuples[relstore.Record](1), 0, []int32{}) != nil {
+		t.Error("DocOrder of nothing != nil")
 	}
 }
 
 // TestTuplesAppendAllocatesPerChunk is the arena's allocation guard:
-// appending n tuples allocates per chunk (plus the first chunk's
-// doublings), never per tuple.
+// appending n tuples allocates per chunk (plus the growth of the chunk
+// list), never per tuple.
 func TestTuplesAppendAllocatesPerChunk(t *testing.T) {
 	const n = 20 << tupleChunkShift
 	prefix, suffix := tuple(0, 2, 1), tuple(0, 1, 9)
 	allocs := testing.AllocsPerRun(5, func() {
-		arena := NewTuples(3)
+		arena := NewTuples[relstore.Record](3)
 		for i := 0; i < n; i++ {
 			arena.Append(prefix, suffix)
 		}
 	})
-	// 20 chunks, ~6 doublings of the first, ~6 growths of the chunk list.
+	// 25 chunks, ~6 growths of the chunk list.
 	if allocs > 40 {
 		t.Errorf("appending %d tuples allocated %.0f times, want one per %d-tuple chunk", n, allocs, 1<<tupleChunkShift)
 	}

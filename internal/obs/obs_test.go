@@ -28,7 +28,7 @@ func TestTraceOffZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkTraceOff tracks the cost of the nil-trace path itself
-// (ReportAllocs is the benchmark-level guard, as with BenchmarkJoinKey).
+// (ReportAllocs is the benchmark-level guard).
 func BenchmarkTraceOff(b *testing.B) {
 	var tr *Trace
 	b.ReportAllocs()

@@ -11,8 +11,7 @@
 // against a possibly-nil *Trace: every method is nil-safe, and the
 // Begin/End span protocol reads the clock only when a trace is actually
 // attached, so the tracing-off path costs one nil check and zero
-// allocations (TestTraceOffZeroAlloc and BenchmarkTraceOff guard this,
-// the same way BenchmarkJoinKey guards the twig merge keys).
+// allocations (TestTraceOffZeroAlloc and BenchmarkTraceOff guard this).
 package obs
 
 import (

@@ -64,7 +64,8 @@ type Physical struct {
 	Joins []translate.Join
 	// Est holds per-fragment cardinality estimates indexed by fragment
 	// id; nil when planning ran with NoReorder. A zero entry is a
-	// proof of emptiness, not an estimate.
+	// proof of emptiness, not an estimate. The estimates decide the
+	// order and are rendered by String; engines do not read them.
 	Est []uint64
 	// KnownEmpty reports that the plan can bind nothing — statically
 	// (translate marked a fragment empty) or proven by a probe.
@@ -82,16 +83,6 @@ type Physical struct {
 // (as opposed to statically by translation). Engines count this as an
 // early termination: scan and join work was provably skipped.
 func (p *Physical) ProbedEmpty() bool { return p.KnownEmpty && p.EmptyFragment >= 0 }
-
-// Estimate returns fragment id's cardinality estimate, 0 when planning
-// did not probe (Fixed and NoReorder plans). Engines presize scan
-// results from it; it is a hint, never a bound.
-func (p *Physical) Estimate(id int) uint64 {
-	if p.Est == nil {
-		return 0
-	}
-	return p.Est[id]
-}
 
 // Fixed wraps a logical plan in translation order, without probing the
 // store: scans run in fragment-id order and joins exactly as translated.

@@ -110,9 +110,9 @@ func TestPartitionedMergeJoinLargeInput(t *testing.T) {
 	}
 }
 
-// perTupleMergeJoin is the reference D-join the arena-backed
+// perTupleMergeJoin is the reference D-join the row-based
 // mergeJoinChunk must reproduce pair for pair: the same stack sweep over
-// start-sorted inputs, allocating one slice per tuple.
+// start-sorted inputs, on record tuples, allocating one slice per tuple.
 func perTupleMergeJoin(tuples [][]relstore.Record, ancCol int, descs []relstore.Record, j translate.Join) [][]relstore.Record {
 	sort.SliceStable(tuples, func(a, b int) bool { return tuples[a][ancCol].Start < tuples[b][ancCol].Start })
 	sort.SliceStable(descs, func(a, b int) bool { return descs[a].Start < descs[b].Start })
@@ -139,19 +139,28 @@ func perTupleMergeJoin(tuples [][]relstore.Record, ancCol int, descs []relstore.
 	return out
 }
 
-// TestStructuralMergeJoinChunking exercises the arena-backed join
-// directly with synthetic nested intervals: the sequential sweep must
-// equal the per-tuple reference join tuple for tuple, in order, and
-// every partitioned run must produce exactly the same tuples (a nested
-// ancestor pair split by a chunk cut emits them in a different order).
+// bindingsOf returns recs as a one-column binding arena.
+func bindingsOf(recs []relstore.Record) core.Tuples[relstore.Record] {
+	b := core.NewTuples[relstore.Record](1)
+	b.Extend(recs)
+	return b
+}
+
+// TestStructuralMergeJoinChunking exercises the row-based join directly
+// with synthetic nested intervals: the sequential sweep must equal the
+// per-tuple reference join tuple for tuple, in order, once its id rows
+// are resolved to records; every partitioned run and the nested-loop
+// join must produce exactly the same tuples (a nested ancestor pair
+// split by a chunk cut emits them in a different order).
 func TestStructuralMergeJoinChunking(t *testing.T) {
 	rnd := rand.New(rand.NewSource(5))
 	// 300 ancestor intervals, some nested two deep, each containing a
 	// random number of descendants, plus stray descendants outside any
-	// ancestor. Tuples are two columns wide so the join column is not
-	// the only one carried along.
-	var tuples [][]relstore.Record
-	var descs []relstore.Record
+	// ancestor. Rows are two columns wide — a document root binding,
+	// then the ancestor — so the join column is not the only one
+	// carried along.
+	root := []relstore.Record{{Start: 0, End: 1 << 30, Level: 1}}
+	var ancs, descs []relstore.Record
 	pos := uint32(1)
 	for a := 0; a < 300; a++ {
 		ancStart := pos
@@ -167,10 +176,10 @@ func TestStructuralMergeJoinChunking(t *testing.T) {
 			pos += 2
 		}
 		if nested {
-			tuples = append(tuples, []relstore.Record{{Start: 0, End: 1 << 30, Level: 1}, {Start: innerStart, End: pos, Level: 3, TagID: 1}})
+			ancs = append(ancs, relstore.Record{Start: innerStart, End: pos, Level: 3, TagID: 1})
 			pos++
 		}
-		tuples = append(tuples, []relstore.Record{{Start: 0, End: 1 << 30, Level: 1}, {Start: ancStart, End: pos, Level: 2, TagID: 1}})
+		ancs = append(ancs, relstore.Record{Start: ancStart, End: pos, Level: 2, TagID: 1})
 		pos++
 		if a%7 == 0 { // a descendant between ancestors: matches nothing
 			descs = append(descs, relstore.Record{Start: pos, End: pos + 1, Level: 4, TagID: 2})
@@ -179,34 +188,52 @@ func TestStructuralMergeJoinChunking(t *testing.T) {
 	}
 	// Shuffle both inputs: the join must sort.
 	rnd.Shuffle(len(descs), func(i, j int) { descs[i], descs[j] = descs[j], descs[i] })
-	rnd.Shuffle(len(tuples), func(i, j int) { tuples[i], tuples[j] = tuples[j], tuples[i] })
+	rnd.Shuffle(len(ancs), func(i, j int) { ancs[i], ancs[j] = ancs[j], ancs[i] })
 
-	arena := core.NewTuples(2)
-	for _, tp := range tuples {
-		arena.Append(tp, nil)
+	var tuples [][]relstore.Record
+	rows := core.NewTuples[int32](2)
+	for i, a := range ancs {
+		tuples = append(tuples, []relstore.Record{root[0], a})
+		rows.Append([]int32{0, int32(i)}, nil)
+	}
+	bindings := [][]relstore.Record{root, ancs, descs}
+	resolve := func(joined core.Tuples[int32]) [][]relstore.Record {
+		out := make([][]relstore.Record, joined.Len())
+		for i := range out {
+			for c, id := range joined.At(i) {
+				out[i] = append(out[i], bindings[c][id])
+			}
+		}
+		return out
 	}
 	byPair := func(a, b []relstore.Record) int {
 		return cmp.Or(cmp.Compare(a[1].Start, b[1].Start), cmp.Compare(a[2].Start, b[2].Start))
 	}
-	for _, j := range []translate.Join{{Anc: 0, Desc: 1, Gap: 1}, {Anc: 0, Desc: 1, Gap: 2, Exact: true}} {
-		want := perTupleMergeJoin(tuples, 1, append([]relstore.Record(nil), descs...), j)
+	for _, j := range []translate.Join{{Anc: 1, Desc: 2, Gap: 1}, {Anc: 1, Desc: 2, Gap: 2, Exact: true}} {
+		want := perTupleMergeJoin(slices.Clone(tuples), 1, slices.Clone(descs), j)
 		if len(want) == 0 {
 			t.Fatal("reference join found nothing — test data broken")
 		}
-		for _, workers := range []int{1, 2, 3, 8, 16} {
-			joined := structuralMergeJoin(arena, 1, append([]relstore.Record(nil), descs...), j, workers)
+		newInput := func() *joinInput {
+			return &joinInput{rows: rows, ancCol: 1, anc: bindingsOf(ancs), descs: bindingsOf(descs), j: j}
+		}
+		for _, workers := range []int{0, 1, 2, 3, 8, 16} {
+			var joined core.Tuples[int32]
+			if workers == 0 {
+				joined = nestedLoopJoin(newInput())
+			} else {
+				joined = structuralMergeJoin(newInput(), workers)
+			}
 			if joined.Stride != 3 || joined.Len() != len(want) {
-				t.Fatalf("%v workers=%d: %d tuples of stride %d, want %d of stride 3", j, workers, joined.Len(), joined.Stride, len(want))
+				t.Fatalf("%v workers=%d: %d rows of stride %d, want %d of stride 3", j, workers, joined.Len(), joined.Stride, len(want))
 			}
-			got := make([][]relstore.Record, joined.Len())
-			for i := range got {
-				got[i] = joined.At(i)
-			}
-			if workers > 1 {
+			got, ref := resolve(joined), want
+			if workers != 1 {
+				ref = slices.Clone(want)
 				slices.SortFunc(got, byPair)
-				slices.SortFunc(want, byPair)
+				slices.SortFunc(ref, byPair)
 			}
-			for i, w := range want {
+			for i, w := range ref {
 				if !slices.Equal(got[i], w) {
 					t.Fatalf("%v workers=%d: tuple %d = %v, reference %v", j, workers, i, got[i], w)
 				}

@@ -26,9 +26,15 @@
 // independently. Options.Parallelism bounds the pool; 1 recovers the
 // fully sequential engine. Fragment selections read through the batched
 // stream layer (core.FragmentStream over relstore.BatchIter), which
-// decodes each heap page's records under a single pager view, straight
-// into the fragment's binding slice; join intermediates live in flat
-// core.Tuples arenas.
+// decodes each heap page's records under a single pager view into one
+// reused batch; the records a selection keeps are appended to the
+// fragment's chunked binding arena (core.Tuples, Stride 1), which is
+// never regrown or copied.
+//
+// Materialization is late: a D-join tuple is a row of int32 binding
+// ids, one per joined fragment, so a join copies ids, never records;
+// ordering an input by start yields a permutation of ids; and the
+// return column is copied once, at exact size, into Result.Records.
 //
 // Per-query statistics accumulate in the relstore.ExecContext threaded
 // through every scan, so concurrent Execute calls against one store
@@ -115,7 +121,7 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opt
 		return nil, err
 	}
 	for _, b := range bindings {
-		if len(b) == 0 {
+		if b.Len() == 0 {
 			// An empty fragment empties the plan (all joins are inner);
 			// remaining scans were skipped and all join work is too.
 			return &Result{EarlyTerminated: len(p.Joins) > 0 || len(lp.Fragments) > 1}, nil
@@ -126,30 +132,31 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opt
 	defer tr.End(obs.PhaseJoin, joinBegin)
 
 	if len(p.Joins) == 0 {
-		return &Result{Records: core.DocOrder(bindings[lp.Return])}, nil
+		return &Result{Records: core.DocOrder(bindings[lp.Return], 0, nil)}, nil
 	}
 
-	// Tuples over the fragments joined so far. cols maps fragment id to
-	// tuple column. The first fragment's bindings are the initial
-	// one-column arena as they stand.
+	// Rows over the fragments joined so far, one binding id per fragment;
+	// cols maps fragment id to row column. The first fragment's binding
+	// ids are the initial one-column rows.
 	cols := map[int]int{}
 	first := p.Joins[0].Anc
 	cols[first] = 0
-	tuples := core.TuplesOf(bindings[first], 1)
+	rows := core.Rows(bindings[first].Len())
 
 	for ji, j := range p.Joins {
 		ancCol, ok := cols[j.Anc]
 		if !ok {
 			return nil, fmt.Errorf("relengine: join order is not a tree (fragment %d not yet bound)", j.Anc)
 		}
+		in := joinInput{rows: rows, ancCol: ancCol, anc: bindings[j.Anc], descs: bindings[j.Desc], j: j}
 		switch opts.Join {
 		case NestedLoopJoin:
-			tuples = nestedLoopJoin(tuples, ancCol, bindings[j.Desc], j)
+			rows = nestedLoopJoin(&in)
 		default:
-			tuples = structuralMergeJoin(tuples, ancCol, bindings[j.Desc], j, workers)
+			rows = structuralMergeJoin(&in, workers)
 		}
 		cols[j.Desc] = len(cols)
-		if tuples.Len() == 0 {
+		if rows.Len() == 0 {
 			return &Result{EarlyTerminated: ji < len(p.Joins)-1}, nil
 		}
 	}
@@ -158,7 +165,7 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opt
 	if !ok {
 		return nil, fmt.Errorf("relengine: return fragment %d not joined", lp.Return)
 	}
-	return &Result{Records: core.DocOrder(tuples.Column(retCol))}, nil
+	return &Result{Records: core.DocOrder(bindings[lp.Return], 0, rows.Column(retCol))}, nil
 }
 
 // scanFragments evaluates the plan's fragment selections one after the
@@ -169,16 +176,17 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opt
 // start before scan k is known non-empty; racing the scans would read
 // the large fragments the order exists to avoid, and make the page and
 // visited counters depend on scheduling. Parallelism is spent inside
-// the D-joins instead.
-func scanFragments(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical) ([][]relstore.Record, error) {
+// the D-joins instead. Every scan decodes into the same batch buffer.
+func scanFragments(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical) ([]core.Tuples[relstore.Record], error) {
 	frags := p.Logical.Fragments
-	bindings := make([][]relstore.Record, len(frags))
+	bindings := make([]core.Tuples[relstore.Record], len(frags))
+	buf := make([]relstore.Record, relstore.BatchSize)
 	for _, i := range p.Scans {
-		recs, err := scanFragment(ctx, st, frags[i], p.Estimate(i))
+		recs, err := scanFragment(ctx, st, frags[i], buf)
 		if err != nil {
 			return nil, err
 		}
-		if len(recs) == 0 {
+		if recs.Len() == 0 {
 			// Empty selection: the whole plan is empty, skip the rest.
 			return bindings, nil
 		}
@@ -191,18 +199,57 @@ func scanFragments(ctx *relstore.ExecContext, st *core.Store, p *planner.Physica
 // through the shared batched stream layer: records arrive batch-wise
 // with one pager view per heap-page run (instead of one per record),
 // P-label range/set selections are merged into document order
-// batch-wise as well, and each batch is decoded into, and filtered in,
-// its final place in a result presized from the planner's estimate.
-func scanFragment(ctx *relstore.ExecContext, st *core.Store, f *translate.Fragment, est uint64) ([]relstore.Record, error) {
+// batch-wise as well, and each batch is decoded into buf, filtered in
+// place, and its survivors appended to a one-column binding arena.
+func scanFragment(ctx *relstore.ExecContext, st *core.Store, f *translate.Fragment, buf []relstore.Record) (core.Tuples[relstore.Record], error) {
+	recs := core.NewTuples[relstore.Record](1)
 	fs, err := st.PrepareFragmentStream(ctx, f)
 	if err != nil {
-		return nil, err
+		return recs, err
 	}
 	bi, err := fs.Open(ctx, 0, 0)
 	if err != nil {
-		return nil, err
+		return recs, err
 	}
-	return relstore.CollectAdaptive(ctx, bi, est, st.FragmentFilter(f).Apply)
+	err = relstore.CollectAdaptive(bi, buf, st.FragmentFilter(f).Apply, recs.Extend)
+	return recs, err
+}
+
+// joinInput is one D-join's operands: the rows joined so far, the column
+// of their ancestor binding, and the binding arenas of the ancestor and
+// descendant fragments that row ids and descendant ids index. The merge
+// join adds both inputs' start orders.
+type joinInput struct {
+	rows   core.Tuples[int32]
+	ancCol int
+	anc    core.Tuples[relstore.Record]
+	descs  core.Tuples[relstore.Record]
+	j      translate.Join
+
+	rowOrder, descOrder []int32 // core.SortedBy permutations; nil = already in order
+}
+
+// ancRec returns the ancestor binding of row r.
+func (in *joinInput) ancRec(r int32) *relstore.Record {
+	return in.anc.Get(int(*in.rows.Get(int(r), in.ancCol)), 0)
+}
+
+// row returns the k-th row id in ancestor start order.
+func (in *joinInput) row(k int) int32 { return orderAt(in.rowOrder, k) }
+
+// desc returns the k-th descendant id in start order and its binding.
+func (in *joinInput) desc(k int) (int32, *relstore.Record) {
+	id := orderAt(in.descOrder, k)
+	return id, in.descs.Get(int(id), 0)
+}
+
+// orderAt returns position k of a start order: perm[k], or k itself
+// when perm is nil (the ids were already in order).
+func orderAt(perm []int32, k int) int32 {
+	if perm == nil {
+		return int32(k)
+	}
+	return perm[k]
 }
 
 // Partition thresholds for the parallel merge join: below these input
@@ -212,48 +259,48 @@ const (
 	minParallelDescs  = 512
 )
 
-// structuralMergeJoin extends each tuple with the descendants of its
-// ancCol binding. Both inputs are sorted by start, then merged with a
-// stack of open ancestors: amortized linear plus output.
+// structuralMergeJoin extends each row with the descendants of its
+// ancCol binding. Both inputs are put in start order — as permutations
+// of row and descendant ids, never copies — then merged with a stack of
+// open ancestors: amortized linear plus output.
 //
-// With workers > 1 and large-enough inputs, the sorted ancestor tuples
+// With workers > 1 and large-enough inputs, the sorted ancestor rows
 // are split into contiguous chunks and merged concurrently. A descendant
-// d joins tuple t iff t.start < d.start < t.end, and every tuple lives
-// in exactly one chunk, so giving each chunk the descendant slice whose
+// d joins row t iff t.start < d.start < t.end, and every row lives
+// in exactly one chunk, so giving each chunk the descendants whose
 // starts fall inside the chunk's interval span [first start, max end)
 // reproduces the sequential pairing exactly, with no duplicates.
-func structuralMergeJoin(tuples core.Tuples, ancCol int, descs []relstore.Record, j translate.Join, workers int) core.Tuples {
-	tuples = tuples.SortedBy(ancCol)
+func structuralMergeJoin(in *joinInput, workers int) core.Tuples[int32] {
+	n, nd := in.rows.Len(), in.descs.Len()
+	in.rowOrder = core.SortedBy(n, func(i int) uint32 { return in.ancRec(int32(i)).Start })
 	// Scans clustered by {plabel,start} are only start-sorted per plabel
 	// run; order the descendants by start.
-	descs = core.SortedByStart(descs)
+	in.descOrder = core.SortedBy(nd, func(i int) uint32 { return in.descs.Get(i, 0).Start })
 
-	n := tuples.Len()
-	if workers <= 1 || n < minParallelTuples || len(descs) < minParallelDescs {
-		return mergeJoinChunk(tuples, 0, n, ancCol, descs, j)
+	if workers <= 1 || n < minParallelTuples || nd < minParallelDescs {
+		return mergeJoinChunk(in, 0, n, 0, nd)
 	}
 
 	chunks := workers
 	if chunks > n/2 {
 		chunks = n / 2
 	}
-	parts := make([]core.Tuples, chunks)
+	parts := make([]core.Tuples[int32], chunks)
 	var wg sync.WaitGroup
 	for c := 0; c < chunks; c++ {
 		wg.Add(1)
 		go func(c, lo, hi int) {
 			defer wg.Done()
-			minStart := tuples.At(lo)[ancCol].Start
+			minStart := in.ancRec(in.row(lo)).Start
 			maxEnd := uint32(0)
-			for i := lo; i < hi; i++ {
-				if end := tuples.At(i)[ancCol].End; end > maxEnd {
-					maxEnd = end
-				}
+			for k := lo; k < hi; k++ {
+				maxEnd = max(maxEnd, in.ancRec(in.row(k)).End)
 			}
 			// Descendant candidates for this chunk: minStart < start < maxEnd.
-			from := sort.Search(len(descs), func(i int) bool { return descs[i].Start > minStart })
-			to := sort.Search(len(descs), func(i int) bool { return descs[i].Start >= maxEnd })
-			parts[c] = mergeJoinChunk(tuples, lo, hi, ancCol, descs[from:to], j)
+			descStart := func(k int) uint32 { _, d := in.desc(k); return d.Start }
+			from := sort.Search(nd, func(k int) bool { return descStart(k) > minStart })
+			to := sort.Search(nd, func(k int) bool { return descStart(k) >= maxEnd })
+			parts[c] = mergeJoinChunk(in, lo, hi, from, to)
 		}(c, c*n/chunks, (c+1)*n/chunks)
 	}
 	wg.Wait()
@@ -265,40 +312,54 @@ func structuralMergeJoin(tuples core.Tuples, ancCol int, descs []relstore.Record
 	return out
 }
 
+// openAnc is an ancestor row on the merge stack, with its binding.
+type openAnc struct {
+	row int32
+	rec *relstore.Record
+}
+
 // mergeJoinChunk runs the stack-based structural merge sweep over the
-// start-sorted tuples [lo, hi) and start-sorted descendants.
-func mergeJoinChunk(tuples core.Tuples, lo, hi, ancCol int, descs []relstore.Record, j translate.Join) core.Tuples {
-	out := core.NewTuples(tuples.Stride + 1)
-	var stack []int32 // open ancestor tuples (arena indexes), outermost first
+// rows at positions [lo, hi) of the ancestor start order and the
+// descendants at positions [dlo, dhi) of theirs, and returns the joined
+// rows: an input row extended by one descendant id.
+//
+//blas:hotpath
+func mergeJoinChunk(in *joinInput, lo, hi, dlo, dhi int) core.Tuples[int32] {
+	out := core.NewTuples[int32](in.rows.Stride + 1)
+	var stack []openAnc // outermost first
+	var desc [1]int32
 	ti := lo
-	for di := range descs {
-		d := &descs[di]
-		// Open all ancestor tuples that start before d.
-		for ti < hi && tuples.At(ti)[ancCol].Start < d.Start {
-			stack = append(stack, int32(ti))
-			ti++
+	for dk := dlo; dk < dhi; dk++ {
+		did, d := in.desc(dk)
+		// Open all ancestor rows that start before d.
+		for ; ti < hi; ti++ {
+			r := in.row(ti)
+			a := in.ancRec(r)
+			if a.Start >= d.Start {
+				break
+			}
+			stack = append(stack, openAnc{row: r, rec: a})
 		}
 		// Close those that ended before d.
 		live := stack[:0]
-		for _, t := range stack {
-			if tuples.At(int(t))[ancCol].End > d.Start {
-				live = append(live, t)
+		for _, o := range stack {
+			if o.rec.End > d.Start {
+				live = append(live, o)
 			}
 		}
 		stack = live
-		// Every remaining open tuple's interval contains d (intervals of a
+		// Every remaining open row's interval contains d (intervals of a
 		// well-formed document nest, so start < d.start && end > d.start
 		// implies end > d.end).
-		for _, t := range stack {
-			tup := tuples.At(int(t))
-			a := &tup[ancCol]
-			if a.End <= d.End {
+		desc[0] = did
+		for _, o := range stack {
+			if o.rec.End <= d.End {
 				// Defensive: ill-nested inputs (possible only with a
 				// corrupted store) must not produce false positives.
 				continue
 			}
-			if j.LevelOK(a.Level, d.Level) {
-				out.Append(tup, descs[di:di+1])
+			if in.j.LevelOK(o.rec.Level, d.Level) {
+				out.Append(in.rows.At(int(o.row)), desc[:])
 			}
 		}
 	}
@@ -306,15 +367,16 @@ func mergeJoinChunk(tuples core.Tuples, lo, hi, ancCol int, descs []relstore.Rec
 }
 
 // nestedLoopJoin is the quadratic D-join used by the ablation benchmark.
-func nestedLoopJoin(tuples core.Tuples, ancCol int, descs []relstore.Record, j translate.Join) core.Tuples {
-	out := core.NewTuples(tuples.Stride + 1)
-	for i := 0; i < tuples.Len(); i++ {
-		t := tuples.At(i)
-		a := &t[ancCol]
-		for di := range descs {
-			d := &descs[di]
-			if a.Start < d.Start && a.End > d.End && j.LevelOK(a.Level, d.Level) {
-				out.Append(t, descs[di:di+1])
+func nestedLoopJoin(in *joinInput) core.Tuples[int32] {
+	out := core.NewTuples[int32](in.rows.Stride + 1)
+	var desc [1]int32
+	for r := 0; r < in.rows.Len(); r++ {
+		a := in.ancRec(int32(r))
+		for di := 0; di < in.descs.Len(); di++ {
+			d := in.descs.Get(di, 0)
+			if a.Start < d.Start && a.End > d.End && in.j.LevelOK(a.Level, d.Level) {
+				desc[0] = int32(di)
+				out.Append(in.rows.At(r), desc[:])
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package relstore
 
 import (
 	"container/heap"
-	"slices"
 
 	"repro/internal/keyenc"
 	"repro/internal/obs"
@@ -275,45 +274,29 @@ func CollectBatches(bi BatchIter, batchSize int) ([]Record, error) {
 	}
 }
 
-// maxCollectPresize bounds how many records CollectAdaptive allocates on
-// the strength of a size hint alone (3 MiB of Records): an extrapolated
-// or filter-blind estimate may overshoot by orders of magnitude, and
-// past this point doubling costs little.
-const maxCollectPresize = 1 << 16
-
-// CollectAdaptive drains a batched stream into one slice. Every batch
-// holds BatchSize records and is decoded directly into the tail of the
-// result — there is no scratch batch and no copy.
-//
-// sizeHint is the caller's estimate of the stream's length (a planner
-// cardinality estimate; 0 = unknown). It only presizes the result: a
-// hint that is exact costs one allocation, a wrong one costs doubling
-// (too small) or at most maxCollectPresize idle records (too large),
-// never a different answer.
-//
-// keep, when non-nil, filters each decoded batch in place and returns
-// the retained prefix (core.RecFilter.Apply); dropped records are
-// overwritten by the next batch instead of being carried to the end.
-// The result equals filtering the fully collected stream.
-func CollectAdaptive(ctx *ExecContext, bi BatchIter, sizeHint uint64, keep func([]Record) []Record) ([]Record, error) {
-	// One batch of slack past the hint: the stream's end is only seen
-	// by a NextBatch that returns 0, and it must not force a regrow.
-	out := make([]Record, 0, int(min(sizeHint, maxCollectPresize))+BatchSize)
+// CollectAdaptive drains a batched stream batch by batch. Every
+// NextBatch decodes into buf, which the caller reuses across streams:
+// engines pass relstore.BatchSize records, since a smaller request ends
+// a batch mid-page and that page is then requested once per batch. keep,
+// when non-nil, filters each decoded batch in place and returns the
+// retained prefix (core.RecFilter.Apply); add receives every non-empty
+// retained batch and must copy what it wants, since buf is overwritten
+// by the next batch. There is no size hint and no result slice to
+// regrow: the caller appends into a chunked arena (core.Tuples.Extend).
+// The batches add sees, concatenated, equal filtering the fully
+// collected stream.
+func CollectAdaptive(bi BatchIter, buf []Record, keep func([]Record) []Record, add func([]Record)) error {
 	for {
-		if len(out)+BatchSize > cap(out) {
-			out = slices.Grow(out, max(BatchSize, cap(out))) // at least double
+		n, err := bi.NextBatch(buf)
+		if err != nil || n == 0 {
+			return err
 		}
-		tail := out[len(out) : len(out)+BatchSize]
-		n, err := bi.NextBatch(tail)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return out, nil
-		}
+		recs := buf[:n]
 		if keep != nil {
-			n = len(keep(tail[:n]))
+			recs = keep(recs)
 		}
-		out = out[:len(out)+n]
+		if len(recs) > 0 {
+			add(recs)
+		}
 	}
 }

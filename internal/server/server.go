@@ -505,10 +505,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		defer func() {
-			s.budget.release(grant)
-			<-s.slots
-		}()
 		if gate := s.execGate; gate != nil {
 			gate()
 		}
@@ -522,6 +518,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		} else if cacheable {
 			s.results.put(rk, enc)
 		}
+		// Free the slot before handing over the outcome: a client that
+		// has its response must not still see the query in flight.
+		s.budget.release(grant)
+		<-s.slots
 		done <- outcome{enc, err}
 	}()
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/enginetest"
 	"repro/internal/planner"
+	"repro/internal/relengine"
 	"repro/internal/relstore"
 	"repro/internal/translate"
 	"repro/internal/xmltree"
@@ -250,3 +251,65 @@ func TestTwigConcurrentExecutes(t *testing.T) {
 type mismatchError struct{}
 
 func (*mismatchError) Error() string { return "concurrent twig execute diverged from sequential" }
+
+// TestDeepSharedPrefixFold folds leaves whose shared prefix binds more
+// than eight nodes, each prefix matching several solutions of the next
+// leaf, and checks the result against the reference evaluator and the
+// relational engine at every parallelism, with the same visited count.
+// Many top-level a elements let the partitioned sweep cut the document.
+func TestDeepSharedPrefixFold(t *testing.T) {
+	rnd := rand.New(rand.NewSource(8))
+	doc := xmltree.New("r")
+	for a := 0; a < 12; a++ {
+		n := doc.AppendNew("a")
+		for _, tag := range []string{"b", "c", "d", "e", "f", "g", "h"} {
+			n = n.AppendNew(tag)
+		}
+		for i := 0; i < 4; i++ {
+			in := n.AppendNew("i")
+			for _, tag := range []string{"j", "k", "l"} {
+				for c := rnd.Intn(4); c > 0; c-- {
+					in.AppendText(tag, tag)
+				}
+			}
+		}
+	}
+	st, err := core.BuildFromTree(doc, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, query := range []string{"//a/b/c/d/e/f/g/h/i[j]/k", "//a/b/c/d/e/f/g/h/i[j][l]/k"} {
+		want, err := enginetest.EvalStarts(doc, query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) < 20 {
+			t.Fatalf("%s: only %d results — fixture too small", query, len(want))
+		}
+		for _, tr := range []translate.Translator{translate.Baseline, translate.Split} {
+			plan, err := tr(ctxFor(st), xpath.MustParse(query))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel, err := relengine.Execute(nil, st, planner.Fixed(plan), relengine.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !enginetest.StartsEqual(rel.Starts(), want) {
+				t.Fatalf("%s: relational engine disagrees with the reference", query)
+			}
+			_, seqVisited := execStarts(t, st, plan, 1)
+			for _, par := range []int{1, 2, 4} {
+				got, visited := execStarts(t, st, plan, par)
+				if !enginetest.StartsEqual(got, want) {
+					t.Fatalf("%s P=%d: got %s\nwant %s\nplan:\n%s", query, par,
+						enginetest.FormatStarts(got), enginetest.FormatStarts(want), plan)
+				}
+				if visited != seqVisited {
+					t.Errorf("%s P=%d: visited %d, sequential %d", query, par, visited, seqVisited)
+				}
+			}
+		}
+	}
+}

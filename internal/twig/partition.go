@@ -7,13 +7,15 @@ import (
 	"repro/internal/relstore"
 )
 
-// sweepPart is one document-order partition of the sweep: the root
-// stream records it owns plus the start interval [lo, hi) — hi == 0
-// means unbounded — its non-root streams are restricted to. streamRoot
-// marks the sequential whole-document partition, whose root streams
-// like every other node instead of replaying a materialized slice.
+// sweepPart is one document-order partition of the sweep: the index
+// range [from, to) of the materialized root records it owns plus the
+// start interval [lo, hi) — hi == 0 means unbounded — its non-root
+// streams are restricted to. streamRoot marks the sequential
+// whole-document partition, whose root streams like every other node
+// instead of replaying materialized records.
 type sweepPart struct {
-	rootRecs   []relstore.Record
+	root       core.Tuples[relstore.Record]
+	from, to   int
 	lo, hi     uint32
 	streamRoot bool
 }
@@ -33,16 +35,18 @@ type sweepPart struct {
 // order reproduces the sequential solution lists exactly. A candidate
 // cut that would split a nested run of root elements is simply deferred
 // to the next top-level boundary.
-func partitionRoot(recs []relstore.Record, max int) []sweepPart {
-	if max <= 1 || len(recs) <= 1 {
-		return []sweepPart{{rootRecs: recs}}
+func partitionRoot(recs core.Tuples[relstore.Record], max int) []sweepPart {
+	n := recs.Len()
+	if max <= 1 || n <= 1 {
+		return []sweepPart{{root: recs, to: n}}
 	}
 	// Heads of top-level root elements: recs is start-ordered and
 	// intervals nest, so a record starting after every earlier end is
 	// contained in no earlier record.
 	var heads []int
 	var maxEnd uint32
-	for i, r := range recs {
+	for i := 0; i < n; i++ {
+		r := &recs.At(i)[0]
 		if i == 0 || r.Start > maxEnd {
 			heads = append(heads, i)
 		}
@@ -55,9 +59,9 @@ func partitionRoot(recs []relstore.Record, max int) []sweepPart {
 		nparts = len(heads)
 	}
 	if nparts <= 1 {
-		return []sweepPart{{rootRecs: recs}}
+		return []sweepPart{{root: recs, to: n}}
 	}
-	target := (len(recs) + nparts - 1) / nparts
+	target := (n + nparts - 1) / nparts
 	parts := make([]sweepPart, 0, nparts)
 	begin := 0 // record index where the current partition begins
 	lo := uint32(0)
@@ -65,11 +69,11 @@ func partitionRoot(recs []relstore.Record, max int) []sweepPart {
 		if heads[h]-begin < target {
 			continue
 		}
-		cut := recs[heads[h]].Start
-		parts = append(parts, sweepPart{rootRecs: recs[begin:heads[h]], lo: lo, hi: cut})
+		cut := recs.At(heads[h])[0].Start
+		parts = append(parts, sweepPart{root: recs, from: begin, to: heads[h], lo: lo, hi: cut})
 		begin, lo = heads[h], cut
 	}
-	return append(parts, sweepPart{rootRecs: recs[begin:], lo: lo, hi: 0})
+	return append(parts, sweepPart{root: recs, from: begin, to: n, lo: lo, hi: 0})
 }
 
 // sweepAll partitions the sweep across workers and returns the per-leaf
@@ -77,7 +81,7 @@ func partitionRoot(recs []relstore.Record, max int) []sweepPart {
 // entirely on the calling goroutine and streams every node — the root
 // stream is materialized only when partition cuts must be derived from
 // it.
-func (e *engine) sweepAll(ctx *relstore.ExecContext, workers int) ([]core.Tuples, error) {
+func (e *engine) sweepAll(ctx *relstore.ExecContext, workers int) ([]core.Tuples[relstore.Record], error) {
 	if workers <= 1 {
 		return e.sweepPartition(ctx, sweepPart{streamRoot: true}, false)
 	}
@@ -86,15 +90,16 @@ func (e *engine) sweepAll(ctx *relstore.ExecContext, workers int) ([]core.Tuples
 	if err != nil {
 		return nil, err
 	}
-	rootRecs, err := relstore.CollectAdaptive(ctx, rootBI, e.rootEst, e.root.filter.Apply)
-	if err != nil {
+	rootRecs := core.NewTuples[relstore.Record](1)
+	buf := make([]relstore.Record, relstore.BatchSize)
+	if err := relstore.CollectAdaptive(rootBI, buf, e.root.filter.Apply, rootRecs.Extend); err != nil {
 		return nil, err
 	}
 
 	parts := partitionRoot(rootRecs, workers)
 	tr := ctx.Trace()
 	for _, part := range parts {
-		tr.AddPartition(uint64(len(part.rootRecs)))
+		tr.AddPartition(uint64(part.to - part.from))
 	}
 	if len(parts) == 1 {
 		return e.sweepPartition(ctx, parts[0], true)
@@ -102,7 +107,7 @@ func (e *engine) sweepAll(ctx *relstore.ExecContext, workers int) ([]core.Tuples
 
 	// partitionRoot caps len(parts) at workers, so one goroutine per
 	// partition is already the worker bound.
-	results := make([][]core.Tuples, len(parts))
+	results := make([][]core.Tuples[relstore.Record], len(parts))
 	var wg sync.WaitGroup
 	var errMu sync.Mutex
 	var firstErr error
@@ -140,21 +145,21 @@ func (e *engine) sweepAll(ctx *relstore.ExecContext, workers int) ([]core.Tuples
 // sweepPartition runs one partition's stack-chain sweep. The root
 // stream replays from memory; every other stream opens restricted to
 // the partition's start interval, optionally behind a prefetcher.
-func (e *engine) sweepPartition(ctx *relstore.ExecContext, part sweepPart, prefetch bool) ([]core.Tuples, error) {
+func (e *engine) sweepPartition(ctx *relstore.ExecContext, part sweepPart, prefetch bool) ([]core.Tuples[relstore.Record], error) {
 	st := &sweepState{
 		eng:     e,
 		streams: make([]*batchStream, len(e.nodes)),
 		stacks:  make([][]stackItem, len(e.nodes)),
-		sols:    make([]core.Tuples, len(e.leaves)),
+		sols:    make([]core.Tuples[relstore.Record], len(e.leaves)),
 		scratch: make([]relstore.Record, e.maxDepth),
 	}
 	for li, leaf := range e.leaves {
-		st.sols[li] = core.NewTuples(len(leaf.path))
+		st.sols[li] = core.NewTuples[relstore.Record](len(leaf.path))
 	}
 	defer st.close()
 	for i, n := range e.nodes {
 		if n == e.root && !part.streamRoot {
-			st.streams[i] = newBatchStream(&memSource{recs: part.rootRecs})
+			st.streams[i] = newBatchStream(&memSource{recs: part.root, i: part.from, j: part.to})
 			continue
 		}
 		bi, err := n.stream.Open(ctx, part.lo, part.hi)
@@ -178,8 +183,8 @@ type sweepState struct {
 	eng     *engine
 	streams []*batchStream
 	stacks  [][]stackItem
-	sols    []core.Tuples     // per leaf: path solutions in emission order, stride = path length
-	scratch []relstore.Record // current path during solution collection
+	sols    []core.Tuples[relstore.Record] // per leaf: path solutions in emission order, stride = path length
+	scratch []relstore.Record              // current path during solution collection
 }
 
 func (st *sweepState) close() {

@@ -18,19 +18,21 @@ type batchSource interface {
 	close()
 }
 
-// memSource replays an in-memory record slice (the materialized root
-// stream of a partition) as a single batch.
+// memSource replays the records [i, j) of a one-column arena (a
+// partition's share of the materialized root stream), one arena chunk
+// per batch.
 type memSource struct {
-	recs []relstore.Record
-	done bool
+	recs core.Tuples[relstore.Record]
+	i, j int
 }
 
 func (m *memSource) next() ([]relstore.Record, error) {
-	if m.done || len(m.recs) == 0 {
+	if m.i >= m.j {
 		return nil, nil
 	}
-	m.done = true
-	return m.recs, nil
+	run := m.recs.Run(m.i, m.j)
+	m.i += len(run)
+	return run, nil
 }
 
 func (m *memSource) close() {}

@@ -18,8 +18,13 @@
 // A single chain of stacks — one per twig node, items linked to the top
 // of the parent stack at push time — sweeps all streams in global start
 // order. Root-to-leaf path solutions are emitted whenever a leaf element
-// lands on a non-broken chain; after the sweep, path solutions are
-// merge-joined on their shared prefixes into full twig matches.
+// lands on a non-broken chain into one record arena per leaf
+// (core.Tuples, Stride = path length); after the sweep, path solutions
+// are joined on their shared prefixes into full twig matches. A partial
+// match is a row of int32 solution ids, one per folded leaf, matched to
+// the next leaf's solutions by binary search over its solution ids
+// sorted by prefix, so the merge copies ids, never records, and only
+// the return column is copied out, once, into Result.Records.
 //
 // # Batched streams and the partitioned sweep
 //
@@ -36,7 +41,8 @@
 //     per-fragment range scans and the BLAS-mode merge overlap their
 //     backing-store misses instead of stalling the sweep;
 //   - the sweep itself is partitioned by document order: the root
-//     fragment's stream is materialized first, cut points are chosen on
+//     fragment's stream is materialized first (into a chunked record
+//     arena; partitions are index ranges of it), cut points are chosen on
 //     top-level root-element boundaries, and each partition runs the
 //     full stack-chain sweep plus path-solution collection over the
 //     streams restricted to its start interval. Because no element that
@@ -77,7 +83,9 @@
 package twig
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -184,7 +192,6 @@ type engine struct {
 	plan     *translate.Plan
 	nodes    []*tnode
 	root     *tnode
-	rootEst  uint64 // planner's estimate of the root stream (0 = none)
 	leaves   []*tnode
 	maxDepth int // longest root-to-leaf path
 }
@@ -232,7 +239,6 @@ func build(ctx *relstore.ExecContext, st *core.Store, phys *planner.Physical) (*
 	if eng.root == nil {
 		return nil, fmt.Errorf("twig: plan has no root")
 	}
-	eng.rootEst = phys.Estimate(eng.root.id)
 	// Precompute root-to-leaf paths and order leaves depth-first so that
 	// the merge joins on shared prefixes.
 	var dfs func(n *tnode, path []*tnode)
@@ -257,133 +263,116 @@ func build(ctx *relstore.ExecContext, st *core.Store, phys *planner.Physical) (*
 
 // merge joins the per-leaf path solutions (ordered as the sequential
 // sweep emits them) on their shared prefixes and projects the return
-// fragment. Partial twig assignments live in one flat arena per fold
-// step; col maps a covered fragment id to its column there.
-func (e *engine) merge(leafSols []core.Tuples) (*Result, error) {
-	col := make([]int, len(e.nodes))
-	for i := range col {
-		col[i] = -1
+// fragment. A partial twig assignment is a join row of solution ids,
+// one per folded leaf; records stay in the leaves' solution arenas until
+// DocOrder copies the return column out.
+func (e *engine) merge(leafSols []core.Tuples[relstore.Record]) (*Result, error) {
+	// owner[id] is the first leaf whose path covers fragment id; the
+	// fragment's binding is at its depth in that leaf's solutions.
+	owner := make([]int, len(e.nodes))
+	for i := range owner {
+		owner[i] = -1
 	}
-	// The first leaf's path solutions are the initial assignments as
-	// they stand (a single-leaf twig has nothing else to fold).
-	for i, n := range e.leaves[0].path {
-		col[n.id] = i
-	}
-	assigns := leafSols[0]
-
-	// Fold the other leaves in DFS order; each leaf's shared prefix with
-	// the already-covered node set is a prefix of its path.
-	for li := 1; li < len(e.leaves); li++ {
-		leaf, sols := e.leaves[li], leafSols[li]
-		shared := 0
-		for shared < len(leaf.path) && col[leaf.path[shared].id] >= 0 {
-			shared++
-		}
-		sharedCols := make([]int, shared)
-		for i := range sharedCols {
-			sharedCols[i] = col[leaf.path[i].id]
-		}
-		// Index the leaf's solutions by the bindings of the shared
-		// prefix as chains through one array: head[k]-1 is the first
-		// solution with key k, next[i]-1 the one after solution i (0
-		// ends a chain). Building back to front keeps every chain in
-		// emission order.
-		n := sols.Len()
-		head := make(map[joinKey]int32, n)
-		next := make([]int32, n)
-		for i := n - 1; i >= 0; i-- {
-			k := solutionKey(sols.At(i)[:shared])
-			next[i] = head[k]
-			head[k] = int32(i + 1)
-		}
-		joined := core.NewTuples(assigns.Stride + len(leaf.path) - shared)
-		for ai, na := 0, assigns.Len(); ai < na; ai++ {
-			a := assigns.At(ai)
-			for si := head[assignKey(a, sharedCols)]; si != 0; si = next[si-1] {
-				joined.Append(a, sols.At(int(si - 1))[shared:])
+	for li, leaf := range e.leaves {
+		for _, n := range leaf.path {
+			if owner[n.id] < 0 {
+				owner[n.id] = li
 			}
 		}
-		for i := shared; i < len(leaf.path); i++ {
-			col[leaf.path[i].id] = assigns.Stride + i - shared
+	}
+	ret := e.plan.Return
+	l := owner[ret]
+	if l < 0 {
+		return nil, fmt.Errorf("twig: return fragment %d not covered by any path", ret)
+	}
+	depth := 0
+	for e.leaves[l].path[depth].id != ret {
+		depth++
+	}
+	if len(e.leaves) == 1 {
+		// The path solutions are the matches.
+		return &Result{Records: core.DocOrder(leafSols[0], depth, nil)}, nil
+	}
+
+	// Fold the other leaves in DFS order. A leaf's covered nodes are the
+	// root..branch-point prefix of its path, and in DFS order the previous
+	// leaf's path runs through the branch point, so that leaf's solution
+	// (an assignment's last column) binds the whole shared prefix.
+	assigns := core.Rows(leafSols[0].Len())
+	for li := 1; li < len(e.leaves); li++ {
+		leaf := e.leaves[li]
+		shared := 0
+		for shared < len(leaf.path) && owner[leaf.path[shared].id] < li {
+			shared++
 		}
-		assigns = joined
+		assigns = foldLeaf(assigns, leafSols[li-1], leafSols[li], shared)
 		if assigns.Len() == 0 {
 			return &Result{}, nil
 		}
 	}
-	ret := e.plan.Return
-	if col[ret] < 0 {
-		return nil, fmt.Errorf("twig: return fragment %d not covered by any path", ret)
-	}
-	return &Result{Records: core.DocOrder(assigns.Column(col[ret]))}, nil
+	return &Result{Records: core.DocOrder(leafSols[l], depth, assigns.Column(l))}, nil
 }
 
-// --- shared-prefix join keys ---
-
-// joinKeyInline is how many prefix bindings a joinKey holds without
-// allocating. Shared prefixes are root-to-branch-point paths, so real
-// queries rarely exceed a handful of bindings.
-const joinKeyInline = 8
-
-// joinKey identifies a shared-prefix binding by the start positions of
-// its records (start positions are unique document positions, so they
-// determine the binding). Up to joinKeyInline starts pack into a
-// comparable value — the merge's hash joins then build and look up keys
-// with zero allocations; deeper prefixes spill the remainder into a
-// string. TestJoinKeyZeroAlloc guards the no-allocation property.
-type joinKey struct {
-	n      uint16
-	inline [joinKeyInline]uint32
-	spill  string
-}
-
-// spillStarts packs the overflow starts into a comparable string
-// (one allocation, only for solutions deeper than joinKeyInline).
-//
-//blas:hotpath
-func spillStarts(starts []uint32) string {
-	b := make([]byte, 0, 4*len(starts))
-	for _, s := range starts {
-		b = append(b, byte(s>>24), byte(s>>16), byte(s>>8), byte(s))
-	}
-	return string(b)
-}
-
-// solutionKey keys the shared prefix of one path solution.
-//
-//blas:hotpath
-func solutionKey(recs []relstore.Record) joinKey {
-	k := joinKey{n: uint16(len(recs))}
-	if len(recs) > joinKeyInline {
-		starts := make([]uint32, 0, len(recs)-joinKeyInline)
-		for _, r := range recs[joinKeyInline:] {
-			starts = append(starts, r.Start)
+// comparePrefix orders two path solutions by the starts of their first
+// shared bindings, deepest first — the order in which the sweep already
+// emits the solutions of non-recursive data, so the sort usually finds
+// them in place. Start positions identify nodes, so equal starts mean
+// equal bindings.
+func comparePrefix(a, b []relstore.Record, shared int) int {
+	for i := shared - 1; i >= 0; i-- {
+		if c := cmp.Compare(a[i].Start, b[i].Start); c != 0 {
+			return c
 		}
-		k.spill = spillStarts(starts)
-		recs = recs[:joinKeyInline]
 	}
-	for i, r := range recs {
-		k.inline[i] = r.Start
-	}
-	return k
+	return 0
 }
 
-// assignKey keys a partial twig assignment (one arena row) by the
-// bindings in the given columns — the shared path prefix's.
+// foldLeaf joins the partial assignments with one more leaf's path
+// solutions on their shared prefix of the given length. prev holds the
+// solutions of the previous leaf, which every assignment's last column
+// indexes and whose prefix binds the shared nodes. The leaf's solution
+// ids are stable-sorted by prefix, so each distinct assignment prefix is
+// one binary search for a run of matches in emission order; the output
+// is assignment-major, then emission order — the order of a hash join
+// probed by assignment.
 //
 //blas:hotpath
-func assignKey(row []relstore.Record, cols []int) joinKey {
-	k := joinKey{n: uint16(len(cols))}
-	if len(cols) > joinKeyInline {
-		starts := make([]uint32, 0, len(cols)-joinKeyInline)
-		for _, c := range cols[joinKeyInline:] {
-			starts = append(starts, row[c].Start)
+func foldLeaf(assigns core.Tuples[int32], prev, sols core.Tuples[relstore.Record], shared int) core.Tuples[int32] {
+	sol := func(id int32) []relstore.Record { return sols.At(int(id)) }
+	order := make([]int32, sols.Len())
+	for i := range order {
+		order[i] = int32(i)
+	}
+	byPrefix := func(a, b int32) int { return comparePrefix(sol(a), sol(b), shared) }
+	if !slices.IsSortedFunc(order, byPrefix) {
+		slices.SortStableFunc(order, byPrefix)
+	}
+
+	out := core.NewTuples[int32](assigns.Stride + 1)
+	var next [1]int32
+	last, lo, hi := int32(-1), 0, 0
+	for ai, n := 0, assigns.Len(); ai < n; ai++ {
+		row := assigns.At(ai)
+		if p := row[len(row)-1]; p != last {
+			// A new prefix: find its run of matching solutions.
+			last = p
+			key := prev.At(int(p))
+			lo, hi = 0, len(order)
+			for lo < hi {
+				m := int(uint(lo+hi) >> 1)
+				if comparePrefix(sol(order[m]), key, shared) < 0 {
+					lo = m + 1
+				} else {
+					hi = m
+				}
+			}
+			for hi = lo; hi < len(order) && comparePrefix(sol(order[hi]), key, shared) == 0; hi++ {
+			}
 		}
-		k.spill = spillStarts(starts)
-		cols = cols[:joinKeyInline]
+		for _, id := range order[lo:hi] {
+			next[0] = id
+			out.Append(row, next[:])
+		}
 	}
-	for i, c := range cols {
-		k.inline[i] = row[c].Start
-	}
-	return k
+	return out
 }
