@@ -306,14 +306,14 @@ func BenchmarkScanOverlap(b *testing.B) {
 }
 
 // BenchmarkTwigOverlap measures the twig engine's internal parallelism:
-// the partitioned holistic sweep plus per-stream prefetchers against the
-// sequential sweep, on the tree query QA3 whose plan carries several
-// concurrently-consumable streams. Each iteration is cold-cache with a
-// small pool, so most batch fetches miss and P > 1 overlaps those
-// misses with sweep work; on multi-core machines P = GOMAXPROCS beats
-// P = 1 while a 1-CPU container shows no wall-clock delta (as with
-// BenchmarkScanOverlap). The parallel sweep's result set is verified
-// byte-identical to the sequential one before the sub-benchmarks run.
+// the partitioned holistic sweep against the sequential sweep, on the
+// tree query QA3 whose plan carries several streams. Each iteration is
+// cold-cache with a small pool, so most batch fetches miss, and at P > 1
+// each partition's misses overlap the other partitions' sweep work; on
+// multi-core machines P = GOMAXPROCS beats P = 1 while a 1-CPU container
+// shows no wall-clock delta (as with BenchmarkScanOverlap). The parallel
+// sweep's result set is verified byte-identical to the sequential one
+// before the sub-benchmarks run.
 func BenchmarkTwigOverlap(b *testing.B) {
 	st := benchStore(b, "auction", 3, 64)
 	plan := benchPlan(b, st, bench.Fig10Queries["QA3"], "pushup", true)

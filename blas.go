@@ -32,20 +32,18 @@
 // of goroutines may call Query, Explain, Stats and the other read
 // methods simultaneously. Each Query gets its own execution context, so
 // the ExecStats in one result never include another query's work. Both
-// engines additionally parallelize a single query internally under a
-// bounded worker pool sized by QueryOptions.Parallelism (default
-// GOMAXPROCS; 1 forces fully sequential execution):
+// engines additionally split a single query across at most
+// QueryOptions.Parallelism worker goroutines (default GOMAXPROCS; 1
+// forces fully sequential execution):
 //
 //   - the relational engine partitions its structural merge joins by
 //     ancestor interval (its fragment selections are issued one at a
 //     time in plan order — the order is what lets an empty selective
 //     scan skip the expensive ones, so scans are never raced);
-//   - the twig engine reads every label stream through a batched,
-//     prefetching stream layer (async per-stream prefetchers keep
-//     batches in flight so backing-store misses overlap the sweep) and
-//     partitions the holistic sweep itself by document-order intervals
-//     derived from the root stream, cut only on top-level root-element
-//     boundaries so no stack chain straddles a cut.
+//   - the twig engine partitions the holistic sweep by document-order
+//     intervals derived from the root stream, cut only on top-level
+//     root-element boundaries so no stack chain straddles a cut; each
+//     partition reads its label streams on its own goroutine.
 //
 // Results are byte-identical at every Parallelism setting, and so is
 // ExecStats.VisitedElements — each stream record is fetched by exactly
@@ -92,10 +90,9 @@
 // materializes. Build writes this format and Open reads only it: a store
 // in any other format (an older BLASREL1 store included) is rejected
 // with an error naming the fix, rebuild with blasload. Every stream
-// reads fixed-size record batches and every twig prefetcher keeps two
-// of them in flight, so a query's PageReads depend on its plan, the
-// data and Parallelism, never on what the buffer pool happens to hold;
-// per-query decode work surfaces in ExecStats.Phases.
+// reads fixed-size record batches, so a query's PageReads depend on its
+// plan, the data and Parallelism, never on what the buffer pool happens
+// to hold; per-query decode work surfaces in ExecStats.Phases.
 //
 // # Observability
 //
@@ -106,9 +103,9 @@
 //     paper's visited-elements and disk-access counters, and, when
 //     QueryOptions.Trace is set, a PhaseBreakdown of wall time across
 //     the pipeline phases (parse, translate, order, scan, join/sweep,
-//     finalize) plus the parallel twig sweep's partition sizes and
-//     cumulative prefetch-stall time. Tracing is off by default and the
-//     off path costs nothing: no allocations, no clock reads.
+//     finalize) plus the batch layer's cumulative decode time and the
+//     parallel twig sweep's partition sizes. Tracing is off by default
+//     and the off path costs nothing: no allocations, no clock reads.
 //   - Per store: Store.Metrics returns a StoreMetrics snapshot of
 //     lifetime counters — in-flight and completed queries, error count,
 //     bounded latency histograms overall and per engine, per-translator
@@ -384,10 +381,10 @@ const (
 type QueryOptions struct {
 	Translator Translator
 	Engine     Engine
-	// Parallelism bounds the worker pool one query may use, on either
-	// engine: fragment scans and partitioned D-joins on the relational
-	// engine, stream prefetchers and the partitioned holistic sweep on
-	// the twig engine. 0 selects runtime.GOMAXPROCS(0); 1 runs the query
+	// Parallelism bounds the worker goroutines one query may use, on
+	// either engine: the chunks of a partitioned D-join on the
+	// relational engine, the partitions of the holistic sweep on the
+	// twig engine. 0 selects runtime.GOMAXPROCS(0); 1 runs the query
 	// fully sequentially. The result set is identical at every setting.
 	Parallelism int
 	// Trace records a per-phase wall-time breakdown of the execution,
@@ -464,13 +461,15 @@ type ExecStats struct {
 // inside Sweep). The gap between Elapsed and the sum of those phases is
 // uninstrumented glue and stays small.
 //
-// PrefetchStall and Decode are different: PrefetchStall is the
-// cumulative time sweep goroutines spent blocked waiting on stream
-// prefetchers, and Decode the cumulative time the batch layer spent
+// Decode is different: it is the cumulative time the batch layer spent
 // decoding heap-page records (with DecodedRecords counting how many),
-// both summed across concurrent streams. They overlap Scan/Sweep rather
-// than adding to them and can exceed wall-clock time at high
+// summed across concurrent sweep partitions. It overlaps Scan/Sweep
+// rather than adding to them and can exceed wall-clock time at high
 // parallelism.
+//
+// PrefetchStall is always zero: every stream is read on the goroutine
+// that sweeps it. It exists only for benchmark/ and goes with ROADMAP
+// item 1 (the benchmark harness).
 type PhaseBreakdown struct {
 	Parse         time.Duration `json:"parse_ns"`
 	Translate     time.Duration `json:"translate_ns"`
@@ -480,7 +479,7 @@ type PhaseBreakdown struct {
 	Sweep         time.Duration `json:"sweep_ns"`
 	Finalize      time.Duration `json:"finalize_ns"`
 	Decode        time.Duration `json:"decode_ns"`
-	PrefetchStall time.Duration `json:"prefetch_stall_ns"`
+	PrefetchStall time.Duration `json:"prefetch_stall_ns"` // always zero
 	// DecodedRecords is the number of heap records the batch layer
 	// decoded during the Decode time (visited elements, counted at the
 	// page-decode loops).
@@ -501,7 +500,6 @@ func phaseBreakdown(s obs.TraceSnapshot) *PhaseBreakdown {
 		Sweep:          s.Span(obs.PhaseSweep),
 		Finalize:       s.Span(obs.PhaseFinalize),
 		Decode:         s.Span(obs.PhaseDecode),
-		PrefetchStall:  s.Span(obs.PhasePrefetchStall),
 		DecodedRecords: s.DecodedRecords,
 		Partitions:     s.Partitions,
 	}
@@ -547,26 +545,20 @@ func (s *Store) run(ctx *relstore.ExecContext, phys *planner.Physical, planElaps
 	cfg := core.ExecConfig{Parallelism: opts.Parallelism}
 	lp := phys.Logical
 	execBegin := time.Now()
-	var recs []Match
-	var early bool
+	var res *core.Result
+	var err error
 	switch engineOf(opts) {
 	case EngineTwig:
-		res, err := twig.Execute(ctx, s.inner, phys, cfg)
-		if err != nil {
-			s.metrics.QueryFailed()
-			return nil, err
-		}
-		early = res.EarlyTerminated
-		recs = s.finalizeMatches(ctx, res.Records)
+		res, err = twig.Execute(ctx, s.inner, phys, cfg)
 	default:
-		res, err := relengine.Execute(ctx, s.inner, phys, relengine.Options{ExecConfig: cfg})
-		if err != nil {
-			s.metrics.QueryFailed()
-			return nil, err
-		}
-		early = res.EarlyTerminated
-		recs = s.finalizeMatches(ctx, res.Records)
+		res, err = relengine.Execute(ctx, s.inner, phys, relengine.Options{ExecConfig: cfg})
 	}
+	if err != nil {
+		s.metrics.QueryFailed()
+		return nil, err
+	}
+	recs := s.finalizeMatches(ctx, res.Records)
+	early := res.EarlyTerminated
 	execElapsed := time.Since(execBegin)
 
 	stats := ExecStats{

@@ -12,8 +12,7 @@
 // line, the default), "json" (the full ExecStats as one JSON object on
 // stdout — including the phase breakdown when -trace is set) or "none".
 // -trace records per-phase wall times (parse, translate, order, scan,
-// join/sweep, finalize, prefetch stalls, sweep partitions) into the
-// stats.
+// join/sweep, finalize, decode, sweep partitions) into the stats.
 //
 // -explain also prints the physical order the planner chose: fragment
 // scans and structural joins with their per-fragment run-length
@@ -134,8 +133,8 @@ func main() {
 			fmt.Println("early terminated: an empty intermediate (or planner probe) proved the result empty")
 		}
 		if p := res.Stats.Phases; p != nil {
-			fmt.Printf("phases: parse %s, translate %s, order %s, scan %s, join %s, sweep %s, finalize %s, decode %s (%d records), prefetch stall %s\n",
-				p.Parse, p.Translate, p.Order, p.Scan, p.Join, p.Sweep, p.Finalize, p.Decode, p.DecodedRecords, p.PrefetchStall)
+			fmt.Printf("phases: parse %s, translate %s, order %s, scan %s, join %s, sweep %s, finalize %s, decode %s (%d records)\n",
+				p.Parse, p.Translate, p.Order, p.Scan, p.Join, p.Sweep, p.Finalize, p.Decode, p.DecodedRecords)
 			if len(p.Partitions) > 0 {
 				fmt.Printf("sweep partitions (root records): %v\n", p.Partitions)
 			}

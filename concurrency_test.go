@@ -202,11 +202,11 @@ func TestConcurrentStatsDoNotBleed(t *testing.T) {
 
 // TestConcurrencyTwigParallelSweep stresses the twig engine's
 // partitioned sweep from many goroutines at mixed parallelism, racing a
-// DropCaches churner so prefetchers continually miss and refetch. Every
-// result must be byte-identical to the sequential twig answer, with
-// VisitedElements exactly equal — the partitioned sweep's stats-
-// exactness guarantee (each stream record is fetched by exactly one
-// partition, at every worker count).
+// DropCaches churner so the partitions' streams continually miss and
+// refetch. Every result must be byte-identical to the sequential twig
+// answer, with VisitedElements exactly equal — the partitioned sweep's
+// stats-exactness guarantee (each stream record is fetched by exactly
+// one partition, at every worker count).
 func TestConcurrencyTwigParallelSweep(t *testing.T) {
 	st, err := BuildFromString(concurrencyDoc(), Options{PoolPages: 16})
 	if err != nil {
@@ -295,9 +295,9 @@ func TestConcurrencyTwigParallelSweep(t *testing.T) {
 // goroutines while eviction, overflow and DropCache churn the shards.
 
 // poolFixture allocates n pages whose first byte encodes their id.
-func poolFixture(t *testing.T, cfg pager.Config, n int) (*pager.File, []pager.PageID) {
+func poolFixture(t *testing.T, poolPages, n int) (*pager.File, []pager.PageID) {
 	t.Helper()
-	f := pager.OpenMemConfig(cfg)
+	f := pager.OpenMem(poolPages)
 	ids := make([]pager.PageID, n)
 	for i := range ids {
 		id, err := f.Alloc()
@@ -318,7 +318,7 @@ func poolFixture(t *testing.T, cfg pager.Config, n int) (*pager.File, []pager.Pa
 // reused: its bytes stay valid for the whole callback.
 func TestConcurrencyPoolEvictionUnderPin(t *testing.T) {
 	const pages = 64
-	f, ids := poolFixture(t, pager.Config{PoolPages: 4, Shards: 2}, pages)
+	f, ids := poolFixture(t, 4, pages)
 	defer f.Close()
 
 	var wg sync.WaitGroup
@@ -350,7 +350,7 @@ func TestConcurrencyPoolEvictionUnderPin(t *testing.T) {
 			}
 		}(g)
 	}
-	// Sweepers: force constant eviction across both shards.
+	// Sweepers: force constant eviction across every shard.
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
@@ -393,7 +393,7 @@ func TestConcurrencyPoolEvictionUnderPin(t *testing.T) {
 // recycling a pinned buffer.
 func TestConcurrencyPoolAllPinnedOverflow(t *testing.T) {
 	const pages = 12
-	f, ids := poolFixture(t, pager.Config{PoolPages: 2, Shards: 1}, pages)
+	f, ids := poolFixture(t, 2, pages)
 	defer f.Close()
 
 	var wg sync.WaitGroup
@@ -434,7 +434,7 @@ func TestConcurrencyPoolAllPinnedOverflow(t *testing.T) {
 // under them, and the pool must refill correctly afterwards.
 func TestConcurrencyPoolDropCacheVsView(t *testing.T) {
 	const pages = 32
-	f, ids := poolFixture(t, pager.Config{PoolPages: 8}, pages)
+	f, ids := poolFixture(t, 8, pages)
 	defer f.Close()
 
 	var wg sync.WaitGroup

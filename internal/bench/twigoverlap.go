@@ -19,8 +19,8 @@ import (
 // parallelism and returns the result's start positions, so callers can
 // assert cross-parallelism equality the way BenchmarkScanOverlap checks
 // its checksum. It is the engine-level analogue of ScanOverlap: with
-// P > 1 every stream's prefetcher and the partitioned sweep overlap
-// backing-store misses that a sequential sweep pays serially.
+// P > 1 the partitions of the sweep overlap backing-store misses that a
+// sequential sweep pays serially.
 func TwigOverlap(st *core.Store, plan *translate.Plan, parallelism int) ([]uint32, error) {
 	if err := st.DropCaches(); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sync"
 
 	"repro/internal/relstore"
 	"repro/internal/translate"
@@ -13,12 +14,13 @@ import (
 // blas.QueryOptions threads down into both query engines. The zero value
 // selects the defaults.
 type ExecConfig struct {
-	// Parallelism bounds the worker pool one query may use — fragment
-	// scans and partitioned D-joins on the relational engine, stream
-	// prefetchers and partitioned sweeps on the twig engine. 0 selects
-	// runtime.GOMAXPROCS(0); 1 runs the query fully sequentially (no
-	// extra goroutines). Negative values are rejected by Validate. The
-	// result set is identical at every setting.
+	// Parallelism bounds the worker goroutines one query may use — the
+	// chunks of a partitioned D-join on the relational engine, the
+	// partitions of the holistic sweep on the twig engine; both start
+	// them through FanOut. 0 selects runtime.GOMAXPROCS(0); 1 runs the
+	// query fully sequentially (no extra goroutines). Negative values
+	// are rejected by Validate. The result set is identical at every
+	// setting.
 	Parallelism int
 }
 
@@ -43,6 +45,56 @@ func (c ExecConfig) Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// FanOut runs piece(0), ..., piece(n-1) concurrently, waits for all of
+// them and returns the error of the lowest-indexed piece that failed.
+// Piece 0 runs on the calling goroutine and every other piece on a
+// goroutine of its own, so n pieces occupy n goroutines and n <= 1
+// starts none. It is the only place the engines start goroutines:
+// callers size n by ExecConfig.Workers, which is how a query stays
+// within its Parallelism.
+func FanOut(n int, piece func(i int) error) error {
+	if n <= 0 {
+		return nil
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n - 1)
+	for i := 1; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			errs[i] = piece(i)
+		}()
+	}
+	errs[0] = piece(0)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Result holds a query's answer on either engine.
+type Result struct {
+	// Records are the return-node bindings, deduplicated, in document
+	// order.
+	Records []relstore.Record
+	// EarlyTerminated reports that an empty intermediate (a planner
+	// proof, an empty fragment scan or stream, or an empty join result)
+	// let the engine skip remaining scan, sweep or join work.
+	EarlyTerminated bool
+}
+
+// Starts returns the start positions of the result records.
+func (r *Result) Starts() []uint32 {
+	out := make([]uint32, len(r.Records))
+	for i, rec := range r.Records {
+		out[i] = rec.Start
+	}
+	return out
+}
+
 // FragmentStream prepares the document-order batched stream of one plan
 // fragment's selection so it can be opened repeatedly over disjoint
 // start ranges. Both engines read fragments through it: the relational
@@ -59,13 +111,16 @@ type FragmentStream struct {
 	st      *Store
 	frag    *translate.Fragment
 	plabels []uint128.Uint128 // resolved runs of a range selection
+	// Filter holds the fragment's local predicates, which Open does not
+	// apply and Collect does.
+	Filter RecFilter
 }
 
 // PrepareFragmentStream resolves fragment f's access path against the
 // store. The skip scan for range selections is accounted to ctx (index
 // pages only — no records are fetched).
 func (s *Store) PrepareFragmentStream(ctx *relstore.ExecContext, f *translate.Fragment) (*FragmentStream, error) {
-	fs := &FragmentStream{st: s, frag: f}
+	fs := &FragmentStream{st: s, frag: f, Filter: RecFilter{Value: f.Value, LevelEq: f.LevelEq, ExcludeTags: s.attrTagIDs(f)}}
 	switch f.Access.Kind {
 	case translate.AccessPLabelEq, translate.AccessPLabelSet, translate.AccessTag, translate.AccessAll:
 		// No preparation needed.
@@ -91,9 +146,8 @@ func (fs *FragmentStream) KnownEmpty() bool {
 
 // Open returns the fragment's records whose start position lies in
 // [lo, hi) — hi == 0 means unbounded — as a batched stream in document
-// (start) order. Fragment-local predicates (value, level, attribute
-// exclusion) are NOT applied; they are engine policy and cheap to apply
-// on the decoded batches.
+// (start) order. The fragment-local predicates (fs.Filter) are NOT
+// applied; the caller applies them to the decoded batches.
 func (fs *FragmentStream) Open(ctx *relstore.ExecContext, lo, hi uint32) (relstore.BatchIter, error) {
 	f := fs.frag
 	switch f.Access.Kind {
@@ -126,6 +180,27 @@ func (fs *FragmentStream) Open(ctx *relstore.ExecContext, lo, hi uint32) (relsto
 	}
 }
 
+// Collect drains the fragment's whole stream into a one-column binding
+// arena, filtered by fs.Filter. Every batch decodes into buf, which the
+// caller may reuse across streams: engines pass relstore.BatchSize
+// records, since a smaller batch ends mid-page and that page is then
+// requested once per batch. The survivors of each batch are copied into
+// the chunked arena, which is never regrown.
+func (fs *FragmentStream) Collect(ctx *relstore.ExecContext, buf []relstore.Record) (Tuples[relstore.Record], error) {
+	recs := NewTuples[relstore.Record](1)
+	bi, err := fs.Open(ctx, 0, 0)
+	if err != nil {
+		return recs, err
+	}
+	for {
+		n, err := bi.NextBatch(buf)
+		if err != nil || n == 0 {
+			return recs, err
+		}
+		recs.Extend(fs.Filter.Apply(buf[:n]))
+	}
+}
+
 // emptyBatchIter is the stream of a selection with no runs.
 type emptyBatchIter struct{}
 
@@ -139,11 +214,6 @@ type RecFilter struct {
 	Value       *string
 	LevelEq     uint16
 	ExcludeTags map[uint32]bool
-}
-
-// FragmentFilter builds fragment f's record filter.
-func (s *Store) FragmentFilter(f *translate.Fragment) RecFilter {
-	return RecFilter{Value: f.Value, LevelEq: f.LevelEq, ExcludeTags: s.AttrTagIDs(f)}
 }
 
 // Active reports whether the filter can drop any record.
@@ -172,10 +242,10 @@ func (f RecFilter) Apply(recs []relstore.Record) []relstore.Record {
 	return out
 }
 
-// AttrTagIDs returns the attribute tag ids a wildcard (AccessAll)
+// attrTagIDs returns the attribute tag ids a wildcard (AccessAll)
 // fragment must exclude — XPath * matches elements only — or nil when
 // the fragment needs no exclusion.
-func (s *Store) AttrTagIDs(f *translate.Fragment) map[uint32]bool {
+func (s *Store) attrTagIDs(f *translate.Fragment) map[uint32]bool {
 	if f.Access.Kind != translate.AccessAll {
 		return nil
 	}

@@ -120,10 +120,10 @@ func (s *Store) Close() error {
 }
 
 func openFiles(opts Options, create bool) (sp, sd *pager.File, err error) {
-	cfg := pager.Config{PoolPages: opts.PoolPages}
 	if opts.Dir == "" {
-		return pager.OpenMemConfig(cfg), pager.OpenMemConfig(cfg), nil
+		return pager.OpenMem(opts.PoolPages), pager.OpenMem(opts.PoolPages), nil
 	}
+	cfg := pager.Config{PoolPages: opts.PoolPages}
 	if create {
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 			return nil, nil, fmt.Errorf("core: %w", err)

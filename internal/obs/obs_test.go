@@ -19,7 +19,7 @@ func TestTraceOffZeroAlloc(t *testing.T) {
 		tr.End(PhaseOrder, b) // planner path: same guarantee as the engine phases
 		b = tr.Begin()
 		tr.End(PhaseDecode, b) // batch-layer decode spans
-		tr.Add(PhasePrefetchStall, time.Millisecond)
+		tr.Add(PhaseDecode, time.Millisecond)
 		tr.AddDecoded(128)
 		tr.AddPartition(42)
 	}); a != 0 {
@@ -86,15 +86,15 @@ func TestTraceConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				tr.Add(PhasePrefetchStall, time.Microsecond)
+				tr.Add(PhaseDecode, time.Microsecond)
 				tr.AddPartition(1)
 			}
 		}()
 	}
 	wg.Wait()
 	s := tr.Snapshot()
-	if want := workers * 100 * time.Microsecond; s.Span(PhasePrefetchStall) != want {
-		t.Errorf("stall = %v, want %v", s.Span(PhasePrefetchStall), want)
+	if want := workers * 100 * time.Microsecond; s.Span(PhaseDecode) != want {
+		t.Errorf("decode = %v, want %v", s.Span(PhaseDecode), want)
 	}
 	if len(s.Partitions) != workers*100 {
 		t.Errorf("partitions = %d, want %d", len(s.Partitions), workers*100)

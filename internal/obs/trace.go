@@ -23,9 +23,10 @@ import (
 // Phase identifies one segment of a query's execution. Parse, Translate
 // and the engine phases are recorded as non-overlapping wall-time spans
 // on the coordinating goroutine, so their durations tile the query's
-// total latency. PhasePrefetchStall is different: it accumulates across
-// concurrent sweep partitions and overlaps PhaseSweep, so it is reported
-// alongside the breakdown but excluded from the sum-to-total invariant.
+// total latency. PhaseDecode is different: it accumulates across
+// concurrent streams and overlaps the scan and sweep spans, so it is
+// reported alongside the breakdown but excluded from the sum-to-total
+// invariant.
 type Phase uint8
 
 // Phases of a query execution.
@@ -53,22 +54,16 @@ const (
 	PhaseFinalize
 	// PhaseDecode is the cumulative time spent decoding heap-page records
 	// in the batch layer (the column-group decodes of columnar heap
-	// pages). Like PhasePrefetchStall it accumulates
-	// across concurrent streams and overlaps the scan/sweep spans, so it
-	// is reported alongside the breakdown but excluded from the
-	// sum-to-total invariant.
+	// pages). It accumulates across concurrent streams and overlaps the
+	// scan/sweep spans, so it is reported alongside the breakdown but
+	// excluded from the sum-to-total invariant.
 	PhaseDecode
-	// PhasePrefetchStall is the cumulative time sweep goroutines spent
-	// blocked on stream prefetchers — time the prefetchers failed to
-	// hide. It overlaps PhaseSweep and sums across partitions, so it can
-	// exceed the sweep's wall time at high parallelism.
-	PhasePrefetchStall
 	// NumPhases is the number of phases (array sizing).
 	NumPhases
 )
 
 var phaseNames = [NumPhases]string{
-	"parse", "translate", "order", "scan", "join", "sweep", "finalize", "decode", "prefetch_stall",
+	"parse", "translate", "order", "scan", "join", "sweep", "finalize", "decode",
 }
 
 // String returns the phase's snake_case name (used as JSON keys).

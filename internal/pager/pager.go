@@ -194,12 +194,9 @@ func (m *memBacking) Sync() error  { return nil }
 // Config configures a paged file's buffer pool.
 type Config struct {
 	// PoolPages is the total pool capacity in pages across all shards;
-	// <= 0 selects DefaultPoolPages.
+	// <= 0 selects DefaultPoolPages. The pool has one lock-striped shard
+	// per CPU, nextPow2(GOMAXPROCS), capped at PoolPages.
 	PoolPages int
-	// Shards is the number of lock-striped pool shards, rounded up to a
-	// power of two and capped at PoolPages; <= 0 selects
-	// nextPow2(GOMAXPROCS).
-	Shards int
 }
 
 // File is a paged file fronted by a sharded buffer pool.
@@ -255,13 +252,6 @@ func nextPow2(n int) int {
 	return p
 }
 
-// Open opens (or creates) a paged file at path with the given buffer pool
-// capacity in pages and the default shard count. poolPages <= 0 selects
-// DefaultPoolPages.
-func Open(path string, poolPages int) (*File, error) {
-	return OpenConfig(path, Config{PoolPages: poolPages})
-}
-
 // OpenConfig opens (or creates) a paged file at path with an explicit
 // pool configuration.
 func OpenConfig(path string, cfg Config) (*File, error) {
@@ -284,12 +274,7 @@ func OpenConfig(path string, cfg Config) (*File, error) {
 // OpenMem returns a paged file backed by memory, for tests and ephemeral
 // stores. Pool misses still count, so access statistics remain meaningful.
 func OpenMem(poolPages int) *File {
-	return OpenMemConfig(Config{PoolPages: poolPages})
-}
-
-// OpenMemConfig is OpenMem with an explicit pool configuration.
-func OpenMemConfig(cfg Config) *File {
-	return newFile(&memBacking{}, 0, cfg)
+	return newFile(&memBacking{}, 0, Config{PoolPages: poolPages})
 }
 
 func newFile(b backing, npages uint32, cfg Config) *File {
@@ -297,11 +282,7 @@ func newFile(b backing, npages uint32, cfg Config) *File {
 	if poolPages <= 0 {
 		poolPages = DefaultPoolPages
 	}
-	nshards := cfg.Shards
-	if nshards <= 0 {
-		nshards = runtime.GOMAXPROCS(0)
-	}
-	nshards = nextPow2(nshards)
+	nshards := nextPow2(runtime.GOMAXPROCS(0))
 	// A shard needs at least one frame of capacity; tiny pools get fewer
 	// shards rather than a silently inflated capacity.
 	for nshards > 1 && nshards > poolPages {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -126,7 +127,7 @@ func TestDropCacheForcesColdReads(t *testing.T) {
 
 func TestDiskPersistence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "data.pg")
-	f, err := Open(path, 4)
+	f, err := OpenConfig(path, Config{PoolPages: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestDiskPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f2, err := Open(path, 4)
+	f2, err := OpenConfig(path, Config{PoolPages: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestDiskPersistence(t *testing.T) {
 
 func TestOpenRejectsCorruptSize(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.pg")
-	f, err := Open(path, 4)
+	f, err := OpenConfig(path, Config{PoolPages: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestOpenRejectsCorruptSize(t *testing.T) {
 	if err := appendByte(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path, 4); err == nil {
+	if _, err := OpenConfig(path, Config{PoolPages: 4}); err == nil {
 		t.Fatal("expected size-mismatch error")
 	}
 }
@@ -224,15 +225,12 @@ func TestRandomizedPagesAgainstShadow(t *testing.T) {
 }
 
 func TestShardCountCappedByPoolSize(t *testing.T) {
-	f := OpenMemConfig(Config{PoolPages: 2, Shards: 64})
+	// Eight CPUs would ask for eight shards.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	f := OpenMem(2)
 	defer f.Close()
 	if got := f.NumShards(); got > 2 {
 		t.Fatalf("NumShards = %d, want <= PoolPages (2)", got)
-	}
-	f2 := OpenMemConfig(Config{PoolPages: 512, Shards: 3})
-	defer f2.Close()
-	if got := f2.NumShards(); got != 4 {
-		t.Fatalf("NumShards = %d, want 4 (next power of two >= 3)", got)
 	}
 }
 
@@ -241,7 +239,7 @@ func TestShardCountCappedByPoolSize(t *testing.T) {
 // page's bytes (the frame's buffer is discarded, never reused), and the
 // page must still read back correctly afterwards.
 func TestViewSurvivesDropCache(t *testing.T) {
-	f := OpenMemConfig(Config{PoolPages: 4, Shards: 1})
+	f := OpenMem(4)
 	defer f.Close()
 	id, err := f.Alloc()
 	if err != nil {
@@ -278,10 +276,10 @@ func TestViewSurvivesDropCache(t *testing.T) {
 }
 
 // TestEvictionSkipsPinnedFrame pins one page and then drives enough
-// traffic through its (only) shard to evict everything evictable; the
-// pinned page's buffer must stay intact throughout.
+// traffic through the pool to evict everything evictable; the pinned
+// page's buffer must stay intact throughout.
 func TestEvictionSkipsPinnedFrame(t *testing.T) {
-	f := OpenMemConfig(Config{PoolPages: 2, Shards: 1})
+	f := OpenMem(2)
 	defer f.Close()
 	const pages = 8
 	ids := make([]PageID, pages)
@@ -296,8 +294,8 @@ func TestEvictionSkipsPinnedFrame(t *testing.T) {
 		ids[i] = id
 	}
 	err := f.View(ids[0], func(p []byte) error {
-		// Touch every other page; with cap 2 and one shard this evicts on
-		// nearly every access, but never the pinned frame.
+		// Touch every other page; a two-page pool evicts on nearly every
+		// access, but never the pinned frame.
 		for round := 0; round < 3; round++ {
 			for i := 1; i < pages; i++ {
 				if err := f.View(ids[i], func(q []byte) error {
@@ -339,7 +337,7 @@ func appendByte(path string) error {
 // shard counters too.
 func TestShardStatsAggregate(t *testing.T) {
 	const pages = 32
-	f := OpenMemConfig(Config{PoolPages: 8, Shards: 4})
+	f := OpenMem(8)
 	ids := make([]PageID, pages)
 	for i := range ids {
 		id, err := f.Alloc()

@@ -11,8 +11,8 @@
 // greedy planner) and joins in Physical.Joins order, which the planner
 // guarantees is a bound tree. Emptiness terminates execution early — a
 // plan the planner proved empty runs zero scans, and an empty scan or
-// join intermediate skips everything after it (Result.EarlyTerminated
-// reports when that saved work).
+// join intermediate skips everything after it
+// (core.Result.EarlyTerminated reports when that saved work).
 //
 // Fragment selections are issued strictly in plan order, one at a time
 // (see scanFragments: the planner's order is an early-termination
@@ -23,18 +23,19 @@
 // XQuery Processors", arXiv:1806.07728): the structural merge join
 // partitions its ancestor input by interval — descendants fall into
 // exactly one partition's interval span, so partitions merge
-// independently. Options.Parallelism bounds the pool; 1 recovers the
-// fully sequential engine. Fragment selections read through the batched
-// stream layer (core.FragmentStream over relstore.BatchIter), which
-// decodes each heap page's records under a single pager view into one
-// reused batch; the records a selection keeps are appended to the
-// fragment's chunked binding arena (core.Tuples, Stride 1), which is
-// never regrown or copied.
+// independently, one chunk per worker goroutine (core.FanOut).
+// Options.Parallelism bounds the chunks; 1 recovers the fully sequential
+// engine. Fragment selections read through the batched stream layer
+// (core.FragmentStream.Collect over relstore.BatchIter), which decodes
+// each heap page's records under a single pager view into one reused
+// batch; the records a selection keeps are appended to the fragment's
+// chunked binding arena (core.Tuples, Stride 1), which is never regrown
+// or copied.
 //
 // Materialization is late: a D-join tuple is a row of int32 binding
 // ids, one per joined fragment, so a join copies ids, never records;
 // ordering an input by start yields a permutation of ids; and the
-// return column is copied once, at exact size, into Result.Records.
+// return column is copied once, at exact size, into core.Result.Records.
 //
 // Per-query statistics accumulate in the relstore.ExecContext threaded
 // through every scan, so concurrent Execute calls against one store
@@ -48,7 +49,6 @@ package relengine
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -69,37 +69,17 @@ const (
 // Options configures execution.
 type Options struct {
 	Join JoinAlgorithm
-	// ExecConfig.Parallelism bounds the worker pool used for
-	// partitioned merge joins. 0 selects runtime.GOMAXPROCS(0); 1 runs
+	// ExecConfig.Parallelism bounds the worker goroutines of a
+	// partitioned merge join. 0 selects runtime.GOMAXPROCS(0); 1 runs
 	// the engine fully sequentially. The result is identical either way.
 	core.ExecConfig
-}
-
-// Result holds a query's answer.
-type Result struct {
-	// Records are the return-node bindings, deduplicated, in document
-	// order.
-	Records []relstore.Record
-	// EarlyTerminated reports that an empty intermediate (a planner
-	// proof, an empty fragment scan, or an empty join result) let the
-	// engine skip remaining scan or join work.
-	EarlyTerminated bool
-}
-
-// Starts returns the start positions of the result records.
-func (r *Result) Starts() []uint32 {
-	out := make([]uint32, len(r.Records))
-	for i, rec := range r.Records {
-		out[i] = rec.Start
-	}
-	return out
 }
 
 // Execute runs a physical plan against a store. Statistics accumulate
 // in ctx (nil discards them). Execute is safe to call concurrently with
 // any other reads of the same store, provided each call gets its own
 // ctx.
-func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opts Options) (*Result, error) {
+func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opts Options) (*core.Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, fmt.Errorf("relengine: %w", err)
 	}
@@ -108,7 +88,7 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opt
 		// A probe-proven empty plan skips every scan and join — zero
 		// page reads past planning. A statically empty plan never had
 		// work to skip.
-		return &Result{EarlyTerminated: p.ProbedEmpty()}, nil
+		return &core.Result{EarlyTerminated: p.ProbedEmpty()}, nil
 	}
 	workers := opts.Workers()
 	tr := ctx.Trace()
@@ -124,7 +104,7 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opt
 		if b.Len() == 0 {
 			// An empty fragment empties the plan (all joins are inner);
 			// remaining scans were skipped and all join work is too.
-			return &Result{EarlyTerminated: len(p.Joins) > 0 || len(lp.Fragments) > 1}, nil
+			return &core.Result{EarlyTerminated: len(p.Joins) > 0 || len(lp.Fragments) > 1}, nil
 		}
 	}
 
@@ -132,7 +112,7 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opt
 	defer tr.End(obs.PhaseJoin, joinBegin)
 
 	if len(p.Joins) == 0 {
-		return &Result{Records: core.DocOrder(bindings[lp.Return], 0, nil)}, nil
+		return &core.Result{Records: core.DocOrder(bindings[lp.Return], 0, nil)}, nil
 	}
 
 	// Rows over the fragments joined so far, one binding id per fragment;
@@ -157,7 +137,7 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opt
 		}
 		cols[j.Desc] = len(cols)
 		if rows.Len() == 0 {
-			return &Result{EarlyTerminated: ji < len(p.Joins)-1}, nil
+			return &core.Result{EarlyTerminated: ji < len(p.Joins)-1}, nil
 		}
 	}
 
@@ -165,7 +145,7 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opt
 	if !ok {
 		return nil, fmt.Errorf("relengine: return fragment %d not joined", lp.Return)
 	}
-	return &Result{Records: core.DocOrder(bindings[lp.Return], 0, rows.Column(retCol))}, nil
+	return &core.Result{Records: core.DocOrder(bindings[lp.Return], 0, rows.Column(retCol))}, nil
 }
 
 // scanFragments evaluates the plan's fragment selections one after the
@@ -182,7 +162,11 @@ func scanFragments(ctx *relstore.ExecContext, st *core.Store, p *planner.Physica
 	bindings := make([]core.Tuples[relstore.Record], len(frags))
 	buf := make([]relstore.Record, relstore.BatchSize)
 	for _, i := range p.Scans {
-		recs, err := scanFragment(ctx, st, frags[i], buf)
+		fs, err := st.PrepareFragmentStream(ctx, frags[i])
+		if err != nil {
+			return nil, err
+		}
+		recs, err := fs.Collect(ctx, buf)
 		if err != nil {
 			return nil, err
 		}
@@ -193,26 +177,6 @@ func scanFragments(ctx *relstore.ExecContext, st *core.Store, p *planner.Physica
 		bindings[i] = recs
 	}
 	return bindings, nil
-}
-
-// scanFragment evaluates one fragment's selection plus local predicates
-// through the shared batched stream layer: records arrive batch-wise
-// with one pager view per heap-page run (instead of one per record),
-// P-label range/set selections are merged into document order
-// batch-wise as well, and each batch is decoded into buf, filtered in
-// place, and its survivors appended to a one-column binding arena.
-func scanFragment(ctx *relstore.ExecContext, st *core.Store, f *translate.Fragment, buf []relstore.Record) (core.Tuples[relstore.Record], error) {
-	recs := core.NewTuples[relstore.Record](1)
-	fs, err := st.PrepareFragmentStream(ctx, f)
-	if err != nil {
-		return recs, err
-	}
-	bi, err := fs.Open(ctx, 0, 0)
-	if err != nil {
-		return recs, err
-	}
-	err = relstore.CollectAdaptive(bi, buf, st.FragmentFilter(f).Apply, recs.Extend)
-	return recs, err
 }
 
 // joinInput is one D-join's operands: the rows joined so far, the column
@@ -286,24 +250,20 @@ func structuralMergeJoin(in *joinInput, workers int) core.Tuples[int32] {
 		chunks = n / 2
 	}
 	parts := make([]core.Tuples[int32], chunks)
-	var wg sync.WaitGroup
-	for c := 0; c < chunks; c++ {
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			minStart := in.ancRec(in.row(lo)).Start
-			maxEnd := uint32(0)
-			for k := lo; k < hi; k++ {
-				maxEnd = max(maxEnd, in.ancRec(in.row(k)).End)
-			}
-			// Descendant candidates for this chunk: minStart < start < maxEnd.
-			descStart := func(k int) uint32 { _, d := in.desc(k); return d.Start }
-			from := sort.Search(nd, func(k int) bool { return descStart(k) > minStart })
-			to := sort.Search(nd, func(k int) bool { return descStart(k) >= maxEnd })
-			parts[c] = mergeJoinChunk(in, lo, hi, from, to)
-		}(c, c*n/chunks, (c+1)*n/chunks)
-	}
-	wg.Wait()
+	_ = core.FanOut(chunks, func(c int) error { // chunks never fail
+		lo, hi := c*n/chunks, (c+1)*n/chunks
+		minStart := in.ancRec(in.row(lo)).Start
+		maxEnd := uint32(0)
+		for k := lo; k < hi; k++ {
+			maxEnd = max(maxEnd, in.ancRec(in.row(k)).End)
+		}
+		// Descendant candidates for this chunk: minStart < start < maxEnd.
+		descStart := func(k int) uint32 { _, d := in.desc(k); return d.Start }
+		from := sort.Search(nd, func(k int) bool { return descStart(k) > minStart })
+		to := sort.Search(nd, func(k int) bool { return descStart(k) >= maxEnd })
+		parts[c] = mergeJoinChunk(in, lo, hi, from, to)
+		return nil
+	})
 
 	out := parts[0]
 	for _, p := range parts[1:] {

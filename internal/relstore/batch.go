@@ -273,30 +273,3 @@ func CollectBatches(bi BatchIter, batchSize int) ([]Record, error) {
 		out = append(out, buf[:n]...)
 	}
 }
-
-// CollectAdaptive drains a batched stream batch by batch. Every
-// NextBatch decodes into buf, which the caller reuses across streams:
-// engines pass relstore.BatchSize records, since a smaller request ends
-// a batch mid-page and that page is then requested once per batch. keep,
-// when non-nil, filters each decoded batch in place and returns the
-// retained prefix (core.RecFilter.Apply); add receives every non-empty
-// retained batch and must copy what it wants, since buf is overwritten
-// by the next batch. There is no size hint and no result slice to
-// regrow: the caller appends into a chunked arena (core.Tuples.Extend).
-// The batches add sees, concatenated, equal filtering the fully
-// collected stream.
-func CollectAdaptive(bi BatchIter, buf []Record, keep func([]Record) []Record, add func([]Record)) error {
-	for {
-		n, err := bi.NextBatch(buf)
-		if err != nil || n == 0 {
-			return err
-		}
-		recs := buf[:n]
-		if keep != nil {
-			recs = keep(recs)
-		}
-		if len(recs) > 0 {
-			add(recs)
-		}
-	}
-}

@@ -31,7 +31,7 @@ func batchFixture(t *testing.T, nlabels, perLabel int) (*Relation, []Record) {
 		})
 		start += 2
 	}
-	f := pager.OpenMemConfig(pager.Config{PoolPages: 16})
+	f := pager.OpenMem(16)
 	rel, err := Build(f, ClusterPLabel, recs)
 	if err != nil {
 		t.Fatal(err)
@@ -169,77 +169,4 @@ func recordsEqual(a, b []Record) bool {
 		}
 	}
 	return true
-}
-
-// TestCollectAdaptiveHintsAndFilter: CollectAdaptive decodes every
-// batch into one reused buffer and filters it there, and neither may
-// show in the answer. With and without a filter, the batches it hands
-// on must concatenate to exactly what collect-then-filter returns and
-// account the same visited records, and — the batch requests being the
-// same — the page reads must not depend on the filter.
-func TestCollectAdaptiveHintsAndFilter(t *testing.T) {
-	rel, _ := batchFixture(t, 4, 1800)
-	keepLevel3 := func(recs []Record) []Record {
-		out := recs[:0]
-		for _, r := range recs {
-			if r.Level == 3 {
-				out = append(out, r)
-			}
-		}
-		return out
-	}
-	keepNone := func(recs []Record) []Record { return recs[:0] }
-	collect := func(ctx *ExecContext, p uint128.Uint128, keep func([]Record) []Record) ([]Record, int, error) {
-		var got []Record
-		batches := 0
-		err := CollectAdaptive(rel.ScanPLabelExactBatch(ctx, p, 0, 0), make([]Record, BatchSize), keep, func(b []Record) {
-			got = append(got, b...)
-			batches++
-		})
-		return got, batches, err
-	}
-	for label := uint64(1); label <= 4; label++ {
-		p := uint128.From64(label)
-		refCtx := NewExecContext()
-		all, err := CollectBatches(rel.ScanPLabelExactBatch(refCtx, p, 0, 0), BatchSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(all) < 3*BatchSize {
-			t.Fatalf("label %d: only %d records — fixture too small to span batches", label, len(all))
-		}
-		filters := []struct {
-			name string
-			keep func([]Record) []Record
-			want []Record
-		}{
-			{"none", nil, all},
-			{"level3", keepLevel3, keepLevel3(append([]Record(nil), all...))},
-			{"drop-all", keepNone, nil},
-		}
-		for _, f := range filters {
-			ctx := NewExecContext()
-			got, batches, err := collect(ctx, p, f.keep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !recordsEqual(got, f.want) {
-				t.Fatalf("label %d filter %s: %d records, want %d", label, f.name, len(got), len(f.want))
-			}
-			if len(f.want) == 0 && batches != 0 {
-				t.Errorf("label %d filter %s: %d empty batches handed on", label, f.name, batches)
-			}
-			if ctx.Visited() != refCtx.Visited() {
-				t.Errorf("label %d filter %s: visited %d, reference %d", label, f.name, ctx.Visited(), refCtx.Visited())
-			}
-			if ctx.PageReads() != refCtx.PageReads() {
-				t.Errorf("label %d filter %s: %d page reads, %d without filter", label, f.name, ctx.PageReads(), refCtx.PageReads())
-			}
-		}
-	}
-	// A nil context (no counters) is valid.
-	got, _, err := collect(nil, uint128.From64(1), nil)
-	if err != nil || len(got) == 0 {
-		t.Fatalf("nil context: %d records, err %v", len(got), err)
-	}
 }

@@ -345,7 +345,7 @@ func TestExecContextIsolation(t *testing.T) {
 func TestPersistenceAcrossOpen(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/sp.pg"
-	f, err := pager.Open(path, 64)
+	f, err := pager.OpenConfig(path, pager.Config{PoolPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestPersistenceAcrossOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f2, err := pager.Open(path, 64)
+	f2, err := pager.OpenConfig(path, pager.Config{PoolPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,8 @@ type Config struct {
 	MaxInFlight int
 	// ParallelismBudget is the global worker-token pool shared by every
 	// executing query: each query is granted between 1 and its requested
-	// parallelism tokens, never more than remain. 0 selects 2*GOMAXPROCS.
+	// parallelism tokens, never more than remain, and a token is one
+	// worker goroutine of the query. 0 selects 2*GOMAXPROCS.
 	ParallelismBudget int
 	// QueryTimeout abandons a request whose execution exceeds it (504).
 	// The execution itself runs to completion server-side and holds its

@@ -1,8 +1,6 @@
 package twig
 
 import (
-	"sync"
-
 	"repro/internal/core"
 	"repro/internal/relstore"
 )
@@ -83,53 +81,29 @@ func partitionRoot(recs core.Tuples[relstore.Record], max int) []sweepPart {
 // it.
 func (e *engine) sweepAll(ctx *relstore.ExecContext, workers int) ([]core.Tuples[relstore.Record], error) {
 	if workers <= 1 {
-		return e.sweepPartition(ctx, sweepPart{streamRoot: true}, false)
+		return e.sweepPartition(ctx, sweepPart{streamRoot: true})
 	}
 
-	rootBI, err := e.root.stream.Open(ctx, 0, 0)
+	rootRecs, err := e.root.stream.Collect(ctx, make([]relstore.Record, relstore.BatchSize))
 	if err != nil {
 		return nil, err
 	}
-	rootRecs := core.NewTuples[relstore.Record](1)
-	buf := make([]relstore.Record, relstore.BatchSize)
-	if err := relstore.CollectAdaptive(rootBI, buf, e.root.filter.Apply, rootRecs.Extend); err != nil {
-		return nil, err
-	}
-
 	parts := partitionRoot(rootRecs, workers)
 	tr := ctx.Trace()
 	for _, part := range parts {
 		tr.AddPartition(uint64(part.to - part.from))
 	}
-	if len(parts) == 1 {
-		return e.sweepPartition(ctx, parts[0], true)
-	}
 
 	// partitionRoot caps len(parts) at workers, so one goroutine per
 	// partition is already the worker bound.
 	results := make([][]core.Tuples[relstore.Record], len(parts))
-	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var firstErr error
-	for pi := range parts {
-		wg.Add(1)
-		go func(pi int) {
-			defer wg.Done()
-			sols, err := e.sweepPartition(ctx, parts[pi], true)
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return
-			}
-			results[pi] = sols
-		}(pi)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err = core.FanOut(len(parts), func(pi int) error {
+		sols, err := e.sweepPartition(ctx, parts[pi])
+		results[pi] = sols
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Stitch per-leaf solutions in partition (document) order.
@@ -144,8 +118,9 @@ func (e *engine) sweepAll(ctx *relstore.ExecContext, workers int) ([]core.Tuples
 
 // sweepPartition runs one partition's stack-chain sweep. The root
 // stream replays from memory; every other stream opens restricted to
-// the partition's start interval, optionally behind a prefetcher.
-func (e *engine) sweepPartition(ctx *relstore.ExecContext, part sweepPart, prefetch bool) ([]core.Tuples[relstore.Record], error) {
+// the partition's start interval and is read on the partition's own
+// goroutine.
+func (e *engine) sweepPartition(ctx *relstore.ExecContext, part sweepPart) ([]core.Tuples[relstore.Record], error) {
 	st := &sweepState{
 		eng:     e,
 		streams: make([]*batchStream, len(e.nodes)),
@@ -156,7 +131,6 @@ func (e *engine) sweepPartition(ctx *relstore.ExecContext, part sweepPart, prefe
 	for li, leaf := range e.leaves {
 		st.sols[li] = core.NewTuples[relstore.Record](len(leaf.path))
 	}
-	defer st.close()
 	for i, n := range e.nodes {
 		if n == e.root && !part.streamRoot {
 			st.streams[i] = newBatchStream(&memSource{recs: part.root, i: part.from, j: part.to})
@@ -166,11 +140,7 @@ func (e *engine) sweepPartition(ctx *relstore.ExecContext, part sweepPart, prefe
 		if err != nil {
 			return nil, err
 		}
-		if prefetch {
-			st.streams[i] = newBatchStream(startPrefetch(ctx, bi, n.filter))
-		} else {
-			st.streams[i] = newBatchStream(newSyncSource(bi, n.filter))
-		}
+		st.streams[i] = newBatchStream(newSyncSource(bi, n.stream.Filter))
 	}
 	if err := st.sweep(); err != nil {
 		return nil, err
@@ -185,14 +155,6 @@ type sweepState struct {
 	stacks  [][]stackItem
 	sols    []core.Tuples[relstore.Record] // per leaf: path solutions in emission order, stride = path length
 	scratch []relstore.Record              // current path during solution collection
-}
-
-func (st *sweepState) close() {
-	for _, s := range st.streams {
-		if s != nil {
-			s.close()
-		}
-	}
 }
 
 // sweep runs the stack machine over all streams in start order.

@@ -2,20 +2,15 @@ package twig
 
 import (
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/relstore"
 )
 
-// batchSource produces filtered record batches for one stream. next
-// returns a nil slice at end of stream; a returned batch stays valid
-// until the following next call. close releases any resources (it is
-// required even when next has not been drained — e.g. when a sibling
-// stream errored mid-sweep).
-//
-// Both pulling sources read relstore.BatchSize records per batch.
+// batchSource produces filtered record batches for one stream, on the
+// sweep's own goroutine. next returns a non-empty batch, or nil at end
+// of stream or on error; a returned batch stays valid until the
+// following next call.
 type batchSource interface {
 	next() ([]relstore.Record, error)
-	close()
 }
 
 // memSource replays the records [i, j) of a one-column arena (a
@@ -35,20 +30,8 @@ func (m *memSource) next() ([]relstore.Record, error) {
 	return run, nil
 }
 
-func (m *memSource) close() {}
-
-// fillBatch pulls one batch into buf and filters it. It returns the
-// filtered records, and n == 0 at end of stream.
-func fillBatch(bi relstore.BatchIter, f core.RecFilter, buf []relstore.Record) ([]relstore.Record, int, error) {
-	n, err := bi.NextBatch(buf)
-	if err != nil || n == 0 {
-		return nil, 0, err
-	}
-	return f.Apply(buf[:n]), n, nil
-}
-
-// syncSource pulls batches inline on the sweep goroutine — the fully
-// sequential (Parallelism = 1) mode.
+// syncSource pulls relstore.BatchSize-record batches from a fragment
+// stream into its own buffer and filters them there.
 type syncSource struct {
 	bi     relstore.BatchIter
 	filter core.RecFilter
@@ -61,96 +44,13 @@ func newSyncSource(bi relstore.BatchIter, f core.RecFilter) *syncSource {
 
 func (s *syncSource) next() ([]relstore.Record, error) {
 	for {
-		recs, n, err := fillBatch(s.bi, s.filter, s.buf)
-		if err != nil {
+		n, err := s.bi.NextBatch(s.buf)
+		if err != nil || n == 0 {
 			return nil, err
 		}
-		if n == 0 {
-			return nil, nil
-		}
-		if len(recs) > 0 {
+		if recs := s.filter.Apply(s.buf[:n]); len(recs) > 0 {
 			return recs, nil
 		}
-	}
-}
-
-func (s *syncSource) close() {}
-
-// prefetchMsg carries one batch (or the stream's terminal error) from a
-// prefetcher to its consumer.
-type prefetchMsg struct {
-	recs []relstore.Record
-	err  error
-}
-
-// prefetchDepth is the number of filtered batches a prefetcher keeps
-// buffered ahead of its consumer.
-const prefetchDepth = 2
-
-// prefetchSource reads batches on a dedicated goroutine, keeping up to
-// prefetchDepth filtered batches buffered ahead of the consumer. Each
-// batch gets a fresh buffer, so the consumer may hold one while the
-// producer fills the next. The time the consumer spends blocked on the
-// channel accumulates under PhasePrefetchStall when traced.
-type prefetchSource struct {
-	ch     chan prefetchMsg
-	stop   chan struct{}
-	closed bool
-	tr     *obs.Trace
-}
-
-func startPrefetch(ctx *relstore.ExecContext, bi relstore.BatchIter, f core.RecFilter) *prefetchSource {
-	s := &prefetchSource{
-		ch:   make(chan prefetchMsg, prefetchDepth),
-		stop: make(chan struct{}),
-		tr:   ctx.Trace(),
-	}
-	go func() {
-		defer close(s.ch)
-		for {
-			recs, n, err := fillBatch(bi, f, make([]relstore.Record, relstore.BatchSize))
-			if err != nil {
-				select {
-				case s.ch <- prefetchMsg{err: err}:
-				case <-s.stop:
-				}
-				return
-			}
-			if n == 0 {
-				return
-			}
-			if len(recs) == 0 {
-				continue
-			}
-			select {
-			case s.ch <- prefetchMsg{recs: recs}:
-			case <-s.stop:
-				return
-			}
-		}
-	}()
-	return s
-}
-
-func (s *prefetchSource) next() ([]relstore.Record, error) {
-	begin := s.tr.Begin()
-	msg, ok := <-s.ch
-	s.tr.End(obs.PhasePrefetchStall, begin)
-	if !ok {
-		return nil, nil
-	}
-	if msg.err != nil {
-		return nil, msg.err
-	}
-	return msg.recs, nil
-}
-
-// close stops the producer goroutine. Safe to call after the stream is
-// drained; must only be called from the consuming goroutine.
-func (s *prefetchSource) close() {
-	if !s.closed {
-		s.closed = true
-		close(s.stop)
 	}
 }
 
@@ -172,22 +72,9 @@ func newBatchStream(src batchSource) *batchStream {
 }
 
 func (s *batchStream) fill() {
-	for {
-		recs, err := s.src.next()
-		if err != nil {
-			s.err = err
-			s.eof = true
-			return
-		}
-		if recs == nil {
-			s.eof = true
-			return
-		}
-		if len(recs) > 0 {
-			s.cur, s.i = recs, 0
-			return
-		}
-	}
+	s.cur, s.err = s.src.next()
+	s.i = 0
+	s.eof = len(s.cur) == 0
 }
 
 func (s *batchStream) head() relstore.Record { return s.cur[s.i] }
@@ -198,5 +85,3 @@ func (s *batchStream) advance() {
 		s.fill()
 	}
 }
-
-func (s *batchStream) close() { s.src.close() }

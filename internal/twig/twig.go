@@ -24,7 +24,7 @@
 // match is a row of int32 solution ids, one per folded leaf, matched to
 // the next leaf's solutions by binary search over its solution ids
 // sorted by prefix, so the merge copies ids, never records, and only
-// the return column is copied out, once, into Result.Records.
+// the return column is copied out, once, into core.Result.Records.
 //
 // # Batched streams and the partitioned sweep
 //
@@ -32,25 +32,21 @@
 // (relstore.BatchIter via core.FragmentStream): records arrive in
 // fixed-size batches, every heap page contributing to a batch is decoded
 // under a single pager view, and the per-P-label runs of a BLAS-mode
-// range selection are k-way merged batch-wise. With
-// core.ExecConfig.Parallelism > 1 the engine additionally parallelizes
-// one query two ways:
+// range selection are k-way merged batch-wise. Every stream is read
+// once, in start order, on the goroutine that sweeps it.
 //
-//   - every twig node's stream gets an asynchronous prefetcher
-//     goroutine that keeps a bounded number of batches in flight, so
-//     per-fragment range scans and the BLAS-mode merge overlap their
-//     backing-store misses instead of stalling the sweep;
-//   - the sweep itself is partitioned by document order: the root
-//     fragment's stream is materialized first (into a chunked record
-//     arena; partitions are index ranges of it), cut points are chosen on
-//     top-level root-element boundaries, and each partition runs the
-//     full stack-chain sweep plus path-solution collection over the
-//     streams restricted to its start interval. Because no element that
-//     can ever be pushed straddles such a cut (every pushed element is
-//     contained in some root-stream element, and no root element spans
-//     a cut), concatenating the per-partition path solutions in
-//     partition order reproduces the sequential sweep's solution lists
-//     exactly; the final merge join is unchanged.
+// With core.ExecConfig.Parallelism > 1 the sweep is partitioned by
+// document order: the root fragment's stream is collected first (into a
+// chunked record arena; partitions are index ranges of it), cut points
+// are chosen on top-level root-element boundaries, and each partition
+// runs the full stack-chain sweep plus path-solution collection over
+// the streams restricted to its start interval, one partition per
+// worker goroutine. Because no element that can ever be pushed
+// straddles such a cut (every pushed element is contained in some
+// root-stream element, and no root element spans a cut), concatenating
+// the per-partition path solutions in partition order reproduces the
+// sequential sweep's solution lists exactly; the final merge join is
+// unchanged.
 //
 // Statistics stay exact under parallelism: a record is fetched by
 // exactly one partition (the start restriction is pushed into the
@@ -75,11 +71,8 @@
 // preparation, PhaseSweep around the (possibly partitioned) sweep, and
 // PhaseJoin around the path-solution merge — that tile its execution
 // time. The parallel sweep additionally records one partition entry per
-// sweep partition (its root-record count) and accumulates
-// PhasePrefetchStall: the cumulative time sweep goroutines spent
-// blocked on prefetcher channels, summed across partitions, so it can
-// exceed the wall-clock sweep span. Without a trace all reporting is a
-// nil check and nothing more.
+// sweep partition (its root-record count). Without a trace all
+// reporting is a nil check and nothing more.
 package twig
 
 import (
@@ -94,25 +87,6 @@ import (
 	"repro/internal/translate"
 )
 
-// Result holds a query's answer: the return-node bindings in document
-// order, deduplicated.
-type Result struct {
-	Records []relstore.Record
-	// EarlyTerminated reports that an empty intermediate (a planner
-	// proof or a stream that resolved to zero runs) let the engine skip
-	// the sweep and merge entirely.
-	EarlyTerminated bool
-}
-
-// Starts returns the start positions of the result records.
-func (r *Result) Starts() []uint32 {
-	out := make([]uint32, len(r.Records))
-	for i, rec := range r.Records {
-		out[i] = rec.Start
-	}
-	return out
-}
-
 // Execute runs a physical plan against a store using the holistic twig
 // join. The plan's join order does not change the sweep (all streams
 // advance in global start order), but the planner's emptiness proofs
@@ -123,19 +97,16 @@ func (r *Result) Starts() []uint32 {
 //
 // cfg.Parallelism sets the sweep-partition count: 0 selects GOMAXPROCS,
 // 1 runs fully sequentially (no extra goroutines), negative values are
-// rejected. At P > 1 each active partition additionally runs one
-// prefetcher goroutine per non-root stream, so a call uses up to
-// P * (plan fragments) goroutines — prefetchers are I/O-bound and
-// block on a bounded channel of two batches, so compute concurrency
-// tracks P, not the product. The result is byte-identical at every
-// setting.
-func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, cfg core.ExecConfig) (*Result, error) {
+// rejected. Each partition sweeps on one goroutine (core.FanOut) and
+// reads all of its streams there, so a call runs at most P goroutines.
+// The result is byte-identical at every setting.
+func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, cfg core.ExecConfig) (*core.Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("twig: %w", err)
 	}
 	lp := p.Logical
 	if p.KnownEmpty || lp.Empty() {
-		return &Result{EarlyTerminated: p.ProbedEmpty()}, nil
+		return &core.Result{EarlyTerminated: p.ProbedEmpty()}, nil
 	}
 	tr := ctx.Trace()
 	scanBegin := tr.Begin()
@@ -148,7 +119,7 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, cfg
 		if n.stream.KnownEmpty() {
 			// A run-less stream can bind nothing, and every twig node
 			// must bind: skip the sweep and merge.
-			return &Result{EarlyTerminated: true}, nil
+			return &core.Result{EarlyTerminated: true}, nil
 		}
 	}
 	sweepBegin := tr.Begin()
@@ -175,7 +146,6 @@ type tnode struct {
 	edge     translate.Join // incoming edge (zero value for the root)
 
 	stream *core.FragmentStream
-	filter core.RecFilter
 
 	// leaf bookkeeping
 	leafIdx int      // index into engine.leaves; -1 for inner nodes
@@ -214,7 +184,6 @@ func build(ctx *relstore.ExecContext, st *core.Store, phys *planner.Physical) (*
 			frag:    f,
 			stream:  fs,
 			leafIdx: -1,
-			filter:  st.FragmentFilter(f),
 		}
 	}
 	hasParent := make([]bool, len(p.Fragments))
@@ -266,7 +235,7 @@ func build(ctx *relstore.ExecContext, st *core.Store, phys *planner.Physical) (*
 // fragment. A partial twig assignment is a join row of solution ids,
 // one per folded leaf; records stay in the leaves' solution arenas until
 // DocOrder copies the return column out.
-func (e *engine) merge(leafSols []core.Tuples[relstore.Record]) (*Result, error) {
+func (e *engine) merge(leafSols []core.Tuples[relstore.Record]) (*core.Result, error) {
 	// owner[id] is the first leaf whose path covers fragment id; the
 	// fragment's binding is at its depth in that leaf's solutions.
 	owner := make([]int, len(e.nodes))
@@ -291,7 +260,7 @@ func (e *engine) merge(leafSols []core.Tuples[relstore.Record]) (*Result, error)
 	}
 	if len(e.leaves) == 1 {
 		// The path solutions are the matches.
-		return &Result{Records: core.DocOrder(leafSols[0], depth, nil)}, nil
+		return &core.Result{Records: core.DocOrder(leafSols[0], depth, nil)}, nil
 	}
 
 	// Fold the other leaves in DFS order. A leaf's covered nodes are the
@@ -307,10 +276,10 @@ func (e *engine) merge(leafSols []core.Tuples[relstore.Record]) (*Result, error)
 		}
 		assigns = foldLeaf(assigns, leafSols[li-1], leafSols[li], shared)
 		if assigns.Len() == 0 {
-			return &Result{}, nil
+			return &core.Result{}, nil
 		}
 	}
-	return &Result{Records: core.DocOrder(leafSols[l], depth, assigns.Column(l))}, nil
+	return &core.Result{Records: core.DocOrder(leafSols[l], depth, assigns.Column(l))}, nil
 }
 
 // comparePrefix orders two path solutions by the starts of their first

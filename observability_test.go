@@ -12,8 +12,8 @@ import (
 )
 
 // phaseSum is the portion of a breakdown measured on the coordinating
-// goroutine — the spans that tile Elapsed. PrefetchStall is cumulative
-// across sweep goroutines and deliberately excluded.
+// goroutine — the spans that tile Elapsed. Decode is cumulative across
+// sweep goroutines and deliberately excluded.
 func phaseSum(p *PhaseBreakdown) time.Duration {
 	return p.Parse + p.Translate + p.Scan + p.Join + p.Sweep + p.Finalize
 }
