@@ -16,14 +16,13 @@ import (
 // about one record copy per visited element plus its output. An engine
 // that copies records into join intermediates, regrows its scan
 // results or keys a hash map per path solution exceeds the budget. The
-// P = 2 twig rows add d per sweep partition, for its streams' batch
-// buffers, stacks and solution arenas, and the collected root stream.
+// P = 2 twig rows get the same budget: Parallelism does not change a
+// twig query's work.
 func TestQueryAllocBudget(t *testing.T) {
 	const (
-		perVisited = 64    // a: bytes per visited element (one 48-byte record plus slack)
-		perMatch   = 384   // b: bytes per match (the record, its Match, path and value)
-		fixed      = 96e3  // c: parse, plan, batch buffers, stream and arena headers
-		perPart    = 256e3 // d: bytes per sweep partition at P > 1
+		perVisited = 64   // a: bytes per visited element (one 48-byte record plus slack)
+		perMatch   = 384  // b: bytes per match (the record, its Match, path and value)
+		fixed      = 96e3 // c: parse, plan, batch buffers, stream and arena headers
 		runs       = 5
 	)
 	var doc strings.Builder
@@ -67,9 +66,6 @@ func TestQueryAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		perQuery := float64(after.TotalAlloc-before.TotalAlloc) / runs
 		budget := perVisited*float64(warm.Stats.VisitedElements) + perMatch*float64(len(warm.Matches)) + fixed
-		if c.par > 1 {
-			budget += perPart * float64(c.par)
-		}
 		t.Logf("%s: %.1f KiB/query, budget %.1f KiB (%d visited, %d matches)",
 			c.name, perQuery/1024, budget/1024, warm.Stats.VisitedElements, len(warm.Matches))
 		if perQuery > budget {

@@ -17,7 +17,8 @@ import (
 // disk-access count — to the plan: the same query on the same store
 // issues the same pool requests whether every page misses (a default
 // pool emptied before each query) or every page hits (a pool that holds
-// the whole store, warmed once), on both engines at P in {1, 2}.
+// the whole store, warmed once), on both engines at P in {1, 2}; and
+// PageReads and VisitedElements at P=2 equal those at P=1.
 func TestPageReadsIndependentOfPool(t *testing.T) {
 	var doc strings.Builder
 	if err := GenerateDataset(&doc, datagen.NameAuction, DatasetOptions{Seed: 1, Factor: 1}); err != nil {
@@ -74,7 +75,9 @@ func TestPageReadsIndependentOfPool(t *testing.T) {
 			}
 		}
 	}
+	type work struct{ reads, visited uint64 }
 	for _, eng := range engines {
+		atP1 := map[string]work{}
 		for _, par := range []int{1, 2} {
 			opts := QueryOptions{Engine: eng, Parallelism: par}
 			for _, q := range queries {
@@ -97,6 +100,12 @@ func TestPageReadsIndependentOfPool(t *testing.T) {
 				}
 				if c.Stats.PageReads != w.Stats.PageReads {
 					t.Errorf("%s [%s P=%d]: %d page reads cold, %d warm", q, eng, par, c.Stats.PageReads, w.Stats.PageReads)
+				}
+				got := work{c.Stats.PageReads, c.Stats.VisitedElements}
+				if par == 1 {
+					atP1[q] = got
+				} else if want := atP1[q]; got != want {
+					t.Errorf("%s [%s P=%d]: %d page reads, %d visited; P=1: %d, %d", q, eng, par, got.reads, got.visited, want.reads, want.visited)
 				}
 			}
 		}

@@ -305,44 +305,6 @@ func BenchmarkScanOverlap(b *testing.B) {
 	}
 }
 
-// BenchmarkTwigOverlap measures the twig engine's internal parallelism:
-// the partitioned holistic sweep against the sequential sweep, on the
-// tree query QA3 whose plan carries several streams. Each iteration is
-// cold-cache with a small pool, so most batch fetches miss, and at P > 1
-// each partition's misses overlap the other partitions' sweep work; on
-// multi-core machines P = GOMAXPROCS beats P = 1 while a 1-CPU container
-// shows no wall-clock delta (as with BenchmarkScanOverlap). The parallel
-// sweep's result set is verified byte-identical to the sequential one
-// before the sub-benchmarks run.
-func BenchmarkTwigOverlap(b *testing.B) {
-	st := benchStore(b, "auction", 3, 64)
-	plan := benchPlan(b, st, bench.Fig10Queries["QA3"], "pushup", true)
-	want, err := bench.TwigOverlap(st, plan, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(want) == 0 {
-		b.Fatal("QA3 returned nothing; the benchmark would sweep no solutions")
-	}
-	if got, err := bench.TwigOverlap(st, plan, runtime.GOMAXPROCS(0)); err != nil || !enginetest.StartsEqual(got, want) {
-		b.Fatalf("parallel twig sweep: %d results (err %v), sequential %d", len(got), err, len(want))
-	}
-	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("P%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				got, err := bench.TwigOverlap(st, plan, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(got) != len(want) {
-					b.Fatalf("%d results, want %d", len(got), len(want))
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationDJoin compares the structural merge join against the
 // nested-loop D-join (the paper's premise that join implementation
 // matters, §1).

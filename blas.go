@@ -31,30 +31,26 @@
 // A *Store is safe for concurrent use once built or opened: any number
 // of goroutines may call Query, Explain, Stats and the other read
 // methods simultaneously. Each Query gets its own execution context, so
-// the ExecStats in one result never include another query's work. Both
-// engines additionally split a single query across at most
+// the ExecStats in one result never include another query's work.
+//
+// On the relational engine a single query additionally splits its
+// structural merge joins by ancestor interval across at most
 // QueryOptions.Parallelism worker goroutines (default GOMAXPROCS; 1
-// forces fully sequential execution):
+// forces fully sequential execution). Its fragment selections are
+// issued one at a time in plan order — the order is what lets an empty
+// selective scan skip the expensive ones, so scans are never raced. The
+// twig engine runs one holistic sweep on the calling goroutine at every
+// Parallelism setting.
 //
-//   - the relational engine partitions its structural merge joins by
-//     ancestor interval (its fragment selections are issued one at a
-//     time in plan order — the order is what lets an empty selective
-//     scan skip the expensive ones, so scans are never raced);
-//   - the twig engine partitions the holistic sweep by document-order
-//     intervals derived from the root stream, cut only on top-level
-//     root-element boundaries so no stack chain straddles a cut; each
-//     partition reads its label streams on its own goroutine.
+// Results are byte-identical at every Parallelism setting, and so are
+// ExecStats.VisitedElements and PageReads: every stream record is
+// fetched once, on the goroutine that issues the scan.
 //
-// Results are byte-identical at every Parallelism setting, and so is
-// ExecStats.VisitedElements — each stream record is fetched by exactly
-// one partition. PageReads/PageMisses remain self-consistent under
-// parallelism (atomic, per-query); on the twig engine they can vary
-// slightly with the partition count, since every partition descends the
-// indexes for its own sub-range. The storage layer scales with query
-// parallelism: each relation file's buffer pool is sharded (one
-// lock-striped shard per CPU, rounded up to a power of two) and page
-// views pin frames instead of holding a pool-wide lock, so concurrent
-// scans overlap their page decoding and backing-store misses.
+// The storage layer scales with concurrent queries: each relation
+// file's buffer pool is sharded (one lock-striped shard per CPU,
+// rounded up to a power of two) and page views pin frames instead of
+// holding a pool-wide lock, so concurrent scans overlap their page
+// decoding and backing-store misses.
 //
 // Close tracks in-flight queries with a refcount: it blocks until every
 // active Query has returned, and any Query or DropCaches call issued
@@ -85,14 +81,12 @@
 // into runs sharing the cluster prefix, and each run stores its starts
 // as ascending delta-varints, its ends/levels/value-lengths as packed
 // varint columns, and its values out-of-line — so a batched scan decodes
-// a whole run with one branch-light loop per column, and start-range
-// restrictions are evaluated on the packed starts before any record
-// materializes. Build writes this format and Open reads only it: a store
+// a whole run with one branch-light loop per column. Build writes this format and Open reads only it: a store
 // in any other format (an older BLASREL1 store included) is rejected
 // with an error naming the fix, rebuild with blasload. Every stream
 // reads fixed-size record batches, so a query's PageReads depend on its
-// plan, the data and Parallelism, never on what the buffer pool happens
-// to hold; per-query decode work surfaces in ExecStats.Phases.
+// plan and the data, never on Parallelism or on what the buffer pool
+// happens to hold; per-query decode work surfaces in ExecStats.Phases.
 //
 // # Observability
 //
@@ -103,8 +97,8 @@
 //     paper's visited-elements and disk-access counters, and, when
 //     QueryOptions.Trace is set, a PhaseBreakdown of wall time across
 //     the pipeline phases (parse, translate, order, scan, join/sweep,
-//     finalize) plus the batch layer's cumulative decode time and the
-//     parallel twig sweep's partition sizes. Tracing is off by default
+//     finalize) plus the batch layer's cumulative decode time. Tracing
+//     is off by default
 //     and the off path costs nothing: no allocations, no clock reads.
 //   - Per store: Store.Metrics returns a StoreMetrics snapshot of
 //     lifetime counters — in-flight and completed queries, error count,
@@ -381,11 +375,11 @@ const (
 type QueryOptions struct {
 	Translator Translator
 	Engine     Engine
-	// Parallelism bounds the worker goroutines one query may use, on
-	// either engine: the chunks of a partitioned D-join on the
-	// relational engine, the partitions of the holistic sweep on the
-	// twig engine. 0 selects runtime.GOMAXPROCS(0); 1 runs the query
-	// fully sequentially. The result set is identical at every setting.
+	// Parallelism bounds the worker goroutines one query may use: the
+	// chunks of a partitioned D-join on the relational engine. The twig
+	// engine runs one sweep on the calling goroutine at every setting.
+	// 0 selects runtime.GOMAXPROCS(0); 1 runs the query fully
+	// sequentially. The result set is identical at every setting.
 	Parallelism int
 	// Trace records a per-phase wall-time breakdown of the execution,
 	// returned in ExecStats.Phases. Off by default; the untraced path
@@ -462,14 +456,13 @@ type ExecStats struct {
 // uninstrumented glue and stays small.
 //
 // Decode is different: it is the cumulative time the batch layer spent
-// decoding heap-page records (with DecodedRecords counting how many),
-// summed across concurrent sweep partitions. It overlaps Scan/Sweep
-// rather than adding to them and can exceed wall-clock time at high
-// parallelism.
+// decoding heap-page records (with DecodedRecords counting how many).
+// It overlaps Scan/Sweep rather than adding to them.
 //
 // PrefetchStall is always zero: every stream is read on the goroutine
-// that sweeps it. It exists only for benchmark/ and goes with ROADMAP
-// item 1 (the benchmark harness).
+// that sweeps it. Partitions is always nil: the twig engine runs one
+// sweep. Both exist only for benchmark/ and go with ROADMAP item 1 (the
+// benchmark harness).
 type PhaseBreakdown struct {
 	Parse         time.Duration `json:"parse_ns"`
 	Translate     time.Duration `json:"translate_ns"`
@@ -483,11 +476,8 @@ type PhaseBreakdown struct {
 	// DecodedRecords is the number of heap records the batch layer
 	// decoded during the Decode time (visited elements, counted at the
 	// page-decode loops).
-	DecodedRecords uint64 `json:"decoded_records"`
-	// Partitions holds the parallel twig sweep's per-partition root
-	// record counts, in document order; empty for sequential sweeps and
-	// for the relational engine.
-	Partitions []uint64 `json:"partitions,omitempty"`
+	DecodedRecords uint64   `json:"decoded_records"`
+	Partitions     []uint64 `json:"partitions,omitempty"` // always nil
 }
 
 func phaseBreakdown(s obs.TraceSnapshot) *PhaseBreakdown {
@@ -501,7 +491,6 @@ func phaseBreakdown(s obs.TraceSnapshot) *PhaseBreakdown {
 		Finalize:       s.Span(obs.PhaseFinalize),
 		Decode:         s.Span(obs.PhaseDecode),
 		DecodedRecords: s.DecodedRecords,
-		Partitions:     s.Partitions,
 	}
 }
 

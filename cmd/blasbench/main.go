@@ -7,7 +7,7 @@
 //	blasbench -fig 13            # relational engine comparison
 //	blasbench -fig 16 -factors 1,2,3,4,5
 //	blasbench -all               # everything (as used for EXPERIMENTS.md)
-//	blasbench -fig overlap -engine both   # P=1 vs P=GOMAXPROCS, both engines
+//	blasbench -fig overlap                # P=1 vs P=GOMAXPROCS, relational D-joins
 //	blasbench -fig plan                   # fixed vs greedy physical plan order
 //	blasbench -fig serve                  # serving tier: cold vs warm plan cache over HTTP
 //
@@ -37,8 +37,7 @@ func main() {
 	factorsStr := flag.String("factors", "1,2,3,4,5", "scale factors for figures 16-18")
 	repeats := flag.Int("repeats", 3, "cold-cache repetitions per measurement")
 	seed := flag.Int64("seed", 1, "data generator seed")
-	parallelism := flag.Int("parallelism", 0, "per-query worker pool, both engines: 0 = GOMAXPROCS, 1 = sequential (the paper's setting)")
-	engine := flag.String("engine", "both", "engine(s) for -fig overlap: relational, twig or both")
+	parallelism := flag.Int("parallelism", 0, "per-query worker pool for relational D-join chunks: 0 = GOMAXPROCS, 1 = sequential (the paper's setting)")
 	jsonDir := flag.String("json", "", "directory to write BENCH_<fig>.json trajectories into (empty = no JSON)")
 	validate := flag.String("validate", "", "validate BENCH_*.json files matching this glob and exit")
 	flag.Parse()
@@ -82,8 +81,8 @@ func main() {
 			case "18":
 				return h.Scalability(os.Stdout, "18", "QA3", factors)
 			case "overlap":
-				// Not a paper figure: P=1 vs P=GOMAXPROCS on both engines.
-				return h.Overlap(os.Stdout, *engine, *factor)
+				// Not a paper figure: P=1 vs P=GOMAXPROCS, relational D-joins.
+				return h.Overlap(os.Stdout, *factor)
 			case "plan":
 				// Not a paper figure: fixed vs greedy physical plan order.
 				return h.PlanFig(os.Stdout)

@@ -30,7 +30,7 @@
 //	  "query":           "/site/people/person/name",
 //	  "engine":          "relational" | "twig",
 //	  "translator":      "auto" | "dlabel" | "split" | "pushup" | "unfold",
-//	  "parallelism":     4,        // 0 = GOMAXPROCS; the server may grant less
+//	  "parallelism":     4,        // relational D-join workers, 0 = GOMAXPROCS; the server may grant less
 //	  "trace":           false,    // per-phase breakdown in stats.phases (bypasses result cache)
 //	  "no_result_cache": false
 //	}
@@ -45,7 +45,7 @@
 //	  "cached":      false,   // served from the result cache
 //	  "plan_cached": true,    // no parse/translate work was done
 //	  "plan_ns":     0,       // planning time this request paid
-//	  "parallelism": 4        // workers actually granted
+//	  "parallelism": 4        // workers actually granted (1 for twig)
 //	}
 //
 // Errors are {"error": "..."} with 400 (bad request/query), 413 (body

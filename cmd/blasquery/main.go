@@ -12,7 +12,7 @@
 // line, the default), "json" (the full ExecStats as one JSON object on
 // stdout — including the phase breakdown when -trace is set) or "none".
 // -trace records per-phase wall times (parse, translate, order, scan,
-// join/sweep, finalize, decode, sweep partitions) into the stats.
+// join/sweep, finalize, decode) into the stats.
 //
 // -explain also prints the physical order the planner chose: fragment
 // scans and structural joins with their per-fragment run-length
@@ -40,7 +40,7 @@ func main() {
 	limit := flag.Int("limit", 20, "maximum matches to print (0 = all)")
 	stats := flag.String("stats", "text", "execution statistics format: text, json or none")
 	trace := flag.Bool("trace", false, "record a per-phase wall-time breakdown into the stats")
-	parallelism := flag.Int("parallelism", 0, "worker pool per query, both engines: 0 = GOMAXPROCS, 1 = sequential")
+	parallelism := flag.Int("parallelism", 0, "worker pool per query for relational D-join chunks: 0 = GOMAXPROCS, 1 = sequential")
 	noReorder := flag.Bool("no-reorder", false, "skip greedy selectivity ordering; run the translator's fixed order")
 	flag.Parse()
 
@@ -135,9 +135,6 @@ func main() {
 		if p := res.Stats.Phases; p != nil {
 			fmt.Printf("phases: parse %s, translate %s, order %s, scan %s, join %s, sweep %s, finalize %s, decode %s (%d records)\n",
 				p.Parse, p.Translate, p.Order, p.Scan, p.Join, p.Sweep, p.Finalize, p.Decode, p.DecodedRecords)
-			if len(p.Partitions) > 0 {
-				fmt.Printf("sweep partitions (root records): %v\n", p.Partitions)
-			}
 		}
 	}
 }

@@ -200,13 +200,12 @@ func TestConcurrentStatsDoNotBleed(t *testing.T) {
 	}
 }
 
-// TestConcurrencyTwigParallelSweep stresses the twig engine's
-// partitioned sweep from many goroutines at mixed parallelism, racing a
-// DropCaches churner so the partitions' streams continually miss and
-// refetch. Every result must be byte-identical to the sequential twig
-// answer, with VisitedElements exactly equal — the partitioned sweep's
-// stats-exactness guarantee (each stream record is fetched by exactly
-// one partition, at every worker count).
+// TestConcurrencyTwigParallelSweep stresses the twig engine from many
+// goroutines at mixed Parallelism settings, racing a DropCaches churner
+// so the streams continually miss and refetch. Every result must be
+// byte-identical to the P=1 twig answer, with VisitedElements and
+// PageReads exactly equal: Parallelism does not change a twig query's
+// work, and neither does the state of the pool.
 func TestConcurrencyTwigParallelSweep(t *testing.T) {
 	st, err := BuildFromString(concurrencyDoc(), Options{PoolPages: 16})
 	if err != nil {
@@ -217,6 +216,7 @@ func TestConcurrencyTwigParallelSweep(t *testing.T) {
 	type want struct {
 		matches []Match
 		visited uint64
+		reads   uint64
 	}
 	wants := map[string]want{}
 	for _, q := range concurrencyWorkload {
@@ -227,7 +227,7 @@ func TestConcurrencyTwigParallelSweep(t *testing.T) {
 		if len(res.Matches) == 0 {
 			t.Fatalf("sequential twig %s: empty result would make the stress vacuous", q)
 		}
-		wants[q] = want{matches: res.Matches, visited: res.Stats.VisitedElements}
+		wants[q] = want{matches: res.Matches, visited: res.Stats.VisitedElements, reads: res.Stats.PageReads}
 	}
 
 	stop := make(chan struct{})
@@ -272,9 +272,9 @@ func TestConcurrencyTwigParallelSweep(t *testing.T) {
 						g, par, q, len(res.Matches), len(w.matches))
 					return
 				}
-				if res.Stats.VisitedElements != w.visited {
-					errs <- fmt.Errorf("goroutine %d P=%d %s: visited %d != sequential %d (partition overlap or gap)",
-						g, par, q, res.Stats.VisitedElements, w.visited)
+				if res.Stats.VisitedElements != w.visited || res.Stats.PageReads != w.reads {
+					errs <- fmt.Errorf("goroutine %d P=%d %s: visited %d, page reads %d; P=1: %d, %d",
+						g, par, q, res.Stats.VisitedElements, res.Stats.PageReads, w.visited, w.reads)
 					return
 				}
 			}

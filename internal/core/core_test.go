@@ -72,7 +72,7 @@ func TestSuffixPathSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := relstore.CollectBatches(st.SP().ScanPLabelExactBatch(nil, lbl, 0, 0), 0)
+	recs, err := relstore.CollectBatches(st.SP().ScanPLabelExactBatch(nil, lbl), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +95,12 @@ func TestDLabelNesting(t *testing.T) {
 	if !ok {
 		t.Fatal("tag missing")
 	}
-	entries, err := relstore.CollectBatches(st.SD().ScanTagBatch(nil, id, 0, 0), 0)
+	entries, err := relstore.CollectBatches(st.SD().ScanTagBatch(nil, id), 0)
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("entries: %d, %v", len(entries), err)
 	}
 	yid, _ := st.TagID("year")
-	years, err := relstore.CollectBatches(st.SD().ScanTagBatch(nil, yid, 0, 0), 0)
+	years, err := relstore.CollectBatches(st.SD().ScanTagBatch(nil, yid), 0)
 	if err != nil || len(years) != 1 {
 		t.Fatalf("years: %d, %v", len(years), err)
 	}
@@ -128,7 +128,7 @@ func TestAttributesShredded(t *testing.T) {
 	if !ok {
 		t.Fatal("@id not in scheme")
 	}
-	attrs, err := relstore.CollectBatches(st.SD().ScanTagBatch(nil, id, 0, 0), 0)
+	attrs, err := relstore.CollectBatches(st.SD().ScanTagBatch(nil, id), 0)
 	if err != nil || len(attrs) != 1 {
 		t.Fatalf("attrs: %d, %v", len(attrs), err)
 	}
@@ -221,7 +221,7 @@ func TestPersistAndOpen(t *testing.T) {
 		t.Fatal("schema lost")
 	}
 	lbl, _ := st2.Scheme().LabelPath([]string{"proteinDatabase", "proteinEntry", "protein", "name"})
-	recs, err := relstore.CollectBatches(st2.SP().ScanPLabelExactBatch(nil, lbl, 0, 0), 0)
+	recs, err := relstore.CollectBatches(st2.SP().ScanPLabelExactBatch(nil, lbl), 0)
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("scan after reopen: %d, %v", len(recs), err)
 	}
@@ -259,7 +259,7 @@ func TestCountersAndCaches(t *testing.T) {
 	}
 	ctx := relstore.NewExecContext()
 	lbl, _ := st.Scheme().LabelPath([]string{"proteinDatabase", "proteinEntry"})
-	if _, err := relstore.CollectBatches(st.SP().ScanPLabelExactBatch(ctx, lbl, 0, 0), 0); err != nil {
+	if _, err := relstore.CollectBatches(st.SP().ScanPLabelExactBatch(ctx, lbl), 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := ctx.Visited(); got != 1 {

@@ -14,13 +14,13 @@ import (
 // blas.QueryOptions threads down into both query engines. The zero value
 // selects the defaults.
 type ExecConfig struct {
-	// Parallelism bounds the worker goroutines one query may use — the
-	// chunks of a partitioned D-join on the relational engine, the
-	// partitions of the holistic sweep on the twig engine; both start
-	// them through FanOut. 0 selects runtime.GOMAXPROCS(0); 1 runs the
-	// query fully sequentially (no extra goroutines). Negative values
-	// are rejected by Validate. The result set is identical at every
-	// setting.
+	// Parallelism bounds the worker goroutines one query may use: the
+	// chunks of a partitioned D-join on the relational engine, started
+	// through FanOut. The twig engine runs one sweep on the calling
+	// goroutine at every setting. 0 selects runtime.GOMAXPROCS(0); 1
+	// runs the query fully sequentially (no extra goroutines). Negative
+	// values are rejected by Validate, on both engines. The result set
+	// is identical at every setting.
 	Parallelism int
 }
 
@@ -96,17 +96,14 @@ func (r *Result) Starts() []uint32 {
 }
 
 // FragmentStream prepares the document-order batched stream of one plan
-// fragment's selection so it can be opened repeatedly over disjoint
-// start ranges. Both engines read fragments through it: the relational
-// engine drains one full-range stream per fragment, the twig engine's
-// partitioned sweep opens one restricted stream per partition.
+// fragment's selection. Both engines read fragments through it: the
+// relational engine drains each fragment with Collect, the twig engine's
+// sweep reads each through Open.
 //
-// Preparation resolves everything that must not be repeated per
-// partition — in particular the distinct P-label runs of a range
-// selection (a skip scan over the cluster index). Open then only
-// descends the index once per run, and a record whose start falls in
-// [lo, hi) is fetched by exactly one partition, which keeps the
-// visited-elements statistic independent of how the stream is split.
+// Preparation resolves the access path before any record is read — in
+// particular the distinct P-label runs of a range selection (a skip
+// scan over the cluster index) — so Open descends the index once per
+// run.
 type FragmentStream struct {
 	st      *Store
 	frag    *translate.Fragment
@@ -136,27 +133,26 @@ func (s *Store) PrepareFragmentStream(ctx *relstore.ExecContext, f *translate.Fr
 	return fs, nil
 }
 
-// KnownEmpty reports that the prepared stream can produce no records
-// under any start restriction: a range selection whose skip scan
-// resolved zero P-label runs. Engines use it to terminate early without
-// opening (and sweeping) the plan's other streams.
+// KnownEmpty reports that the prepared stream can produce no records:
+// a range selection whose skip scan resolved zero P-label runs. Engines
+// use it to terminate early without opening (and sweeping) the plan's
+// other streams.
 func (fs *FragmentStream) KnownEmpty() bool {
 	return fs.frag.Access.Kind == translate.AccessPLabelRange && len(fs.plabels) == 0
 }
 
-// Open returns the fragment's records whose start position lies in
-// [lo, hi) — hi == 0 means unbounded — as a batched stream in document
+// Open returns the fragment's records as a batched stream in document
 // (start) order. The fragment-local predicates (fs.Filter) are NOT
 // applied; the caller applies them to the decoded batches.
-func (fs *FragmentStream) Open(ctx *relstore.ExecContext, lo, hi uint32) (relstore.BatchIter, error) {
+func (fs *FragmentStream) Open(ctx *relstore.ExecContext) (relstore.BatchIter, error) {
 	f := fs.frag
 	switch f.Access.Kind {
 	case translate.AccessPLabelEq:
-		return fs.st.sp.ScanPLabelExactBatch(ctx, f.Access.Range.Lo, lo, hi), nil
+		return fs.st.sp.ScanPLabelExactBatch(ctx, f.Access.Range.Lo), nil
 	case translate.AccessPLabelRange:
 		runs := make([]relstore.BatchIter, 0, len(fs.plabels))
 		for _, p := range fs.plabels {
-			runs = append(runs, fs.st.sp.ScanPLabelExactBatch(ctx, p, lo, hi))
+			runs = append(runs, fs.st.sp.ScanPLabelExactBatch(ctx, p))
 		}
 		if len(runs) == 0 {
 			return emptyBatchIter{}, nil
@@ -165,16 +161,16 @@ func (fs *FragmentStream) Open(ctx *relstore.ExecContext, lo, hi uint32) (relsto
 	case translate.AccessPLabelSet:
 		runs := make([]relstore.BatchIter, 0, len(f.Access.Labels))
 		for _, l := range f.Access.Labels {
-			runs = append(runs, fs.st.sp.ScanPLabelExactBatch(ctx, l, lo, hi))
+			runs = append(runs, fs.st.sp.ScanPLabelExactBatch(ctx, l))
 		}
 		if len(runs) == 0 {
 			return emptyBatchIter{}, nil
 		}
 		return relstore.MergeBatchesByStart(runs)
 	case translate.AccessTag:
-		return fs.st.sd.ScanTagBatch(ctx, f.Access.TagID, lo, hi), nil
+		return fs.st.sd.ScanTagBatch(ctx, f.Access.TagID), nil
 	case translate.AccessAll:
-		return fs.st.sd.ScanStartRangeBatch(ctx, lo, hi), nil
+		return fs.st.sd.ScanStartOrderBatch(ctx), nil
 	default:
 		return nil, fmt.Errorf("core: unknown access kind %v", f.Access.Kind)
 	}
@@ -188,7 +184,7 @@ func (fs *FragmentStream) Open(ctx *relstore.ExecContext, lo, hi uint32) (relsto
 // the chunked arena, which is never regrown.
 func (fs *FragmentStream) Collect(ctx *relstore.ExecContext, buf []relstore.Record) (Tuples[relstore.Record], error) {
 	recs := NewTuples[relstore.Record](1)
-	bi, err := fs.Open(ctx, 0, 0)
+	bi, err := fs.Open(ctx)
 	if err != nil {
 		return recs, err
 	}

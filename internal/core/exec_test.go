@@ -45,7 +45,7 @@ func TestCollectFiltersEveryBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bi, err := ref.Open(refCtx, 0, 0)
+	bi, err := ref.Open(refCtx)
 	if err != nil {
 		t.Fatal(err)
 	}

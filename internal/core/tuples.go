@@ -110,15 +110,6 @@ func (t Tuples[T]) Column(col int) []T {
 	return out
 }
 
-// Run returns tuples i..j-1 as one flat slice aliasing the arena — or,
-// when they span chunks, the longest prefix of them inside i's chunk.
-func (t Tuples[T]) Run(i, j int) []T {
-	c, k := chunkOf(i)
-	chunk := t.chunks[c]
-	end := min(k+j-i, len(chunk)/t.Stride)
-	return chunk[k*t.Stride : end*t.Stride]
-}
-
 // last returns the chunk the next tuple goes to, allocating it when the
 // current last chunk is full.
 func (t *Tuples[T]) last() *[]T {

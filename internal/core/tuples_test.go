@@ -21,7 +21,7 @@ func tuple(i, stride int, start uint32) []relstore.Record {
 }
 
 // TestTuplesAcrossChunks fills arenas past several chunk boundaries and
-// checks that every access path — At, Get, Column, Run, Extend,
+// checks that every access path — At, Get, Column, Extend,
 // AppendAll — sees exactly the tuples that were appended, in order.
 func TestTuplesAcrossChunks(t *testing.T) {
 	const chunk = 1 << tupleChunkShift
@@ -51,21 +51,6 @@ func TestTuplesAcrossChunks(t *testing.T) {
 					if col[i] != w[c] || *arena.Get(i, c) != w[c] {
 						t.Fatalf("stride %d n %d: Column(%d)[%d] = %v, Get = %v, want %v", stride, n, c, i, col[i], *arena.Get(i, c), w[c])
 					}
-				}
-			}
-			// Runs of any start tile the requested range in order.
-			for _, from := range []int{0, n / 3, max(n-1, 0)} {
-				var got []relstore.Record
-				for i := from; i < n; {
-					run := arena.Run(i, n)
-					if len(run) == 0 || len(run)%stride != 0 {
-						t.Fatalf("stride %d n %d: Run(%d, %d) has %d records", stride, n, i, n, len(run))
-					}
-					got = append(got, run...)
-					i += len(run) / stride
-				}
-				if !slices.Equal(got, flat[from*stride:]) {
-					t.Fatalf("stride %d n %d: runs from %d differ from the appended tuples", stride, n, from)
 				}
 			}
 			// A tuple handed out by At must not be clobbered by appending

@@ -25,7 +25,7 @@ func TestLabelTreeMatchesShredder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := relstore.CollectBatches(st.SP().ScanPLabelExactBatch(nil, lbl, 0, 0), 0)
+	recs, err := relstore.CollectBatches(st.SP().ScanPLabelExactBatch(nil, lbl), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

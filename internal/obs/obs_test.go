@@ -21,7 +21,6 @@ func TestTraceOffZeroAlloc(t *testing.T) {
 		tr.End(PhaseDecode, b) // batch-layer decode spans
 		tr.Add(PhaseDecode, time.Millisecond)
 		tr.AddDecoded(128)
-		tr.AddPartition(42)
 	}); a != 0 {
 		t.Errorf("nil-trace span recording allocates %.1f times per call, want 0", a)
 	}
@@ -47,8 +46,6 @@ func TestTraceSpans(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	tr.End(PhaseParse, begin)
 	tr.Add(PhaseJoin, 5*time.Millisecond)
-	tr.AddPartition(10)
-	tr.AddPartition(20)
 	tr.AddDecoded(100)
 	tr.AddDecoded(28)
 	tr.AddDecoded(0)  // ignored
@@ -67,9 +64,6 @@ func TestTraceSpans(t *testing.T) {
 	if s.Span(PhaseSweep) != 0 {
 		t.Errorf("sweep span = %v, want 0", s.Span(PhaseSweep))
 	}
-	if len(s.Partitions) != 2 || s.Partitions[0] != 10 || s.Partitions[1] != 20 {
-		t.Errorf("partitions = %v, want [10 20]", s.Partitions)
-	}
 	// Ending a span with the nil trace's zero begin must not record.
 	tr.End(PhaseSweep, time.Time{})
 	if got := tr.Snapshot().Span(PhaseSweep); got != 0 {
@@ -87,7 +81,7 @@ func TestTraceConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				tr.Add(PhaseDecode, time.Microsecond)
-				tr.AddPartition(1)
+				tr.AddDecoded(1)
 			}
 		}()
 	}
@@ -96,8 +90,8 @@ func TestTraceConcurrent(t *testing.T) {
 	if want := workers * 100 * time.Microsecond; s.Span(PhaseDecode) != want {
 		t.Errorf("decode = %v, want %v", s.Span(PhaseDecode), want)
 	}
-	if len(s.Partitions) != workers*100 {
-		t.Errorf("partitions = %d, want %d", len(s.Partitions), workers*100)
+	if s.DecodedRecords != workers*100 {
+		t.Errorf("decoded records = %d, want %d", s.DecodedRecords, workers*100)
 	}
 }
 

@@ -15,7 +15,6 @@
 package obs
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -23,10 +22,9 @@ import (
 // Phase identifies one segment of a query's execution. Parse, Translate
 // and the engine phases are recorded as non-overlapping wall-time spans
 // on the coordinating goroutine, so their durations tile the query's
-// total latency. PhaseDecode is different: it accumulates across
-// concurrent streams and overlaps the scan and sweep spans, so it is
-// reported alongside the breakdown but excluded from the sum-to-total
-// invariant.
+// total latency. PhaseDecode is different: it overlaps the scan and
+// sweep spans, so it is reported alongside the breakdown but excluded
+// from the sum-to-total invariant.
 type Phase uint8
 
 // Phases of a query execution.
@@ -54,9 +52,9 @@ const (
 	PhaseFinalize
 	// PhaseDecode is the cumulative time spent decoding heap-page records
 	// in the batch layer (the column-group decodes of columnar heap
-	// pages). It accumulates across concurrent streams and overlaps the
-	// scan/sweep spans, so it is reported alongside the breakdown but
-	// excluded from the sum-to-total invariant.
+	// pages). It overlaps the scan/sweep spans, so it is reported
+	// alongside the breakdown but excluded from the sum-to-total
+	// invariant.
 	PhaseDecode
 	// NumPhases is the number of phases (array sizing).
 	NumPhases
@@ -76,14 +74,10 @@ func (p Phase) String() string {
 
 // Trace accumulates one query's phase breakdown. A nil *Trace is valid
 // everywhere one is accepted and records nothing; all methods are safe
-// for concurrent use, so a partitioned sweep's workers may report into
-// one trace.
+// for concurrent use.
 type Trace struct {
 	phases  [NumPhases]atomic.Int64 // cumulative nanoseconds
 	decoded atomic.Uint64           // heap records decoded in the batch layer
-
-	mu       sync.Mutex
-	partRecs []uint64 // per-partition root-record counts, partition order
 }
 
 // NewTrace returns an empty trace.
@@ -134,23 +128,10 @@ func (t *Trace) AddDecoded(n int) {
 	t.decoded.Add(uint64(n))
 }
 
-// AddPartition records one sweep partition and the number of root
-// records it owns. The sequential (unpartitioned) sweep records nothing:
-// a snapshot with no partitions means the sweep ran whole.
-func (t *Trace) AddPartition(rootRecords uint64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.partRecs = append(t.partRecs, rootRecords)
-	t.mu.Unlock()
-}
-
 // TraceSnapshot is an immutable copy of a trace's accumulated phases.
 type TraceSnapshot struct {
 	Phases         [NumPhases]time.Duration
-	DecodedRecords uint64   // heap records decoded in the batch layer
-	Partitions     []uint64 // per-partition root-record counts; nil if unpartitioned
+	DecodedRecords uint64 // heap records decoded in the batch layer
 }
 
 // Span returns the duration attributed to phase p.
@@ -167,10 +148,5 @@ func (t *Trace) Snapshot() TraceSnapshot {
 		s.Phases[p] = time.Duration(t.phases[p].Load())
 	}
 	s.DecodedRecords = t.decoded.Load()
-	t.mu.Lock()
-	if len(t.partRecs) > 0 {
-		s.Partitions = append([]uint64(nil), t.partRecs...)
-	}
-	t.mu.Unlock()
 	return s
 }

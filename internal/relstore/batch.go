@@ -115,51 +115,31 @@ func (b *indexBatchIter) NextBatch(dst []Record) (int, error) {
 	return len(locs), nil
 }
 
-// clusterSeekKey returns the cluster-index key at which a scan of one
-// cluster-key prefix (plabel or tag) restricted to starts >= lo begins.
-func clusterSeekKey(prefix []byte, lo uint32) []byte {
-	if lo == 0 {
-		return prefix
-	}
-	return append(prefix, keyenc.Uint32(lo)...)
-}
-
 // ScanAllBatch iterates every record in cluster-key order. The index is
 // probed for exactly one position (the first entry); the scan then walks
 // the heap pages directly.
 func (r *Relation) ScanAllBatch(ctx *ExecContext) BatchIter {
-	return r.seekHeapRun(ctx, nil, uint128.Uint128{}, 0, 0, true)
+	return r.seekHeapRun(ctx, nil, uint128.Uint128{}, 0, true)
 }
 
 // ScanPLabelExactBatch iterates the records with plabel == p in start
-// order, restricted to those whose start lies in [lo, hi) (hi == 0 means
-// unbounded). The restriction is pushed into the scan — records outside
-// it are never decoded or counted — which is what lets a partitioned
-// sweep split one stream across workers without reading any record
-// twice. The heap is cluster-ordered and contiguous, so the scan seeks
-// once via the index, then walks the heap pages directly, cutting on the
-// packed starts — no index leaves past the seek. The relation must be
-// plabel-clustered.
-func (r *Relation) ScanPLabelExactBatch(ctx *ExecContext, p uint128.Uint128, lo, hi uint32) BatchIter {
-	return r.seekHeapRun(ctx, clusterSeekKey(keyenc.Uint128(p), lo), p, 0, hi, false)
+// order. The heap is cluster-ordered and contiguous, so the scan seeks
+// once via the index, then walks the heap pages directly — no index
+// leaves past the seek. The relation must be plabel-clustered.
+func (r *Relation) ScanPLabelExactBatch(ctx *ExecContext, p uint128.Uint128) BatchIter {
+	return r.seekHeapRun(ctx, keyenc.Uint128(p), p, 0, false)
 }
 
 // ScanTagBatch iterates the records with the given tag id in start
-// order, with the same [lo, hi) start restriction as
-// ScanPLabelExactBatch. The relation must be tag-clustered.
-func (r *Relation) ScanTagBatch(ctx *ExecContext, tagID uint32, lo, hi uint32) BatchIter {
-	return r.seekHeapRun(ctx, clusterSeekKey(keyenc.Uint32(tagID), lo), uint128.Uint128{}, tagID, hi, false)
+// order, the same way. The relation must be tag-clustered.
+func (r *Relation) ScanTagBatch(ctx *ExecContext, tagID uint32) BatchIter {
+	return r.seekHeapRun(ctx, keyenc.Uint32(tagID), uint128.Uint128{}, tagID, false)
 }
 
-// ScanStartRangeBatch iterates the records with lo <= start < hi (hi == 0
-// means unbounded) in document order via the start index.
-func (r *Relation) ScanStartRangeBatch(ctx *ExecContext, lo, hi uint32) BatchIter {
-	from := keyenc.Uint32(lo)
-	var to []byte
-	if hi != 0 {
-		to = keyenc.Uint32(hi)
-	}
-	return &indexBatchIter{r: r, ctx: ctx, it: r.startIdx.ScanCounted(from, to, ctx.pageCounters())}
+// ScanStartOrderBatch iterates every record in document (start) order
+// via the start index.
+func (r *Relation) ScanStartOrderBatch(ctx *ExecContext) BatchIter {
+	return &indexBatchIter{r: r, ctx: ctx, it: r.startIdx.ScanCounted(nil, nil, ctx.pageCounters())}
 }
 
 // --- k-way batch merge ---

@@ -49,8 +49,8 @@ func TestBatchScanMatchesIter(t *testing.T) {
 	for _, batchSize := range []int{1, 3, 64, 4096} {
 		for label := uint64(1); label <= 6; label++ {
 			p := uint128.From64(label)
-			want := within(byStart, 0, 0, func(r *Record) bool { return r.PLabel == p })
-			got, err := CollectBatches(rel.ScanPLabelExactBatch(nil, p, 0, 0), batchSize)
+			want := filterRecs(byStart, func(r *Record) bool { return r.PLabel == p })
+			got, err := CollectBatches(rel.ScanPLabelExactBatch(nil, p), batchSize)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,48 +58,6 @@ func TestBatchScanMatchesIter(t *testing.T) {
 				t.Fatalf("label %d batchSize %d: %d records, want %d", label, batchSize, len(got), len(want))
 			}
 		}
-	}
-}
-
-// TestBatchStartRestriction: a batched scan restricted to [lo, hi) must
-// return exactly the full scan's records with start in that range, and a
-// disjoint cover of restrictions must reproduce the full scan — with the
-// visited-elements count identical to one full scan (no record is
-// fetched twice, none skipped).
-func TestBatchStartRestriction(t *testing.T) {
-	rel, _ := batchFixture(t, 5, 60)
-	p := uint128.From64(3)
-
-	fullCtx := NewExecContext()
-	full, err := CollectBatches(rel.ScanPLabelExactBatch(fullCtx, p, 0, 0), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full) == 0 {
-		t.Fatal("fixture produced no records for label 3")
-	}
-
-	mid := full[len(full)/2].Start
-	quarter := full[len(full)/4].Start
-	partCtx := NewExecContext()
-	var stitched []Record
-	for _, r := range [][2]uint32{{0, quarter}, {quarter, mid}, {mid, 0}} {
-		part, err := CollectBatches(rel.ScanPLabelExactBatch(partCtx, p, r[0], r[1]), 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rec := range part {
-			if rec.Start < r[0] || (r[1] != 0 && rec.Start >= r[1]) {
-				t.Fatalf("record start %d outside restriction [%d,%d)", rec.Start, r[0], r[1])
-			}
-		}
-		stitched = append(stitched, part...)
-	}
-	if !recordsEqual(stitched, full) {
-		t.Fatalf("stitched partitions: %d records, want %d", len(stitched), len(full))
-	}
-	if partCtx.Visited() != fullCtx.Visited() {
-		t.Fatalf("partitioned scans visited %d records, full scan %d", partCtx.Visited(), fullCtx.Visited())
 	}
 }
 
@@ -112,10 +70,10 @@ func TestBatchMergeByStart(t *testing.T) {
 	var batchRuns []BatchIter
 	inRuns := map[uint128.Uint128]bool{}
 	for _, l := range labels {
-		batchRuns = append(batchRuns, rel.ScanPLabelExactBatch(nil, uint128.From64(l), 0, 0))
+		batchRuns = append(batchRuns, rel.ScanPLabelExactBatch(nil, uint128.From64(l)))
 		inRuns[uint128.From64(l)] = true
 	}
-	want := within(sortedByStart(recs), 0, 0, func(r *Record) bool { return inRuns[r.PLabel] })
+	want := filterRecs(sortedByStart(recs), func(r *Record) bool { return inRuns[r.PLabel] })
 	mBatch, err := MergeBatchesByStart(batchRuns)
 	if err != nil {
 		t.Fatal(err)
@@ -138,12 +96,12 @@ func TestBatchPageReadAmortization(t *testing.T) {
 	p := uint128.From64(1)
 
 	oneCtx := NewExecContext()
-	recs, err := CollectBatches(rel.ScanPLabelExactBatch(oneCtx, p, 0, 0), 1)
+	recs, err := CollectBatches(rel.ScanPLabelExactBatch(oneCtx, p), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	batchCtx := NewExecContext()
-	brecs, err := CollectBatches(rel.ScanPLabelExactBatch(batchCtx, p, 0, 0), BatchSize)
+	brecs, err := CollectBatches(rel.ScanPLabelExactBatch(batchCtx, p), BatchSize)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -381,48 +381,19 @@ func decodeColSlots(p []byte, kind Clustering, lo, hi int, dst []Record) error {
 	return nil
 }
 
-// runStartsUpper walks the run's packed starts column and returns the
-// first relative index whose start position is >= hi — the restriction
-// cut, evaluated on the compressed column before any record
-// materializes. hi == 0 means unbounded (returns count).
-//
-//blas:hotpath
-func runStartsUpper(p []byte, run colRun, hi uint32) int {
-	if hi == 0 {
-		return run.count
-	}
-	sOff := run.starts
-	var cum uint32
-	for i := 0; i < run.count; i++ {
-		d, n := binary.Uvarint(p[sOff:])
-		if n <= 0 {
-			return i // corrupt column: the decode pass will report it
-		}
-		sOff += n
-		cum += uint32(d)
-		if cum >= hi {
-			return i
-		}
-	}
-	return run.count
-}
-
 // heapRunIter is the cluster-scan iterator: one index descend finds the
 // first qualifying locator, then the scan walks the contiguous heap
 // pages directly, stopping on the first run whose prefix leaves the
-// selection or whose packed starts reach the upper bound. Index leaf
-// pages are never touched past the initial seek, and only materialized
-// records count as visited.
+// selection. Index leaf pages are never touched past the initial seek,
+// and only materialized records count as visited.
 type heapRunIter struct {
 	r    *Relation
 	ctx  *ExecContext
 	kind Clustering
-	// selection: the cluster prefix plus the [*, hi) start bound (the
-	// lower bound was folded into the seek). matchAll accepts every run
-	// — the full-relation scan.
+	// selection: the cluster prefix. matchAll accepts every run — the
+	// full-relation scan.
 	plabel   uint128.Uint128
 	tagID    uint32
-	hi       uint32
 	matchAll bool
 
 	page pager.PageID
@@ -436,8 +407,8 @@ type heapRunIter struct {
 // one index position (SeekValue runs inside pager views); the cluster
 // prefix in the iterator's selection bounds the scan above, so no `to`
 // key is needed.
-func (r *Relation) seekHeapRun(ctx *ExecContext, from []byte, plabel uint128.Uint128, tagID uint32, hi uint32, matchAll bool) BatchIter {
-	h := &heapRunIter{r: r, ctx: ctx, kind: r.meta.kind, plabel: plabel, tagID: tagID, hi: hi, matchAll: matchAll}
+func (r *Relation) seekHeapRun(ctx *ExecContext, from []byte, plabel uint128.Uint128, tagID uint32, matchAll bool) BatchIter {
+	h := &heapRunIter{r: r, ctx: ctx, kind: r.meta.kind, plabel: plabel, tagID: tagID, matchAll: matchAll}
 	var locBuf [6]byte
 	val, ok, err := r.cluster.SeekValue(from, locBuf[:0], ctx.pageCounters())
 	if err != nil || !ok {
@@ -522,36 +493,22 @@ func (h *heapRunIter) NextBatch(dst []Record) (int, error) {
 					return nil
 				}
 				a := h.slot - run.firstSlot
-				b := runStartsUpper(p, run, h.hi)
-				if b <= a {
-					h.done = true
-					tr.End(obs.PhaseDecode, begin)
-					return nil
-				}
-				hitBound := b < run.count
-				if b-a > len(dst)-n-produced {
-					b = a + len(dst) - n - produced
-					hitBound = false
-				}
+				b := min(run.count, a+len(dst)-n-produced)
 				if err := decodeRunRecords(p, h.kind, run, a, b, dst[n+produced:n+produced+(b-a)]); err != nil {
 					return err
 				}
 				produced += b - a
 				h.slot = run.firstSlot + b
-				if hitBound {
-					h.done = true
-					break
-				}
 				if n+produced == len(dst) {
 					break
 				}
 			}
-			if !h.done && h.slot < nrecs && n+produced < len(dst) {
+			if h.slot < nrecs && n+produced < len(dst) {
 				// Every run was walked and the page's records were not
 				// all reached: retrying the page would make no progress.
 				return fmt.Errorf("relstore: corrupt columnar page %d: slot %d is in no run", h.page, h.slot)
 			}
-			if !h.done && h.slot >= nrecs {
+			if h.slot >= nrecs {
 				h.page++
 				h.slot = 0
 			}

@@ -107,14 +107,13 @@ func sortedByStart(recs []Record) []Record {
 	return out
 }
 
-// within returns, in order, the records of recs that keep accepts (nil
-// accepts all) and whose start lies in [lo, hi) (hi == 0 = unbounded):
-// the in-memory answer of a restricted scan.
-func within(recs []Record, lo, hi uint32, keep func(*Record) bool) []Record {
+// filterRecs returns, in order, the records of recs that keep accepts:
+// the in-memory answer of a selection scan.
+func filterRecs(recs []Record, keep func(*Record) bool) []Record {
 	var out []Record
 	for i := range recs {
 		r := &recs[i]
-		if r.Start >= lo && (hi == 0 || r.Start < hi) && (keep == nil || keep(r)) {
+		if keep(r) {
 			out = append(out, *r)
 		}
 	}
@@ -150,57 +149,17 @@ func TestColumnarRoundTrip(t *testing.T) {
 
 		if kind == ClusterPLabel {
 			for _, p := range []uint128.Uint128{u(1), u(3), u(40), u(9999)} {
-				got := drainBatch(t, rel.ScanPLabelExactBatch(nil, p, 0, 0), 128)
-				if w := within(want, 0, 0, hasPLabel(p)); !recordsEqual(got, w) {
+				got := drainBatch(t, rel.ScanPLabelExactBatch(nil, p), 128)
+				if w := filterRecs(want, hasPLabel(p)); !recordsEqual(got, w) {
 					t.Fatalf("plabel %v: batch scan differs from the input (%d vs %d)", p, len(got), len(w))
 				}
 			}
 		} else {
 			for tag := uint32(1); tag <= 14; tag++ {
-				got := drainBatch(t, rel.ScanTagBatch(nil, tag, 0, 0), 128)
-				if w := within(want, 0, 0, func(r *Record) bool { return r.TagID == tag }); !recordsEqual(got, w) {
+				got := drainBatch(t, rel.ScanTagBatch(nil, tag), 128)
+				if w := filterRecs(want, func(r *Record) bool { return r.TagID == tag }); !recordsEqual(got, w) {
 					t.Fatalf("tag %d: batch scan differs from the input (%d vs %d)", tag, len(got), len(w))
 				}
-			}
-		}
-	}
-}
-
-// TestColumnarStartRangeEdges drives the [lo, hi) restriction at the
-// boundary values the packed-starts cut must get exactly right: bounds
-// equal to record starts (lo inclusive, hi exclusive), bounds past
-// either end, and an empty window.
-func TestColumnarStartRangeEdges(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	recs := genColumnarCorpus(rng, 12)
-	rel := buildT(t, ClusterPLabel, recs)
-	sorted := sortedByCluster(ClusterPLabel, recs)
-
-	// Collect per-plabel starts to aim the bounds at exact records.
-	byPLabel := map[uint128.Uint128][]uint32{}
-	for _, r := range sorted {
-		byPLabel[r.PLabel] = append(byPLabel[r.PLabel], r.Start)
-	}
-	for p, starts := range byPLabel {
-		first, last := starts[0], starts[len(starts)-1]
-		bounds := [][2]uint32{
-			{0, 0},                // unbounded
-			{first, 0},            // lo == first start (inclusive)
-			{first + 1, 0},        // just past the first
-			{0, last},             // hi == last start (exclusive: drops it)
-			{0, last + 1},         // hi just past the last (keeps it)
-			{first, first},        // lo == hi, nonzero: empty
-			{last + 1, last + 10}, // past the run
-		}
-		if len(starts) > 2 {
-			mid := starts[len(starts)/2]
-			bounds = append(bounds, [2]uint32{first, mid}, [2]uint32{mid, last + 1})
-		}
-		for _, bd := range bounds {
-			lo, hi := bd[0], bd[1]
-			got := drainBatch(t, rel.ScanPLabelExactBatch(nil, p, lo, hi), 64)
-			if want := within(sorted, lo, hi, hasPLabel(p)); !recordsEqual(got, want) {
-				t.Fatalf("plabel %v [%d, %d): %d records, want %d", p, lo, hi, len(got), len(want))
 			}
 		}
 	}
@@ -214,16 +173,13 @@ func TestColumnarStartIndexFetch(t *testing.T) {
 	byStart := sortedByStart(recs)
 	for _, kind := range []Clustering{ClusterPLabel, ClusterTag} {
 		rel := buildT(t, kind, recs)
-		for _, bd := range [][2]uint32{{0, 0}, {101, 1001}, {1, 2}, {5999, 0}} {
-			ctx := NewExecContext()
-			got := drainBatch(t, rel.ScanStartRangeBatch(ctx, bd[0], bd[1]), 100)
-			want := within(byStart, bd[0], bd[1], nil)
-			if !recordsEqual(got, want) {
-				t.Fatalf("kind %v start range [%d, %d): %d records, want %d", kind, bd[0], bd[1], len(got), len(want))
-			}
-			if ctx.Visited() != uint64(len(want)) {
-				t.Fatalf("kind %v start range [%d, %d): visited %d, want %d", kind, bd[0], bd[1], ctx.Visited(), len(want))
-			}
+		ctx := NewExecContext()
+		got := drainBatch(t, rel.ScanStartOrderBatch(ctx), 100)
+		if !recordsEqual(got, byStart) {
+			t.Fatalf("kind %v: %d records, want %d", kind, len(got), len(byStart))
+		}
+		if ctx.Visited() != uint64(len(byStart)) {
+			t.Fatalf("kind %v: visited %d, want %d", kind, ctx.Visited(), len(byStart))
 		}
 	}
 }
@@ -271,7 +227,7 @@ func TestBuildFormatRejectsUnknown(t *testing.T) {
 }
 
 // FuzzColumnarRoundTrip builds a derived corpus and requires the full
-// scan and a restricted exact scan to equal the input sorted in memory.
+// scan and an exact scan to equal the input sorted in memory.
 // The corpus shape (run lengths, value sizes, start gaps) is derived
 // from the fuzzed seed.
 func FuzzColumnarRoundTrip(f *testing.F) {
@@ -296,10 +252,9 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 		}
 		if len(recs) > 0 {
 			p := recs[rng.Intn(len(recs))].PLabel
-			hi := recs[rng.Intn(len(recs))].Start
-			x := drainBatch(t, rel.ScanPLabelExactBatch(nil, p, 0, hi), 64)
-			if y := within(sorted, 0, hi, hasPLabel(p)); !recordsEqual(x, y) {
-				t.Fatalf("restricted scan differs from the input: %d vs %d records", len(x), len(y))
+			x := drainBatch(t, rel.ScanPLabelExactBatch(nil, p), 64)
+			if y := filterRecs(sorted, hasPLabel(p)); !recordsEqual(x, y) {
+				t.Fatalf("exact scan differs from the input: %d vs %d records", len(x), len(y))
 			}
 		}
 	})
@@ -392,14 +347,14 @@ func TestCorruptColumnarPageErrors(t *testing.T) {
 				// runs still cover.
 			case kind == ClusterPLabel:
 				// makeRecords' runs 0..9 all carry plabel 0.
-				scans["ScanPLabelExactBatch"] = func() BatchIter { return rel.ScanPLabelExactBatch(nil, u(0), 0, 0) }
+				scans["ScanPLabelExactBatch"] = func() BatchIter { return rel.ScanPLabelExactBatch(nil, u(0)) }
 			default:
 				// SD run ri holds tag ri+1.
 				tag := uint32(tc.run + 1)
-				scans["ScanTagBatch"] = func() BatchIter { return rel.ScanTagBatch(nil, tag, 0, 0) }
+				scans["ScanTagBatch"] = func() BatchIter { return rel.ScanTagBatch(nil, tag) }
 			}
 			if !tc.fullWalkOnly {
-				scans["ScanStartRangeBatch"] = func() BatchIter { return rel.ScanStartRangeBatch(nil, 0, 0) }
+				scans["ScanStartOrderBatch"] = func() BatchIter { return rel.ScanStartOrderBatch(nil) }
 			}
 			for name, scan := range scans {
 				err, failure := scanOutcome(scan)
@@ -482,7 +437,7 @@ func TestHotpathAnnotations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"decodeColSlots", "decodeRunRecords", "fetchBatch", "runStartsUpper"}
+	want := []string{"decodeColSlots", "decodeRunRecords", "fetchBatch"}
 	for _, name := range want {
 		if !got[name] {
 			t.Errorf("%s lost its //blas:hotpath annotation; the decode zero-alloc guard and hotalloc no longer cover the same code", name)
@@ -526,7 +481,7 @@ func BenchmarkDecodeColumnarScan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bi := r.ScanPLabelExactBatch(nil, u(uint64(i%10000)), 0, 0)
+		bi := r.ScanPLabelExactBatch(nil, u(uint64(i%10000)))
 		for {
 			n, err := bi.NextBatch(buf)
 			if err != nil {

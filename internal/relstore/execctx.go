@@ -16,10 +16,9 @@ import (
 // store-global ResetCounters/Snapshot protocol, which raced when two
 // queries were in flight.
 //
-// All methods are safe for concurrent use: the partitions of one query's
-// twig sweep scan on several worker goroutines, every worker
-// accumulating into the same context. A nil *ExecContext is valid everywhere one is
-// accepted and simply discards the counts.
+// All methods are safe for concurrent use, so scans on several
+// goroutines may accumulate into one context. A nil *ExecContext is
+// valid everywhere one is accepted and simply discards the counts.
 type ExecContext struct {
 	visited atomic.Uint64
 	pages   pager.Counters

@@ -50,7 +50,7 @@ func scanPLabelRange(t testing.TB, r *Relation, ctx *ExecContext, lo, hi uint128
 	}
 	var out []Record
 	for _, p := range labels {
-		out = append(out, collect(t, r.ScanPLabelExactBatch(ctx, p, 0, 0))...)
+		out = append(out, collect(t, r.ScanPLabelExactBatch(ctx, p))...)
 	}
 	return out
 }
@@ -113,7 +113,7 @@ func TestScanAllOrdered(t *testing.T) {
 
 func TestScanPLabelExact(t *testing.T) {
 	r := buildSP(t, makeRecords(100))
-	got := collect(t, r.ScanPLabelExactBatch(nil, u(3), 0, 0))
+	got := collect(t, r.ScanPLabelExactBatch(nil, u(3)))
 	if len(got) != 10 {
 		t.Fatalf("got %d records, want 10", len(got))
 	}
@@ -126,7 +126,7 @@ func TestScanPLabelExact(t *testing.T) {
 		}
 	}
 	// Missing plabel.
-	got = collect(t, r.ScanPLabelExactBatch(nil, u(99), 0, 0))
+	got = collect(t, r.ScanPLabelExactBatch(nil, u(99)))
 	if len(got) != 0 {
 		t.Fatalf("missing plabel returned %d records", len(got))
 	}
@@ -165,7 +165,7 @@ func TestScanTag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := collect(t, r.ScanTagBatch(nil, 3, 0, 0))
+	got := collect(t, r.ScanTagBatch(nil, 3))
 	want := 0
 	for _, rec := range recs {
 		if rec.TagID == 3 {
@@ -224,15 +224,17 @@ func TestEmptyDataNotIndexed(t *testing.T) {
 	}
 }
 
+// TestScanStartRange: the start-index scan returns every record in
+// document order, also on a tag-clustered relation whose heap order is
+// not start order.
 func TestScanStartRange(t *testing.T) {
-	r := buildSP(t, makeRecords(50))
-	got := collect(t, r.ScanStartRangeBatch(nil, 11, 21))
-	// starts are 2i+1: 11,13,15,17,19 in [11,21)
-	if len(got) != 5 {
-		t.Fatalf("got %d, want 5", len(got))
+	r := buildT(t, ClusterTag, makeRecords(50))
+	got := collect(t, r.ScanStartOrderBatch(nil))
+	if len(got) != 50 {
+		t.Fatalf("got %d, want 50", len(got))
 	}
 	for i, rec := range got {
-		if want := uint32(11 + 2*i); rec.Start != want {
+		if want := uint32(2*i + 1); rec.Start != want {
 			t.Fatalf("record %d start = %d, want %d", i, rec.Start, want)
 		}
 	}
@@ -283,7 +285,7 @@ func TestScanPLabelRangeByStart(t *testing.T) {
 		}
 		runs := make([]BatchIter, 0, len(labels))
 		for _, p := range labels {
-			runs = append(runs, r.ScanPLabelExactBatch(nil, p, 0, 0))
+			runs = append(runs, r.ScanPLabelExactBatch(nil, p))
 		}
 		m, err := MergeBatchesByStart(runs)
 		if err != nil {
@@ -313,7 +315,7 @@ func TestScanPLabelRangeByStart(t *testing.T) {
 func TestVisitedCounter(t *testing.T) {
 	r := buildSP(t, makeRecords(100))
 	ctx := NewExecContext()
-	collect(t, r.ScanPLabelExactBatch(ctx, u(1), 0, 0))
+	collect(t, r.ScanPLabelExactBatch(ctx, u(1)))
 	if got := ctx.Visited(); got != 10 {
 		t.Fatalf("visited = %d, want 10", got)
 	}
@@ -324,7 +326,7 @@ func TestVisitedCounter(t *testing.T) {
 	if NewExecContext().Visited() != 0 {
 		t.Fatal("fresh context not zero")
 	}
-	collect(t, r.ScanPLabelExactBatch(nil, u(1), 0, 0))
+	collect(t, r.ScanPLabelExactBatch(nil, u(1)))
 }
 
 func TestExecContextIsolation(t *testing.T) {
@@ -332,7 +334,7 @@ func TestExecContextIsolation(t *testing.T) {
 	// counts — the property the old store-global counters lacked.
 	r := buildSP(t, makeRecords(100))
 	a, b := NewExecContext(), NewExecContext()
-	collect(t, r.ScanPLabelExactBatch(a, u(1), 0, 0))
+	collect(t, r.ScanPLabelExactBatch(a, u(1)))
 	scanPLabelRange(t, r, b, u(2), u(4))
 	if got := a.Visited(); got != 10 {
 		t.Fatalf("ctx a visited = %d, want 10", got)
@@ -369,7 +371,7 @@ func TestPersistenceAcrossOpen(t *testing.T) {
 	if r.Count() != 300 {
 		t.Fatalf("count after reopen = %d", r.Count())
 	}
-	got, err := CollectBatches(r.ScanPLabelExactBatch(nil, u(7), 0, 0), 0)
+	got, err := CollectBatches(r.ScanPLabelExactBatch(nil, u(7)), 0)
 	if err != nil || len(got) != 10 {
 		t.Fatalf("scan after reopen: %d, %v", len(got), err)
 	}
@@ -433,7 +435,7 @@ func TestClusteringReducesPageMisses(t *testing.T) {
 	}
 	_ = f.DropCache()
 	f.ResetStats()
-	got := collect(t, r.ScanPLabelExactBatch(nil, u(5), 0, 0))
+	got := collect(t, r.ScanPLabelExactBatch(nil, u(5)))
 	if len(got) != n/100 {
 		t.Fatalf("got %d", len(got))
 	}
@@ -466,7 +468,7 @@ func BenchmarkScanPLabelExact(b *testing.B) {
 	buf := make([]Record, BatchSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bi := r.ScanPLabelExactBatch(nil, u(uint64(i%10000)), 0, 0)
+		bi := r.ScanPLabelExactBatch(nil, u(uint64(i%10000)))
 		for {
 			n, err := bi.NextBatch(buf)
 			if err != nil {

@@ -13,7 +13,7 @@
 //     explicit invalidation via DELETE /cache;
 //   - admission control bounds concurrently executing queries (429 +
 //     Retry-After past the limit) and a global parallelism budget keeps
-//     one heavy twig sweep from claiming every core;
+//     one heavy relational D-join from claiming every core;
 //   - per-request timeouts abandon slow responses without leaking their
 //     admission slots, and graceful drain (BeginDrain/Drain) lets
 //     in-flight queries finish while new ones are rejected;
@@ -55,9 +55,10 @@ type Config struct {
 	// it get 429 + Retry-After. 0 selects 4*GOMAXPROCS.
 	MaxInFlight int
 	// ParallelismBudget is the global worker-token pool shared by every
-	// executing query: each query is granted between 1 and its requested
-	// parallelism tokens, never more than remain, and a token is one
-	// worker goroutine of the query. 0 selects 2*GOMAXPROCS.
+	// executing query: a relational query is granted between 1 and its
+	// requested parallelism tokens, never more than remain; a twig
+	// query, which runs one goroutine, is granted exactly one. A token
+	// is one worker goroutine of the query. 0 selects 2*GOMAXPROCS.
 	ParallelismBudget int
 	// QueryTimeout abandons a request whose execution exceeds it (504).
 	// The execution itself runs to completion server-side and holds its
@@ -271,8 +272,9 @@ type QueryRequest struct {
 	// Translator is auto, dlabel, split, pushup or unfold ("" = server
 	// default).
 	Translator string `json:"translator,omitempty"`
-	// Parallelism requests a per-query worker count (0 = GOMAXPROCS);
-	// the server may grant less under load (see the response field).
+	// Parallelism requests a per-query worker count for the relational
+	// engine's D-joins (0 = GOMAXPROCS); the server may grant less under
+	// load (see the response field). A twig query is granted one.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Trace returns a per-phase breakdown in stats.phases. Traced
 	// requests bypass the result cache.
@@ -477,8 +479,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.admitted.Add(1)
 
+	// A twig query runs one sweep on one goroutine, so it takes one token
+	// whatever it asked for.
 	want := req.Parallelism
-	if want == 0 {
+	switch {
+	case engine == blas.EngineTwig:
+		want = 1
+	case want == 0:
 		want = runtime.GOMAXPROCS(0)
 	}
 	grant := s.budget.acquire(want)

@@ -555,6 +555,33 @@ func TestServerParallelismBudget(t *testing.T) {
 	}
 }
 
+// TestServerTwigGrantsOneToken: a twig query runs one goroutine, so it
+// is granted one parallelism token whatever it asks for, and that is not
+// a clamp; a relational query keeps its grant.
+func TestServerTwigGrantsOneToken(t *testing.T) {
+	st := buildStore(t, testDoc)
+	srv, ts := newTestServer(t, st, Config{ParallelismBudget: 8})
+	for _, c := range []struct {
+		engine string
+		want   int
+	}{{"twig", 1}, {"relational", 4}} {
+		status, qr, errMsg := postQuery(t, ts.URL, QueryRequest{Query: "/catalog/book/title", Engine: c.engine, Parallelism: 4, NoResultCache: true})
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.engine, status, errMsg)
+		}
+		if qr.Parallelism != c.want {
+			t.Errorf("%s: granted %d workers, want %d", c.engine, qr.Parallelism, c.want)
+		}
+	}
+	m := srv.Metrics()
+	if m.Clamped != 0 {
+		t.Errorf("clamped = %d, want 0", m.Clamped)
+	}
+	if m.BudgetAvailable != 8 {
+		t.Errorf("budget_available = %d after quiesce, want 8", m.BudgetAvailable)
+	}
+}
+
 // TestServerStalePlanAfterSwap is the regression test for the
 // generation-keyed plan cache: after the served store is swapped for one
 // with a different labeling scheme, queries must be re-planned against

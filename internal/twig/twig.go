@@ -26,36 +26,17 @@
 // sorted by prefix, so the merge copies ids, never records, and only
 // the return column is copied out, once, into core.Result.Records.
 //
-// # Batched streams and the partitioned sweep
+// # Batched streams and one sweep
 //
 // Streams are read through the relstore batched scan layer
 // (relstore.BatchIter via core.FragmentStream): records arrive in
 // fixed-size batches, every heap page contributing to a batch is decoded
 // under a single pager view, and the per-P-label runs of a BLAS-mode
-// range selection are k-way merged batch-wise. Every stream is read
-// once, in start order, on the goroutine that sweeps it.
-//
-// With core.ExecConfig.Parallelism > 1 the sweep is partitioned by
-// document order: the root fragment's stream is collected first (into a
-// chunked record arena; partitions are index ranges of it), cut points
-// are chosen on top-level root-element boundaries, and each partition
-// runs the full stack-chain sweep plus path-solution collection over
-// the streams restricted to its start interval, one partition per
-// worker goroutine. Because no element that can ever be pushed
-// straddles such a cut (every pushed element is contained in some
-// root-stream element, and no root element spans a cut), concatenating
-// the per-partition path solutions in partition order reproduces the
-// sequential sweep's solution lists exactly; the final merge join is
-// unchanged.
-//
-// Statistics stay exact under parallelism: a record is fetched by
-// exactly one partition (the start restriction is pushed into the
-// cluster-index bounds), so ExecContext.Visited is identical at every
-// Parallelism setting — the paper's "elements read" metric does not
-// depend on the worker count. Page reads/misses remain self-consistent
-// (atomic counters shared by all workers) but may vary slightly with
-// the partition count, since each partition descends the indexes for
-// its own sub-range.
+// range selection are k-way merged batch-wise. A query runs exactly one
+// sweep, on the calling goroutine, whatever core.ExecConfig.Parallelism
+// says (the setting only splits the relational engine's D-joins), so
+// its visited elements and page reads depend only on its plan and the
+// data.
 //
 // The engine reads every stream element exactly once, which is what the
 // paper's "number of elements read" metric (Figs. 14-18) measures: in
@@ -67,12 +48,10 @@
 // BLAS plans carry.
 //
 // When the context carries an obs.Trace, Execute reports three
-// wall-time spans on the calling goroutine — PhaseScan around stream
-// preparation, PhaseSweep around the (possibly partitioned) sweep, and
-// PhaseJoin around the path-solution merge — that tile its execution
-// time. The parallel sweep additionally records one partition entry per
-// sweep partition (its root-record count). Without a trace all
-// reporting is a nil check and nothing more.
+// wall-time spans — PhaseScan around stream preparation, PhaseSweep
+// around the sweep, and PhaseJoin around the path-solution merge — that
+// tile its execution time. Without a trace all reporting is a nil check
+// and nothing more.
 package twig
 
 import (
@@ -95,11 +74,9 @@ import (
 // Statistics accumulate in ctx (nil discards them); one ctx per call
 // makes concurrent Execute calls over one store safe.
 //
-// cfg.Parallelism sets the sweep-partition count: 0 selects GOMAXPROCS,
-// 1 runs fully sequentially (no extra goroutines), negative values are
-// rejected. Each partition sweeps on one goroutine (core.FanOut) and
-// reads all of its streams there, so a call runs at most P goroutines.
-// The result is byte-identical at every setting.
+// The sweep runs on the calling goroutine and starts no other.
+// cfg.Parallelism does not change it; a negative value is rejected, as
+// on the relational engine.
 func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, cfg core.ExecConfig) (*core.Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("twig: %w", err)
@@ -123,7 +100,7 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, cfg
 		}
 	}
 	sweepBegin := tr.Begin()
-	leafSols, err := eng.sweepAll(ctx, cfg.Workers())
+	leafSols, err := eng.sweepStreams(ctx)
 	tr.End(obs.PhaseSweep, sweepBegin)
 	if err != nil {
 		return nil, err
@@ -135,9 +112,8 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, cfg
 }
 
 // tnode is one twig node: the static query structure plus the prepared
-// stream opener. Per-sweep mutable state (stacks, stream positions,
-// collected solutions) lives in sweepState, so any number of partition
-// sweeps can share one tnode tree.
+// stream opener. The sweep's mutable state (stacks, stream positions,
+// collected solutions) lives in sweepState.
 type tnode struct {
 	id       int
 	frag     *translate.Fragment
@@ -158,7 +134,6 @@ type stackItem struct {
 }
 
 type engine struct {
-	st       *core.Store
 	plan     *translate.Plan
 	nodes    []*tnode
 	root     *tnode
@@ -172,7 +147,7 @@ type engine struct {
 // relational engine's pipeline).
 func build(ctx *relstore.ExecContext, st *core.Store, phys *planner.Physical) (*engine, error) {
 	p, joins := phys.Logical, phys.Joins
-	eng := &engine{st: st, plan: p}
+	eng := &engine{plan: p}
 	eng.nodes = make([]*tnode, len(p.Fragments))
 	for i, f := range p.Fragments {
 		fs, err := st.PrepareFragmentStream(ctx, f)
@@ -230,8 +205,8 @@ func build(ctx *relstore.ExecContext, st *core.Store, phys *planner.Physical) (*
 	return eng, nil
 }
 
-// merge joins the per-leaf path solutions (ordered as the sequential
-// sweep emits them) on their shared prefixes and projects the return
+// merge joins the per-leaf path solutions (ordered as the sweep emits
+// them) on their shared prefixes and projects the return
 // fragment. A partial twig assignment is a join row of solution ids,
 // one per folded leaf; records stay in the leaves' solution arenas until
 // DocOrder copies the return column out.
