@@ -11,17 +11,22 @@ import (
 
 // TestQueryAllocBudget bounds the bytes one warm query allocates by what
 // it reads and returns: a·VisitedElements + b·len(Matches) + c. Both
-// engines materialize late — scans append into chunked arenas, joins
-// carry int32 ids, the return column is copied once — so a query costs
-// about one record copy per visited element plus its output. An engine
-// that copies records into join intermediates, regrows its scan
-// results or keys a hash map per path solution exceeds the budget. The
-// P = 2 twig rows get the same budget: Parallelism does not change a
-// twig query's work.
+// engines bind narrow and materialize late — a non-return binding or
+// path level is a 12-byte span, joins carry int32 ids, and the return
+// column is copied once, by finalize, from the arena the engine left it
+// in — so a query costs at most about one record per visited element
+// (the return fragment's scan bindings, the twig return column) plus
+// its output. An engine that binds full records where a span does,
+// copies bindings into join intermediates or the return column into a
+// second result, regrows its scan results or keys a hash map per path
+// solution exceeds the budget. The Q1 rows are single-fragment plans,
+// where visited elements equal matches and only a second copy of the
+// return column could be saved. The P = 2 twig rows get the same
+// budget: Parallelism does not change a twig query's work.
 func TestQueryAllocBudget(t *testing.T) {
 	const (
-		perVisited = 64   // a: bytes per visited element (one 48-byte record plus slack)
-		perMatch   = 384  // b: bytes per match (the record, its Match, path and value)
+		perVisited = 48   // a: bytes per visited element (a 12-byte span or, for return bindings, a 48-byte record)
+		perMatch   = 336  // b: bytes per match (its Match, path and value)
 		fixed      = 96e3 // c: parse, plan, batch buffers, stream and arena headers
 		runs       = 5
 	)
@@ -41,6 +46,8 @@ func TestQueryAllocBudget(t *testing.T) {
 		opts  QueryOptions
 		par   int
 	}{
+		{"Q1/relational", bench.Fig15Queries["Q1"], QueryOptions{Engine: EngineRelational}, 1},
+		{"Q1/twig", bench.Fig15Queries["Q1"], QueryOptions{Engine: EngineTwig}, 1},
 		{"Q4/relational", bench.Fig15Queries["Q4"], QueryOptions{Engine: EngineRelational}, 1},
 		{"Q4/twig", bench.Fig15Queries["Q4"], QueryOptions{Engine: EngineTwig}, 1},
 		{"V3/relational", `/site/people/person[name="Elena Haddad"]/emailaddress`, QueryOptions{Engine: EngineRelational}, 1},

@@ -147,8 +147,8 @@
 //   - hotalloc — zero-alloc hot paths. Functions annotated with a
 //     //blas:hotpath directive in their doc comment (the twig sweep and
 //     leaf fold, the relational merge join's inner loop, the join
-//     arena's append, batched record decode, the finalize loop, the
-//     nil-trace fast paths in internal/obs) must
+//     arena's append, the binding span accessor, batched record decode,
+//     the finalize loop, the nil-trace fast paths in internal/obs) must
 //     not call fmt.Sprintf and friends, concatenate strings in loops,
 //     or build map keys from strings; fmt.Errorf stays legal because
 //     error paths are about to abort. Allocation guards prove the
@@ -538,15 +538,15 @@ func (s *Store) run(ctx *relstore.ExecContext, phys *planner.Physical, planElaps
 	var err error
 	switch engineOf(opts) {
 	case EngineTwig:
-		res, err = twig.Execute(ctx, s.inner, phys, cfg)
+		res, err = twig.Run(ctx, s.inner, phys, cfg)
 	default:
-		res, err = relengine.Execute(ctx, s.inner, phys, relengine.Options{ExecConfig: cfg})
+		res, err = relengine.Run(ctx, s.inner, phys, relengine.Options{ExecConfig: cfg})
 	}
 	if err != nil {
 		s.metrics.QueryFailed()
 		return nil, err
 	}
-	recs := s.finalizeMatches(ctx, res.Records)
+	recs := s.finalizeMatches(ctx, res.Return)
 	early := res.EarlyTerminated
 	execElapsed := time.Since(execBegin)
 
@@ -729,29 +729,32 @@ func (p *PreparedQuery) Query(opts QueryOptions) (*Result, error) {
 	return s.run(ctx, p.phys, 0, opts, trace)
 }
 
-// finalizeMatches renders records into Matches under a PhaseFinalize
-// span when the context carries a trace.
-func (s *Store) finalizeMatches(ctx *relstore.ExecContext, recs []relstore.Record) []Match {
+// finalizeMatches renders the engine's answer into Matches under a
+// PhaseFinalize span when the context carries a trace.
+func (s *Store) finalizeMatches(ctx *relstore.ExecContext, v core.View) []Match {
 	tr := ctx.Trace()
 	begin := tr.Begin()
-	out := s.matches(recs)
+	out := s.matches(v)
 	tr.End(obs.PhaseFinalize, begin)
 	return out
 }
 
-// matches is the finalize loop: one Match per record, named through the
-// store's label intern table (core.Store.Names). Results arrive in
+// matches is the finalize loop: one Match per binding of the engine's
+// answer, read in place from its return arena — the only copy of the
+// return column a query makes — and named through the store's label
+// intern table (core.Store.Names). The view is already deduplicated,
+// so the []Match is allocated once at exact size. Results arrive in
 // document order, where runs of one P-label are common, so the table is
 // consulted only when the label changes; the loop itself allocates
 // nothing but the []Match.
 //
 //blas:hotpath
-func (s *Store) matches(recs []relstore.Record) []Match {
-	out := make([]Match, len(recs))
+func (s *Store) matches(v core.View) []Match {
+	out := make([]Match, v.Len())
 	var names core.NodeNames
 	var last uint128.Uint128
-	for i := range recs {
-		r := &recs[i]
+	for i := range out {
+		r := v.At(i)
 		if i == 0 || r.PLabel != last {
 			names, last = s.inner.Names(r.PLabel, r.TagID), r.PLabel
 		}

@@ -148,13 +148,16 @@ func TestFinalizeAllocations(t *testing.T) {
 	defer st.Close()
 	recs := engineRecords(t, st, "//*", QueryOptions{Translator: TranslatorDLabel, Parallelism: 1})
 	n, k := len(recs), distinctLabels(recs)
+	arena := core.NewTuples[relstore.Record](1)
+	arena.Extend(recs)
+	view := core.DocOrder(arena, nil)
 	if n < 3000 || k < 5 || k > 50 {
 		t.Fatalf("fixture drifted: %d records over %d labels, want thousands over a handful", n, k)
 	}
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	cold := st.matches(recs)
+	cold := st.matches(view)
 	runtime.ReadMemStats(&after)
 	if coldAllocs := after.Mallocs - before.Mallocs; coldAllocs > uint64(40*k+8) {
 		t.Errorf("first finalize of %d matches over %d labels allocated %d times, want O(labels)", n, k, coldAllocs)
@@ -164,7 +167,7 @@ func TestFinalizeAllocations(t *testing.T) {
 	}
 
 	var warm []Match
-	if allocs := testing.AllocsPerRun(20, func() { warm = st.matches(recs) }); allocs != 1 {
+	if allocs := testing.AllocsPerRun(20, func() { warm = st.matches(view) }); allocs != 1 {
 		t.Errorf("warm finalize allocated %.1f times, want 1 (the []Match)", allocs)
 	}
 	paths := map[string]*byte{}

@@ -77,8 +77,13 @@ func FanOut(n int, piece func(i int) error) error {
 
 // Result holds a query's answer on either engine.
 type Result struct {
-	// Records are the return-node bindings, deduplicated, in document
-	// order.
+	// Return is the answer: the return-node bindings, deduplicated, in
+	// document order, in place in the engine's return arena.
+	Return View
+	// Records is Return copied out. Only the engines' Execute fills it,
+	// for callers that read records rather than the view (the
+	// benchmark's per-layer pipeline, internal/bench and tests); the
+	// library's Store.Query finalizes from Return and never copies it.
 	Records []relstore.Record
 	// EarlyTerminated reports that an empty intermediate (a planner
 	// proof, an empty fragment scan or stream, or an empty join result)
@@ -86,11 +91,11 @@ type Result struct {
 	EarlyTerminated bool
 }
 
-// Starts returns the start positions of the result records.
+// Starts returns the start positions of the result bindings.
 func (r *Result) Starts() []uint32 {
-	out := make([]uint32, len(r.Records))
-	for i, rec := range r.Records {
-		out[i] = rec.Start
+	out := make([]uint32, r.Return.Len())
+	for i := range out {
+		out[i] = r.Return.At(i).Start
 	}
 	return out
 }
@@ -177,23 +182,24 @@ func (fs *FragmentStream) Open(ctx *relstore.ExecContext) (relstore.BatchIter, e
 }
 
 // Collect drains the fragment's whole stream into a one-column binding
-// arena, filtered by fs.Filter. Every batch decodes into buf, which the
+// arena, filtered by fs.Filter: the records of the return fragment
+// (ret), the spans of any other. Every batch decodes into buf, which the
 // caller may reuse across streams: engines pass relstore.BatchSize
 // records, since a smaller batch ends mid-page and that page is then
 // requested once per batch. The survivors of each batch are copied into
 // the chunked arena, which is never regrown.
-func (fs *FragmentStream) Collect(ctx *relstore.ExecContext, buf []relstore.Record) (Tuples[relstore.Record], error) {
-	recs := NewTuples[relstore.Record](1)
+func (fs *FragmentStream) Collect(ctx *relstore.ExecContext, buf []relstore.Record, ret bool) (Bindings, error) {
+	b := NewBindings(ret)
 	bi, err := fs.Open(ctx)
 	if err != nil {
-		return recs, err
+		return b, err
 	}
 	for {
 		n, err := bi.NextBatch(buf)
 		if err != nil || n == 0 {
-			return recs, err
+			return b, err
 		}
-		recs.Extend(fs.Filter.Apply(buf[:n]))
+		b.Extend(fs.Filter.Apply(buf[:n]))
 	}
 }
 

@@ -83,15 +83,15 @@ func TestCollectFiltersEveryBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := fs.Collect(ctx, buf)
+		got, err := fs.Collect(ctx, buf, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Len() != len(c.want) {
-			t.Fatalf("%s: %d records, want %d", c.name, got.Len(), len(c.want))
+		if got.Len() != len(c.want) || got.Spans.Len() != 0 {
+			t.Fatalf("%s: %d records (%d spans), want %d records", c.name, got.Len(), got.Spans.Len(), len(c.want))
 		}
 		for i, w := range c.want {
-			if r := *got.Get(i, 0); r != w {
+			if r := *got.Recs.Get(i, 0); r != w {
 				t.Fatalf("%s: record %d = %+v, want %+v", c.name, i, r, w)
 			}
 		}
@@ -101,13 +101,26 @@ func TestCollectFiltersEveryBatch(t *testing.T) {
 		if ctx.PageReads() != refCtx.PageReads() {
 			t.Errorf("%s: %d page reads, %d without filter", c.name, ctx.PageReads(), refCtx.PageReads())
 		}
+		// A non-return fragment binds the same nodes as spans only.
+		spans, err := fs.Collect(nil, buf, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spans.Len() != len(c.want) || spans.Recs.Len() != 0 {
+			t.Fatalf("%s: %d spans (%d records), want %d spans", c.name, spans.Len(), spans.Recs.Len(), len(c.want))
+		}
+		for i, w := range c.want {
+			if sp, ref := spans.SpanAt(i), SpanOf(&w); sp != ref || *spans.Spans.Get(i, 0) != ref || got.SpanAt(i) != ref {
+				t.Fatalf("%s: span %d = %+v, want %+v", c.name, i, sp, ref)
+			}
+		}
 	}
 	// A nil context (no counters) is valid.
 	fs, err := st.PrepareFragmentStream(nil, &translate.Fragment{Access: access})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := fs.Collect(nil, buf); err != nil || got.Len() != n {
+	if got, err := fs.Collect(nil, buf, false); err != nil || got.Len() != n {
 		t.Fatalf("nil context: %d records, err %v", got.Len(), err)
 	}
 }

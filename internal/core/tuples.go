@@ -40,18 +40,21 @@ func chunkTuples(c int) int {
 }
 
 // Tuples is an arena of fixed-width tuples, Stride items each. It is the
-// one intermediate-result container of both engines, in three roles:
+// one intermediate-result container of both engines, in four roles:
 //
-//   - a fragment's scan bindings: Tuples[relstore.Record], Stride 1
-//     (the relational engine's selections, the twig engine's
-//     materialized root stream);
-//   - a twig leaf's path solutions: Tuples[relstore.Record], Stride =
-//     the leaf's path length;
-//   - join rows: Tuples[int32] whose items index records held by the
-//     arenas above — a relational D-join tuple holds one binding id per
-//     joined fragment, a twig assignment one solution id per folded
-//     leaf. Records are never copied into a join; the return column is
-//     copied once, by DocOrder.
+//   - a fragment's scan bindings (Bindings, Stride 1): Tuples[Span] for
+//     every fragment but the return one, whose bindings finalize reads
+//     in full, as Tuples[relstore.Record];
+//   - a twig leaf's path solutions: Tuples[Span], Stride = the leaf's
+//     path length;
+//   - the twig engine's return column: Tuples[relstore.Record], Stride
+//     1, one return binding per solution of the leaf that owns the
+//     return node, at the same solution ids;
+//   - join rows: Tuples[int32] whose items index the arenas above — a
+//     relational D-join tuple holds one binding id per joined fragment,
+//     a twig assignment one solution id per folded leaf. Bindings are
+//     never copied into a join, and DocOrder copies none either: the
+//     return column is copied once, by finalize, out of its arena.
 //
 // Producing a tuple copies it to the end of the last chunk instead of
 // allocating a slice (or a map entry) of its own. The arena grows a
@@ -150,6 +153,63 @@ func (t *Tuples[T]) AppendAll(u Tuples[T]) {
 	}
 }
 
+// Span is a binding's interval and level, 12 bytes: all that a D-join
+// (§5.2) or a twig stack climb (§5.3) reads of a node.
+type Span struct {
+	Start, End uint32
+	Level      uint16
+}
+
+// SpanOf returns the interval and level of r.
+func SpanOf(r *relstore.Record) Span { return Span{Start: r.Start, End: r.End, Level: r.Level} }
+
+// Bindings is one fragment's scan bindings in exactly one of two
+// one-column arenas: Recs for the return fragment, whose records
+// finalize reads, and Spans for every other fragment, whose joins read
+// intervals only. Holding both would cost the return fragment a span
+// per binding for nothing.
+type Bindings struct {
+	Spans Tuples[Span]
+	Recs  Tuples[relstore.Record]
+}
+
+// NewBindings returns an empty binding arena: records for the return
+// fragment (ret), spans for any other.
+func NewBindings(ret bool) Bindings {
+	if ret {
+		return Bindings{Recs: NewTuples[relstore.Record](1)}
+	}
+	return Bindings{Spans: NewTuples[Span](1)}
+}
+
+// Len returns the number of bindings.
+func (b *Bindings) Len() int { return b.Spans.Len() + b.Recs.Len() }
+
+// SpanAt returns the interval and level of binding i, from whichever
+// arena b has. It is how joins read bindings.
+//
+//blas:hotpath
+func (b *Bindings) SpanAt(i int) Span {
+	if b.Recs.Stride != 0 {
+		return SpanOf(b.Recs.Get(i, 0))
+	}
+	return *b.Spans.Get(i, 0)
+}
+
+// Extend appends recs as bindings: whole to a record arena, as spans to
+// a span arena.
+func (b *Bindings) Extend(recs []relstore.Record) {
+	if b.Recs.Stride != 0 {
+		b.Recs.Extend(recs)
+		return
+	}
+	var one [1]Span
+	for i := range recs {
+		one[0] = SpanOf(&recs[i])
+		b.Spans.Append(one[:], nil)
+	}
+}
+
 // SortedBy returns the stable permutation that orders n items by
 // start(i), or nil when they are already in order (the common case: a
 // start-ordered scan). It sorts packed start<<32|index keys, so the sort
@@ -174,61 +234,85 @@ func SortedBy(n int, start func(int) uint32) []int32 {
 	return perm
 }
 
-// DocOrder is the last step of both engines: the return-node bindings
-// sorted into document order, deduplicated by start position (a start
-// identifies a node; the first of a run is kept) and copied once, at
-// exact size, into the result. The bindings are item col of the tuples
-// of recs — all of them, in order, when ids is nil, else the tuples ids
-// lists. nil when there are none.
-func DocOrder(recs Tuples[relstore.Record], col int, ids []int32) []relstore.Record {
-	n := len(ids)
-	if ids == nil {
-		n = recs.Len()
+// DocOrder is the last step of both engines: it puts the return-node
+// bindings in document order, deduplicated by start position (a start
+// identifies a node; the first of a run is kept), as a View over the
+// arena that holds them. The bindings are the tuples of recs, a
+// one-column return arena — all of them, in order, when ids is nil,
+// else the tuples ids lists. No record is copied: a view that is
+// already sorted and distinct, the common case, is recs and ids as
+// given and allocates nothing; any other costs one id per binding.
+func DocOrder(recs Tuples[relstore.Record], ids []int32) View {
+	v := View{recs: recs, ids: ids}
+	n := v.Len()
+	if n == 0 {
+		return View{}
 	}
+	sorted, distinct := true, true
+	for k, prev := 1, v.At(0).Start; k < n && sorted; k++ {
+		s := v.At(k).Start
+		sorted, distinct, prev = prev <= s, distinct && prev != s, s
+	}
+	if sorted && distinct {
+		return v
+	}
+	start := func(k int) uint32 { return v.At(k).Start }
+	order := SortedBy(n, start) // a stable sort: the first of a run stays first
+	if order == nil {
+		order = make([]int32, n)
+		for k := range order {
+			order[k] = int32(k)
+		}
+	}
+	kept := order[:1]
+	for _, k := range order[1:] {
+		if start(int(k)) != start(int(kept[len(kept)-1])) {
+			kept = append(kept, k)
+		}
+	}
+	if ids != nil {
+		for i, k := range kept {
+			kept[i] = ids[k]
+		}
+	}
+	return View{recs: recs, ids: kept}
+}
+
+// View is a query's answer as both engines leave it: the return-node
+// bindings, deduplicated, in document order, read in place from the
+// return arena (the tuples of recs that ids lists, or every tuple when
+// ids is nil). Finalize reads it once, into the result.
+type View struct {
+	recs Tuples[relstore.Record]
+	ids  []int32
+}
+
+// Len returns the number of bindings in the view.
+func (v *View) Len() int {
+	if v.ids == nil {
+		return v.recs.Len()
+	}
+	return len(v.ids)
+}
+
+// At returns binding k in document order, aliasing the arena.
+func (v *View) At(k int) *relstore.Record {
+	if v.ids != nil {
+		k = int(v.ids[k])
+	}
+	c, i := chunkOf(k)
+	return &v.recs.chunks[c][i] // the return arena has Stride 1
+}
+
+// Records copies the view out, at exact size; nil when it is empty.
+func (v *View) Records() []relstore.Record {
+	n := v.Len()
 	if n == 0 {
 		return nil
 	}
-	at := func(k int) *relstore.Record {
-		if ids != nil {
-			k = int(ids[k])
-		}
-		return recs.Get(k, col)
-	}
-	sorted, distinct := true, 1
-	for k, prev := 1, at(0).Start; k < n && sorted; k++ {
-		s := at(k).Start
-		sorted = prev <= s
-		if s != prev {
-			distinct, prev = distinct+1, s
-		}
-	}
-	if sorted {
-		out := make([]relstore.Record, 0, distinct)
-		out = append(out, *at(0))
-		for k := 1; k < n; k++ {
-			if r := at(k); r.Start != out[len(out)-1].Start {
-				out = append(out, *r)
-			}
-		}
-		return out
-	}
-	// Packed start<<32|position keys sort as plain integers, stably.
-	keys := make([]uint64, n)
-	for k := range keys {
-		keys[k] = uint64(at(k).Start)<<32 | uint64(k)
-	}
-	slices.Sort(keys)
-	distinct = 1
-	for k := 1; k < n; k++ {
-		if keys[k]>>32 != keys[k-1]>>32 {
-			distinct++
-		}
-	}
-	out := make([]relstore.Record, 0, distinct)
-	for k, key := range keys {
-		if k == 0 || key>>32 != keys[k-1]>>32 {
-			out = append(out, *at(int(uint32(key))))
-		}
+	out := make([]relstore.Record, n)
+	for k := range out {
+		out[k] = *v.At(k)
 	}
 	return out
 }

@@ -132,31 +132,66 @@ func TestSortedByIsStableSort(t *testing.T) {
 	}
 
 	// DocOrder: sorted, one record per start — the first of each run —
-	// at exact size.
+	// copied out at exact size.
 	var dedup []relstore.Record
 	for i, r := range want {
 		if i == 0 || r.Start != want[i-1].Start {
 			dedup = append(dedup, r)
 		}
 	}
-	// The bindings as column 1 of a two-wide arena, listed directly and
-	// through ids (reversed, so the ids carry the order).
+	// The bindings listed directly and through ids (reversed, so the ids
+	// carry the order).
 	for _, in := range [][]relstore.Record{recs, want} {
-		arena, reversed := NewTuples[relstore.Record](2), NewTuples[relstore.Record](2)
+		arena, reversed := NewTuples[relstore.Record](1), NewTuples[relstore.Record](1)
 		ids := make([]int32, n)
 		for i := range in {
-			arena.Append([]relstore.Record{{Start: 1 << 30}, in[i]}, nil)
-			reversed.Append([]relstore.Record{{Start: 1 << 30}, in[n-1-i]}, nil)
+			arena.Append(in[i:i+1], nil)
+			reversed.Append(in[n-1-i:n-i], nil)
 			ids[i] = int32(n - 1 - i)
 		}
-		for _, got := range [][]relstore.Record{DocOrder(arena, 1, nil), DocOrder(reversed, 1, ids)} {
-			if !slices.Equal(got, dedup) || cap(got) != len(dedup) {
-				t.Fatalf("DocOrder returned %d records (cap %d), want %d", len(got), cap(got), len(dedup))
+		for _, v := range []View{DocOrder(arena, nil), DocOrder(reversed, ids)} {
+			got := v.Records()
+			if v.Len() != len(dedup) || !slices.Equal(got, dedup) || cap(got) != len(dedup) {
+				t.Fatalf("DocOrder viewed %d records, copied %d (cap %d), want %d", v.Len(), len(got), cap(got), len(dedup))
 			}
 		}
 	}
-	if DocOrder(NewTuples[relstore.Record](1), 0, nil) != nil || DocOrder(NewTuples[relstore.Record](1), 0, []int32{}) != nil {
-		t.Error("DocOrder of nothing != nil")
+	for _, v := range []View{DocOrder(NewTuples[relstore.Record](1), nil), DocOrder(NewTuples[relstore.Record](1), []int32{}), {}} {
+		if v.Len() != 0 || v.Records() != nil {
+			t.Error("DocOrder of nothing is not empty")
+		}
+	}
+}
+
+// TestDocOrderSortedDistinctZeroAlloc is the zero-copy guard of the
+// engines' last step: a return column that is already in document order
+// and distinct — every single-fragment plan, most joins — is viewed in
+// place, listed directly or through ids, and ordering it allocates
+// nothing.
+func TestDocOrderSortedDistinctZeroAlloc(t *testing.T) {
+	const n = 3000
+	arena := NewTuples[relstore.Record](1)
+	ids := make([]int32, 0, n/2)
+	for i := 0; i < n; i++ {
+		arena.Append([]relstore.Record{{Start: uint32(3 * i), End: uint32(3*i + 1)}}, nil)
+		if i%2 == 1 {
+			ids = append(ids, int32(i))
+		}
+	}
+	var direct, listed View
+	allocs := testing.AllocsPerRun(20, func() {
+		direct, listed = DocOrder(arena, nil), DocOrder(arena, ids)
+	})
+	if allocs != 0 {
+		t.Errorf("ordering a sorted, distinct view allocated %.1f times, want 0", allocs)
+	}
+	if direct.ids != nil || direct.Len() != n || listed.Len() != len(ids) || &listed.ids[0] != &ids[0] {
+		t.Fatalf("sorted, distinct views were rebuilt: %d/%d bindings, ids %v", direct.Len(), listed.Len(), direct.ids != nil)
+	}
+	for k := 0; k < listed.Len(); k++ {
+		if listed.At(k) != arena.Get(int(ids[k]), 0) {
+			t.Fatalf("view position %d does not alias binding %d", k, ids[k])
+		}
 	}
 }
 
@@ -179,13 +214,31 @@ func TestTuplesAppendAllocatesPerChunk(t *testing.T) {
 }
 
 // TestHotpathAnnotations pins the //blas:hotpath set of this package to
-// what TestTuplesAppendAllocatesPerChunk measures.
+// what the allocation guards measure: Append by
+// TestTuplesAppendAllocatesPerChunk, SpanAt by TestSpanAtZeroAlloc.
 func TestHotpathAnnotations(t *testing.T) {
 	got, err := analysis.HotpathFuncs(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || !got["Append"] {
-		t.Errorf("//blas:hotpath set = %v, want exactly [Append]: annotate new hot functions here and add an allocation guard for them", got)
+	if len(got) != 2 || !got["Append"] || !got["SpanAt"] {
+		t.Errorf("//blas:hotpath set = %v, want exactly [Append SpanAt]: annotate new hot functions here and add an allocation guard for them", got)
+	}
+}
+
+// TestSpanAtZeroAlloc guards the accessor joins read bindings through:
+// a span from either arena, without allocating.
+func TestSpanAtZeroAlloc(t *testing.T) {
+	recs := []relstore.Record{{Start: 1, End: 9, Level: 1, Data: "x"}, {Start: 2, End: 3, Level: 2}}
+	for _, ret := range []bool{false, true} {
+		b := NewBindings(ret)
+		b.Extend(recs)
+		var got Span
+		if allocs := testing.AllocsPerRun(20, func() { got = b.SpanAt(1) }); allocs != 0 {
+			t.Errorf("ret=%v: SpanAt allocated %.1f times", ret, allocs)
+		}
+		if got != (Span{Start: 2, End: 3, Level: 2}) || b.Len() != 2 {
+			t.Errorf("ret=%v: SpanAt(1) = %+v of %d bindings", ret, got, b.Len())
+		}
 	}
 }

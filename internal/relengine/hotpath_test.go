@@ -22,8 +22,9 @@ func TestHotpathAnnotations(t *testing.T) {
 }
 
 // TestMergeJoinAllocatesPerChunk guards the D-join's inner loop: joining
-// rows copies int32 ids into the output arena a chunk at a time — no
-// record copies, no per-row slice.
+// rows reads spans through core.Bindings.SpanAt and copies int32 ids
+// into the output arena a chunk at a time — no binding copies, no
+// per-row slice.
 func TestMergeJoinAllocatesPerChunk(t *testing.T) {
 	const n = 1024 // ancestors, each containing 8 descendants
 	var ancs, descs []relstore.Record
@@ -34,7 +35,7 @@ func TestMergeJoinAllocatesPerChunk(t *testing.T) {
 			descs = append(descs, relstore.Record{Start: base + 1 + 2*d, End: base + 2 + 2*d, Level: 3})
 		}
 	}
-	in := &joinInput{rows: core.Rows(n), anc: bindingsOf(ancs), descs: bindingsOf(descs), j: translate.Join{Gap: 1, Exact: true}}
+	in := &joinInput{rows: core.Rows(n), anc: bindingsOf(ancs, false), descs: bindingsOf(descs, true), j: translate.Join{Gap: 1, Exact: true}}
 	var out core.Tuples[int32]
 	allocs := testing.AllocsPerRun(5, func() { out = mergeJoinChunk(in, 0, n, 0, len(descs)) })
 	if out.Len() != len(descs) {

@@ -139,11 +139,12 @@ func perTupleMergeJoin(tuples [][]relstore.Record, ancCol int, descs []relstore.
 	return out
 }
 
-// bindingsOf returns recs as a one-column binding arena.
-func bindingsOf(recs []relstore.Record) core.Tuples[relstore.Record] {
-	b := core.NewTuples[relstore.Record](1)
+// bindingsOf returns recs as a fragment's binding arena: records when
+// ret (the return fragment), spans otherwise.
+func bindingsOf(recs []relstore.Record, ret bool) *core.Bindings {
+	b := core.NewBindings(ret)
 	b.Extend(recs)
-	return b
+	return &b
 }
 
 // TestStructuralMergeJoinChunking exercises the row-based join directly
@@ -151,7 +152,8 @@ func bindingsOf(recs []relstore.Record) core.Tuples[relstore.Record] {
 // per-tuple reference join tuple for tuple, in order, once its id rows
 // are resolved to records; every partitioned run and the nested-loop
 // join must produce exactly the same tuples (a nested ancestor pair
-// split by a chunk cut emits them in a different order).
+// split by a chunk cut emits them in a different order) — with either
+// input, or neither, held as the return fragment's record arena.
 func TestStructuralMergeJoinChunking(t *testing.T) {
 	rnd := rand.New(rand.NewSource(5))
 	// 300 ancestor intervals, some nested two deep, each containing a
@@ -214,10 +216,11 @@ func TestStructuralMergeJoinChunking(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatal("reference join found nothing — test data broken")
 		}
-		newInput := func() *joinInput {
-			return &joinInput{rows: rows, ancCol: 1, anc: bindingsOf(ancs), descs: bindingsOf(descs), j: j}
-		}
 		for _, workers := range []int{0, 1, 2, 3, 8, 16} {
+			ret := workers % 3 // 0: neither input, 1: the ancestors, 2: the descendants
+			newInput := func() *joinInput {
+				return &joinInput{rows: rows, ancCol: 1, anc: bindingsOf(ancs, ret == 1), descs: bindingsOf(descs, ret == 2), j: j}
+			}
 			var joined core.Tuples[int32]
 			if workers == 0 {
 				joined = nestedLoopJoin(newInput())

@@ -28,14 +28,18 @@
 // engine. Fragment selections read through the batched stream layer
 // (core.FragmentStream.Collect over relstore.BatchIter), which decodes
 // each heap page's records under a single pager view into one reused
-// batch; the records a selection keeps are appended to the fragment's
-// chunked binding arena (core.Tuples, Stride 1), which is never regrown
-// or copied.
+// batch; the bindings a selection keeps are appended to the fragment's
+// chunked binding arena (core.Bindings), which is never regrown or
+// copied.
 //
-// Materialization is late: a D-join tuple is a row of int32 binding
-// ids, one per joined fragment, so a join copies ids, never records;
-// ordering an input by start yields a permutation of ids; and the
-// return column is copied once, at exact size, into core.Result.Records.
+// Bindings are narrow and materialization is late. A D-join reads only
+// intervals and levels, so every fragment but the return one binds a
+// 12-byte core.Span; the return fragment, on whichever side of its
+// joins it sits, keeps its full records for finalize. A D-join tuple is
+// a row of int32 binding ids, one per joined fragment, so a join copies
+// ids, never bindings; ordering an input by start yields a permutation
+// of ids; and the answer is a core.View of the return arena, which
+// Store.Query's finalize reads once into its matches.
 //
 // Per-query statistics accumulate in the relstore.ExecContext threaded
 // through every scan, so concurrent Execute calls against one store
@@ -75,11 +79,23 @@ type Options struct {
 	core.ExecConfig
 }
 
-// Execute runs a physical plan against a store. Statistics accumulate
-// in ctx (nil discards them). Execute is safe to call concurrently with
-// any other reads of the same store, provided each call gets its own
-// ctx.
+// Execute is Run with the answer also copied out into
+// core.Result.Records, for callers that read records instead of the
+// view (the benchmark's per-layer pipeline, internal/bench and tests).
 func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opts Options) (*core.Result, error) {
+	res, err := Run(ctx, st, p, opts)
+	if err != nil {
+		return nil, err
+	}
+	res.Records = res.Return.Records()
+	return res, nil
+}
+
+// Run runs a physical plan against a store and returns the answer as a
+// view of the return fragment's bindings. Statistics accumulate in ctx
+// (nil discards them). Run is safe to call concurrently with any other
+// reads of the same store, provided each call gets its own ctx.
+func Run(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opts Options) (*core.Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, fmt.Errorf("relengine: %w", err)
 	}
@@ -112,7 +128,7 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opt
 	defer tr.End(obs.PhaseJoin, joinBegin)
 
 	if len(p.Joins) == 0 {
-		return &core.Result{Records: core.DocOrder(bindings[lp.Return], 0, nil)}, nil
+		return &core.Result{Return: core.DocOrder(bindings[lp.Return].Recs, nil)}, nil
 	}
 
 	// Rows over the fragments joined so far, one binding id per fragment;
@@ -128,7 +144,7 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opt
 		if !ok {
 			return nil, fmt.Errorf("relengine: join order is not a tree (fragment %d not yet bound)", j.Anc)
 		}
-		in := joinInput{rows: rows, ancCol: ancCol, anc: bindings[j.Anc], descs: bindings[j.Desc], j: j}
+		in := joinInput{rows: rows, ancCol: ancCol, anc: &bindings[j.Anc], descs: &bindings[j.Desc], j: j}
 		switch opts.Join {
 		case NestedLoopJoin:
 			rows = nestedLoopJoin(&in)
@@ -145,7 +161,7 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opt
 	if !ok {
 		return nil, fmt.Errorf("relengine: return fragment %d not joined", lp.Return)
 	}
-	return &core.Result{Records: core.DocOrder(bindings[lp.Return], 0, rows.Column(retCol))}, nil
+	return &core.Result{Return: core.DocOrder(bindings[lp.Return].Recs, rows.Column(retCol))}, nil
 }
 
 // scanFragments evaluates the plan's fragment selections one after the
@@ -157,54 +173,56 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opt
 // the large fragments the order exists to avoid, and make the page and
 // visited counters depend on scheduling. Parallelism is spent inside
 // the D-joins instead. Every scan decodes into the same batch buffer.
-func scanFragments(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical) ([]core.Tuples[relstore.Record], error) {
+// The return fragment binds records, every other fragment spans.
+func scanFragments(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical) ([]core.Bindings, error) {
 	frags := p.Logical.Fragments
-	bindings := make([]core.Tuples[relstore.Record], len(frags))
+	bindings := make([]core.Bindings, len(frags))
 	buf := make([]relstore.Record, relstore.BatchSize)
 	for _, i := range p.Scans {
 		fs, err := st.PrepareFragmentStream(ctx, frags[i])
 		if err != nil {
 			return nil, err
 		}
-		recs, err := fs.Collect(ctx, buf)
+		b, err := fs.Collect(ctx, buf, i == p.Logical.Return)
 		if err != nil {
 			return nil, err
 		}
-		if recs.Len() == 0 {
+		if b.Len() == 0 {
 			// Empty selection: the whole plan is empty, skip the rest.
 			return bindings, nil
 		}
-		bindings[i] = recs
+		bindings[i] = b
 	}
 	return bindings, nil
 }
 
 // joinInput is one D-join's operands: the rows joined so far, the column
 // of their ancestor binding, and the binding arenas of the ancestor and
-// descendant fragments that row ids and descendant ids index. The merge
-// join adds both inputs' start orders.
+// descendant fragments that row ids and descendant ids index; either may
+// be the return fragment's record arena. The merge join adds both
+// inputs' start orders.
 type joinInput struct {
 	rows   core.Tuples[int32]
 	ancCol int
-	anc    core.Tuples[relstore.Record]
-	descs  core.Tuples[relstore.Record]
+	anc    *core.Bindings
+	descs  *core.Bindings
 	j      translate.Join
 
 	rowOrder, descOrder []int32 // core.SortedBy permutations; nil = already in order
 }
 
-// ancRec returns the ancestor binding of row r.
-func (in *joinInput) ancRec(r int32) *relstore.Record {
-	return in.anc.Get(int(*in.rows.Get(int(r), in.ancCol)), 0)
+// ancSpan returns the ancestor binding of row r.
+func (in *joinInput) ancSpan(r int32) core.Span {
+	return in.anc.SpanAt(int(*in.rows.Get(int(r), in.ancCol)))
 }
 
 // row returns the k-th row id in ancestor start order.
 func (in *joinInput) row(k int) int32 { return orderAt(in.rowOrder, k) }
 
 // desc returns the k-th descendant id in start order and its binding.
-func (in *joinInput) desc(k int) (int32, *relstore.Record) {
+func (in *joinInput) desc(k int) (int32, core.Span) {
 	id := orderAt(in.descOrder, k)
-	return id, in.descs.Get(int(id), 0)
+	return id, in.descs.SpanAt(int(id))
 }
 
 // orderAt returns position k of a start order: perm[k], or k itself
@@ -236,10 +254,11 @@ const (
 // reproduces the sequential pairing exactly, with no duplicates.
 func structuralMergeJoin(in *joinInput, workers int) core.Tuples[int32] {
 	n, nd := in.rows.Len(), in.descs.Len()
-	in.rowOrder = core.SortedBy(n, func(i int) uint32 { return in.ancRec(int32(i)).Start })
-	// Scans clustered by {plabel,start} are only start-sorted per plabel
-	// run; order the descendants by start.
-	in.descOrder = core.SortedBy(nd, func(i int) uint32 { return in.descs.Get(i, 0).Start })
+	in.rowOrder = core.SortedBy(n, func(i int) uint32 { return in.ancSpan(int32(i)).Start })
+	// Fragment streams deliver bindings in start order, so the
+	// descendant check usually finds them in place; rows carried
+	// through earlier joins are in those joins' order.
+	in.descOrder = core.SortedBy(nd, func(i int) uint32 { return in.descs.SpanAt(i).Start })
 
 	if workers <= 1 || n < minParallelTuples || nd < minParallelDescs {
 		return mergeJoinChunk(in, 0, n, 0, nd)
@@ -252,10 +271,10 @@ func structuralMergeJoin(in *joinInput, workers int) core.Tuples[int32] {
 	parts := make([]core.Tuples[int32], chunks)
 	_ = core.FanOut(chunks, func(c int) error { // chunks never fail
 		lo, hi := c*n/chunks, (c+1)*n/chunks
-		minStart := in.ancRec(in.row(lo)).Start
+		minStart := in.ancSpan(in.row(lo)).Start
 		maxEnd := uint32(0)
 		for k := lo; k < hi; k++ {
-			maxEnd = max(maxEnd, in.ancRec(in.row(k)).End)
+			maxEnd = max(maxEnd, in.ancSpan(in.row(k)).End)
 		}
 		// Descendant candidates for this chunk: minStart < start < maxEnd.
 		descStart := func(k int) uint32 { _, d := in.desc(k); return d.Start }
@@ -274,8 +293,8 @@ func structuralMergeJoin(in *joinInput, workers int) core.Tuples[int32] {
 
 // openAnc is an ancestor row on the merge stack, with its binding.
 type openAnc struct {
-	row int32
-	rec *relstore.Record
+	row  int32
+	span core.Span
 }
 
 // mergeJoinChunk runs the stack-based structural merge sweep over the
@@ -294,16 +313,16 @@ func mergeJoinChunk(in *joinInput, lo, hi, dlo, dhi int) core.Tuples[int32] {
 		// Open all ancestor rows that start before d.
 		for ; ti < hi; ti++ {
 			r := in.row(ti)
-			a := in.ancRec(r)
+			a := in.ancSpan(r)
 			if a.Start >= d.Start {
 				break
 			}
-			stack = append(stack, openAnc{row: r, rec: a})
+			stack = append(stack, openAnc{row: r, span: a})
 		}
 		// Close those that ended before d.
 		live := stack[:0]
 		for _, o := range stack {
-			if o.rec.End > d.Start {
+			if o.span.End > d.Start {
 				live = append(live, o)
 			}
 		}
@@ -313,12 +332,12 @@ func mergeJoinChunk(in *joinInput, lo, hi, dlo, dhi int) core.Tuples[int32] {
 		// implies end > d.end).
 		desc[0] = did
 		for _, o := range stack {
-			if o.rec.End <= d.End {
+			if o.span.End <= d.End {
 				// Defensive: ill-nested inputs (possible only with a
 				// corrupted store) must not produce false positives.
 				continue
 			}
-			if in.j.LevelOK(o.rec.Level, d.Level) {
+			if in.j.LevelOK(o.span.Level, d.Level) {
 				out.Append(in.rows.At(int(o.row)), desc[:])
 			}
 		}
@@ -331,9 +350,9 @@ func nestedLoopJoin(in *joinInput) core.Tuples[int32] {
 	out := core.NewTuples[int32](in.rows.Stride + 1)
 	var desc [1]int32
 	for r := 0; r < in.rows.Len(); r++ {
-		a := in.ancRec(int32(r))
+		a := in.ancSpan(int32(r))
 		for di := 0; di < in.descs.Len(); di++ {
-			d := in.descs.Get(di, 0)
+			d := in.descs.SpanAt(di)
 			if a.Start < d.Start && a.End > d.End && in.j.LevelOK(a.Level, d.Level) {
 				desc[0] = int32(di)
 				out.Append(in.rows.At(r), desc[:])

@@ -20,7 +20,7 @@ func TestHotpathAnnotations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"climb", "collectSolutions", "foldLeaf", "sweep"}
+	want := []string{"bind", "climb", "collectSolutions", "foldLeaf", "sweep"}
 	for _, name := range want {
 		if !got[name] {
 			t.Errorf("%s lost its //blas:hotpath annotation; the allocation guards and hotalloc no longer cover the same code", name)
@@ -38,22 +38,19 @@ func TestHotpathAnnotations(t *testing.T) {
 
 // TestCollectSolutionsAllocatesPerChunk guards the sweep's emission
 // path: enumerating the path solutions of a pushed leaf element copies
-// them into the leaf's arena — no per-solution slice, no closure — so a
-// long run of emissions allocates once per arena chunk.
+// their spans into the leaf's arena, and the return node's record into
+// the return column — no per-solution slice, no closure — so a long run
+// of emissions allocates once per arena chunk.
 func TestCollectSolutionsAllocatesPerChunk(t *testing.T) {
 	root := &tnode{id: 0}
 	mid := &tnode{id: 1, parent: root}
 	leaf := &tnode{id: 2, parent: mid, leafIdx: 0}
 	leaf.path = []*tnode{root, mid, leaf}
-	eng := &engine{nodes: []*tnode{root, mid, leaf}, root: root, leaves: []*tnode{leaf}, maxDepth: 3}
+	// The mid node is the return node.
+	eng := &engine{nodes: []*tnode{root, mid, leaf}, root: root, leaves: []*tnode{leaf}, maxDepth: 3, retDepth: 1}
 	const emissions = 4096
 	allocs := testing.AllocsPerRun(5, func() {
-		st := &sweepState{
-			eng:     eng,
-			stacks:  make([][]stackItem, 3),
-			sols:    []core.Tuples[relstore.Record]{core.NewTuples[relstore.Record](3)},
-			scratch: make([]relstore.Record, 3),
-		}
+		st := newSweepState(eng)
 		// Two nested roots, two mids under the inner one: every leaf
 		// element yields 2 (mid) x 2 (root) = 4 path solutions.
 		st.stacks[0] = []stackItem{{rec: relstore.Record{Start: 1, Level: 1}, parentIdx: -1}, {rec: relstore.Record{Start: 2, Level: 2}, parentIdx: -1}}
@@ -62,12 +59,19 @@ func TestCollectSolutionsAllocatesPerChunk(t *testing.T) {
 			st.stacks[2] = append(st.stacks[2][:0], stackItem{rec: relstore.Record{Start: uint32(10 + i), Level: 5}, parentIdx: 1})
 			st.collectSolutions(leaf)
 		}
-		if got := st.sols[0].Len(); got != 4*emissions {
-			t.Fatalf("%d solutions, want %d", got, 4*emissions)
+		if got := st.sols[0].Len(); got != 4*emissions || st.ret.Len() != got {
+			t.Fatalf("%d solutions, %d return bindings, want %d", got, st.ret.Len(), 4*emissions)
+		}
+		for i := 0; i < st.ret.Len(); i++ {
+			if r, s := st.ret.At(i)[0], st.sols[0].At(i)[1]; core.SpanOf(&r) != s {
+				t.Fatalf("solution %d: return binding %v, path binds %v", i, r, s)
+			}
 		}
 	})
-	// 16384 solutions are 32 chunks; the rest is the fixture itself.
-	if allocs > 60 {
+	// 16384 solutions fill 36 chunks in each of the two arenas (94
+	// allocations with the chunk lists' growth and the fixture); a
+	// per-solution allocation would be thousands.
+	if allocs > 110 {
 		t.Errorf("%d emissions allocated %.0f times, want one per arena chunk", emissions, allocs)
 	}
 }
@@ -79,14 +83,14 @@ func TestCollectSolutionsAllocatesPerChunk(t *testing.T) {
 // sort runs.
 func TestFoldLeafAllocatesPerChunk(t *testing.T) {
 	const n = 4096
-	prev := core.NewTuples[relstore.Record](2)
-	sols := core.NewTuples[relstore.Record](3)
+	prev := core.NewTuples[core.Span](2)
+	sols := core.NewTuples[core.Span](3)
 	for i := 0; i < n; i++ {
-		prev.Append([]relstore.Record{{Start: 1}, {Start: uint32(10 + i)}}, nil)
+		prev.Append([]core.Span{{Start: 1}, {Start: uint32(10 + i)}}, nil)
 	}
 	for i := n - 1; i >= 0; i-- {
 		for k := 0; k < 2; k++ {
-			sols.Append([]relstore.Record{{Start: 1}, {Start: uint32(10 + i)}, {Start: uint32(2*n + 2*i + k)}}, nil)
+			sols.Append([]core.Span{{Start: 1}, {Start: uint32(10 + i)}, {Start: uint32(2*n + 2*i + k)}}, nil)
 		}
 	}
 	assigns := core.Rows(n)

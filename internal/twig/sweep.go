@@ -7,29 +7,18 @@ import (
 
 // sweepStreams runs the stack-chain sweep over every node's stream on
 // the calling goroutine and returns the per-leaf path-solution lists in
-// emission order.
-func (e *engine) sweepStreams(ctx *relstore.ExecContext) ([]core.Tuples[relstore.Record], error) {
-	st := &sweepState{
-		eng:     e,
-		streams: make([]*batchStream, len(e.nodes)),
-		stacks:  make([][]stackItem, len(e.nodes)),
-		sols:    make([]core.Tuples[relstore.Record], len(e.leaves)),
-		scratch: make([]relstore.Record, e.maxDepth),
-	}
-	for li, leaf := range e.leaves {
-		st.sols[li] = core.NewTuples[relstore.Record](len(leaf.path))
-	}
+// emission order, and the return column of the return leaf's solutions.
+func (e *engine) sweepStreams(ctx *relstore.ExecContext) ([]core.Tuples[core.Span], core.Tuples[relstore.Record], error) {
+	st := newSweepState(e)
 	for i, n := range e.nodes {
 		bi, err := n.stream.Open(ctx)
 		if err != nil {
-			return nil, err
+			return nil, st.ret, err
 		}
 		st.streams[i] = newBatchStream(bi, n.stream.Filter)
 	}
-	if err := st.sweep(); err != nil {
-		return nil, err
-	}
-	return st.sols, nil
+	err := st.sweep()
+	return st.sols, st.ret, err
 }
 
 // sweepState is the mutable state of one sweep.
@@ -37,8 +26,27 @@ type sweepState struct {
 	eng     *engine
 	streams []*batchStream
 	stacks  [][]stackItem
-	sols    []core.Tuples[relstore.Record] // per leaf: path solutions in emission order, stride = path length
-	scratch []relstore.Record              // current path during solution collection
+	sols    []core.Tuples[core.Span]     // per leaf: path solutions in emission order, stride = path length
+	ret     core.Tuples[relstore.Record] // the return node's binding of each solution of leaf eng.retLeaf
+	scratch []core.Span                  // current path during solution collection
+	retRec  [1]relstore.Record           // return binding of the solution being climbed (return leaf only)
+}
+
+// newSweepState returns the empty state of a sweep over e, streams not
+// yet opened.
+func newSweepState(e *engine) *sweepState {
+	st := &sweepState{
+		eng:     e,
+		streams: make([]*batchStream, len(e.nodes)),
+		stacks:  make([][]stackItem, len(e.nodes)),
+		sols:    make([]core.Tuples[core.Span], len(e.leaves)),
+		ret:     core.NewTuples[relstore.Record](1),
+		scratch: make([]core.Span, e.maxDepth),
+	}
+	for li, leaf := range e.leaves {
+		st.sols[li] = core.NewTuples[core.Span](len(leaf.path))
+	}
+	return st
 }
 
 // sweep runs the stack machine over all streams in start order.
@@ -103,9 +111,20 @@ func (st *sweepState) sweep() error {
 func (st *sweepState) collectSolutions(q *tnode) {
 	depth := len(q.path)
 	stack := st.stacks[q.id]
-	item := stack[len(stack)-1]
-	st.scratch[depth-1] = item.rec
+	item := &stack[len(stack)-1]
+	st.bind(q, depth-1, item)
 	st.climb(q, depth-2, item.parentIdx)
+}
+
+// bind binds path level `level` of leaf q to a stack item: its span in
+// scratch and, at the return node of the return leaf, its record.
+//
+//blas:hotpath
+func (st *sweepState) bind(q *tnode, level int, it *stackItem) {
+	st.scratch[level] = core.SpanOf(&it.rec)
+	if level == st.eng.retDepth && q.leafIdx == st.eng.retLeaf {
+		st.retRec[0] = it.rec
+	}
 }
 
 // climb binds path level `level` of leaf q to every stack item at or
@@ -118,19 +137,22 @@ func (st *sweepState) climb(q *tnode, level, limit int) {
 	cur := st.scratch[:len(q.path)]
 	if level < 0 {
 		st.sols[q.leafIdx].Append(cur, nil)
+		if q.leafIdx == st.eng.retLeaf {
+			st.ret.Append(st.retRec[:], nil)
+		}
 		return
 	}
-	childRec := &cur[level+1]
+	childLevel := cur[level+1].Level
 	edge := q.path[level+1].edge
 	nstack := st.stacks[q.path[level].id]
 	for i := 0; i <= limit && i < len(nstack); i++ {
 		it := &nstack[i]
 		// Items on the stack contain the child element by
 		// construction; the edge's level constraint narrows the pick.
-		if !edge.LevelOK(it.rec.Level, childRec.Level) {
+		if !edge.LevelOK(it.rec.Level, childLevel) {
 			continue
 		}
-		cur[level] = it.rec
+		st.bind(q, level, it)
 		st.climb(q, level-1, it.parentIdx)
 	}
 }

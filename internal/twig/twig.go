@@ -18,13 +18,17 @@
 // A single chain of stacks — one per twig node, items linked to the top
 // of the parent stack at push time — sweeps all streams in global start
 // order. Root-to-leaf path solutions are emitted whenever a leaf element
-// lands on a non-broken chain into one record arena per leaf
-// (core.Tuples, Stride = path length); after the sweep, path solutions
-// are joined on their shared prefixes into full twig matches. A partial
-// match is a row of int32 solution ids, one per folded leaf, matched to
-// the next leaf's solutions by binary search over its solution ids
-// sorted by prefix, so the merge copies ids, never records, and only
-// the return column is copied out, once, into core.Result.Records.
+// lands on a non-broken chain into one span arena per leaf
+// (core.Tuples[core.Span], Stride = path length): a climb and the merge
+// read only intervals and levels. The leaf that owns the return node
+// also appends that node's full record to a one-column return arena, at
+// the same solution id. After the sweep, path solutions are joined on
+// their shared prefixes into full twig matches. A partial match is a
+// row of int32 solution ids, one per folded leaf, matched to the next
+// leaf's solutions by binary search over its solution ids sorted by
+// prefix, so the merge copies ids, never bindings, and the answer is a
+// core.View of the return arena, which Store.Query's finalize reads
+// once into its matches.
 //
 // # Batched streams and one sweep
 //
@@ -66,18 +70,31 @@ import (
 	"repro/internal/translate"
 )
 
-// Execute runs a physical plan against a store using the holistic twig
-// join. The plan's join order does not change the sweep (all streams
+// Execute is Run with the answer also copied out into
+// core.Result.Records, for callers that read records instead of the
+// view (the benchmark's per-layer pipeline, internal/bench and tests).
+func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, cfg core.ExecConfig) (*core.Result, error) {
+	res, err := Run(ctx, st, p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res.Records = res.Return.Records()
+	return res, nil
+}
+
+// Run runs a physical plan against a store using the holistic twig
+// join and returns the answer as a view of the return column. The
+// plan's join order does not change the sweep (all streams
 // advance in global start order), but the planner's emptiness proofs
 // do: a KnownEmpty plan skips stream preparation entirely, and a stream
 // that resolves to zero P-label runs skips the sweep and merge.
 // Statistics accumulate in ctx (nil discards them); one ctx per call
-// makes concurrent Execute calls over one store safe.
+// makes concurrent Run calls over one store safe.
 //
 // The sweep runs on the calling goroutine and starts no other.
 // cfg.Parallelism does not change it; a negative value is rejected, as
 // on the relational engine.
-func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, cfg core.ExecConfig) (*core.Result, error) {
+func Run(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, cfg core.ExecConfig) (*core.Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("twig: %w", err)
 	}
@@ -100,15 +117,15 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, cfg
 		}
 	}
 	sweepBegin := tr.Begin()
-	leafSols, err := eng.sweepStreams(ctx)
+	leafSols, ret, err := eng.sweepStreams(ctx)
 	tr.End(obs.PhaseSweep, sweepBegin)
 	if err != nil {
 		return nil, err
 	}
 	joinBegin := tr.Begin()
-	res, err := eng.merge(leafSols)
+	res := eng.merge(leafSols, ret)
 	tr.End(obs.PhaseJoin, joinBegin)
-	return res, err
+	return res, nil
 }
 
 // tnode is one twig node: the static query structure plus the prepared
@@ -128,6 +145,10 @@ type tnode struct {
 	path    []*tnode // root..this (leaves only)
 }
 
+// stackItem is an element on its node's stack. It keeps the full
+// record — the stacks are reused across elements, so this costs no
+// per-solution allocation — and solutions take its span, or its record
+// at the return node.
 type stackItem struct {
 	rec       relstore.Record
 	parentIdx int // top of parent stack at push time; -1 when rootless
@@ -139,6 +160,12 @@ type engine struct {
 	root     *tnode
 	leaves   []*tnode
 	maxDepth int // longest root-to-leaf path
+
+	// owner[id] is the first leaf, in DFS order, whose path covers
+	// fragment id. The return fragment's owner, retLeaf, keeps the
+	// return column; retDepth is the return node's level on its path.
+	owner             []int
+	retLeaf, retDepth int
 }
 
 // build assembles the twig node tree from the logical plan's fragments
@@ -202,40 +229,35 @@ func build(ctx *relstore.ExecContext, st *core.Store, phys *planner.Physical) (*
 		}
 	}
 	dfs(eng.root, nil)
+	eng.owner = make([]int, len(eng.nodes))
+	for i := range eng.owner {
+		eng.owner[i] = -1
+	}
+	for li, leaf := range eng.leaves {
+		for _, n := range leaf.path {
+			if eng.owner[n.id] < 0 {
+				eng.owner[n.id] = li
+			}
+		}
+	}
+	eng.retLeaf = eng.owner[p.Return]
+	if eng.retLeaf < 0 {
+		return nil, fmt.Errorf("twig: return fragment %d not covered by any path", p.Return)
+	}
+	for eng.leaves[eng.retLeaf].path[eng.retDepth].id != p.Return {
+		eng.retDepth++
+	}
 	return eng, nil
 }
 
 // merge joins the per-leaf path solutions (ordered as the sweep emits
-// them) on their shared prefixes and projects the return
-// fragment. A partial twig assignment is a join row of solution ids,
-// one per folded leaf; records stay in the leaves' solution arenas until
-// DocOrder copies the return column out.
-func (e *engine) merge(leafSols []core.Tuples[relstore.Record]) (*core.Result, error) {
-	// owner[id] is the first leaf whose path covers fragment id; the
-	// fragment's binding is at its depth in that leaf's solutions.
-	owner := make([]int, len(e.nodes))
-	for i := range owner {
-		owner[i] = -1
-	}
-	for li, leaf := range e.leaves {
-		for _, n := range leaf.path {
-			if owner[n.id] < 0 {
-				owner[n.id] = li
-			}
-		}
-	}
-	ret := e.plan.Return
-	l := owner[ret]
-	if l < 0 {
-		return nil, fmt.Errorf("twig: return fragment %d not covered by any path", ret)
-	}
-	depth := 0
-	for e.leaves[l].path[depth].id != ret {
-		depth++
-	}
+// them) on their shared prefixes and projects the return column. A
+// partial twig assignment is a join row of solution ids, one per folded
+// leaf; the return leaf's ids index ret, the return column.
+func (e *engine) merge(leafSols []core.Tuples[core.Span], ret core.Tuples[relstore.Record]) *core.Result {
 	if len(e.leaves) == 1 {
 		// The path solutions are the matches.
-		return &core.Result{Records: core.DocOrder(leafSols[0], depth, nil)}, nil
+		return &core.Result{Return: core.DocOrder(ret, nil)}
 	}
 
 	// Fold the other leaves in DFS order. A leaf's covered nodes are the
@@ -246,15 +268,15 @@ func (e *engine) merge(leafSols []core.Tuples[relstore.Record]) (*core.Result, e
 	for li := 1; li < len(e.leaves); li++ {
 		leaf := e.leaves[li]
 		shared := 0
-		for shared < len(leaf.path) && owner[leaf.path[shared].id] < li {
+		for shared < len(leaf.path) && e.owner[leaf.path[shared].id] < li {
 			shared++
 		}
 		assigns = foldLeaf(assigns, leafSols[li-1], leafSols[li], shared)
 		if assigns.Len() == 0 {
-			return &core.Result{}, nil
+			return &core.Result{}
 		}
 	}
-	return &core.Result{Records: core.DocOrder(leafSols[l], depth, assigns.Column(l))}, nil
+	return &core.Result{Return: core.DocOrder(ret, assigns.Column(e.retLeaf))}
 }
 
 // comparePrefix orders two path solutions by the starts of their first
@@ -262,7 +284,7 @@ func (e *engine) merge(leafSols []core.Tuples[relstore.Record]) (*core.Result, e
 // emits the solutions of non-recursive data, so the sort usually finds
 // them in place. Start positions identify nodes, so equal starts mean
 // equal bindings.
-func comparePrefix(a, b []relstore.Record, shared int) int {
+func comparePrefix(a, b []core.Span, shared int) int {
 	for i := shared - 1; i >= 0; i-- {
 		if c := cmp.Compare(a[i].Start, b[i].Start); c != 0 {
 			return c
@@ -281,8 +303,8 @@ func comparePrefix(a, b []relstore.Record, shared int) int {
 // probed by assignment.
 //
 //blas:hotpath
-func foldLeaf(assigns core.Tuples[int32], prev, sols core.Tuples[relstore.Record], shared int) core.Tuples[int32] {
-	sol := func(id int32) []relstore.Record { return sols.At(int(id)) }
+func foldLeaf(assigns core.Tuples[int32], prev, sols core.Tuples[core.Span], shared int) core.Tuples[int32] {
+	sol := func(id int32) []core.Span { return sols.At(int(id)) }
 	order := make([]int32, sols.Len())
 	for i := range order {
 		order[i] = int32(i)
