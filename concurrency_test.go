@@ -15,6 +15,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bench"
+	"repro/internal/datagen"
 	"repro/internal/pager"
 )
 
@@ -662,5 +664,86 @@ func TestConcurrencyMetricsRegistry(t *testing.T) {
 	}
 	if m.VisitedElements == 0 || m.PageReads == 0 {
 		t.Errorf("cumulative stats empty: visited %d, page reads %d", m.VisitedElements, m.PageReads)
+	}
+}
+
+// TestConcurrencyPooledBatches races queries whose streams share the
+// process-wide pool of batch buffers. On auction factor 1 a stream spans
+// many heap pages, so each buffer is refilled within a query and goes
+// back to the pool for the next stream; a buffer handed to two streams,
+// or one still written after its release, would corrupt another query's
+// records. Every result must equal the sequential answer, and at P=1 so
+// must its page reads.
+func TestConcurrencyPooledBatches(t *testing.T) {
+	var doc strings.Builder
+	if err := GenerateDataset(&doc, datagen.NameAuction, DatasetOptions{Seed: 1, Factor: 1}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := BuildFromString(doc.String(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	type combo struct {
+		query string
+		tr    Translator
+		eng   Engine
+	}
+	var combos []combo
+	want := map[combo]*Result{}
+	for _, q := range []string{
+		bench.Fig10Queries["QA1"], bench.Fig10Queries["QA2"], bench.Fig10Queries["QA3"],
+		bench.Fig15Queries["Q1"], bench.Fig15Queries["Q4"], bench.Fig15Queries["Q6"],
+	} {
+		for _, tr := range []Translator{TranslatorAuto, TranslatorDLabel} {
+			for _, eng := range []Engine{EngineRelational, EngineTwig} {
+				c := combo{q, tr, eng}
+				res, err := st.Query(q, QueryOptions{Translator: tr, Engine: eng, Parallelism: 1})
+				if err != nil {
+					t.Fatalf("sequential %s [%s/%s]: %v", q, tr, eng, err)
+				}
+				if len(res.Matches) == 0 {
+					t.Fatalf("sequential %s [%s/%s]: empty result would make the stress vacuous", q, tr, eng)
+				}
+				combos = append(combos, c)
+				want[c] = res
+			}
+		}
+	}
+
+	const goroutines = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range combos {
+				c := combos[(g+i)%len(combos)]
+				par := 1 + (g+i)%2
+				res, err := st.Query(c.query, QueryOptions{Translator: c.tr, Engine: c.eng, Parallelism: par})
+				if err != nil {
+					errs <- fmt.Errorf("goroutine %d: %s [%s/%s]: %v", g, c.query, c.tr, c.eng, err)
+					return
+				}
+				w := want[c]
+				if !reflect.DeepEqual(res.Matches, w.Matches) {
+					errs <- fmt.Errorf("goroutine %d: %s [%s/%s] P=%d: %d matches differ from the sequential %d",
+						g, c.query, c.tr, c.eng, par, len(res.Matches), len(w.Matches))
+					return
+				}
+				if par == 1 && res.Stats.PageReads != w.Stats.PageReads {
+					errs <- fmt.Errorf("goroutine %d: %s [%s/%s]: %d page reads, sequential %d",
+						g, c.query, c.tr, c.eng, res.Stats.PageReads, w.Stats.PageReads)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

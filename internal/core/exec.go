@@ -183,23 +183,23 @@ func (fs *FragmentStream) Open(ctx *relstore.ExecContext) (relstore.BatchIter, e
 
 // Collect drains the fragment's whole stream into a one-column binding
 // arena, filtered by fs.Filter: the records of the return fragment
-// (ret), the spans of any other. Every batch decodes into buf, which the
-// caller may reuse across streams: engines pass relstore.BatchSize
-// records, since a smaller batch ends mid-page and that page is then
-// requested once per batch. The survivors of each batch are copied into
-// the chunked arena, which is never regrown.
-func (fs *FragmentStream) Collect(ctx *relstore.ExecContext, buf []relstore.Record, ret bool) (Bindings, error) {
+// (ret), the spans of any other. Every batch is read into batch, which
+// the caller may reuse across streams; a heap-run batch is one page's
+// share of the selection, which a BatchSize buffer always holds, so
+// each page is requested once. The survivors of each batch are copied
+// into the chunked arena, which is never regrown.
+func (fs *FragmentStream) Collect(ctx *relstore.ExecContext, batch *relstore.Batch, ret bool) (Bindings, error) {
 	b := NewBindings(ret)
 	bi, err := fs.Open(ctx)
 	if err != nil {
 		return b, err
 	}
 	for {
-		n, err := bi.NextBatch(buf)
-		if err != nil || n == 0 {
+		recs, err := batch.Next(bi)
+		if err != nil || len(recs) == 0 {
 			return b, err
 		}
-		b.Extend(fs.Filter.Apply(buf[:n]))
+		b.Extend(fs.Filter.Apply(recs))
 	}
 }
 

@@ -76,14 +76,15 @@ func TestCollectFiltersEveryBatch(t *testing.T) {
 		{"level", translate.Fragment{Access: access, LevelEq: 3}, all},
 		{"drop-all", translate.Fragment{Access: access, Value: &none}, nil},
 	}
-	buf := make([]relstore.Record, relstore.BatchSize)
+	batch := relstore.GetBatch()
+	defer batch.Release()
 	for _, c := range cases {
 		ctx := relstore.NewExecContext()
 		fs, err := st.PrepareFragmentStream(ctx, &c.frag)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := fs.Collect(ctx, buf, true)
+		got, err := fs.Collect(ctx, batch, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +103,7 @@ func TestCollectFiltersEveryBatch(t *testing.T) {
 			t.Errorf("%s: %d page reads, %d without filter", c.name, ctx.PageReads(), refCtx.PageReads())
 		}
 		// A non-return fragment binds the same nodes as spans only.
-		spans, err := fs.Collect(nil, buf, false)
+		spans, err := fs.Collect(nil, batch, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +121,7 @@ func TestCollectFiltersEveryBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := fs.Collect(nil, buf, false); err != nil || got.Len() != n {
+	if got, err := fs.Collect(nil, batch, false); err != nil || got.Len() != n {
 		t.Fatalf("nil context: %d records, err %v", got.Len(), err)
 	}
 }

@@ -26,11 +26,12 @@
 // independently, one chunk per worker goroutine (core.FanOut).
 // Options.Parallelism bounds the chunks; 1 recovers the fully sequential
 // engine. Fragment selections read through the batched stream layer
-// (core.FragmentStream.Collect over relstore.BatchIter), which decodes
-// each heap page's records under a single pager view into one reused
-// batch; the bindings a selection keeps are appended to the fragment's
-// chunked binding arena (core.Bindings), which is never regrown or
-// copied.
+// (core.FragmentStream.Collect over relstore.BatchIter): a cluster-scan
+// batch is one heap page's share of the selection, decoded under a
+// single pager view into one pooled relstore.Batch that every scan of
+// the query reuses, so each page is requested once. The bindings a
+// selection keeps are appended to the fragment's chunked binding arena
+// (core.Bindings), which is never regrown or copied.
 //
 // Bindings are narrow and materialization is late. A D-join reads only
 // intervals and levels, so every fragment but the return one binds a
@@ -172,18 +173,20 @@ func Run(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opts Op
 // start before scan k is known non-empty; racing the scans would read
 // the large fragments the order exists to avoid, and make the page and
 // visited counters depend on scheduling. Parallelism is spent inside
-// the D-joins instead. Every scan decodes into the same batch buffer.
-// The return fragment binds records, every other fragment spans.
+// the D-joins instead. Every scan decodes into the same pooled batch
+// buffer, released when the scans end. The return fragment binds
+// records, every other fragment spans.
 func scanFragments(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical) ([]core.Bindings, error) {
 	frags := p.Logical.Fragments
 	bindings := make([]core.Bindings, len(frags))
-	buf := make([]relstore.Record, relstore.BatchSize)
+	batch := relstore.GetBatch()
+	defer batch.Release()
 	for _, i := range p.Scans {
 		fs, err := st.PrepareFragmentStream(ctx, frags[i])
 		if err != nil {
 			return nil, err
 		}
-		b, err := fs.Collect(ctx, buf, i == p.Logical.Return)
+		b, err := fs.Collect(ctx, batch, i == p.Logical.Return)
 		if err != nil {
 			return nil, err
 		}

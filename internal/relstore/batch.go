@@ -5,19 +5,22 @@ import (
 
 	"repro/internal/keyenc"
 	"repro/internal/obs"
+	"repro/internal/pager"
 	"repro/internal/pbtree"
 	"repro/internal/uint128"
 )
 
-// BatchSize is the record-batch size of every engine stream. It is
-// fixed, so a query's page reads depend only on its plan and the data,
-// never on buffer-pool state. 512 is a measured trade-off on the
-// benchmark's auction workloads: smaller batches end mid-page more
-// often, and a page split by a batch boundary is requested once per
-// batch (256 pushed query_cold's page_reads_per_q past its bound);
-// larger ones allocate buffers that small served queries never fill
-// (1024 pushed serve_open's alloc_kb_per_q past its bound).
-const BatchSize = 512
+// BatchSize is the record-batch size of every engine stream: the most
+// records one columnar heap page can hold. The densest page is a single
+// SP run of minimal records — one byte in each of the four varint
+// columns and no value bytes — after the page header, one directory
+// entry and the run header; an SD record adds its 16-byte plabel, so SD
+// pages hold at most 408. A heap-run scan returns one page's share of
+// its selection per batch (heapRunIter.NextBatch), so a buffer of this
+// size never splits a page: each page a stream touches is requested from
+// the pool once and decoded once, and a query's page reads depend only
+// on its plan and the data.
+const BatchSize = (pager.PageSize - colPageHeader - colRunDirEnt - spRunHeader) / minColRecord
 
 // MaxBatchSize is the batch the benchmark's per-layer decode probe
 // reads with. It exists only for benchmark/ and goes with ROADMAP item
@@ -37,6 +40,65 @@ const MaxBatchSize = 4096
 // them may run concurrently over one Relation.
 type BatchIter interface {
 	NextBatch(dst []Record) (int, error)
+}
+
+// Batch is an engine stream's BatchSize-record buffer. A stream takes
+// one with GetBatch, reads every batch into it with Next, and gives it
+// back with Release once, at end of stream; a stream abandoned early
+// drops its buffer to the garbage collector.
+type Batch struct {
+	recs   []Record
+	used   int  // records written since GetBatch: the prefix Release clears
+	pooled bool // released; a second Release would hand it out twice
+}
+
+// idleBatches is the process-wide pool of released buffers. Its capacity
+// bounds what stays allocated while no query runs, 16 buffers or 1.5
+// MiB, enough for every stream of a few concurrent queries; a release
+// into a full pool leaves the buffer to the garbage collector. Unlike a
+// sync.Pool it is not emptied by garbage collection, nor at random under
+// the race detector, so a warm query allocates no buffer in any build.
+var idleBatches = make(chan *Batch, 16)
+
+// GetBatch takes a buffer from the pool, or allocates one when the pool
+// is empty.
+func GetBatch() *Batch {
+	select {
+	case b := <-idleBatches:
+		b.pooled = false
+		return b
+	default:
+		return &Batch{recs: make([]Record, BatchSize)}
+	}
+}
+
+// Next reads bi's next batch into the buffer and returns it; an empty
+// batch means the stream is exhausted. The records stay valid until the
+// next call or Release.
+func (b *Batch) Next(bi BatchIter) ([]Record, error) {
+	n, err := bi.NextBatch(b.recs)
+	if err != nil {
+		b.used = len(b.recs) // a failed batch may have written anywhere
+		return nil, err
+	}
+	b.used = max(b.used, n)
+	return b.recs[:n], nil
+}
+
+// Release clears the prefix of the buffer that held records, so the
+// pool keeps no value string reachable, and returns the buffer to the
+// pool. Releasing a buffer twice panics: both holders would be handed
+// the same memory.
+func (b *Batch) Release() {
+	if b.pooled {
+		panic("relstore: Batch released twice")
+	}
+	clear(b.recs[:b.used])
+	b.used, b.pooled = 0, true
+	select {
+	case idleBatches <- b:
+	default:
+	}
 }
 
 // fetchBatch decodes the records addressed by locs into dst (len(dst)
@@ -144,41 +206,40 @@ func (r *Relation) ScanStartOrderBatch(ctx *ExecContext) BatchIter {
 
 // --- k-way batch merge ---
 
-// mergeBatchRun is one input of a batch merge: a batched source plus the
-// buffered window it has been read into.
-type mergeBatchRun struct {
-	src BatchIter
-	buf []Record
-	n   int // valid records in buf
-	i   int // next record
-}
+// smallRunBatch is the largest batch a merge run copies into a buffer of
+// its own rather than keep the pooled buffer it was read into. A P-label
+// range can resolve to dozens of runs of a few records per page, and a
+// pooled BatchSize buffer each would hold 95 KiB for every one of them.
+const smallRunBatch = 64
 
-// refill loads the next batch; reports whether records are available.
-func (r *mergeBatchRun) refill() (bool, error) {
-	n, err := r.src.NextBatch(r.buf)
-	if err != nil {
-		return false, err
-	}
-	if n == 0 {
-		return false, nil
-	}
-	r.n, r.i = n, 0
-	return true, nil
+// mergeBatchRun is one input of a batch merge: a batched source and the
+// batch of it the merge is positioned in. Every batch is read into a
+// BatchSize buffer, so no run splits a page. A small batch is copied
+// into own; a run that meets a larger one keeps its pooled buffer until
+// it is exhausted.
+type mergeBatchRun struct {
+	src   BatchIter
+	batch *Batch   // the run's pooled buffer, once it needs one; nil after release
+	own   []Record // copy of the last small batch
+	cur   []Record
+	i     int // next record of cur
+	done  bool
 }
 
 // MergeBatchesByStart combines start-ordered batched streams into one
 // start-ordered batched stream (k-way heap merge). Start positions are
 // unique document positions, so the merge order is total. It builds the
 // document-order streams of P-label set and range fragments, whose
-// selections span several cluster runs.
+// selections span several cluster runs. Pooled buffers go back when
+// their run, or for the shared read buffer the merge, is exhausted.
 func MergeBatchesByStart(runs []BatchIter) (BatchIter, error) {
 	if len(runs) == 1 {
 		return runs[0], nil
 	}
-	m := &batchMergeIter{}
+	m := &batchMergeIter{scratch: GetBatch()}
 	for _, src := range runs {
-		run := &mergeBatchRun{src: src, buf: make([]Record, BatchSize)}
-		ok, err := run.refill()
+		run := &mergeBatchRun{src: src}
+		ok, err := m.refill(run)
 		if err != nil {
 			return nil, err
 		}
@@ -187,19 +248,58 @@ func MergeBatchesByStart(runs []BatchIter) (BatchIter, error) {
 		}
 	}
 	heap.Init(m)
+	m.releaseIfDone()
 	return m, nil
 }
 
 // batchMergeIter is a heap of positioned runs; NextBatch pops the global
 // minimum repeatedly.
 type batchMergeIter struct {
-	runs []*mergeBatchRun
-	err  error
+	runs    []*mergeBatchRun
+	scratch *Batch // reads of runs without a buffer of their own; nil after release
+	err     error
+}
+
+// refill loads run r's next batch; reports whether records are
+// available. An exhausted or failed run releases its buffer, once.
+func (m *batchMergeIter) refill(r *mergeBatchRun) (bool, error) {
+	if r.done {
+		return false, nil
+	}
+	var recs []Record
+	var err error
+	if r.batch != nil {
+		recs, err = r.batch.Next(r.src)
+	} else if recs, err = m.scratch.Next(r.src); len(recs) > smallRunBatch {
+		r.batch, m.scratch = m.scratch, GetBatch()
+	} else {
+		r.own = append(r.own[:0], recs...)
+		recs = r.own
+	}
+	if err != nil || len(recs) == 0 {
+		r.done, r.cur = true, nil
+		if r.batch != nil {
+			r.batch.Release()
+			r.batch = nil
+		}
+		return false, err
+	}
+	r.cur, r.i = recs, 0
+	return true, nil
+}
+
+// releaseIfDone returns the shared read buffer once every run is
+// exhausted.
+func (m *batchMergeIter) releaseIfDone() {
+	if len(m.runs) == 0 && m.scratch != nil {
+		m.scratch.Release()
+		m.scratch = nil
+	}
 }
 
 func (m *batchMergeIter) Len() int { return len(m.runs) }
 func (m *batchMergeIter) Less(i, j int) bool {
-	return m.runs[i].buf[m.runs[i].i].Start < m.runs[j].buf[m.runs[j].i].Start
+	return m.runs[i].cur[m.runs[i].i].Start < m.runs[j].cur[m.runs[j].i].Start
 }
 func (m *batchMergeIter) Swap(i, j int) { m.runs[i], m.runs[j] = m.runs[j], m.runs[i] }
 func (m *batchMergeIter) Push(x any)    { m.runs = append(m.runs, x.(*mergeBatchRun)) }
@@ -216,11 +316,11 @@ func (m *batchMergeIter) NextBatch(dst []Record) (int, error) {
 	n := 0
 	for n < len(dst) && len(m.runs) > 0 {
 		top := m.runs[0]
-		dst[n] = top.buf[top.i]
+		dst[n] = top.cur[top.i]
 		n++
 		top.i++
-		if top.i >= top.n {
-			ok, err := top.refill()
+		if top.i >= len(top.cur) {
+			ok, err := m.refill(top)
 			if err != nil {
 				m.err = err
 				return 0, err
@@ -232,6 +332,7 @@ func (m *batchMergeIter) NextBatch(dst []Record) (int, error) {
 		}
 		heap.Fix(m, 0)
 	}
+	m.releaseIfDone()
 	return n, nil
 }
 

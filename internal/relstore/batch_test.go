@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -127,4 +128,141 @@ func recordsEqual(a, b []Record) bool {
 		}
 	}
 	return true
+}
+
+// TestBatchSizeHoldsAFullPage guards the derivation of BatchSize: packed
+// with the smallest records the format can store (empty values, one-byte
+// deltas), no heap page of either clustering may hold more than
+// BatchSize records, or an engine buffer would split that page and
+// request it once per batch. On SP the densest page holds exactly
+// BatchSize: a format change that narrows records must raise the
+// constant with it.
+func TestBatchSizeHoldsAFullPage(t *testing.T) {
+	recs := make([]Record, 3*BatchSize)
+	for i := range recs {
+		s := uint32(i + 1)
+		recs[i] = Record{PLabel: uint128.From64(1), TagID: 1, Start: s, End: s, Level: 1}
+	}
+	for _, kind := range []Clustering{ClusterPLabel, ClusterTag} {
+		rel, err := Build(pager.OpenMem(64), kind, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages, err := HeapPages(rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		densest := 0
+		for _, p := range pages {
+			densest = max(densest, len(p))
+		}
+		if densest > BatchSize {
+			t.Errorf("%s: a heap page holds %d minimal records, more than BatchSize = %d", kind, densest, BatchSize)
+		}
+		if kind == ClusterPLabel && densest != BatchSize {
+			t.Errorf("SP: the densest heap page holds %d minimal records, BatchSize = %d is not derived from the page layout", densest, BatchSize)
+		}
+		t.Logf("%s: densest page %d records, BatchSize %d", kind, densest, BatchSize)
+	}
+}
+
+// TestBatchReleaseClearsWhatItHeld: a released buffer keeps no record
+// (so no value string) reachable from the pool, and a second release,
+// which would hand the buffer to two streams, panics.
+func TestBatchReleaseClearsWhatItHeld(t *testing.T) {
+	rel, _ := batchFixture(t, 2, 600)
+	b := GetBatch()
+	recs, err := b.Next(rel.ScanPLabelExactBatch(nil, uint128.From64(1)))
+	if err != nil || len(recs) == 0 {
+		t.Fatalf("first batch: %d records, err %v", len(recs), err)
+	}
+	b.Release()
+	assertReleased(t, "batch", b)
+	defer func() {
+		if recover() == nil {
+			t.Error("a second Release did not panic")
+		}
+	}()
+	b.Release()
+}
+
+// TestMergeReleasesEachRunOnce: a batch merge copies runs whose page
+// shares are small and keeps a pooled buffer only for runs with larger
+// ones; it returns every pooled buffer once — a run's when the run is
+// exhausted, the shared read buffer when the merge is — however often
+// the merge is drained past its end, and returns the same records as
+// the start-sorted union of its runs.
+func TestMergeReleasesEachRunOnce(t *testing.T) {
+	var recs []Record
+	for i := 0; i < 3*300+5*5; i++ {
+		label := 1 + i%3 // three runs of 300 records
+		if i >= 900 {
+			label = 4 + i%5 // five runs of 5
+		}
+		s := uint32(2*i + 1)
+		recs = append(recs, Record{PLabel: uint128.From64(uint64(label)), TagID: 1, Start: s, End: s + 1, Level: 2, Data: "v"})
+	}
+	rel, err := Build(pager.OpenMem(16), ClusterPLabel, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var srcs []BatchIter
+	for l := uint64(1); l <= 8; l++ {
+		srcs = append(srcs, rel.ScanPLabelExactBatch(nil, uint128.From64(l)))
+	}
+	bi, err := MergeBatchesByStart(srcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := bi.(*batchMergeIter)
+	runs := append([]*mergeBatchRun(nil), m.runs...)
+	batches := []*Batch{m.scratch}
+	small := 0
+	for _, r := range runs {
+		if r.batch != nil {
+			batches = append(batches, r.batch)
+		} else {
+			small++
+		}
+	}
+	if len(runs) != 8 || small != 5 {
+		t.Fatalf("%d runs, %d of them copied, want 8 and 5", len(runs), small)
+	}
+	got, err := CollectBatches(m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !recordsEqual(got, sortedByStart(recs)) {
+		t.Fatalf("merge returned %d records, want %d in start order", len(got), len(recs))
+	}
+	buf := make([]Record, 7)
+	for i := 0; i < 3; i++ {
+		if n, err := m.NextBatch(buf); n != 0 || err != nil {
+			t.Fatalf("drain past the end: %d records, err %v", n, err)
+		}
+	}
+	if m.scratch != nil {
+		t.Fatal("the exhausted merge kept its read buffer")
+	}
+	for i, r := range runs {
+		if !r.done || r.batch != nil {
+			t.Fatalf("run %d: done %v, still holds a buffer: %v", i, r.done, r.batch != nil)
+		}
+	}
+	for i, b := range batches {
+		assertReleased(t, fmt.Sprintf("buffer %d", i), b)
+	}
+}
+
+// assertReleased checks that b is back in the pool with no record left.
+func assertReleased(t *testing.T, name string, b *Batch) {
+	t.Helper()
+	if !b.pooled || b.used != 0 {
+		t.Fatalf("%s: not released (pooled %v, used %d)", name, b.pooled, b.used)
+	}
+	for i := range b.recs {
+		if b.recs[i] != (Record{}) {
+			t.Fatalf("%s: released buffer still holds record %d: %+v", name, i, b.recs[i])
+		}
+	}
 }

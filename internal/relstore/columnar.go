@@ -45,6 +45,7 @@ const (
 	colRunDirEnt  = 4 // block offset + first slot
 	spRunHeader   = 16 + 4 + 2 + 4*2
 	sdRunHeader   = 4 + 2 + 4*2
+	minColRecord  = 4 // one byte in each varint column, no value bytes
 )
 
 func runHeaderSize(kind Clustering) int {
@@ -251,8 +252,11 @@ func colRunAt(p []byte, kind Clustering, ri int) (colRun, error) {
 // decodeRunRecords materializes the run's records with relative indices
 // in [a, b) into dst[0 : b-a]. Each column decodes in its own tight
 // loop; records before a are walked (their deltas position the cursors)
-// but never stored. Strings are copied out of the page, so nothing in
-// dst references the pager frame after the caller's view ends.
+// but never stored. A heap-run scan with a BatchSize buffer always
+// starts at a = 0, so that prefix walk happens only for scans read with
+// smaller buffers, which resume mid-run, and for fetchBatch. Strings
+// are copied out of the page, so nothing in dst references the pager
+// frame after the caller's view ends.
 //
 //blas:hotpath
 func decodeRunRecords(p []byte, kind Clustering, run colRun, a, b int, dst []Record) error {
@@ -432,96 +436,106 @@ func (h *heapRunIter) matches(run colRun) bool {
 	return run.tagID == h.tagID
 }
 
+// NextBatch returns the selection's records on the scan's current heap
+// page, up to len(dst), decoded under one pager view; every batch comes
+// from exactly one page. A BatchSize dst holds any page's share, so a
+// drain requests each page once. A smaller dst splits the page: the next
+// call views it again and resumes mid-run. The selection's end is seen
+// in the same view when another run follows it on the page; when it
+// ends with its page, the next call views the following page to see it.
 func (h *heapRunIter) NextBatch(dst []Record) (int, error) {
 	if h.err != nil {
 		return 0, h.err
 	}
-	if h.done || len(dst) == 0 {
-		return 0, nil
-	}
 	tr := h.ctx.Trace()
-	n := 0
-	for n < len(dst) && !h.done {
+	for !h.done && len(dst) > 0 {
 		if h.page > h.r.meta.heapLast {
 			h.done = true
 			break
 		}
-		produced := 0
+		n := 0
 		err := h.r.f.ViewCounted(h.page, h.ctx.pageCounters(), func(p []byte) error {
 			begin := tr.Begin()
-			nrecs, nruns, err := colPageCounts(p)
-			if err != nil {
-				return err
-			}
-			if h.slot >= nrecs {
-				// Off the end of this page (or an empty page): move on.
-				h.page++
-				h.slot = 0
-				tr.End(obs.PhaseDecode, begin)
-				return nil
-			}
-			// The run directory is ordered by firstSlot, so binary-search
-			// for the run containing h.slot instead of parsing every
-			// header: dir entries carry firstSlot directly.
-			lo, up := 0, nruns
-			for lo < up {
-				mid := int(uint(lo+up) >> 1)
-				first := int(binary.LittleEndian.Uint16(p[colPageHeader+colRunDirEnt*mid+2:]))
-				if first <= h.slot {
-					lo = mid + 1
-				} else {
-					up = mid
-				}
-			}
-			start := lo - 1
-			if start < 0 {
-				start = 0
-			}
-			for ri := start; ri < nruns; ri++ {
-				run, err := colRunAt(p, h.kind, ri)
-				if err != nil {
-					return err
-				}
-				if run.firstSlot+run.count <= h.slot {
-					continue
-				}
-				if !h.matches(run) {
-					// The heap is cluster-ordered and the seek landed inside
-					// the selection, so a non-matching run ends it.
-					h.done = true
-					tr.End(obs.PhaseDecode, begin)
-					return nil
-				}
-				a := h.slot - run.firstSlot
-				b := min(run.count, a+len(dst)-n-produced)
-				if err := decodeRunRecords(p, h.kind, run, a, b, dst[n+produced:n+produced+(b-a)]); err != nil {
-					return err
-				}
-				produced += b - a
-				h.slot = run.firstSlot + b
-				if n+produced == len(dst) {
-					break
-				}
-			}
-			if h.slot < nrecs && n+produced < len(dst) {
-				// Every run was walked and the page's records were not
-				// all reached: retrying the page would make no progress.
-				return fmt.Errorf("relstore: corrupt columnar page %d: slot %d is in no run", h.page, h.slot)
-			}
-			if h.slot >= nrecs {
-				h.page++
-				h.slot = 0
-			}
+			var err error
+			n, err = h.decodePage(p, dst)
 			tr.End(obs.PhaseDecode, begin)
-			return nil
+			return err
 		})
 		if err != nil {
 			h.err = err
 			return 0, err
 		}
-		h.ctx.addVisitedN(uint64(produced))
-		tr.AddDecoded(produced)
-		n += produced
+		if n > 0 {
+			h.ctx.addVisitedN(uint64(n))
+			tr.AddDecoded(n)
+			return n, nil
+		}
 	}
+	return 0, nil
+}
+
+// decodePage decodes the selection's records on page p from h.slot on
+// into dst, up to len(dst), and advances the scan position past them.
+// A page with no records left moves the scan to the next page.
+func (h *heapRunIter) decodePage(p []byte, dst []Record) (int, error) {
+	nrecs, nruns, err := colPageCounts(p)
+	if err != nil {
+		return 0, err
+	}
+	if h.slot >= nrecs {
+		// Off the end of this page (or an empty page): move on.
+		h.page++
+		h.slot = 0
+		return 0, nil
+	}
+	// The run directory is ordered by firstSlot, so binary-search for
+	// the run containing h.slot instead of parsing every header: dir
+	// entries carry firstSlot directly.
+	lo, up := 0, nruns
+	for lo < up {
+		mid := int(uint(lo+up) >> 1)
+		first := int(binary.LittleEndian.Uint16(p[colPageHeader+colRunDirEnt*mid+2:]))
+		if first <= h.slot {
+			lo = mid + 1
+		} else {
+			up = mid
+		}
+	}
+	n := 0
+	for ri := max(lo-1, 0); ri < nruns; ri++ {
+		run, err := colRunAt(p, h.kind, ri)
+		if err != nil {
+			return 0, err
+		}
+		if run.firstSlot+run.count <= h.slot {
+			continue
+		}
+		if !h.matches(run) {
+			// The heap is cluster-ordered and the seek landed inside the
+			// selection, so a non-matching run ends it.
+			h.done = true
+			return n, nil
+		}
+		if n == len(dst) {
+			return n, nil
+		}
+		a := h.slot - run.firstSlot
+		b := min(run.count, a+len(dst)-n)
+		if err := decodeRunRecords(p, h.kind, run, a, b, dst[n:n+(b-a)]); err != nil {
+			return 0, err
+		}
+		n += b - a
+		h.slot = run.firstSlot + b
+		if b < run.count {
+			return n, nil // dst is full mid-run
+		}
+	}
+	if h.slot < nrecs {
+		// Every run was walked and the page's records were not all
+		// reached: retrying the page would make no progress.
+		return 0, fmt.Errorf("relstore: corrupt columnar page %d: slot %d is in no run", h.page, h.slot)
+	}
+	h.page++
+	h.slot = 0
 	return n, nil
 }

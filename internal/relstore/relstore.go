@@ -22,8 +22,11 @@
 // the paper's experiments report, attributed per query so that any
 // number of queries can run concurrently over one Relation.
 //
-// Every read is a batched scan (BatchIter): a cluster scan seeks the
-// clustered index once and then walks the heap pages, and a start-index
+// Every read is a batched scan (BatchIter). A cluster scan seeks the
+// clustered index once and then walks the heap pages, one page's share
+// of its selection per batch: BatchSize is the most records a page can
+// hold, so a stream reading into a BatchSize buffer (a pooled Batch)
+// requests each page once and decodes each record once. A start-index
 // scan decodes the records of one heap page under a single pager view.
 //
 // # On-disk page format

@@ -33,14 +33,17 @@
 // # Batched streams and one sweep
 //
 // Streams are read through the relstore batched scan layer
-// (relstore.BatchIter via core.FragmentStream): records arrive in
-// fixed-size batches, every heap page contributing to a batch is decoded
-// under a single pager view, and the per-P-label runs of a BLAS-mode
-// range selection are k-way merged batch-wise. A query runs exactly one
-// sweep, on the calling goroutine, whatever core.ExecConfig.Parallelism
-// says (the setting only splits the relational engine's D-joins), so
-// its visited elements and page reads depend only on its plan and the
-// data.
+// (relstore.BatchIter via core.FragmentStream): a cluster-scan batch is
+// one heap page's share of the selection, decoded under a single pager
+// view into the stream's pooled relstore.Batch, so each page is
+// requested once, and the per-P-label runs of a BLAS-mode range
+// selection are k-way merged batch-wise (relstore.MergeBatchesByStart
+// copies the small page shares of a run and pools only the large ones).
+// Every pooled buffer goes back when its stream ends. A query runs
+// exactly one sweep, on the calling goroutine, whatever
+// core.ExecConfig.Parallelism says (the setting only splits the
+// relational engine's D-joins), so its visited elements and page reads
+// depend only on its plan and the data.
 //
 // The engine reads every stream element exactly once, which is what the
 // paper's "number of elements read" metric (Figs. 14-18) measures: in
