@@ -26,9 +26,9 @@ import (
 // buffers come from relstore's pool and cost a warm query nothing, so
 // the fixed term covers parse, plan and headers only: an engine that
 // allocates a batch buffer per stream (95 KiB each) exceeds it. The
-// keyword rows are one P-label range fragment that resolves to dozens
-// of runs of a few records each, so a merge that holds a batch-sized
-// buffer per run exceeds theirs.
+// keyword rows are one P-label range fragment that resolves to 34 runs
+// of a few records each, so a merge that allocates a buffer per run
+// rather than taking it from the pool exceeds theirs.
 func TestQueryAllocBudget(t *testing.T) {
 	const (
 		perVisited = 48   // a: bytes per visited element (a 12-byte span or, for return bindings, a 48-byte record)

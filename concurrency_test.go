@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -673,7 +674,10 @@ func TestConcurrencyMetricsRegistry(t *testing.T) {
 // back to the pool for the next stream; a buffer handed to two streams,
 // or one still written after its release, would corrupt another query's
 // records. Every result must equal the sequential answer, and at P=1 so
-// must its page reads.
+// must its page reads. The load is as many queries as a server admits
+// at once by default (4·GOMAXPROCS, at least 8); the test logs what a
+// query allocates under it, which includes any buffer the pool could
+// not hand back.
 func TestConcurrencyPooledBatches(t *testing.T) {
 	var doc strings.Builder
 	if err := GenerateDataset(&doc, datagen.NameAuction, DatasetOptions{Seed: 1, Factor: 1}); err != nil {
@@ -712,7 +716,9 @@ func TestConcurrencyPooledBatches(t *testing.T) {
 		}
 	}
 
-	const goroutines = 8
+	goroutines := max(8, 4*runtime.GOMAXPROCS(0))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
@@ -742,6 +748,9 @@ func TestConcurrencyPooledBatches(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	runtime.ReadMemStats(&after)
+	t.Logf("%d goroutines: %.1f KiB allocated per query", goroutines,
+		float64(after.TotalAlloc-before.TotalAlloc)/1024/float64(goroutines*len(combos)))
 	close(errs)
 	for err := range errs {
 		t.Error(err)

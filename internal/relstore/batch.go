@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"container/heap"
+	"sync"
 
 	"repro/internal/keyenc"
 	"repro/internal/obs"
@@ -52,24 +53,34 @@ type Batch struct {
 	pooled bool // released; a second Release would hand it out twice
 }
 
-// idleBatches is the process-wide pool of released buffers. Its capacity
-// bounds what stays allocated while no query runs, 16 buffers or 1.5
-// MiB, enough for every stream of a few concurrent queries; a release
-// into a full pool leaves the buffer to the garbage collector. Unlike a
-// sync.Pool it is not emptied by garbage collection, nor at random under
-// the race detector, so a warm query allocates no buffer in any build.
-var idleBatches = make(chan *Batch, 16)
+// idleBatches is the pool of released buffers. A buffer is allocated
+// only when the list is empty, so the list never holds more buffers
+// than were once in use at the same time: a warm query allocates no
+// buffer however many queries run at once, and the pool never raises
+// peak memory, though what a burst of queries held stays allocated. It
+// is not a sync.Pool, which frees what stays idle across two garbage
+// collections: a query loop that allocates a megabyte per query
+// collects every few queries, and would reallocate the buffers that
+// only some of its queries use.
+var idleBatches struct {
+	sync.Mutex
+	list []*Batch
+}
 
-// GetBatch takes a buffer from the pool, or allocates one when the pool
-// is empty.
+// GetBatch takes a released buffer from the pool, or allocates one when
+// the pool has none.
 func GetBatch() *Batch {
-	select {
-	case b := <-idleBatches:
-		b.pooled = false
-		return b
-	default:
+	idleBatches.Lock()
+	defer idleBatches.Unlock()
+	n := len(idleBatches.list)
+	if n == 0 {
 		return &Batch{recs: make([]Record, BatchSize)}
 	}
+	b := idleBatches.list[n-1]
+	idleBatches.list[n-1] = nil
+	idleBatches.list = idleBatches.list[:n-1]
+	b.pooled = false
+	return b
 }
 
 // Next reads bi's next batch into the buffer and returns it; an empty
@@ -95,10 +106,9 @@ func (b *Batch) Release() {
 	}
 	clear(b.recs[:b.used])
 	b.used, b.pooled = 0, true
-	select {
-	case idleBatches <- b:
-	default:
-	}
+	idleBatches.Lock()
+	idleBatches.list = append(idleBatches.list, b)
+	idleBatches.Unlock()
 }
 
 // fetchBatch decodes the records addressed by locs into dst (len(dst)
@@ -206,40 +216,44 @@ func (r *Relation) ScanStartOrderBatch(ctx *ExecContext) BatchIter {
 
 // --- k-way batch merge ---
 
-// smallRunBatch is the largest batch a merge run copies into a buffer of
-// its own rather than keep the pooled buffer it was read into. A P-label
-// range can resolve to dozens of runs of a few records per page, and a
-// pooled BatchSize buffer each would hold 95 KiB for every one of them.
-const smallRunBatch = 64
-
-// mergeBatchRun is one input of a batch merge: a batched source and the
-// batch of it the merge is positioned in. Every batch is read into a
-// BatchSize buffer, so no run splits a page. A small batch is copied
-// into own; a run that meets a larger one keeps its pooled buffer until
-// it is exhausted.
+// mergeBatchRun is one input of a batch merge: a batched source, the
+// pooled buffer it is read into and the batch of it the merge is
+// positioned in.
 type mergeBatchRun struct {
 	src   BatchIter
-	batch *Batch   // the run's pooled buffer, once it needs one; nil after release
-	own   []Record // copy of the last small batch
+	batch *Batch // nil once released, when the run is exhausted
 	cur   []Record
 	i     int // next record of cur
-	done  bool
+}
+
+// refill reads the run's next batch; reports whether records are
+// available. An exhausted or failed run releases its buffer.
+func (r *mergeBatchRun) refill() (bool, error) {
+	recs, err := r.batch.Next(r.src)
+	if err != nil || len(recs) == 0 {
+		r.batch.Release()
+		r.batch, r.cur = nil, nil
+		return false, err
+	}
+	r.cur, r.i = recs, 0
+	return true, nil
 }
 
 // MergeBatchesByStart combines start-ordered batched streams into one
 // start-ordered batched stream (k-way heap merge). Start positions are
 // unique document positions, so the merge order is total. It builds the
 // document-order streams of P-label set and range fragments, whose
-// selections span several cluster runs. Pooled buffers go back when
-// their run, or for the shared read buffer the merge, is exhausted.
+// selections span several cluster runs. Each run reads into a pooled
+// buffer of its own, so no run splits a page, and gives it back when
+// the run is exhausted.
 func MergeBatchesByStart(runs []BatchIter) (BatchIter, error) {
 	if len(runs) == 1 {
 		return runs[0], nil
 	}
-	m := &batchMergeIter{scratch: GetBatch()}
+	m := &batchMergeIter{}
 	for _, src := range runs {
-		run := &mergeBatchRun{src: src}
-		ok, err := m.refill(run)
+		run := &mergeBatchRun{src: src, batch: GetBatch()}
+		ok, err := run.refill()
 		if err != nil {
 			return nil, err
 		}
@@ -248,53 +262,14 @@ func MergeBatchesByStart(runs []BatchIter) (BatchIter, error) {
 		}
 	}
 	heap.Init(m)
-	m.releaseIfDone()
 	return m, nil
 }
 
 // batchMergeIter is a heap of positioned runs; NextBatch pops the global
 // minimum repeatedly.
 type batchMergeIter struct {
-	runs    []*mergeBatchRun
-	scratch *Batch // reads of runs without a buffer of their own; nil after release
-	err     error
-}
-
-// refill loads run r's next batch; reports whether records are
-// available. An exhausted or failed run releases its buffer, once.
-func (m *batchMergeIter) refill(r *mergeBatchRun) (bool, error) {
-	if r.done {
-		return false, nil
-	}
-	var recs []Record
-	var err error
-	if r.batch != nil {
-		recs, err = r.batch.Next(r.src)
-	} else if recs, err = m.scratch.Next(r.src); len(recs) > smallRunBatch {
-		r.batch, m.scratch = m.scratch, GetBatch()
-	} else {
-		r.own = append(r.own[:0], recs...)
-		recs = r.own
-	}
-	if err != nil || len(recs) == 0 {
-		r.done, r.cur = true, nil
-		if r.batch != nil {
-			r.batch.Release()
-			r.batch = nil
-		}
-		return false, err
-	}
-	r.cur, r.i = recs, 0
-	return true, nil
-}
-
-// releaseIfDone returns the shared read buffer once every run is
-// exhausted.
-func (m *batchMergeIter) releaseIfDone() {
-	if len(m.runs) == 0 && m.scratch != nil {
-		m.scratch.Release()
-		m.scratch = nil
-	}
+	runs []*mergeBatchRun
+	err  error
 }
 
 func (m *batchMergeIter) Len() int { return len(m.runs) }
@@ -320,7 +295,7 @@ func (m *batchMergeIter) NextBatch(dst []Record) (int, error) {
 		n++
 		top.i++
 		if top.i >= len(top.cur) {
-			ok, err := m.refill(top)
+			ok, err := top.refill()
 			if err != nil {
 				m.err = err
 				return 0, err
@@ -332,7 +307,6 @@ func (m *batchMergeIter) NextBatch(dst []Record) (int, error) {
 		}
 		heap.Fix(m, 0)
 	}
-	m.releaseIfDone()
 	return n, nil
 }
 

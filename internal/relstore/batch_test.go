@@ -186,12 +186,10 @@ func TestBatchReleaseClearsWhatItHeld(t *testing.T) {
 	b.Release()
 }
 
-// TestMergeReleasesEachRunOnce: a batch merge copies runs whose page
-// shares are small and keeps a pooled buffer only for runs with larger
-// ones; it returns every pooled buffer once — a run's when the run is
-// exhausted, the shared read buffer when the merge is — however often
-// the merge is drained past its end, and returns the same records as
-// the start-sorted union of its runs.
+// TestMergeReleasesEachRunOnce: every run of a batch merge reads into a
+// pooled buffer of its own and returns it once, when the run is
+// exhausted, however often the merge is drained past its end; the merge
+// returns the same records as the start-sorted union of its runs.
 func TestMergeReleasesEachRunOnce(t *testing.T) {
 	var recs []Record
 	for i := 0; i < 3*300+5*5; i++ {
@@ -216,17 +214,12 @@ func TestMergeReleasesEachRunOnce(t *testing.T) {
 	}
 	m := bi.(*batchMergeIter)
 	runs := append([]*mergeBatchRun(nil), m.runs...)
-	batches := []*Batch{m.scratch}
-	small := 0
+	var batches []*Batch
 	for _, r := range runs {
-		if r.batch != nil {
-			batches = append(batches, r.batch)
-		} else {
-			small++
-		}
+		batches = append(batches, r.batch)
 	}
-	if len(runs) != 8 || small != 5 {
-		t.Fatalf("%d runs, %d of them copied, want 8 and 5", len(runs), small)
+	if len(runs) != 8 {
+		t.Fatalf("%d runs, want 8", len(runs))
 	}
 	got, err := CollectBatches(m, 0)
 	if err != nil {
@@ -235,22 +228,17 @@ func TestMergeReleasesEachRunOnce(t *testing.T) {
 	if !recordsEqual(got, sortedByStart(recs)) {
 		t.Fatalf("merge returned %d records, want %d in start order", len(got), len(recs))
 	}
-	buf := make([]Record, 7)
+	drain := make([]Record, 7)
 	for i := 0; i < 3; i++ {
-		if n, err := m.NextBatch(buf); n != 0 || err != nil {
+		if n, err := m.NextBatch(drain); n != 0 || err != nil {
 			t.Fatalf("drain past the end: %d records, err %v", n, err)
 		}
 	}
-	if m.scratch != nil {
-		t.Fatal("the exhausted merge kept its read buffer")
-	}
 	for i, r := range runs {
-		if !r.done || r.batch != nil {
-			t.Fatalf("run %d: done %v, still holds a buffer: %v", i, r.done, r.batch != nil)
+		if r.batch != nil {
+			t.Fatalf("run %d: the exhausted run still holds its buffer", i)
 		}
-	}
-	for i, b := range batches {
-		assertReleased(t, fmt.Sprintf("buffer %d", i), b)
+		assertReleased(t, fmt.Sprintf("run %d", i), batches[i])
 	}
 }
 

@@ -37,13 +37,12 @@
 // one heap page's share of the selection, decoded under a single pager
 // view into the stream's pooled relstore.Batch, so each page is
 // requested once, and the per-P-label runs of a BLAS-mode range
-// selection are k-way merged batch-wise (relstore.MergeBatchesByStart
-// copies the small page shares of a run and pools only the large ones).
-// Every pooled buffer goes back when its stream ends. A query runs
-// exactly one sweep, on the calling goroutine, whatever
-// core.ExecConfig.Parallelism says (the setting only splits the
-// relational engine's D-joins), so its visited elements and page reads
-// depend only on its plan and the data.
+// selection are k-way merged batch-wise (relstore.MergeBatchesByStart,
+// a pooled buffer per run). Every pooled buffer goes back when its
+// stream or run ends. A query runs exactly one sweep, on the calling
+// goroutine, whatever core.ExecConfig.Parallelism says (the setting
+// only splits the relational engine's D-joins), so its visited elements
+// and page reads depend only on its plan and the data.
 //
 // The engine reads every stream element exactly once, which is what the
 // paper's "number of elements read" metric (Figs. 14-18) measures: in
