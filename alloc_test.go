@@ -21,9 +21,7 @@ import (
 // second result, regrows its scan results or keys a hash map per path
 // solution exceeds the budget. The Q1 rows are single-fragment plans,
 // where visited elements equal matches and only a second copy of the
-// return column could be saved. The P = 2 twig rows get the same
-// budget: Parallelism does not change a twig query's work. Batch
-// buffers come from relstore's pool and cost a warm query nothing, so
+// return column could be saved. Batch buffers come from relstore's pool and cost a warm query nothing, so
 // the fixed term covers parse, plan and headers only: an engine that
 // allocates a batch buffer per stream (95 KiB each) exceeds it. The
 // keyword rows are one P-label range fragment that resolves to 34 runs
@@ -50,23 +48,19 @@ func TestQueryAllocBudget(t *testing.T) {
 		name  string
 		query string
 		opts  QueryOptions
-		par   int
 	}{
-		{"Q1/relational", bench.Fig15Queries["Q1"], QueryOptions{Engine: EngineRelational}, 1},
-		{"Q1/twig", bench.Fig15Queries["Q1"], QueryOptions{Engine: EngineTwig}, 1},
-		{"Q4/relational", bench.Fig15Queries["Q4"], QueryOptions{Engine: EngineRelational}, 1},
-		{"Q4/twig", bench.Fig15Queries["Q4"], QueryOptions{Engine: EngineTwig}, 1},
-		{"V3/relational", `/site/people/person[name="Elena Haddad"]/emailaddress`, QueryOptions{Engine: EngineRelational}, 1},
-		{"V3/twig", `/site/people/person[name="Elena Haddad"]/emailaddress`, QueryOptions{Engine: EngineTwig}, 1},
-		{"QA1/relational/dlabel", bench.Fig10Queries["QA1"], QueryOptions{Engine: EngineRelational, Translator: TranslatorDLabel}, 1},
-		{"Q4/twig/P2", bench.Fig15Queries["Q4"], QueryOptions{Engine: EngineTwig}, 2},
-		{"V3/twig/P2", `/site/people/person[name="Elena Haddad"]/emailaddress`, QueryOptions{Engine: EngineTwig}, 2},
-		{"QA3/twig/P2", bench.Fig10Queries["QA3"], QueryOptions{Engine: EngineTwig}, 2},
-		{"keyword/relational", "//keyword", QueryOptions{Engine: EngineRelational}, 1},
-		{"keyword/twig", "//keyword", QueryOptions{Engine: EngineTwig}, 1},
+		{"Q1/relational", bench.Fig15Queries["Q1"], QueryOptions{Engine: EngineRelational}},
+		{"Q1/twig", bench.Fig15Queries["Q1"], QueryOptions{Engine: EngineTwig}},
+		{"Q4/relational", bench.Fig15Queries["Q4"], QueryOptions{Engine: EngineRelational}},
+		{"Q4/twig", bench.Fig15Queries["Q4"], QueryOptions{Engine: EngineTwig}},
+		{"V3/relational", `/site/people/person[name="Elena Haddad"]/emailaddress`, QueryOptions{Engine: EngineRelational}},
+		{"V3/twig", `/site/people/person[name="Elena Haddad"]/emailaddress`, QueryOptions{Engine: EngineTwig}},
+		{"QA1/relational/dlabel", bench.Fig10Queries["QA1"], QueryOptions{Engine: EngineRelational, Translator: TranslatorDLabel}},
+		{"QA3/twig", bench.Fig10Queries["QA3"], QueryOptions{Engine: EngineTwig}},
+		{"keyword/relational", "//keyword", QueryOptions{Engine: EngineRelational}},
+		{"keyword/twig", "//keyword", QueryOptions{Engine: EngineTwig}},
 	}
 	for _, c := range cases {
-		c.opts.Parallelism = c.par
 		warm, err := st.Query(c.query, c.opts) // warms the pool and the name caches
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)

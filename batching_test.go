@@ -1,6 +1,7 @@
-// Batching contract tests: every stream reads fixed-size batches, so a
-// query's page reads are a function of its plan and the data, never of
-// buffer-pool state; and traced queries account their decode work.
+// Batching contract tests: a stream reads one heap page's share of its
+// selection per batch, so a query's page reads are a function of its
+// plan and the data, never of buffer-pool state; and traced queries
+// account their decode work.
 package blas
 
 import (
@@ -17,8 +18,8 @@ import (
 // disk-access count — to the plan: the same query on the same store
 // issues the same pool requests whether every page misses (a default
 // pool emptied before each query) or every page hits (a pool that holds
-// the whole store, warmed once), on both engines at P in {1, 2}; and
-// PageReads and VisitedElements at P=2 equal those at P=1.
+// the whole store, warmed once), on both engines, and visits the same
+// elements.
 func TestPageReadsIndependentOfPool(t *testing.T) {
 	var doc strings.Builder
 	if err := GenerateDataset(&doc, datagen.NameAuction, DatasetOptions{Seed: 1, Factor: 1}); err != nil {
@@ -75,38 +76,29 @@ func TestPageReadsIndependentOfPool(t *testing.T) {
 			}
 		}
 	}
-	type work struct{ reads, visited uint64 }
 	for _, eng := range engines {
-		atP1 := map[string]work{}
-		for _, par := range []int{1, 2} {
-			opts := QueryOptions{Engine: eng, Parallelism: par}
-			for _, q := range queries {
-				if err := cold.DropCaches(); err != nil {
-					t.Fatal(err)
-				}
-				c, err := cold.Query(q, opts)
-				if err != nil {
-					t.Fatalf("%s [%s P=%d] cold: %v", q, eng, par, err)
-				}
-				w, err := warm.Query(q, opts)
-				if err != nil {
-					t.Fatalf("%s [%s P=%d] warm: %v", q, eng, par, err)
-				}
-				if len(c.Matches) == 0 {
-					t.Fatalf("%s [%s P=%d]: empty result makes the comparison vacuous", q, eng, par)
-				}
-				if c.Stats.PageMisses == 0 || w.Stats.PageMisses != 0 {
-					t.Fatalf("%s [%s P=%d]: %d cold / %d warm misses, want some / none", q, eng, par, c.Stats.PageMisses, w.Stats.PageMisses)
-				}
-				if c.Stats.PageReads != w.Stats.PageReads {
-					t.Errorf("%s [%s P=%d]: %d page reads cold, %d warm", q, eng, par, c.Stats.PageReads, w.Stats.PageReads)
-				}
-				got := work{c.Stats.PageReads, c.Stats.VisitedElements}
-				if par == 1 {
-					atP1[q] = got
-				} else if want := atP1[q]; got != want {
-					t.Errorf("%s [%s P=%d]: %d page reads, %d visited; P=1: %d, %d", q, eng, par, got.reads, got.visited, want.reads, want.visited)
-				}
+		opts := QueryOptions{Engine: eng}
+		for _, q := range queries {
+			if err := cold.DropCaches(); err != nil {
+				t.Fatal(err)
+			}
+			c, err := cold.Query(q, opts)
+			if err != nil {
+				t.Fatalf("%s [%s] cold: %v", q, eng, err)
+			}
+			w, err := warm.Query(q, opts)
+			if err != nil {
+				t.Fatalf("%s [%s] warm: %v", q, eng, err)
+			}
+			if len(c.Matches) == 0 {
+				t.Fatalf("%s [%s]: empty result makes the comparison vacuous", q, eng)
+			}
+			if c.Stats.PageMisses == 0 || w.Stats.PageMisses != 0 {
+				t.Fatalf("%s [%s]: %d cold / %d warm misses, want some / none", q, eng, c.Stats.PageMisses, w.Stats.PageMisses)
+			}
+			if c.Stats.PageReads != w.Stats.PageReads || c.Stats.VisitedElements != w.Stats.VisitedElements {
+				t.Errorf("%s [%s]: %d page reads, %d visited cold; %d, %d warm", q, eng,
+					c.Stats.PageReads, c.Stats.VisitedElements, w.Stats.PageReads, w.Stats.VisitedElements)
 			}
 		}
 	}
@@ -122,22 +114,20 @@ func TestTraceDecodeAccounting(t *testing.T) {
 	}
 	defer st.Close()
 	for _, engine := range []Engine{EngineRelational, EngineTwig} {
-		for _, par := range []int{1, 4} {
-			res, err := st.Query("/db/entry/protein/name", QueryOptions{Engine: engine, Parallelism: par, Trace: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ph := res.Stats.Phases
-			if ph == nil {
-				t.Fatal("Trace requested but Phases is nil")
-			}
-			if ph.DecodedRecords == 0 {
-				t.Errorf("%s P=%d: matches returned but DecodedRecords = 0", engine, par)
-			}
-			if ph.DecodedRecords > res.Stats.VisitedElements {
-				t.Errorf("%s P=%d: decoded %d > visited %d: decode accounting bled",
-					engine, par, ph.DecodedRecords, res.Stats.VisitedElements)
-			}
+		res, err := st.Query("/db/entry/protein/name", QueryOptions{Engine: engine, Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ph := res.Stats.Phases
+		if ph == nil {
+			t.Fatal("Trace requested but Phases is nil")
+		}
+		if ph.DecodedRecords == 0 {
+			t.Errorf("%s: matches returned but DecodedRecords = 0", engine)
+		}
+		if ph.DecodedRecords > res.Stats.VisitedElements {
+			t.Errorf("%s: decoded %d > visited %d: decode accounting bled",
+				engine, ph.DecodedRecords, res.Stats.VisitedElements)
 		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/enginetest"
 	"repro/internal/pager"
 	"repro/internal/planner"
 	"repro/internal/relengine"
@@ -219,55 +218,6 @@ func BenchmarkFig17_PathScale(b *testing.B) { scalability(b, "QA2") }
 // scales.
 func BenchmarkFig18_TwigScale(b *testing.B) { scalability(b, "QA3") }
 
-// BenchmarkParallelQuery compares sequential execution (Parallelism 1,
-// the paper's engine) against the GOMAXPROCS worker pool on
-// multi-fragment queries — the dlabel plans carry one tag scan per query
-// node plus D-joins, so both the fragment fan-out and the partitioned
-// merge join engage. Warm cache: the comparison isolates CPU work, and
-// both settings must produce identical result sets (start positions
-// compared once per query before its sub-benchmarks run).
-func BenchmarkParallelQuery(b *testing.B) {
-	st := benchStore(b, "auction", 3, 0)
-	for _, q := range []struct{ name, query, translator string }{
-		{"QA2/dlabel", bench.Fig10Queries["QA2"], "dlabel"},
-		{"QA3/dlabel", bench.Fig10Queries["QA3"], "dlabel"},
-		{"QA2/split", bench.Fig10Queries["QA2"], "split"},
-	} {
-		plan := benchPlan(b, st, q.query, q.translator, true)
-		seq, err := relengine.Execute(nil, st, planner.Fixed(plan), relengine.Options{ExecConfig: core.ExecConfig{Parallelism: 1}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		par, err := relengine.Execute(nil, st, planner.Fixed(plan), relengine.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(seq.Records) == 0 {
-			b.Fatalf("%s: empty result set would benchmark no join work", q.name)
-		}
-		if !enginetest.StartsEqual(par.Starts(), seq.Starts()) {
-			b.Fatalf("%s: parallel %d results != sequential %d", q.name, len(par.Records), len(seq.Records))
-		}
-		for _, mode := range []struct {
-			name string
-			par  int
-		}{
-			{"seq", 1},
-			{"par2", 2},
-			{"parallel", 0}, // GOMAXPROCS
-		} {
-			b.Run(q.name+"/"+mode.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := relengine.Execute(nil, st, planner.Fixed(plan), relengine.Options{ExecConfig: core.ExecConfig{Parallelism: mode.par}}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkScanOverlap measures the storage layer's scan concurrency
 // directly: P workers sweep every page of the SD relation through
 // File.View, checksumming page bytes in the callback. The pool is kept
@@ -276,8 +226,7 @@ func BenchmarkParallelQuery(b *testing.B) {
 // faster than P = 1 (callbacks ran under the file lock); with the
 // sharded, pinning pool the decode work and the misses overlap, so
 // P = GOMAXPROCS beats P = 1 on multi-core machines (a 1-CPU container
-// shows no wall-clock delta, as with BenchmarkParallelQuery). The
-// checksum is partition-order independent, so every worker count must
+// shows no wall-clock delta). The checksum is partition-order independent, so every worker count must
 // agree — verified once before the sub-benchmarks run.
 func BenchmarkScanOverlap(b *testing.B) {
 	st := benchStore(b, "auction", 3, 64)

@@ -33,18 +33,14 @@
 // methods simultaneously. Each Query gets its own execution context, so
 // the ExecStats in one result never include another query's work.
 //
-// On the relational engine a single query additionally splits its
-// structural merge joins by ancestor interval across at most
-// QueryOptions.Parallelism worker goroutines (default GOMAXPROCS; 1
-// forces fully sequential execution). Its fragment selections are
-// issued one at a time in plan order — the order is what lets an empty
-// selective scan skip the expensive ones, so scans are never raced. The
-// twig engine runs one holistic sweep on the calling goroutine at every
-// Parallelism setting.
-//
-// Results are byte-identical at every Parallelism setting, and so are
-// ExecStats.VisitedElements and PageReads: every stream record is
-// fetched once, on the goroutine that issues the scan.
+// A single query runs on the goroutine that calls Query and starts no
+// other, on both engines: the relational engine issues its fragment
+// selections one at a time in plan order — the order is what lets an
+// empty selective scan skip the expensive ones — and runs each D-join
+// as one sequential stack merge, as the paper does (§5.2); the twig
+// engine runs one holistic sweep. Concurrency exists only across
+// queries, so ExecStats.VisitedElements and PageReads depend only on
+// the plan and the data.
 //
 // The storage layer scales with concurrent queries: each relation
 // file's buffer pool is sharded (one lock-striped shard per CPU,
@@ -83,10 +79,11 @@
 // varint columns, and its values out-of-line — so a batched scan decodes
 // a whole run with one branch-light loop per column. Build writes this format and Open reads only it: a store
 // in any other format (an older BLASREL1 store included) is rejected
-// with an error naming the fix, rebuild with blasload. Every stream
-// reads fixed-size record batches, so a query's PageReads depend on its
-// plan and the data, never on Parallelism or on what the buffer pool
-// happens to hold; per-query decode work surfaces in ExecStats.Phases.
+// with an error naming the fix, rebuild with blasload. A stream reads
+// one heap page's share of its selection per batch, so a query's
+// PageReads depend on its plan and the data, never on what the buffer
+// pool happens to hold; per-query decode work surfaces in
+// ExecStats.Phases.
 //
 // # Observability
 //
@@ -127,9 +124,9 @@
 // Command blasd and package internal/server build the full daemon on
 // these primitives: an HTTP front end with a generation-keyed prepared
 // plan cache, a bounded result cache with explicit invalidation,
-// admission control (429 past a concurrency limit, a global parallelism
-// budget, per-request timeouts) and graceful drain, publishing both
-// StoreMetrics and its own counters over expvar-compatible endpoints.
+// admission control (429 past a concurrency limit, per-request
+// timeouts) and graceful drain, publishing both StoreMetrics and its
+// own counters over expvar-compatible endpoints.
 //
 // # Static guarantees
 //
@@ -188,7 +185,6 @@ package blas
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -375,11 +371,8 @@ const (
 type QueryOptions struct {
 	Translator Translator
 	Engine     Engine
-	// Parallelism bounds the worker goroutines one query may use: the
-	// chunks of a partitioned D-join on the relational engine. The twig
-	// engine runs one sweep on the calling goroutine at every setting.
-	// 0 selects runtime.GOMAXPROCS(0); 1 runs the query fully
-	// sequentially. The result set is identical at every setting.
+	// Parallelism is ignored: a query runs on its calling goroutine.
+	// It exists only for benchmark/ and goes with ROADMAP item 1(d).
 	Parallelism int
 	// Trace records a per-phase wall-time breakdown of the execution,
 	// returned in ExecStats.Phases. Off by default; the untraced path
@@ -390,15 +383,6 @@ type QueryOptions struct {
 	// escape hatch for debugging plan-order differences. Off by default
 	// (greedy most-selective-first ordering).
 	NoReorder bool
-}
-
-// validate rejects malformed option values (Query and
-// PreparedQuery.Query both call it, so misuse fails identically).
-func (o QueryOptions) validate() error {
-	if o.Parallelism < 0 {
-		return fmt.Errorf("blas: QueryOptions.Parallelism must be >= 0 (0 = GOMAXPROCS, 1 = sequential), got %d", o.Parallelism)
-	}
-	return nil
 }
 
 // Match is one result node. The JSON field names are the wire format
@@ -498,9 +482,6 @@ func phaseBreakdown(s obs.TraceSnapshot) *PhaseBreakdown {
 // to call concurrently from any number of goroutines. It returns
 // ErrClosed once Close has been called.
 func (s *Store) Query(query string, opts QueryOptions) (*Result, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
 	if err := s.begin(); err != nil {
 		return nil, err
 	}
@@ -531,16 +512,15 @@ func (s *Store) Query(query string, opts QueryOptions) (*Result, error) {
 // ctx — planner probe reads already accounted there stay in the stats.
 // run balances QueryBegin with QueryDone or QueryFailed.
 func (s *Store) run(ctx *relstore.ExecContext, phys *planner.Physical, planElapsed time.Duration, opts QueryOptions, trace *obs.Trace) (*Result, error) {
-	cfg := core.ExecConfig{Parallelism: opts.Parallelism}
 	lp := phys.Logical
 	execBegin := time.Now()
 	var res *core.Result
 	var err error
 	switch engineOf(opts) {
 	case EngineTwig:
-		res, err = twig.Run(ctx, s.inner, phys, cfg)
+		res, err = twig.Run(ctx, s.inner, phys)
 	default:
-		res, err = relengine.Run(ctx, s.inner, phys, relengine.Options{ExecConfig: cfg})
+		res, err = relengine.Run(ctx, s.inner, phys, relengine.MergeJoin)
 	}
 	if err != nil {
 		s.metrics.QueryFailed()
@@ -704,17 +684,13 @@ func (p *PreparedQuery) Generation() uint64 { return p.gen }
 // Joins returns the number of D-joins in the prepared plan.
 func (p *PreparedQuery) Joins() int { return p.phys.Logical.NumJoins() }
 
-// Query executes the prepared plan. opts.Engine, opts.Parallelism and
-// opts.Trace apply as in Store.Query; opts.Translator is ignored (the
-// plan is fixed at Prepare time). The returned ExecStats has PlanElapsed
-// zero — planning was paid once, in Prepare — so Elapsed is pure
-// execution time. It returns ErrClosed once the store's Close has been
-// called.
+// Query executes the prepared plan. opts.Engine and opts.Trace apply
+// as in Store.Query; opts.Translator is ignored (the plan is fixed at
+// Prepare time). The returned ExecStats has PlanElapsed zero — planning
+// was paid once, in Prepare — so Elapsed is pure execution time. It
+// returns ErrClosed once the store's Close has been called.
 func (p *PreparedQuery) Query(opts QueryOptions) (*Result, error) {
 	s := p.store
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
 	if err := s.begin(); err != nil {
 		return nil, err
 	}

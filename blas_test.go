@@ -184,21 +184,6 @@ func TestExecStatsPopulated(t *testing.T) {
 	}
 }
 
-func TestNegativeParallelismRejected(t *testing.T) {
-	st := buildCatalog(t)
-	for _, p := range []int{-1, -7} {
-		if _, err := st.Query("//title", QueryOptions{Parallelism: p}); err == nil {
-			t.Fatalf("Parallelism = %d accepted, want error", p)
-		}
-	}
-	// The documented settings still work.
-	for _, p := range []int{0, 1, 2} {
-		if _, err := st.Query("//title", QueryOptions{Parallelism: p}); err != nil {
-			t.Fatalf("Parallelism = %d: %v", p, err)
-		}
-	}
-}
-
 func TestGenerateDataset(t *testing.T) {
 	var buf bytes.Buffer
 	if err := GenerateDataset(&buf, "shakespeare", DatasetOptions{Seed: 1}); err != nil {

@@ -7,14 +7,13 @@
 //	blasbench -fig 13            # relational engine comparison
 //	blasbench -fig 16 -factors 1,2,3,4,5
 //	blasbench -all               # everything (as used for EXPERIMENTS.md)
-//	blasbench -fig overlap                # P=1 vs P=GOMAXPROCS, relational D-joins
 //	blasbench -fig plan                   # fixed vs greedy physical plan order
 //	blasbench -fig serve                  # serving tier: cold vs warm plan cache over HTTP
 //
 // With -json DIR every figure additionally writes its measurements as
 // DIR/BENCH_<fig>.json (schema blas-bench-trajectory/v1: figure, git
 // revision, GOMAXPROCS, and per-measurement engine/translator/
-// parallelism/ns_per_op/visited/page_misses). -validate GLOB checks
+// ns_per_op/visited/page_misses). -validate GLOB checks
 // previously written files and exits nonzero on any malformed one —
 // CI's gate before archiving the trajectory.
 package main
@@ -31,13 +30,12 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "", "figure to reproduce: 11, 12, 13, 14, 15, 16, 17, 18, overlap, plan or serve")
+	fig := flag.String("fig", "", "figure to reproduce: 11, 12, 13, 14, 15, 16, 17, 18, plan or serve")
 	all := flag.Bool("all", false, "run every figure")
-	factor := flag.Int("factor", 1, "data scale factor for figures 13-15 and overlap")
+	factor := flag.Int("factor", 1, "data scale factor for figures 13-15 and serve")
 	factorsStr := flag.String("factors", "1,2,3,4,5", "scale factors for figures 16-18")
 	repeats := flag.Int("repeats", 3, "cold-cache repetitions per measurement")
 	seed := flag.Int64("seed", 1, "data generator seed")
-	parallelism := flag.Int("parallelism", 0, "per-query worker pool for relational D-join chunks: 0 = GOMAXPROCS, 1 = sequential (the paper's setting)")
 	jsonDir := flag.String("json", "", "directory to write BENCH_<fig>.json trajectories into (empty = no JSON)")
 	validate := flag.String("validate", "", "validate BENCH_*.json files matching this glob and exit")
 	flag.Parse()
@@ -46,10 +44,6 @@ func main() {
 		validateTrajectories(*validate)
 		return
 	}
-	if *parallelism < 0 {
-		fmt.Fprintf(os.Stderr, "blasbench: -parallelism must be >= 0 (0 = GOMAXPROCS, 1 = sequential), got %d\n", *parallelism)
-		os.Exit(2)
-	}
 	factors, err := parseFactors(*factorsStr)
 	if err != nil {
 		fail(err)
@@ -57,7 +51,6 @@ func main() {
 	h := bench.New()
 	h.Repeats = *repeats
 	h.Seed = *seed
-	h.Parallelism = *parallelism
 	defer h.Close()
 
 	run := func(name string) error {
@@ -80,9 +73,6 @@ func main() {
 				return h.Scalability(os.Stdout, "17", "QA2", factors)
 			case "18":
 				return h.Scalability(os.Stdout, "18", "QA3", factors)
-			case "overlap":
-				// Not a paper figure: P=1 vs P=GOMAXPROCS, relational D-joins.
-				return h.Overlap(os.Stdout, *factor)
 			case "plan":
 				// Not a paper figure: fixed vs greedy physical plan order.
 				return h.PlanFig(os.Stdout)

@@ -74,13 +74,13 @@ func serveDataset(w io.Writer, h *bench.Harness, dataset string, factor, repeats
 	for _, qn := range queries {
 		query := bench.Fig10Queries[qn]
 		for _, engine := range []string{"relational", "twig"} {
-			cold, coldResp, err := timeServe(handler, query, engine, h.Parallelism, repeats, true)
+			cold, coldResp, err := timeServe(handler, query, engine, repeats, true)
 			if err != nil {
 				return fmt.Errorf("serve: %s [%s] cold: %w", qn, engine, err)
 			}
 			// The final cold iteration left the plan cached; warm runs
 			// re-execute against it (the result cache stays bypassed).
-			warm, warmResp, err := timeServe(handler, query, engine, h.Parallelism, repeats, false)
+			warm, warmResp, err := timeServe(handler, query, engine, repeats, false)
 			if err != nil {
 				return fmt.Errorf("serve: %s [%s] warm: %w", qn, engine, err)
 			}
@@ -93,17 +93,16 @@ func serveDataset(w io.Writer, h *bench.Harness, dataset string, factor, repeats
 				resp    *server.QueryResponse
 			}{{"cold", cold, coldResp}, {"warm", warm, warmResp}} {
 				h.Record(bench.Measurement{
-					Query:       qn + "/" + phase.name,
-					Dataset:     dataset,
-					Factor:      factor,
-					Translator:  string(phase.resp.Stats.Translator),
-					Engine:      engine,
-					Parallelism: phase.resp.Parallelism,
-					Elapsed:     phase.elapsed,
-					Visited:     phase.resp.Stats.VisitedElements,
-					PageMisses:  phase.resp.Stats.PageMisses,
-					Results:     phase.resp.Count,
-					Joins:       phase.resp.Stats.Joins,
+					Query:      qn + "/" + phase.name,
+					Dataset:    dataset,
+					Factor:     factor,
+					Translator: string(phase.resp.Stats.Translator),
+					Engine:     engine,
+					Elapsed:    phase.elapsed,
+					Visited:    phase.resp.Stats.VisitedElements,
+					PageMisses: phase.resp.Stats.PageMisses,
+					Results:    phase.resp.Count,
+					Joins:      phase.resp.Stats.Joins,
 				})
 			}
 			fmt.Fprintf(w, "%s\t%s\t%v\t%v\t%v\t%d\n", qn, engine, cold, warm, cold-warm, coldResp.Count)
@@ -116,9 +115,9 @@ func serveDataset(w io.Writer, h *bench.Harness, dataset string, factor, repeats
 // returns the mean wall time and the last response. With purge set, the
 // server's caches are dropped before every iteration so each request
 // pays the full plan cost.
-func timeServe(handler http.Handler, query, engine string, parallelism, repeats int, purge bool) (time.Duration, *server.QueryResponse, error) {
+func timeServe(handler http.Handler, query, engine string, repeats int, purge bool) (time.Duration, *server.QueryResponse, error) {
 	body, err := json.Marshal(server.QueryRequest{
-		Query: query, Engine: engine, Parallelism: parallelism, NoResultCache: true,
+		Query: query, Engine: engine, NoResultCache: true,
 	})
 	if err != nil {
 		return 0, nil, err

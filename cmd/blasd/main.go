@@ -10,7 +10,7 @@
 //	blasd -dir catalog.blas                 # serve a store built by blasload
 //	blasd -xml catalog.xml                  # shred an XML file in memory and serve it
 //	blasd -dataset auction -factor 2        # serve a generated paper data set
-//	blasd -addr :8080 -max-inflight 64 -parallel-budget 16 -timeout 30s
+//	blasd -addr :8080 -max-inflight 64 -timeout 30s
 //
 // Exactly one of -dir, -xml, -dataset selects the store.
 //
@@ -30,7 +30,6 @@
 //	  "query":           "/site/people/person/name",
 //	  "engine":          "relational" | "twig",
 //	  "translator":      "auto" | "dlabel" | "split" | "pushup" | "unfold",
-//	  "parallelism":     4,        // relational D-join workers, 0 = GOMAXPROCS; the server may grant less
 //	  "trace":           false,    // per-phase breakdown in stats.phases (bypasses result cache)
 //	  "no_result_cache": false
 //	}
@@ -44,9 +43,11 @@
 //	  "stats":       { ... blas.ExecStats JSON ... },
 //	  "cached":      false,   // served from the result cache
 //	  "plan_cached": true,    // no parse/translate work was done
-//	  "plan_ns":     0,       // planning time this request paid
-//	  "parallelism": 4        // workers actually granted (1 for twig)
+//	  "plan_ns":     0        // planning time this request paid
 //	}
+//
+// Unknown request fields are rejected with 400. Each query runs on one
+// goroutine; concurrency is across queries, bounded by -max-inflight.
 //
 // Errors are {"error": "..."} with 400 (bad request/query), 413 (body
 // too large), 429 + Retry-After (admission limit reached), 503
@@ -84,7 +85,6 @@ func main() {
 	factor := flag.Int("factor", 1, "data scale factor for -dataset")
 	seed := flag.Int64("seed", 1, "data generator seed for -dataset")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrently executing queries, 429 beyond (0 = 4*GOMAXPROCS)")
-	budget := flag.Int("parallel-budget", 0, "global worker budget shared by all queries (0 = 2*GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-query timeout, 504 beyond (0 = none)")
 	planCache := flag.Int("plan-cache", 0, "prepared-plan cache entries (0 = 256, negative disables)")
 	resultEntries := flag.Int("result-cache-entries", 0, "result cache entries (0 = 256, negative disables)")
@@ -100,7 +100,6 @@ func main() {
 
 	srv := server.New(store, server.Config{
 		MaxInFlight:        *maxInFlight,
-		ParallelismBudget:  *budget,
 		QueryTimeout:       *timeout,
 		PlanCacheEntries:   *planCache,
 		ResultCacheEntries: *resultEntries,

@@ -40,16 +40,11 @@ func main() {
 	limit := flag.Int("limit", 20, "maximum matches to print (0 = all)")
 	stats := flag.String("stats", "text", "execution statistics format: text, json or none")
 	trace := flag.Bool("trace", false, "record a per-phase wall-time breakdown into the stats")
-	parallelism := flag.Int("parallelism", 0, "worker pool per query for relational D-join chunks: 0 = GOMAXPROCS, 1 = sequential")
 	noReorder := flag.Bool("no-reorder", false, "skip greedy selectivity ordering; run the translator's fixed order")
 	flag.Parse()
 
 	if *query == "" || (*store == "") == (*xmlFile == "") {
 		fmt.Fprintln(os.Stderr, "usage: blasquery (-store DIR | -xml FILE) -q QUERY")
-		os.Exit(2)
-	}
-	if *parallelism < 0 {
-		fmt.Fprintf(os.Stderr, "blasquery: -parallelism must be >= 0 (0 = GOMAXPROCS, 1 = sequential), got %d\n", *parallelism)
 		os.Exit(2)
 	}
 	switch *stats {
@@ -72,11 +67,10 @@ func main() {
 	defer st.Close()
 
 	opts := blas.QueryOptions{
-		Translator:  blas.Translator(*translator),
-		Engine:      blas.Engine(*engine),
-		Parallelism: *parallelism,
-		Trace:       *trace,
-		NoReorder:   *noReorder,
+		Translator: blas.Translator(*translator),
+		Engine:     blas.Engine(*engine),
+		Trace:      *trace,
+		NoReorder:  *noReorder,
 	}
 	if *explain {
 		ex, err := st.Explain(*query, opts)

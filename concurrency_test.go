@@ -72,7 +72,7 @@ func TestConcurrentQueriesMatchSequential(t *testing.T) {
 		for _, tr := range translators {
 			for _, eng := range engines {
 				c := combo{q, tr, eng}
-				res, err := st.Query(q, QueryOptions{Translator: tr, Engine: eng, Parallelism: 1})
+				res, err := st.Query(q, QueryOptions{Translator: tr, Engine: eng})
 				if err != nil {
 					t.Fatalf("sequential %s [%s/%s]: %v", q, tr, eng, err)
 				}
@@ -95,13 +95,7 @@ func TestConcurrentQueriesMatchSequential(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iterations; i++ {
 				c := combos[(g+i)%len(combos)]
-				// Alternate default (GOMAXPROCS) and sequential execution so
-				// the in-query worker pool races against other queries too.
-				par := 0
-				if i%2 == 1 {
-					par = 1
-				}
-				res, err := st.Query(c.query, QueryOptions{Translator: c.tr, Engine: c.eng, Parallelism: par})
+				res, err := st.Query(c.query, QueryOptions{Translator: c.tr, Engine: c.eng})
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d: %s [%s/%s]: %v", g, c.query, c.tr, c.eng, err)
 					return
@@ -203,12 +197,12 @@ func TestConcurrentStatsDoNotBleed(t *testing.T) {
 	}
 }
 
-// TestConcurrencyTwigParallelSweep stresses the twig engine from many
-// goroutines at mixed Parallelism settings, racing a DropCaches churner
-// so the streams continually miss and refetch. Every result must be
-// byte-identical to the P=1 twig answer, with VisitedElements and
-// PageReads exactly equal: Parallelism does not change a twig query's
-// work, and neither does the state of the pool.
+// TestConcurrencyTwigParallelSweep stresses the twig engine with sweeps
+// from many goroutines, racing a DropCaches churner so the streams
+// continually miss and refetch. Every result must be byte-identical to
+// a lone twig query's answer, with VisitedElements and PageReads
+// exactly equal: neither other queries nor the state of the pool change
+// a twig query's work.
 func TestConcurrencyTwigParallelSweep(t *testing.T) {
 	st, err := BuildFromString(concurrencyDoc(), Options{PoolPages: 16})
 	if err != nil {
@@ -223,7 +217,7 @@ func TestConcurrencyTwigParallelSweep(t *testing.T) {
 	}
 	wants := map[string]want{}
 	for _, q := range concurrencyWorkload {
-		res, err := st.Query(q, QueryOptions{Engine: EngineTwig, Parallelism: 1})
+		res, err := st.Query(q, QueryOptions{Engine: EngineTwig})
 		if err != nil {
 			t.Fatalf("sequential twig %s: %v", q, err)
 		}
@@ -263,21 +257,20 @@ func TestConcurrencyTwigParallelSweep(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iterations; i++ {
 				q := concurrencyWorkload[(g+i)%len(concurrencyWorkload)]
-				par := []int{0, 2, 5}[i%3]
-				res, err := st.Query(q, QueryOptions{Engine: EngineTwig, Parallelism: par})
+				res, err := st.Query(q, QueryOptions{Engine: EngineTwig})
 				if err != nil {
-					errs <- fmt.Errorf("goroutine %d P=%d %s: %v", g, par, q, err)
+					errs <- fmt.Errorf("goroutine %d %s: %v", g, q, err)
 					return
 				}
 				w := wants[q]
 				if !reflect.DeepEqual(res.Matches, w.matches) {
-					errs <- fmt.Errorf("goroutine %d P=%d %s: %d matches != sequential %d",
-						g, par, q, len(res.Matches), len(w.matches))
+					errs <- fmt.Errorf("goroutine %d %s: %d matches != sequential %d",
+						g, q, len(res.Matches), len(w.matches))
 					return
 				}
 				if res.Stats.VisitedElements != w.visited || res.Stats.PageReads != w.reads {
-					errs <- fmt.Errorf("goroutine %d P=%d %s: visited %d, page reads %d; P=1: %d, %d",
-						g, par, q, res.Stats.VisitedElements, res.Stats.PageReads, w.visited, w.reads)
+					errs <- fmt.Errorf("goroutine %d %s: visited %d, page reads %d; alone: %d, %d",
+						g, q, res.Stats.VisitedElements, res.Stats.PageReads, w.visited, w.reads)
 					return
 				}
 			}
@@ -673,8 +666,8 @@ func TestConcurrencyMetricsRegistry(t *testing.T) {
 // many heap pages, so each buffer is refilled within a query and goes
 // back to the pool for the next stream; a buffer handed to two streams,
 // or one still written after its release, would corrupt another query's
-// records. Every result must equal the sequential answer, and at P=1 so
-// must its page reads. The load is as many queries as a server admits
+// records. Every result must equal the sequential answer, and so must
+// its page reads. The load is as many queries as a server admits
 // at once by default (4·GOMAXPROCS, at least 8); the test logs what a
 // query allocates under it, which includes any buffer the pool could
 // not hand back.
@@ -703,7 +696,7 @@ func TestConcurrencyPooledBatches(t *testing.T) {
 		for _, tr := range []Translator{TranslatorAuto, TranslatorDLabel} {
 			for _, eng := range []Engine{EngineRelational, EngineTwig} {
 				c := combo{q, tr, eng}
-				res, err := st.Query(q, QueryOptions{Translator: tr, Engine: eng, Parallelism: 1})
+				res, err := st.Query(q, QueryOptions{Translator: tr, Engine: eng})
 				if err != nil {
 					t.Fatalf("sequential %s [%s/%s]: %v", q, tr, eng, err)
 				}
@@ -727,19 +720,18 @@ func TestConcurrencyPooledBatches(t *testing.T) {
 			defer wg.Done()
 			for i := range combos {
 				c := combos[(g+i)%len(combos)]
-				par := 1 + (g+i)%2
-				res, err := st.Query(c.query, QueryOptions{Translator: c.tr, Engine: c.eng, Parallelism: par})
+				res, err := st.Query(c.query, QueryOptions{Translator: c.tr, Engine: c.eng})
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d: %s [%s/%s]: %v", g, c.query, c.tr, c.eng, err)
 					return
 				}
 				w := want[c]
 				if !reflect.DeepEqual(res.Matches, w.Matches) {
-					errs <- fmt.Errorf("goroutine %d: %s [%s/%s] P=%d: %d matches differ from the sequential %d",
-						g, c.query, c.tr, c.eng, par, len(res.Matches), len(w.Matches))
+					errs <- fmt.Errorf("goroutine %d: %s [%s/%s]: %d matches differ from the sequential %d",
+						g, c.query, c.tr, c.eng, len(res.Matches), len(w.Matches))
 					return
 				}
-				if par == 1 && res.Stats.PageReads != w.Stats.PageReads {
+				if res.Stats.PageReads != w.Stats.PageReads {
 					errs <- fmt.Errorf("goroutine %d: %s [%s/%s]: %d page reads, sequential %d",
 						g, c.query, c.tr, c.eng, res.Stats.PageReads, w.Stats.PageReads)
 					return

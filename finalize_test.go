@@ -54,19 +54,17 @@ func engineRecords(t *testing.T, st *Store, query string, opts QueryOptions) []r
 
 func executeRecords(t *testing.T, st *Store, phys *planner.Physical, opts QueryOptions) []relstore.Record {
 	t.Helper()
-	cfg := core.ExecConfig{Parallelism: opts.Parallelism}
+	var res *core.Result
+	var err error
 	if engineOf(opts) == EngineTwig {
-		res, err := twig.Execute(nil, st.inner, phys, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Records
+		res, err = twig.Run(nil, st.inner, phys)
+	} else {
+		res, err = relengine.Run(nil, st.inner, phys, relengine.MergeJoin)
 	}
-	res, err := relengine.Execute(nil, st.inner, phys, relengine.Options{ExecConfig: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Records
+	return res.Return.Records()
 }
 
 func buildDataset(t *testing.T, dataset string) *Store {
@@ -84,11 +82,9 @@ func buildDataset(t *testing.T, dataset string) *Store {
 }
 
 // TestFinalizeMatchesPerMatchReference: on the integration corpus, under
-// the BLAS and the D-labeling translator, on both engines at P = 1 and
-// P = 4, every Match that Store.Query returns equals the per-match
-// decode of the engine's record — Tag, Path, Value and D-label alike.
-// Along the way it pins the parallelism contract the gated scan issue
-// restored: VisitedElements does not depend on P, on either engine.
+// the BLAS and the D-labeling translator, on both engines, every Match
+// that Store.Query returns equals the per-match decode of the engine's
+// record — Tag, Path, Value and D-label alike.
 func TestFinalizeMatchesPerMatchReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds three paper-scale stores")
@@ -99,27 +95,18 @@ func TestFinalizeMatchesPerMatchReference(t *testing.T) {
 		for _, query := range queries[ds] {
 			for _, tr := range []Translator{TranslatorAuto, TranslatorDLabel} {
 				for _, eng := range []Engine{EngineRelational, EngineTwig} {
-					var visitedAtP1 uint64
-					for _, par := range []int{1, 4} {
-						opts := QueryOptions{Translator: tr, Engine: eng, Parallelism: par}
-						res, err := st.Query(query, opts)
-						if err != nil {
-							t.Fatalf("%s [%s/%s P=%d]: %v", query, tr, eng, par, err)
-						}
-						if len(res.Matches) == 0 {
-							t.Fatalf("%s [%s/%s P=%d]: empty result would make the comparison vacuous", query, tr, eng, par)
-						}
-						want := referenceMatches(st.inner, engineRecords(t, st, query, opts))
-						if !reflect.DeepEqual(res.Matches, want) {
-							t.Errorf("%s [%s/%s P=%d]: %d matches differ from the per-match decode of %d records",
-								query, tr, eng, par, len(res.Matches), len(want))
-						}
-						if par == 1 {
-							visitedAtP1 = res.Stats.VisitedElements
-						} else if res.Stats.VisitedElements != visitedAtP1 {
-							t.Errorf("%s [%s/%s]: visited %d elements at P=%d, %d at P=1",
-								query, tr, eng, res.Stats.VisitedElements, par, visitedAtP1)
-						}
+					opts := QueryOptions{Translator: tr, Engine: eng}
+					res, err := st.Query(query, opts)
+					if err != nil {
+						t.Fatalf("%s [%s/%s]: %v", query, tr, eng, err)
+					}
+					if len(res.Matches) == 0 {
+						t.Fatalf("%s [%s/%s]: empty result would make the comparison vacuous", query, tr, eng)
+					}
+					want := referenceMatches(st.inner, engineRecords(t, st, query, opts))
+					if !reflect.DeepEqual(res.Matches, want) {
+						t.Errorf("%s [%s/%s]: %d matches differ from the per-match decode of %d records",
+							query, tr, eng, len(res.Matches), len(want))
 					}
 				}
 			}
@@ -146,7 +133,7 @@ func TestFinalizeAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	recs := engineRecords(t, st, "//*", QueryOptions{Translator: TranslatorDLabel, Parallelism: 1})
+	recs := engineRecords(t, st, "//*", QueryOptions{Translator: TranslatorDLabel})
 	n, k := len(recs), distinctLabels(recs)
 	arena := core.NewTuples[relstore.Record](1)
 	arena.Extend(recs)
@@ -203,7 +190,7 @@ func TestConcurrencyNameTableFirstUse(t *testing.T) {
 	engines := []Engine{EngineRelational, EngineTwig}
 	want := map[string][]Match{}
 	for _, q := range queries {
-		res, err := twin.Query(q, QueryOptions{Parallelism: 1})
+		res, err := twin.Query(q, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +219,7 @@ func TestConcurrencyNameTableFirstUse(t *testing.T) {
 				<-start
 				for i := range queries {
 					qi := (g + i) % len(queries)
-					opts := QueryOptions{Engine: engines[(g+i)%2], Parallelism: 1 + g%2}
+					opts := QueryOptions{Engine: engines[(g+i)%2]}
 					var res *Result
 					var err error
 					if g%2 == 0 {

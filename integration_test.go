@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/bench"
@@ -39,6 +40,10 @@ func paperQueries(t *testing.T) map[string][]string {
 // each of the three paper data sets (Fig. 12 scale), every Fig. 10 and
 // Fig. 15 query must return exactly the node set the naive reference
 // evaluator computes — under all four translators, on both engines.
+// It also checks the paper's ordering of the translators (§4, Figs.
+// 13-18): with the translator's fixed plan, D-joins and visited
+// elements are non-increasing from dlabel to split to pushup to unfold,
+// on both engines.
 func TestPaperQueriesEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds three paper-scale stores")
@@ -65,59 +70,60 @@ func TestPaperQueriesEndToEnd(t *testing.T) {
 				continue
 			}
 			parsed := xpath.MustParse(query)
+			// The previous translator's joins and visited elements on the
+			// relational and twig engines; the first has no bound.
+			prev, prevName := [3]uint64{math.MaxUint64, math.MaxUint64, math.MaxUint64}, ""
 			for _, trName := range []string{"dlabel", "split", "pushup", "unfold"} {
 				tr, _ := translate.ByName(trName)
 				plan, err := tr(ctx, parsed)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", query, trName, err)
 				}
-				rres, err := relengine.Execute(nil, st, planner.Fixed(plan), relengine.Options{})
+				rctx := relstore.NewExecContext()
+				rres, err := relengine.Run(rctx, st, planner.Fixed(plan), relengine.MergeJoin)
 				if err != nil {
 					t.Fatalf("%s/%s relational: %v", query, trName, err)
 				}
 				if !enginetest.StartsEqual(rres.Starts(), want) {
 					t.Errorf("%s [%s, relational]: %d results, want %d", query, trName, len(rres.Starts()), len(want))
 				}
-				tres, err := twig.Execute(nil, st, planner.Fixed(plan), core.ExecConfig{Parallelism: 1})
+				tctx := relstore.NewExecContext()
+				tres, err := twig.Run(tctx, st, planner.Fixed(plan))
 				if err != nil {
 					t.Fatalf("%s/%s twig: %v", query, trName, err)
 				}
 				if !enginetest.StartsEqual(tres.Starts(), want) {
 					t.Errorf("%s [%s, twig]: %d results, want %d", query, trName, len(tres.Starts()), len(want))
 				}
-				// Parallelism must not change the twig result on the whole
-				// paper corpus.
-				pres, err := twig.Execute(nil, st, planner.Fixed(plan), core.ExecConfig{Parallelism: 4})
-				if err != nil {
-					t.Fatalf("%s/%s twig P=4: %v", query, trName, err)
+				cur := [3]uint64{uint64(plan.NumJoins()), rctx.Visited(), tctx.Visited()}
+				for i, what := range []string{"D-joins", "relational visited elements", "twig visited elements"} {
+					if cur[i] > prev[i] {
+						t.Errorf("%s: %s %d under %s > %d under %s — the paper's translator order is broken",
+							query, what, cur[i], trName, prev[i], prevName)
+					}
 				}
-				if !enginetest.StartsEqual(pres.Starts(), tres.Starts()) {
-					t.Errorf("%s [%s, twig P=4]: %d results, sequential sweep %d",
-						query, trName, len(pres.Starts()), len(tres.Starts()))
-				}
+				prev, prevName = cur, trName
 				// Greedy selectivity ordering must not change a single
-				// result: re-plan with probes and repeat every mode.
+				// result: re-plan with probes and repeat on both engines.
 				phys, err := planner.Plan(relstore.NewExecContext(), st, plan, planner.Options{})
 				if err != nil {
 					t.Fatalf("%s/%s plan: %v", query, trName, err)
 				}
-				for _, par := range []int{1, 4} {
-					gr, err := relengine.Execute(nil, st, phys, relengine.Options{ExecConfig: core.ExecConfig{Parallelism: par}})
-					if err != nil {
-						t.Fatalf("%s/%s relational greedy P=%d: %v", query, trName, par, err)
-					}
-					if !enginetest.StartsEqual(gr.Starts(), want) {
-						t.Errorf("%s [%s, relational greedy P=%d]: %d results, want %d",
-							query, trName, par, len(gr.Starts()), len(want))
-					}
-					gt, err := twig.Execute(nil, st, phys, core.ExecConfig{Parallelism: par})
-					if err != nil {
-						t.Fatalf("%s/%s twig greedy P=%d: %v", query, trName, par, err)
-					}
-					if !enginetest.StartsEqual(gt.Starts(), want) {
-						t.Errorf("%s [%s, twig greedy P=%d]: %d results, want %d",
-							query, trName, par, len(gt.Starts()), len(want))
-					}
+				gr, err := relengine.Run(nil, st, phys, relengine.MergeJoin)
+				if err != nil {
+					t.Fatalf("%s/%s relational greedy: %v", query, trName, err)
+				}
+				if !enginetest.StartsEqual(gr.Starts(), want) {
+					t.Errorf("%s [%s, relational greedy]: %d results, want %d",
+						query, trName, len(gr.Starts()), len(want))
+				}
+				gt, err := twig.Run(nil, st, phys)
+				if err != nil {
+					t.Fatalf("%s/%s twig greedy: %v", query, trName, err)
+				}
+				if !enginetest.StartsEqual(gt.Starts(), want) {
+					t.Errorf("%s [%s, twig greedy]: %d results, want %d",
+						query, trName, len(gt.Starts()), len(want))
 				}
 			}
 		}

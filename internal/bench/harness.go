@@ -26,9 +26,6 @@ type Harness struct {
 	PoolPages int
 	// Seed feeds the data generators.
 	Seed int64
-	// Parallelism is handed to both engines (0 = GOMAXPROCS,
-	// 1 = sequential, the paper's original setting).
-	Parallelism int
 	// NoReorder skips the physical planner's greedy ordering, running the
 	// translator's fixed order — the baseline side of the plan-quality
 	// figure. Default false matches production (greedy).
@@ -72,22 +69,21 @@ func (h *Harness) Store(dataset string, factor int) (*core.Store, error) {
 
 // Measurement is one (query, translator, engine) data point.
 type Measurement struct {
-	Query       string
-	Dataset     string
-	Factor      int
-	Translator  string
-	Engine      string // "relational" or "twig"
-	Parallelism int    // effective worker count (GOMAXPROCS resolved)
-	Elapsed     time.Duration
-	Visited     uint64 // elements read (Figs. 14-18 (b) panels)
-	PageReads   uint64 // buffer pool requests (incl. planner probes)
-	PageMisses  uint64 // disk accesses
-	Results     int
-	Joins       int
+	Query      string
+	Dataset    string
+	Factor     int
+	Translator string
+	Engine     string // "relational" or "twig"
+	Elapsed    time.Duration
+	Visited    uint64 // elements read (Figs. 14-18 (b) panels)
+	PageReads  uint64 // buffer pool requests (incl. planner probes)
+	PageMisses uint64 // disk accesses
+	Results    int
+	Joins      int
 }
 
-// Record appends a measurement to the harness's trajectory log. Run and
-// Overlap call it for every data point they produce, so a figure's
+// Record appends a measurement to the harness's trajectory log. Run
+// calls it for every data point it produces, so a figure's
 // measurements can be exported (see Trajectory) after its table prints.
 func (h *Harness) Record(m Measurement) { h.measurements = append(h.measurements, m) }
 
@@ -128,11 +124,9 @@ func (h *Harness) Run(dataset string, factor int, queryName, query, translator, 
 		repeats = 1
 	}
 	times := make([]time.Duration, 0, repeats)
-	cfg := core.ExecConfig{Parallelism: h.Parallelism}
 	m := Measurement{
 		Query: queryName, Dataset: dataset, Factor: factor,
 		Translator: translator, Engine: engine, Joins: plan.NumJoins(),
-		Parallelism: cfg.Workers(),
 	}
 	for i := 0; i < repeats; i++ {
 		if err := st.DropCaches(); err != nil {
@@ -146,26 +140,21 @@ func (h *Harness) Run(dataset string, factor int, queryName, query, translator, 
 		if err != nil {
 			return Measurement{}, fmt.Errorf("bench: plan %s/%s: %w", queryName, translator, err)
 		}
-		var results int
+		var res *core.Result
 		switch engine {
 		case "twig":
-			res, err := twig.Execute(ctx, st, phys, cfg)
-			if err != nil {
-				return Measurement{}, fmt.Errorf("bench: %s/%s twig: %w", queryName, translator, err)
-			}
-			results = len(res.Records)
+			res, err = twig.Run(ctx, st, phys)
 		default:
-			res, err := relengine.Execute(ctx, st, phys, relengine.Options{ExecConfig: cfg})
-			if err != nil {
-				return Measurement{}, fmt.Errorf("bench: %s/%s relational: %w", queryName, translator, err)
-			}
-			results = len(res.Records)
+			res, err = relengine.Run(ctx, st, phys, relengine.MergeJoin)
+		}
+		if err != nil {
+			return Measurement{}, fmt.Errorf("bench: %s/%s %s: %w", queryName, translator, engine, err)
 		}
 		times = append(times, time.Since(begin))
 		m.Visited = ctx.Visited()
 		m.PageReads = ctx.PageReads()
 		m.PageMisses = ctx.PageMisses()
-		m.Results = results
+		m.Results = res.Return.Len()
 	}
 	m.Elapsed = trimmedMean(times)
 	h.Record(m)

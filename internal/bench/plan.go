@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/planner"
 	"repro/internal/relengine"
@@ -82,11 +81,9 @@ func (h *Harness) planMeasure(dataset, queryName, query string, noReorder bool) 
 	if repeats < 1 {
 		repeats = 1
 	}
-	cfg := core.ExecConfig{Parallelism: h.Parallelism}
 	m := Measurement{
 		Query: queryName, Dataset: dataset, Factor: 1,
 		Translator: "pushup+" + mode, Engine: "relational", Joins: lp.NumJoins(),
-		Parallelism: cfg.Workers(),
 	}
 	times := make([]time.Duration, 0, repeats)
 	for i := 0; i < repeats; i++ {
@@ -99,7 +96,7 @@ func (h *Harness) planMeasure(dataset, queryName, query string, noReorder bool) 
 		if err != nil {
 			return Measurement{}, fmt.Errorf("bench: plan %s/%s: %w", queryName, mode, err)
 		}
-		res, err := relengine.Execute(ctx, st, phys, relengine.Options{ExecConfig: cfg})
+		res, err := relengine.Run(ctx, st, phys, relengine.MergeJoin)
 		if err != nil {
 			return Measurement{}, fmt.Errorf("bench: %s/%s: %w", queryName, mode, err)
 		}
@@ -107,7 +104,7 @@ func (h *Harness) planMeasure(dataset, queryName, query string, noReorder bool) 
 		m.Visited = ctx.Visited()
 		m.PageReads = ctx.PageReads()
 		m.PageMisses = ctx.PageMisses()
-		m.Results = len(res.Records)
+		m.Results = res.Return.Len()
 	}
 	m.Elapsed = trimmedMean(times)
 	return m, nil

@@ -10,11 +10,11 @@ import (
 // ScanOverlap sweeps every page of f with the given number of workers,
 // checksumming each page's bytes inside the view callback. Worker w
 // visits pages w, w+workers, w+2*workers, …, so the full file is read
-// exactly once regardless of parallelism and the returned checksum is
-// identical at every worker count.
+// exactly once and the returned checksum is identical at every worker
+// count.
 //
-// This is the storage-layer analogue of a parallel fragment scan: each
-// view pins a frame, decodes outside any pool-wide lock, and misses
+// This is the storage-layer analogue of concurrent queries scanning one
+// file: each view pins a frame, decodes outside any pool-wide lock, and misses
 // fetch from the backing store concurrently. Before the pool was sharded
 // (PR 4) every view serialized on one per-file mutex and worker counts
 // beyond 1 bought nothing.

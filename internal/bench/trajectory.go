@@ -22,7 +22,7 @@ type TrajectoryRecord struct {
 	Factor      int    `json:"factor"`
 	Translator  string `json:"translator"`
 	Engine      string `json:"engine"`
-	Parallelism int    `json:"parallelism"`
+	Parallelism int    `json:"parallelism"` // always 1: a query runs on one goroutine
 	NSPerOp     int64  `json:"ns_per_op"`
 	Visited     uint64 `json:"visited_elements"`
 	PageReads   uint64 `json:"page_reads"`
@@ -80,7 +80,7 @@ func (t *Trajectory) Add(m Measurement) {
 		Factor:      m.Factor,
 		Translator:  m.Translator,
 		Engine:      m.Engine,
-		Parallelism: m.Parallelism,
+		Parallelism: 1,
 		NSPerOp:     m.Elapsed.Nanoseconds(),
 		Visited:     m.Visited,
 		PageReads:   m.PageReads,

@@ -13,7 +13,7 @@ import (
 func sampleMeasurement() Measurement {
 	return Measurement{
 		Query: "QS1", Dataset: "shakespeare", Factor: 1,
-		Translator: "pushup", Engine: "relational", Parallelism: 1,
+		Translator: "pushup", Engine: "relational",
 		Elapsed: 42 * time.Microsecond, Visited: 100, PageMisses: 7,
 		Results: 10, Joins: 0,
 	}
@@ -23,19 +23,18 @@ func sampleMeasurement() Measurement {
 // the way CI does, then checks the JSON carries the documented fields.
 func TestTrajectoryRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	tr := NewTrajectory("overlap")
+	tr := NewTrajectory("plan")
 	tr.Add(sampleMeasurement())
 	m2 := sampleMeasurement()
 	m2.Engine = "twig"
-	m2.Parallelism = 4
 	tr.Add(m2)
 
 	path, err := tr.WriteFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if filepath.Base(path) != "BENCH_overlap.json" {
-		t.Errorf("wrote %s, want BENCH_overlap.json", path)
+	if filepath.Base(path) != "BENCH_plan.json" {
+		t.Errorf("wrote %s, want BENCH_plan.json", path)
 	}
 	if err := ValidateTrajectoryFile(path); err != nil {
 		t.Fatalf("freshly written trajectory fails validation: %v", err)
@@ -58,13 +57,13 @@ func TestTrajectoryRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Schema != TrajectorySchema || got.Figure != "overlap" {
+	if got.Schema != TrajectorySchema || got.Figure != "plan" {
 		t.Errorf("schema/figure = %q/%q", got.Schema, got.Figure)
 	}
 	if got.GOMAXPROCS != runtime.GOMAXPROCS(0) || got.GOOS != runtime.GOOS {
 		t.Errorf("environment stamp = %d/%s", got.GOMAXPROCS, got.GOOS)
 	}
-	if len(got.Records) != 2 || got.Records[0].NSPerOp != 42000 || got.Records[1].Parallelism != 4 {
+	if len(got.Records) != 2 || got.Records[0].NSPerOp != 42000 || got.Records[1].Engine != "twig" || got.Records[1].Parallelism != 1 {
 		t.Errorf("records round-tripped wrong: %+v", got.Records)
 	}
 }
@@ -112,20 +111,15 @@ func TestTrajectoryValidateRejects(t *testing.T) {
 	}
 }
 
-// TestHarnessRecordsMeasurements checks Run feeds the trajectory log
-// with resolved parallelism.
+// TestHarnessRecordsMeasurements checks Run feeds the trajectory log.
 func TestHarnessRecordsMeasurements(t *testing.T) {
 	h := New()
 	h.Repeats = 1
-	h.Parallelism = 0 // GOMAXPROCS, must resolve to a concrete count
 	defer h.Close()
 
 	m, err := h.Run("shakespeare", 1, "QS1", Fig10Queries["QS1"], "pushup", "relational", false)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if m.Parallelism != runtime.GOMAXPROCS(0) {
-		t.Errorf("parallelism = %d, want resolved GOMAXPROCS %d", m.Parallelism, runtime.GOMAXPROCS(0))
 	}
 	recs := h.Measurements()
 	if len(recs) != 1 || recs[0].Query != "QS1" || recs[0].Elapsed != m.Elapsed {

@@ -2,78 +2,23 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/relstore"
 	"repro/internal/translate"
 	"repro/internal/uint128"
 )
 
-// ExecConfig carries the engine-independent execution knobs that
-// blas.QueryOptions threads down into both query engines. The zero value
-// selects the defaults.
+// ExecConfig is ignored: a query runs on its calling goroutine on
+// both engines. It exists only for benchmark/, which still passes
+// Parallelism, and goes with ROADMAP item 1(d).
 type ExecConfig struct {
-	// Parallelism bounds the worker goroutines one query may use: the
-	// chunks of a partitioned D-join on the relational engine, started
-	// through FanOut. The twig engine runs one sweep on the calling
-	// goroutine at every setting. 0 selects runtime.GOMAXPROCS(0); 1
-	// runs the query fully sequentially (no extra goroutines). Negative
-	// values are rejected by Validate, on both engines. The result set
-	// is identical at every setting.
+	// Parallelism is ignored (ROADMAP item 1(d)).
 	Parallelism int
-}
-
-// Validate rejects malformed configurations. Both engines call it on
-// entry so misuse fails identically everywhere.
-func (c ExecConfig) Validate() error {
-	if c.Parallelism < 0 {
-		return fmt.Errorf("core: Parallelism must be >= 0 (0 = GOMAXPROCS, 1 = sequential), got %d", c.Parallelism)
-	}
-	return nil
 }
 
 // BatchController returns nil. It exists only for benchmark/ and goes
 // with ROADMAP item 1 (the benchmark harness).
 func (c ExecConfig) BatchController() *relstore.BatchController { return nil }
-
-// Workers resolves the effective worker count.
-func (c ExecConfig) Workers() int {
-	if c.Parallelism > 0 {
-		return c.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// FanOut runs piece(0), ..., piece(n-1) concurrently, waits for all of
-// them and returns the error of the lowest-indexed piece that failed.
-// Piece 0 runs on the calling goroutine and every other piece on a
-// goroutine of its own, so n pieces occupy n goroutines and n <= 1
-// starts none. It is the only place the engines start goroutines:
-// callers size n by ExecConfig.Workers, which is how a query stays
-// within its Parallelism.
-func FanOut(n int, piece func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	wg.Add(n - 1)
-	for i := 1; i < n; i++ {
-		go func() {
-			defer wg.Done()
-			errs[i] = piece(i)
-		}()
-	}
-	errs[0] = piece(0)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // Result holds a query's answer on either engine.
 type Result struct {
@@ -82,8 +27,8 @@ type Result struct {
 	Return View
 	// Records is Return copied out. Only the engines' Execute fills it,
 	// for callers that read records rather than the view (the
-	// benchmark's per-layer pipeline, internal/bench and tests); the
-	// library's Store.Query finalizes from Return and never copies it.
+	// benchmark's per-layer pipeline and tests); the library's
+	// Store.Query finalizes from Return and never copies it.
 	Records []relstore.Record
 	// EarlyTerminated reports that an empty intermediate (a planner
 	// proof, an empty fragment scan or stream, or an empty join result)

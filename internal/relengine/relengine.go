@@ -14,18 +14,12 @@
 // join intermediate skips everything after it
 // (core.Result.EarlyTerminated reports when that saved work).
 //
-// Fragment selections are issued strictly in plan order, one at a time
+// A query runs on its calling goroutine, as the paper's D-join does:
+// fragment selections are issued strictly in plan order, one at a time
 // (see scanFragments: the planner's order is an early-termination
 // device, and it only works if a later scan cannot start before an
-// earlier one is known non-empty), so page and visited counters are the
-// same at every parallelism. Execution is data-parallel in the joins
-// (cf. Sato et al., "Parallelization of XPath Queries using Modern
-// XQuery Processors", arXiv:1806.07728): the structural merge join
-// partitions its ancestor input by interval — descendants fall into
-// exactly one partition's interval span, so partitions merge
-// independently, one chunk per worker goroutine (core.FanOut).
-// Options.Parallelism bounds the chunks; 1 recovers the fully sequential
-// engine. Fragment selections read through the batched stream layer
+// earlier one is known non-empty), and each D-join is one sequential
+// stack merge. Fragment selections read through the batched stream layer
 // (core.FragmentStream.Collect over relstore.BatchIter): a cluster-scan
 // batch is one heap page's share of the selection, decoded under a
 // single pager view into one pooled relstore.Batch that every scan of
@@ -53,7 +47,6 @@ package relengine
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -71,20 +64,19 @@ const (
 	NestedLoopJoin                      // quadratic baseline (ablation only)
 )
 
-// Options configures execution.
+// Options configures Execute.
 type Options struct {
 	Join JoinAlgorithm
-	// ExecConfig.Parallelism bounds the worker goroutines of a
-	// partitioned merge join. 0 selects runtime.GOMAXPROCS(0); 1 runs
-	// the engine fully sequentially. The result is identical either way.
+	// ExecConfig is ignored. It exists only for benchmark/ and goes
+	// with ROADMAP item 1(d).
 	core.ExecConfig
 }
 
 // Execute is Run with the answer also copied out into
 // core.Result.Records, for callers that read records instead of the
-// view (the benchmark's per-layer pipeline, internal/bench and tests).
+// view (the benchmark's per-layer pipeline and tests).
 func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opts Options) (*core.Result, error) {
-	res, err := Run(ctx, st, p, opts)
+	res, err := Run(ctx, st, p, opts.Join)
 	if err != nil {
 		return nil, err
 	}
@@ -92,14 +84,12 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opt
 	return res, nil
 }
 
-// Run runs a physical plan against a store and returns the answer as a
-// view of the return fragment's bindings. Statistics accumulate in ctx
-// (nil discards them). Run is safe to call concurrently with any other
-// reads of the same store, provided each call gets its own ctx.
-func Run(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opts Options) (*core.Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, fmt.Errorf("relengine: %w", err)
-	}
+// Run runs a physical plan against a store, with its D-joins run by
+// join, and returns the answer as a view of the return fragment's
+// bindings. Statistics accumulate in ctx (nil discards them). Run is
+// safe to call concurrently with any other reads of the same store,
+// provided each call gets its own ctx.
+func Run(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, join JoinAlgorithm) (*core.Result, error) {
 	lp := p.Logical
 	if p.KnownEmpty || lp.Empty() {
 		// A probe-proven empty plan skips every scan and join — zero
@@ -107,7 +97,6 @@ func Run(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opts Op
 		// work to skip.
 		return &core.Result{EarlyTerminated: p.ProbedEmpty()}, nil
 	}
-	workers := opts.Workers()
 	tr := ctx.Trace()
 
 	// Evaluate every fragment, most selective first.
@@ -146,11 +135,11 @@ func Run(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opts Op
 			return nil, fmt.Errorf("relengine: join order is not a tree (fragment %d not yet bound)", j.Anc)
 		}
 		in := joinInput{rows: rows, ancCol: ancCol, anc: &bindings[j.Anc], descs: &bindings[j.Desc], j: j}
-		switch opts.Join {
+		switch join {
 		case NestedLoopJoin:
 			rows = nestedLoopJoin(&in)
 		default:
-			rows = structuralMergeJoin(&in, workers)
+			rows = structuralMergeJoin(&in)
 		}
 		cols[j.Desc] = len(cols)
 		if rows.Len() == 0 {
@@ -172,8 +161,7 @@ func Run(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opts Op
 // empty skips the expensive ones — and it only holds if scan k+1 cannot
 // start before scan k is known non-empty; racing the scans would read
 // the large fragments the order exists to avoid, and make the page and
-// visited counters depend on scheduling. Parallelism is spent inside
-// the D-joins instead. Every scan decodes into the same pooled batch
+// visited counters depend on scheduling. Every scan decodes into the same pooled batch
 // buffer, released when the scans end. The return fragment binds
 // records, every other fragment spans.
 func scanFragments(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical) ([]core.Bindings, error) {
@@ -237,61 +225,18 @@ func orderAt(perm []int32, k int) int32 {
 	return perm[k]
 }
 
-// Partition thresholds for the parallel merge join: below these input
-// sizes the goroutine overhead dominates the merge work.
-const (
-	minParallelTuples = 64
-	minParallelDescs  = 512
-)
-
 // structuralMergeJoin extends each row with the descendants of its
 // ancCol binding. Both inputs are put in start order — as permutations
 // of row and descendant ids, never copies — then merged with a stack of
 // open ancestors: amortized linear plus output.
-//
-// With workers > 1 and large-enough inputs, the sorted ancestor rows
-// are split into contiguous chunks and merged concurrently. A descendant
-// d joins row t iff t.start < d.start < t.end, and every row lives
-// in exactly one chunk, so giving each chunk the descendants whose
-// starts fall inside the chunk's interval span [first start, max end)
-// reproduces the sequential pairing exactly, with no duplicates.
-func structuralMergeJoin(in *joinInput, workers int) core.Tuples[int32] {
+func structuralMergeJoin(in *joinInput) core.Tuples[int32] {
 	n, nd := in.rows.Len(), in.descs.Len()
 	in.rowOrder = core.SortedBy(n, func(i int) uint32 { return in.ancSpan(int32(i)).Start })
 	// Fragment streams deliver bindings in start order, so the
 	// descendant check usually finds them in place; rows carried
 	// through earlier joins are in those joins' order.
 	in.descOrder = core.SortedBy(nd, func(i int) uint32 { return in.descs.SpanAt(i).Start })
-
-	if workers <= 1 || n < minParallelTuples || nd < minParallelDescs {
-		return mergeJoinChunk(in, 0, n, 0, nd)
-	}
-
-	chunks := workers
-	if chunks > n/2 {
-		chunks = n / 2
-	}
-	parts := make([]core.Tuples[int32], chunks)
-	_ = core.FanOut(chunks, func(c int) error { // chunks never fail
-		lo, hi := c*n/chunks, (c+1)*n/chunks
-		minStart := in.ancSpan(in.row(lo)).Start
-		maxEnd := uint32(0)
-		for k := lo; k < hi; k++ {
-			maxEnd = max(maxEnd, in.ancSpan(in.row(k)).End)
-		}
-		// Descendant candidates for this chunk: minStart < start < maxEnd.
-		descStart := func(k int) uint32 { _, d := in.desc(k); return d.Start }
-		from := sort.Search(nd, func(k int) bool { return descStart(k) > minStart })
-		to := sort.Search(nd, func(k int) bool { return descStart(k) >= maxEnd })
-		parts[c] = mergeJoinChunk(in, lo, hi, from, to)
-		return nil
-	})
-
-	out := parts[0]
-	for _, p := range parts[1:] {
-		out.AppendAll(p)
-	}
-	return out
+	return mergeJoinChunk(in, 0, n, 0, nd)
 }
 
 // openAnc is an ancestor row on the merge stack, with its binding.

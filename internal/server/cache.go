@@ -106,12 +106,10 @@ func (c *planCache) metrics() CacheMetrics {
 	}
 }
 
-// resultKey identifies one cached result set. Results are byte-identical
-// at every parallelism level (the engines' core guarantee), so the key
-// deliberately omits parallelism: a result computed with 4 workers
-// serves a sequential request. Engine stays in the key out of caution —
-// result equality across engines is an invariant the integration tests
-// enforce, not one the cache should silently depend on.
+// resultKey identifies one cached result set. Engine stays in the key
+// out of caution — result equality across engines is an invariant the
+// integration tests enforce, not one the cache should silently depend
+// on.
 type resultKey struct {
 	gen        uint64
 	engine     blas.Engine

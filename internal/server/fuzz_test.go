@@ -37,14 +37,14 @@ func getFuzzServer(f *testing.F) *Server {
 // carries a JSON {"error": ...} body.
 func FuzzServerQuery(f *testing.F) {
 	f.Add([]byte(`{"query":"/catalog/book/title"}`))
-	f.Add([]byte(`{"query":"//book[author=\"Knuth\"]/title","engine":"twig","parallelism":2}`))
+	f.Add([]byte(`{"query":"//book[author=\"Knuth\"]/title","engine":"twig"}`))
 	f.Add([]byte(`{"query":"/catalog","translator":"pushup","trace":true}`))
 	f.Add([]byte(`{"query":`))
 	f.Add([]byte(`{"query":"///[["}`))
 	f.Add([]byte(`{"query":"/a","bogus":true}`))
 	f.Add([]byte(`{"query":"/a` + strings.Repeat("[b", 256) + strings.Repeat("]", 256) + `"}`))
 	f.Add([]byte(`{"query":"/a[b='` + strings.Repeat(`"`, 64) + `']"}`))
-	f.Add([]byte(`{"query":"` + strings.Repeat("/x", 4096) + `","parallelism":-9}`))
+	f.Add([]byte(`{"query":"` + strings.Repeat("/x", 4096) + `"}`))
 	f.Add([]byte("\x00\xff garbage"))
 
 	srv := getFuzzServer(f)

@@ -3,7 +3,7 @@
 // library into a daemon fit for sustained traffic:
 //
 //   - POST /query executes an XPath expression with per-request engine,
-//     translator, parallelism and trace options;
+//     translator and trace options;
 //   - a prepared-plan cache (LRU, keyed by store generation + effective
 //     translator + normalized query) caches exactly what
 //     ExecStats.PlanElapsed measures, so a warm query pays no parse or
@@ -12,8 +12,8 @@
 //     repeated identical queries without touching the store, with
 //     explicit invalidation via DELETE /cache;
 //   - admission control bounds concurrently executing queries (429 +
-//     Retry-After past the limit) and a global parallelism budget keeps
-//     one heavy relational D-join from claiming every core;
+//     Retry-After past the limit); each query runs on one goroutine, so
+//     concurrency is across queries only;
 //   - per-request timeouts abandon slow responses without leaking their
 //     admission slots, and graceful drain (BeginDrain/Drain) lets
 //     in-flight queries finish while new ones are rejected;
@@ -54,12 +54,6 @@ type Config struct {
 	// MaxInFlight bounds concurrently executing queries; requests beyond
 	// it get 429 + Retry-After. 0 selects 4*GOMAXPROCS.
 	MaxInFlight int
-	// ParallelismBudget is the global worker-token pool shared by every
-	// executing query: a relational query is granted between 1 and its
-	// requested parallelism tokens, never more than remain; a twig
-	// query, which runs one goroutine, is granted exactly one. A token
-	// is one worker goroutine of the query. 0 selects 2*GOMAXPROCS.
-	ParallelismBudget int
 	// QueryTimeout abandons a request whose execution exceeds it (504).
 	// The execution itself runs to completion server-side and holds its
 	// admission slot until done. 0 disables the timeout.
@@ -82,12 +76,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	procs := runtime.GOMAXPROCS(0)
 	if c.MaxInFlight == 0 {
-		c.MaxInFlight = 4 * procs
-	}
-	if c.ParallelismBudget == 0 {
-		c.ParallelismBudget = 2 * procs
+		c.MaxInFlight = 4 * runtime.GOMAXPROCS(0)
 	}
 	if c.RetryAfter == 0 {
 		c.RetryAfter = time.Second
@@ -120,14 +110,13 @@ type Server struct {
 	plans   *planCache   // nil when disabled
 	results *resultCache // nil when disabled
 
-	slots  chan struct{} // admission semaphore, capacity MaxInFlight
-	budget *parBudget
+	slots chan struct{} // admission semaphore, capacity MaxInFlight
 
 	draining atomic.Bool
 	wg       sync.WaitGroup // in-flight query executions, for Drain
 
 	admitted, rejected429, rejectedDraining atomic.Uint64
-	timeouts, queryErrors, clamped          atomic.Uint64
+	timeouts, queryErrors                   atomic.Uint64
 	planNs                                  atomic.Int64 // cumulative planning ns paid by requests (plan-cache misses)
 
 	// execGate, when non-nil, runs inside the execution goroutine after
@@ -140,10 +129,9 @@ type Server struct {
 func New(store *blas.Store, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:    cfg,
-		store:  store,
-		slots:  make(chan struct{}, cfg.MaxInFlight),
-		budget: &parBudget{total: cfg.ParallelismBudget, avail: cfg.ParallelismBudget},
+		cfg:   cfg,
+		store: store,
+		slots: make(chan struct{}, cfg.MaxInFlight),
 	}
 	if cfg.PlanCacheEntries > 0 {
 		s.plans = newPlanCache(cfg.PlanCacheEntries)
@@ -219,50 +207,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// parBudget is the global worker budget. Every admitted query is
-// granted between 1 and its requested parallelism, never more than
-// remain in the pool — so a single huge request cannot monopolize the
-// cores while others queue. Because a grant is never zero, the pool can
-// be transiently oversubscribed by at most MaxInFlight-1 workers; the
-// budget shapes contention, it is not hard isolation.
-type parBudget struct {
-	mu    sync.Mutex
-	total int
-	avail int
-}
-
-func (b *parBudget) acquire(want int) int {
-	if want < 1 {
-		want = 1
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	grant := want
-	if grant > b.total {
-		grant = b.total
-	}
-	if grant > b.avail {
-		grant = b.avail
-	}
-	if grant < 1 {
-		grant = 1
-	}
-	b.avail -= grant
-	return grant
-}
-
-func (b *parBudget) release(n int) {
-	b.mu.Lock()
-	b.avail += n
-	b.mu.Unlock()
-}
-
-func (b *parBudget) available() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.avail
-}
-
 // QueryRequest is the POST /query body.
 type QueryRequest struct {
 	// Query is the XPath expression (required).
@@ -272,10 +216,6 @@ type QueryRequest struct {
 	// Translator is auto, dlabel, split, pushup or unfold ("" = server
 	// default).
 	Translator string `json:"translator,omitempty"`
-	// Parallelism requests a per-query worker count for the relational
-	// engine's D-joins (0 = GOMAXPROCS); the server may grant less under
-	// load (see the response field). A twig query is granted one.
-	Parallelism int `json:"parallelism,omitempty"`
 	// Trace returns a per-phase breakdown in stats.phases. Traced
 	// requests bypass the result cache.
 	Trace bool `json:"trace,omitempty"`
@@ -300,9 +240,6 @@ type QueryResponse struct {
 	// PlanNs is the planning time this request paid: zero on a plan- or
 	// result-cache hit, the parse+translate cost on a cold plan.
 	PlanNs int64 `json:"plan_ns"`
-	// Parallelism is the worker count actually granted (0 when served
-	// from the result cache — no execution happened).
-	Parallelism int `json:"parallelism"`
 }
 
 // A success body is QueryResponse's JSON, byte for byte, but it is never
@@ -320,11 +257,10 @@ type wireHead struct {
 }
 
 type wireTail struct {
-	Stats       blas.ExecStats `json:"stats"`
-	Cached      bool           `json:"cached"`
-	PlanCached  bool           `json:"plan_cached"`
-	PlanNs      int64          `json:"plan_ns"`
-	Parallelism int            `json:"parallelism"`
+	Stats      blas.ExecStats `json:"stats"`
+	Cached     bool           `json:"cached"`
+	PlanCached bool           `json:"plan_cached"`
+	PlanNs     int64          `json:"plan_ns"`
 }
 
 // queryBody returns the response body in three parts to be written in
@@ -402,9 +338,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case len(req.Query) > maxQueryBytes:
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("query exceeds %d bytes", maxQueryBytes))
 		return
-	case req.Parallelism < 0:
-		writeError(w, http.StatusBadRequest, "parallelism must be >= 0 (0 = server default)")
-		return
 	}
 	engine := blas.Engine(req.Engine)
 	if engine == "" {
@@ -479,24 +412,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.admitted.Add(1)
 
-	// A twig query runs one sweep on one goroutine, so it takes one token
-	// whatever it asked for.
-	want := req.Parallelism
-	switch {
-	case engine == blas.EngineTwig:
-		want = 1
-	case want == 0:
-		want = runtime.GOMAXPROCS(0)
-	}
-	grant := s.budget.acquire(want)
-	if grant < want {
-		s.clamped.Add(1)
-	}
-	opts := blas.QueryOptions{
-		Engine:      engine,
-		Parallelism: grant,
-		Trace:       req.Trace,
-	}
+	opts := blas.QueryOptions{Engine: engine, Trace: req.Trace}
 
 	ctx := r.Context()
 	if s.cfg.QueryTimeout > 0 {
@@ -528,7 +444,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		// Free the slot before handing over the outcome: a client that
 		// has its response must not still see the query in flight.
-		s.budget.release(grant)
 		<-s.slots
 		done <- outcome{enc, err}
 	}()
@@ -543,7 +458,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, status, o.err.Error())
 			return
 		}
-		writeQueryResponse(w, norm, o.res, wireTail{PlanCached: planHit, PlanNs: planNs, Parallelism: grant})
+		writeQueryResponse(w, norm, o.res, wireTail{PlanCached: planHit, PlanNs: planNs})
 	case <-ctx.Done():
 		s.timeouts.Add(1)
 		writeError(w, http.StatusGatewayTimeout,
@@ -596,21 +511,21 @@ func (s *Server) handleCacheDelete(w http.ResponseWriter, r *http.Request) {
 // half of GET /metrics, alongside the store's StoreMetrics. It marshals
 // to JSON and implements expvar.Var.
 type Metrics struct {
-	StoreGeneration   uint64       `json:"store_generation"`
-	Draining          bool         `json:"draining"`
-	InFlight          int          `json:"in_flight"`
-	MaxInFlight       int          `json:"max_in_flight"`
-	Admitted          uint64       `json:"admitted"`
-	Rejected429       uint64       `json:"rejected_429"`
-	RejectedDraining  uint64       `json:"rejected_draining"`
-	Timeouts          uint64       `json:"timeouts"`
-	QueryErrors       uint64       `json:"query_errors"`
-	PlanNsTotal       int64        `json:"plan_ns_total"` // cumulative planning time paid; flat while the plan cache is warm
-	ParallelismBudget int          `json:"parallelism_budget"`
-	BudgetAvailable   int          `json:"budget_available"` // may dip below zero transiently (minimum grant of 1)
-	Clamped           uint64       `json:"clamped"`          // queries granted less parallelism than requested
-	PlanCache         CacheMetrics `json:"plan_cache"`
-	ResultCache       CacheMetrics `json:"result_cache"`
+	StoreGeneration  uint64       `json:"store_generation"`
+	Draining         bool         `json:"draining"`
+	InFlight         int          `json:"in_flight"`
+	MaxInFlight      int          `json:"max_in_flight"`
+	Admitted         uint64       `json:"admitted"`
+	Rejected429      uint64       `json:"rejected_429"`
+	RejectedDraining uint64       `json:"rejected_draining"`
+	Timeouts         uint64       `json:"timeouts"`
+	QueryErrors      uint64       `json:"query_errors"`
+	PlanNsTotal      int64        `json:"plan_ns_total"` // cumulative planning time paid; flat while the plan cache is warm
+	PlanCache        CacheMetrics `json:"plan_cache"`
+	ResultCache      CacheMetrics `json:"result_cache"`
+	// Clamped is always zero: no query is granted workers. It exists
+	// only for benchmark/ and goes with ROADMAP item 1(d).
+	Clamped uint64 `json:"-"`
 }
 
 // String renders the snapshot as JSON (the expvar.Var contract).
@@ -625,19 +540,16 @@ func (m Metrics) String() string {
 // Metrics snapshots the server's counters.
 func (s *Server) Metrics() Metrics {
 	m := Metrics{
-		StoreGeneration:   s.Store().Generation(),
-		Draining:          s.draining.Load(),
-		InFlight:          len(s.slots),
-		MaxInFlight:       s.cfg.MaxInFlight,
-		Admitted:          s.admitted.Load(),
-		Rejected429:       s.rejected429.Load(),
-		RejectedDraining:  s.rejectedDraining.Load(),
-		Timeouts:          s.timeouts.Load(),
-		QueryErrors:       s.queryErrors.Load(),
-		PlanNsTotal:       s.planNs.Load(),
-		ParallelismBudget: s.cfg.ParallelismBudget,
-		BudgetAvailable:   s.budget.available(),
-		Clamped:           s.clamped.Load(),
+		StoreGeneration:  s.Store().Generation(),
+		Draining:         s.draining.Load(),
+		InFlight:         len(s.slots),
+		MaxInFlight:      s.cfg.MaxInFlight,
+		Admitted:         s.admitted.Load(),
+		Rejected429:      s.rejected429.Load(),
+		RejectedDraining: s.rejectedDraining.Load(),
+		Timeouts:         s.timeouts.Load(),
+		QueryErrors:      s.queryErrors.Load(),
+		PlanNsTotal:      s.planNs.Load(),
 	}
 	if s.plans != nil {
 		m.PlanCache = s.plans.metrics()

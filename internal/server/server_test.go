@@ -126,8 +126,8 @@ func deleteCache(t testing.TB, url, scope string) map[string]int {
 }
 
 // TestServerQueryMatchesDirect checks the fundamental serving contract
-// on a small document: every engine × translator × parallelism combo
-// returns exactly what direct Store.Query returns, cold and warm.
+// on a small document: every query on both engines returns exactly
+// what direct Store.Query returns.
 func TestServerQueryMatchesDirect(t *testing.T) {
 	st := buildStore(t, testDoc)
 	_, ts := newTestServer(t, st, Config{})
@@ -140,27 +140,22 @@ func TestServerQueryMatchesDirect(t *testing.T) {
 	}
 	for _, query := range queries {
 		for _, engine := range []string{"relational", "twig"} {
-			for _, par := range []int{1, 4} {
-				want, err := st.Query(query, blas.QueryOptions{Engine: blas.Engine(engine), Parallelism: par})
-				if err != nil {
-					t.Fatal(err)
-				}
-				// no_result_cache so every combo actually executes.
-				status, qr, errMsg := postQuery(t, ts.URL, QueryRequest{
-					Query: query, Engine: engine, Parallelism: par, NoResultCache: true,
-				})
-				if status != http.StatusOK {
-					t.Fatalf("%s [%s P=%d]: status %d: %s", query, engine, par, status, errMsg)
-				}
-				if qr.Count != len(want.Matches) {
-					t.Fatalf("%s [%s P=%d]: count %d, direct %d", query, engine, par, qr.Count, len(want.Matches))
-				}
-				if !reflect.DeepEqual(qr.Matches, want.Matches) && len(want.Matches) > 0 {
-					t.Errorf("%s [%s P=%d]: matches differ from direct query", query, engine, par)
-				}
-				if qr.Parallelism < 1 {
-					t.Errorf("%s: granted parallelism %d < 1", query, qr.Parallelism)
-				}
+			want, err := st.Query(query, blas.QueryOptions{Engine: blas.Engine(engine)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// no_result_cache so every combo actually executes.
+			status, qr, errMsg := postQuery(t, ts.URL, QueryRequest{
+				Query: query, Engine: engine, NoResultCache: true,
+			})
+			if status != http.StatusOK {
+				t.Fatalf("%s [%s]: status %d: %s", query, engine, status, errMsg)
+			}
+			if qr.Count != len(want.Matches) {
+				t.Fatalf("%s [%s]: count %d, direct %d", query, engine, qr.Count, len(want.Matches))
+			}
+			if !reflect.DeepEqual(qr.Matches, want.Matches) && len(want.Matches) > 0 {
+				t.Errorf("%s [%s]: matches differ from direct query", query, engine)
 			}
 		}
 	}
@@ -331,13 +326,13 @@ func TestQueryWireMatchesQueryResponse(t *testing.T) {
 		}
 		for _, cached := range []bool{false, true} {
 			const query = `/q[a="<&>"]`
-			prefix, raw, suffix, err := queryBody(query, enc, wireTail{Cached: cached, PlanCached: true, PlanNs: 5, Parallelism: 2})
+			prefix, raw, suffix, err := queryBody(query, enc, wireTail{Cached: cached, PlanCached: true, PlanNs: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := slices.Concat(prefix, raw, suffix)
 			var want bytes.Buffer
-			if err := json.NewEncoder(&want).Encode(QueryResponse{Query: query, Count: len(matches), Matches: asArray, Stats: stats, Cached: cached, PlanCached: true, PlanNs: 5, Parallelism: 2}); err != nil {
+			if err := json.NewEncoder(&want).Encode(QueryResponse{Query: query, Count: len(matches), Matches: asArray, Stats: stats, Cached: cached, PlanCached: true, PlanNs: 5}); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want.Bytes()) {
@@ -534,54 +529,6 @@ func TestServerQueryTimeout(t *testing.T) {
 	}
 }
 
-// TestServerParallelismBudget checks one request cannot claim more
-// workers than the global budget holds, and that the grant is reported.
-func TestServerParallelismBudget(t *testing.T) {
-	st := buildStore(t, testDoc)
-	srv, ts := newTestServer(t, st, Config{ParallelismBudget: 2})
-	status, qr, errMsg := postQuery(t, ts.URL, QueryRequest{Query: "/catalog/book/title", Parallelism: 64, NoResultCache: true})
-	if status != http.StatusOK {
-		t.Fatalf("status %d: %s", status, errMsg)
-	}
-	if qr.Parallelism != 2 {
-		t.Errorf("granted %d workers from a budget of 2", qr.Parallelism)
-	}
-	m := srv.Metrics()
-	if m.Clamped != 1 {
-		t.Errorf("clamped = %d, want 1", m.Clamped)
-	}
-	if m.BudgetAvailable != 2 {
-		t.Errorf("budget_available = %d after quiesce, want 2", m.BudgetAvailable)
-	}
-}
-
-// TestServerTwigGrantsOneToken: a twig query runs one goroutine, so it
-// is granted one parallelism token whatever it asks for, and that is not
-// a clamp; a relational query keeps its grant.
-func TestServerTwigGrantsOneToken(t *testing.T) {
-	st := buildStore(t, testDoc)
-	srv, ts := newTestServer(t, st, Config{ParallelismBudget: 8})
-	for _, c := range []struct {
-		engine string
-		want   int
-	}{{"twig", 1}, {"relational", 4}} {
-		status, qr, errMsg := postQuery(t, ts.URL, QueryRequest{Query: "/catalog/book/title", Engine: c.engine, Parallelism: 4, NoResultCache: true})
-		if status != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", c.engine, status, errMsg)
-		}
-		if qr.Parallelism != c.want {
-			t.Errorf("%s: granted %d workers, want %d", c.engine, qr.Parallelism, c.want)
-		}
-	}
-	m := srv.Metrics()
-	if m.Clamped != 0 {
-		t.Errorf("clamped = %d, want 0", m.Clamped)
-	}
-	if m.BudgetAvailable != 8 {
-		t.Errorf("budget_available = %d after quiesce, want 8", m.BudgetAvailable)
-	}
-}
-
 // TestServerStalePlanAfterSwap is the regression test for the
 // generation-keyed plan cache: after the served store is swapped for one
 // with a different labeling scheme, queries must be re-planned against
@@ -661,7 +608,7 @@ func TestServerBadRequests(t *testing.T) {
 		{"empty body", ``, http.StatusBadRequest},
 		{"missing query", `{}`, http.StatusBadRequest},
 		{"bad xpath", `{"query":"///[["}`, http.StatusBadRequest},
-		{"negative parallelism", `{"query":"/catalog","parallelism":-1}`, http.StatusBadRequest},
+		{"removed parallelism field", `{"query":"/catalog","parallelism":2}`, http.StatusBadRequest},
 		{"bad engine", `{"query":"/catalog","engine":"quantum"}`, http.StatusBadRequest},
 		{"bad translator", `{"query":"/catalog","translator":"quantum"}`, http.StatusBadRequest},
 		{"deep nesting", `{"query":"/a` + strings.Repeat("[b", 1000) + strings.Repeat("]", 1000) + `"}`, http.StatusBadRequest},
@@ -758,7 +705,7 @@ func TestServerConcurrencyStress(t *testing.T) {
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 
-	// Client goroutines: mixed engines and parallelism.
+	// Client goroutines: mixed engines.
 	var got429, got503 atomic.Uint64
 	for c := 0; c < 8; c++ {
 		wg.Add(1)
@@ -768,7 +715,7 @@ func TestServerConcurrencyStress(t *testing.T) {
 			for i := 0; !stop.Load(); i++ {
 				q := queries[(c+i)%len(queries)]
 				status, qr, errMsg := postQuery(t, ts.URL, QueryRequest{
-					Query: q, Engine: engines[i%2], Parallelism: i % 3,
+					Query: q, Engine: engines[i%2],
 				})
 				switch status {
 				case http.StatusOK:

@@ -40,9 +40,8 @@
 // selection are k-way merged batch-wise (relstore.MergeBatchesByStart,
 // a pooled buffer per run). Every pooled buffer goes back when its
 // stream or run ends. A query runs exactly one sweep, on the calling
-// goroutine, whatever core.ExecConfig.Parallelism says (the setting
-// only splits the relational engine's D-joins), so its visited elements
-// and page reads depend only on its plan and the data.
+// goroutine, so its visited elements and page reads depend only on its
+// plan and the data.
 //
 // The engine reads every stream element exactly once, which is what the
 // paper's "number of elements read" metric (Figs. 14-18) measures: in
@@ -74,9 +73,10 @@ import (
 
 // Execute is Run with the answer also copied out into
 // core.Result.Records, for callers that read records instead of the
-// view (the benchmark's per-layer pipeline, internal/bench and tests).
+// view (the benchmark's per-layer pipeline and tests). cfg is ignored;
+// it exists only for benchmark/ and goes with ROADMAP item 1(d).
 func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, cfg core.ExecConfig) (*core.Result, error) {
-	res, err := Run(ctx, st, p, cfg)
+	res, err := Run(ctx, st, p)
 	if err != nil {
 		return nil, err
 	}
@@ -91,15 +91,9 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, cfg
 // do: a KnownEmpty plan skips stream preparation entirely, and a stream
 // that resolves to zero P-label runs skips the sweep and merge.
 // Statistics accumulate in ctx (nil discards them); one ctx per call
-// makes concurrent Run calls over one store safe.
-//
-// The sweep runs on the calling goroutine and starts no other.
-// cfg.Parallelism does not change it; a negative value is rejected, as
-// on the relational engine.
-func Run(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, cfg core.ExecConfig) (*core.Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("twig: %w", err)
-	}
+// makes concurrent Run calls over one store safe. The sweep runs on
+// the calling goroutine and starts no other.
+func Run(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical) (*core.Result, error) {
 	lp := p.Logical
 	if p.KnownEmpty || lp.Empty() {
 		return &core.Result{EarlyTerminated: p.ProbedEmpty()}, nil

@@ -2,6 +2,7 @@ package twig
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -208,5 +209,132 @@ func TestEmptyPlan(t *testing.T) {
 	}
 	if len(res.Records) != 0 {
 		t.Fatal("expected empty result")
+	}
+}
+
+// TestTwigConcurrentExecutes races many concurrent Execute calls over
+// one store (meant for -race): per-query contexts must not interfere,
+// and every call must return the answer of a lone call.
+func TestTwigConcurrentExecutes(t *testing.T) {
+	rnd := rand.New(rand.NewSource(31337))
+	p := enginetest.DefaultDocParams()
+	tree := enginetest.RandomDoc(rnd, p)
+	st, err := core.BuildFromTree(tree, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	type job struct {
+		plan *translate.Plan
+		want []uint32
+	}
+	var jobs []job
+	for len(jobs) < 4 {
+		query := enginetest.RandomQuery(rnd, p)
+		tr, _ := translate.ByName("pushup")
+		plan, err := tr(translate.Context{Scheme: st.Scheme(), Schema: st.Schema()}, xpath.MustParse(query))
+		if err != nil {
+			continue
+		}
+		res, err := Execute(nil, st, planner.Fixed(plan), core.ExecConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Records) == 0 {
+			continue
+		}
+		jobs = append(jobs, job{plan: plan, want: res.Starts()})
+	}
+
+	const goroutines = 6
+	const iterations = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < iterations; i++ {
+				j := jobs[(g+i)%len(jobs)]
+				ctx := relstore.NewExecContext()
+				res, err := Execute(ctx, st, planner.Fixed(j.plan), core.ExecConfig{})
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !enginetest.StartsEqual(res.Starts(), j.want) {
+					errs <- &mismatchError{}
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+type mismatchError struct{}
+
+func (*mismatchError) Error() string { return "concurrent twig execute diverged from a lone one" }
+
+// TestDeepSharedPrefixFold folds leaves whose shared prefix binds more
+// than eight nodes, each prefix matching several solutions of the next
+// leaf, and checks the result against the reference evaluator and the
+// relational engine.
+func TestDeepSharedPrefixFold(t *testing.T) {
+	rnd := rand.New(rand.NewSource(8))
+	doc := xmltree.New("r")
+	for a := 0; a < 12; a++ {
+		n := doc.AppendNew("a")
+		for _, tag := range []string{"b", "c", "d", "e", "f", "g", "h"} {
+			n = n.AppendNew(tag)
+		}
+		for i := 0; i < 4; i++ {
+			in := n.AppendNew("i")
+			for _, tag := range []string{"j", "k", "l"} {
+				for c := rnd.Intn(4); c > 0; c-- {
+					in.AppendText(tag, tag)
+				}
+			}
+		}
+	}
+	st, err := core.BuildFromTree(doc, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, query := range []string{"//a/b/c/d/e/f/g/h/i[j]/k", "//a/b/c/d/e/f/g/h/i[j][l]/k"} {
+		want, err := enginetest.EvalStarts(doc, query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) < 20 {
+			t.Fatalf("%s: only %d results — fixture too small", query, len(want))
+		}
+		for _, tr := range []translate.Translator{translate.Baseline, translate.Split} {
+			plan, err := tr(ctxFor(st), xpath.MustParse(query))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel, err := relengine.Execute(nil, st, planner.Fixed(plan), relengine.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !enginetest.StartsEqual(rel.Starts(), want) {
+				t.Fatalf("%s: relational engine disagrees with the reference", query)
+			}
+			res, err := Execute(nil, st, planner.Fixed(plan), core.ExecConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Starts(); !enginetest.StartsEqual(got, want) {
+				t.Fatalf("%s: got %s\nwant %s\nplan:\n%s", query,
+					enginetest.FormatStarts(got), enginetest.FormatStarts(want), plan)
+			}
+		}
 	}
 }

@@ -18,11 +18,11 @@ func phaseSum(p *PhaseBreakdown) time.Duration {
 	return p.Parse + p.Translate + p.Scan + p.Join + p.Sweep + p.Finalize
 }
 
-// TestTracePhasesSumToElapsed runs traced queries on both engines at
-// sequential and parallel settings and requires the phase spans to tile
-// the reported latency: the sum must not exceed Elapsed (beyond clock
-// noise), and the uninstrumented residual must stay a small fraction of
-// it. No query records sweep partitions at any setting.
+// TestTracePhasesSumToElapsed runs traced queries on both engines and
+// requires the phase spans to tile the reported latency: the sum must
+// not exceed Elapsed (beyond clock noise), and the uninstrumented
+// residual must stay a small fraction of it. No query records sweep
+// partitions.
 func TestTracePhasesSumToElapsed(t *testing.T) {
 	st, err := BuildFromString(concurrencyDoc(), Options{})
 	if err != nil {
@@ -35,52 +35,50 @@ func TestTracePhasesSumToElapsed(t *testing.T) {
 		`//entry[reference//year="1995"]//name`,
 	}
 	for _, engine := range []Engine{EngineRelational, EngineTwig} {
-		for _, par := range []int{1, 4} {
-			for _, q := range queries {
-				res, err := st.Query(q, QueryOptions{Engine: engine, Parallelism: par, Trace: true})
-				if err != nil {
-					t.Fatalf("%s P=%d %s: %v", engine, par, q, err)
+		for _, q := range queries {
+			res, err := st.Query(q, QueryOptions{Engine: engine, Trace: true})
+			if err != nil {
+				t.Fatalf("%s %s: %v", engine, q, err)
+			}
+			s := res.Stats
+			if s.Phases == nil {
+				t.Fatalf("%s %s: Trace requested but Phases is nil", engine, q)
+			}
+			if s.Elapsed != s.PlanElapsed+s.ExecElapsed {
+				t.Errorf("%s %s: elapsed %v != plan %v + exec %v",
+					engine, q, s.Elapsed, s.PlanElapsed, s.ExecElapsed)
+			}
+			sum := phaseSum(s.Phases)
+			residual := s.Elapsed - sum
+			if residual < -time.Millisecond {
+				t.Errorf("%s %s: phase sum %v exceeds elapsed %v", engine, q, sum, s.Elapsed)
+			}
+			maxResidual := s.Elapsed / 4
+			if maxResidual < 10*time.Millisecond {
+				maxResidual = 10 * time.Millisecond
+			}
+			if residual > maxResidual {
+				t.Errorf("%s %s: uninstrumented residual %v of elapsed %v (phases %+v)",
+					engine, q, residual, s.Elapsed, *s.Phases)
+			}
+			if planned := s.Phases.Parse + s.Phases.Translate; planned > s.PlanElapsed+time.Millisecond {
+				t.Errorf("%s %s: parse+translate %v > plan elapsed %v", engine, q, planned, s.PlanElapsed)
+			}
+			switch engine {
+			case EngineRelational:
+				if s.Phases.Sweep != 0 {
+					t.Errorf("relational query recorded twig phases: %+v", *s.Phases)
 				}
-				s := res.Stats
-				if s.Phases == nil {
-					t.Fatalf("%s P=%d %s: Trace requested but Phases is nil", engine, par, q)
+				if s.Phases.Scan <= 0 {
+					t.Errorf("relational %s: no scan span recorded", q)
 				}
-				if s.Elapsed != s.PlanElapsed+s.ExecElapsed {
-					t.Errorf("%s P=%d %s: elapsed %v != plan %v + exec %v",
-						engine, par, q, s.Elapsed, s.PlanElapsed, s.ExecElapsed)
+			case EngineTwig:
+				if s.Phases.Sweep <= 0 {
+					t.Errorf("twig %s: no sweep span recorded", q)
 				}
-				sum := phaseSum(s.Phases)
-				residual := s.Elapsed - sum
-				if residual < -time.Millisecond {
-					t.Errorf("%s P=%d %s: phase sum %v exceeds elapsed %v", engine, par, q, sum, s.Elapsed)
-				}
-				maxResidual := s.Elapsed / 4
-				if maxResidual < 10*time.Millisecond {
-					maxResidual = 10 * time.Millisecond
-				}
-				if residual > maxResidual {
-					t.Errorf("%s P=%d %s: uninstrumented residual %v of elapsed %v (phases %+v)",
-						engine, par, q, residual, s.Elapsed, *s.Phases)
-				}
-				if planned := s.Phases.Parse + s.Phases.Translate; planned > s.PlanElapsed+time.Millisecond {
-					t.Errorf("%s P=%d %s: parse+translate %v > plan elapsed %v", engine, par, q, planned, s.PlanElapsed)
-				}
-				switch engine {
-				case EngineRelational:
-					if s.Phases.Sweep != 0 {
-						t.Errorf("relational query recorded twig phases: %+v", *s.Phases)
-					}
-					if s.Phases.Scan <= 0 {
-						t.Errorf("relational P=%d %s: no scan span recorded", par, q)
-					}
-				case EngineTwig:
-					if s.Phases.Sweep <= 0 {
-						t.Errorf("twig P=%d %s: no sweep span recorded", par, q)
-					}
-				}
-				if len(s.Phases.Partitions) != 0 {
-					t.Errorf("%s P=%d %s recorded partitions: %v", engine, par, q, s.Phases.Partitions)
-				}
+			}
+			if len(s.Phases.Partitions) != 0 {
+				t.Errorf("%s %s recorded partitions: %v", engine, q, s.Phases.Partitions)
 			}
 		}
 	}

@@ -1,6 +1,6 @@
 // Serving-tier integration tests: the HTTP server must return exactly
 // what direct Store.Query returns on the paper corpus, for both engines
-// at every parallelism — and the plan cache must make warm queries pay
+// — and the plan cache must make warm queries pay
 // zero planning time. External test package: internal/server imports
 // repro, so these tests must sit outside package blas.
 package blas_test
@@ -85,24 +85,16 @@ func TestServerMatchesDirectOnCorpus(t *testing.T) {
 			defer ts.Close()
 			for _, query := range queriesByDataset[ds] {
 				for _, engine := range []blas.Engine{blas.EngineRelational, blas.EngineTwig} {
-					var baseline []blas.Match
-					for _, par := range []int{1, 4} {
-						want, err := st.Query(query, blas.QueryOptions{Engine: engine, Parallelism: par})
-						if err != nil {
-							t.Fatalf("%s [%s P=%d] direct: %v", query, engine, par, err)
-						}
-						qr := serverQuery(t, ts.URL, server.QueryRequest{
-							Query: query, Engine: string(engine), Parallelism: par, NoResultCache: true,
-						})
-						if qr.Count != len(want.Matches) || !reflect.DeepEqual(qr.Matches, want.Matches) {
-							t.Errorf("%s [%s P=%d]: server returned %d matches, direct query %d — results must be identical",
-								query, engine, par, qr.Count, len(want.Matches))
-						}
-						if baseline == nil {
-							baseline = qr.Matches
-						} else if !reflect.DeepEqual(baseline, qr.Matches) {
-							t.Errorf("%s [%s]: served results differ across parallelism levels", query, engine)
-						}
+					want, err := st.Query(query, blas.QueryOptions{Engine: engine})
+					if err != nil {
+						t.Fatalf("%s [%s] direct: %v", query, engine, err)
+					}
+					qr := serverQuery(t, ts.URL, server.QueryRequest{
+						Query: query, Engine: string(engine), NoResultCache: true,
+					})
+					if qr.Count != len(want.Matches) || !reflect.DeepEqual(qr.Matches, want.Matches) {
+						t.Errorf("%s [%s]: server returned %d matches, direct query %d — results must be identical",
+							query, engine, qr.Count, len(want.Matches))
 					}
 				}
 				// Warm path: the plan is now cached; a repeat execution must
