@@ -13,6 +13,7 @@ import (
 	"repro/internal/relstore"
 	"repro/internal/translate"
 	"repro/internal/twig"
+	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
@@ -172,5 +173,48 @@ func TestScalingIsLinearInResults(t *testing.T) {
 	}
 	if results[2] < results[1]*3/2 {
 		t.Errorf("results did not scale: %d -> %d", results[1], results[2])
+	}
+}
+
+// TestWildcardMatchesElementsOnly: XPath's * selects elements, never
+// attributes. Every translator on both engines must agree with the
+// reference evaluator on wildcard steps over a document with
+// attributes — unfold (and so auto) expands * over the schema graph,
+// whose edges include attribute tags, and the other translators read
+// SD's element-tag runs.
+func TestWildcardMatchesElementsOnly(t *testing.T) {
+	const doc = `<a id="1"><b id="2"><c/></b><b/></a>`
+	tree, err := xmltree.ParseString(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := BuildFromString(doc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, q := range []string{"/a/*", "/a/b/*", "//b/*", "//*", "/a//*"} {
+		want, err := enginetest.EvalStarts(tree, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s has no answers; the case would check nothing", q)
+		}
+		for _, tr := range []Translator{TranslatorAuto, TranslatorDLabel, TranslatorSplit, TranslatorPushUp, TranslatorUnfold} {
+			for _, eng := range []Engine{EngineRelational, EngineTwig} {
+				res, err := st.Query(q, QueryOptions{Translator: tr, Engine: eng})
+				if err != nil {
+					t.Fatalf("%s [%s, %s]: %v", q, tr, eng, err)
+				}
+				got := make([]uint32, len(res.Matches))
+				for i, m := range res.Matches {
+					got[i] = m.Start
+				}
+				if !enginetest.StartsEqual(got, want) {
+					t.Errorf("%s [%s, %s] = %s, want %s", q, tr, eng, enginetest.FormatStarts(got), enginetest.FormatStarts(want))
+				}
+			}
+		}
 	}
 }

@@ -50,80 +50,70 @@ func (r *Result) Starts() []uint32 {
 // relational engine drains each fragment with Collect, the twig engine's
 // sweep reads each through Open.
 //
-// Preparation resolves the access path before any record is read — in
-// particular the distinct P-label runs of a range selection (a skip
-// scan over the cluster index) — so Open descends the index once per
-// run.
+// Every selection is a list of cluster runs: P-labels on SP for an
+// equality, set or range selection, tag ids on SD for a tag selection or
+// a wildcard (every element tag; attributes are never read).
+// Preparation resolves the list before any record is read — for a range
+// selection, by a skip scan over the cluster index — so Open descends
+// the index once per run and merges the runs by start.
 type FragmentStream struct {
 	st      *Store
-	frag    *translate.Fragment
-	plabels []uint128.Uint128 // resolved runs of a range selection
+	plabels []uint128.Uint128 // SP runs
+	tags    []uint32          // SD runs
 	// Filter holds the fragment's local predicates, which Open does not
 	// apply and Collect does.
 	Filter RecFilter
 }
 
-// PrepareFragmentStream resolves fragment f's access path against the
-// store. The skip scan for range selections is accounted to ctx (index
-// pages only — no records are fetched).
+// PrepareFragmentStream resolves fragment f's access path into its
+// cluster runs. The skip scan for range selections is accounted to ctx
+// (index pages only — no records are fetched).
 func (s *Store) PrepareFragmentStream(ctx *relstore.ExecContext, f *translate.Fragment) (*FragmentStream, error) {
-	fs := &FragmentStream{st: s, frag: f, Filter: RecFilter{Value: f.Value, LevelEq: f.LevelEq, ExcludeTags: s.attrTagIDs(f)}}
+	fs := &FragmentStream{st: s, Filter: RecFilter{Value: f.Value, LevelEq: f.LevelEq}}
 	switch f.Access.Kind {
-	case translate.AccessPLabelEq, translate.AccessPLabelSet, translate.AccessTag, translate.AccessAll:
-		// No preparation needed.
+	case translate.AccessPLabelEq:
+		fs.plabels = []uint128.Uint128{f.Access.Range.Lo}
+	case translate.AccessPLabelSet:
+		fs.plabels = f.Access.Labels
 	case translate.AccessPLabelRange:
 		plabels, err := s.sp.DistinctPLabels(ctx, f.Access.Range.Lo, f.Access.Range.Hi)
 		if err != nil {
 			return nil, err
 		}
 		fs.plabels = plabels
+	case translate.AccessTag:
+		fs.tags = []uint32{f.Access.TagID}
+	case translate.AccessAll:
+		fs.tags = s.elemTags
 	default:
 		return nil, fmt.Errorf("core: unknown access kind %v", f.Access.Kind)
 	}
 	return fs, nil
 }
 
-// KnownEmpty reports that the prepared stream can produce no records:
-// a range selection whose skip scan resolved zero P-label runs. Engines
-// use it to terminate early without opening (and sweeping) the plan's
-// other streams.
+// KnownEmpty reports that the prepared stream has no runs, so it can
+// produce no records: a range selection whose skip scan resolved zero
+// P-labels. (A set with no labels never gets here: translation marks
+// it an Empty fragment.) Engines use it to terminate early without
+// opening (and sweeping) the plan's other streams.
 func (fs *FragmentStream) KnownEmpty() bool {
-	return fs.frag.Access.Kind == translate.AccessPLabelRange && len(fs.plabels) == 0
+	return len(fs.plabels)+len(fs.tags) == 0
 }
 
 // Open returns the fragment's records as a batched stream in document
-// (start) order. The fragment-local predicates (fs.Filter) are NOT
-// applied; the caller applies them to the decoded batches.
+// (start) order: one cluster scan per run, merged by start. Each run of
+// a multi-run stream holds a pooled buffer until it is exhausted. The
+// fragment-local predicates (fs.Filter) are NOT applied; the caller
+// applies them to the decoded batches.
 func (fs *FragmentStream) Open(ctx *relstore.ExecContext) (relstore.BatchIter, error) {
-	f := fs.frag
-	switch f.Access.Kind {
-	case translate.AccessPLabelEq:
-		return fs.st.sp.ScanPLabelExactBatch(ctx, f.Access.Range.Lo), nil
-	case translate.AccessPLabelRange:
-		runs := make([]relstore.BatchIter, 0, len(fs.plabels))
-		for _, p := range fs.plabels {
-			runs = append(runs, fs.st.sp.ScanPLabelExactBatch(ctx, p))
-		}
-		if len(runs) == 0 {
-			return emptyBatchIter{}, nil
-		}
-		return relstore.MergeBatchesByStart(runs)
-	case translate.AccessPLabelSet:
-		runs := make([]relstore.BatchIter, 0, len(f.Access.Labels))
-		for _, l := range f.Access.Labels {
-			runs = append(runs, fs.st.sp.ScanPLabelExactBatch(ctx, l))
-		}
-		if len(runs) == 0 {
-			return emptyBatchIter{}, nil
-		}
-		return relstore.MergeBatchesByStart(runs)
-	case translate.AccessTag:
-		return fs.st.sd.ScanTagBatch(ctx, f.Access.TagID), nil
-	case translate.AccessAll:
-		return fs.st.sd.ScanStartOrderBatch(ctx), nil
-	default:
-		return nil, fmt.Errorf("core: unknown access kind %v", f.Access.Kind)
+	runs := make([]relstore.BatchIter, 0, len(fs.plabels)+len(fs.tags))
+	for _, p := range fs.plabels {
+		runs = append(runs, fs.st.sp.ScanPLabelExactBatch(ctx, p))
 	}
+	for _, t := range fs.tags {
+		runs = append(runs, fs.st.sd.ScanTagBatch(ctx, t))
+	}
+	return relstore.MergeBatchesByStart(runs)
 }
 
 // Collect drains the fragment's whole stream into a one-column binding
@@ -148,24 +138,17 @@ func (fs *FragmentStream) Collect(ctx *relstore.ExecContext, batch *relstore.Bat
 	}
 }
 
-// emptyBatchIter is the stream of a selection with no runs.
-type emptyBatchIter struct{}
-
-func (emptyBatchIter) NextBatch([]relstore.Record) (int, error) { return 0, nil }
-
-// RecFilter applies a fragment's local predicates — value equality,
-// exact level, attribute-tag exclusion for wildcards — to decoded
-// record batches. Both engines filter through it so the predicate
-// semantics cannot diverge.
+// RecFilter applies a fragment's local predicates — value equality and
+// exact level — to decoded record batches. Both engines filter through
+// it so the predicate semantics cannot diverge.
 type RecFilter struct {
-	Value       *string
-	LevelEq     uint16
-	ExcludeTags map[uint32]bool
+	Value   *string
+	LevelEq uint16
 }
 
 // Active reports whether the filter can drop any record.
 func (f RecFilter) Active() bool {
-	return f.Value != nil || f.LevelEq != 0 || f.ExcludeTags != nil
+	return f.Value != nil || f.LevelEq != 0
 }
 
 // Apply filters recs in place and returns the kept prefix.
@@ -181,28 +164,7 @@ func (f RecFilter) Apply(recs []relstore.Record) []relstore.Record {
 		if f.LevelEq != 0 && rec.Level != f.LevelEq {
 			continue
 		}
-		if f.ExcludeTags != nil && f.ExcludeTags[rec.TagID] {
-			continue
-		}
 		out = append(out, rec)
 	}
 	return out
-}
-
-// attrTagIDs returns the attribute tag ids a wildcard (AccessAll)
-// fragment must exclude — XPath * matches elements only — or nil when
-// the fragment needs no exclusion.
-func (s *Store) attrTagIDs(f *translate.Fragment) map[uint32]bool {
-	if f.Access.Kind != translate.AccessAll {
-		return nil
-	}
-	m := map[uint32]bool{}
-	for _, tag := range s.Scheme().Tags() {
-		if len(tag) > 0 && tag[0] == '@' {
-			if id, ok := s.TagID(tag); ok {
-				m[id] = true
-			}
-		}
-	}
-	return m
 }

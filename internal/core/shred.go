@@ -276,14 +276,5 @@ func finishBuild(sh *shredder, graph *schema.Graph, opts Options) (*Store, error
 			return nil, err
 		}
 	}
-	st := &Store{
-		scheme: sh.scheme,
-		graph:  graph,
-		sp:     sp,
-		sd:     sd,
-		spFile: spFile,
-		sdFile: sdFile,
-		meta:   meta,
-	}
-	return st, nil
+	return newStore(sh.scheme, graph, sp, sd, spFile, sdFile, meta), nil
 }

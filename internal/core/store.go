@@ -30,6 +30,7 @@ import (
 	"repro/internal/plabel"
 	"repro/internal/relstore"
 	"repro/internal/schema"
+	"repro/internal/xmltree"
 )
 
 // Options configures store construction and opening.
@@ -52,6 +53,9 @@ type Store struct {
 	sdFile *pager.File
 	meta   storeMeta
 	names  nameTable // label -> tag/path strings handed to callers, see Names
+	// elemTags are the element tag ids, ascending: the SD runs a
+	// wildcard fragment merges.
+	elemTags []uint32
 }
 
 type storeMeta struct {
@@ -202,15 +206,27 @@ func assemble(meta storeMeta, spFile, sdFile *pager.File) (*Store, error) {
 		closeBoth(spFile, sdFile)
 		return nil, fmt.Errorf("core: sd.pg has clustering %v", sd.Kind())
 	}
+	return newStore(scheme, g, sp, sd, spFile, sdFile, meta), nil
+}
+
+// newStore assembles a Store from its opened or freshly built parts.
+func newStore(scheme *plabel.Scheme, g *schema.Graph, sp, sd *relstore.Relation, spFile, sdFile *pager.File, meta storeMeta) *Store {
+	var elemTags []uint32
+	for i, tag := range scheme.Tags() {
+		if !xmltree.IsAttrTag(tag) {
+			elemTags = append(elemTags, uint32(i+1))
+		}
+	}
 	return &Store{
-		scheme: scheme,
-		graph:  g,
-		sp:     sp,
-		sd:     sd,
-		spFile: spFile,
-		sdFile: sdFile,
-		meta:   meta,
-	}, nil
+		scheme:   scheme,
+		graph:    g,
+		sp:       sp,
+		sd:       sd,
+		spFile:   spFile,
+		sdFile:   sdFile,
+		meta:     meta,
+		elemTags: elemTags,
+	}
 }
 
 // saveMeta writes meta.json for on-disk stores.

@@ -2,7 +2,7 @@
 // lexicographic order equals the order of the original tuples.
 //
 // All BLAS indexes (the clustered {plabel,start} and {tag,start} keys and
-// the secondary start and data indexes) are B+ trees keyed by byte strings;
+// SP's secondary {data,start} index) are B+ trees keyed by byte strings;
 // this package is the single place where tuple order is defined.
 //
 // Encoding rules:

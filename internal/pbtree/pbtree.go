@@ -274,9 +274,9 @@ func parsePage(buf []byte) page {
 }
 
 // loadPage copies page id out of the pool into a private buffer.
-func (r *Reader) loadPage(id pager.PageID, c *pager.Counters) (*page, error) {
+func (r *Reader) loadPage(id pager.PageID) (*page, error) {
 	buf := make([]byte, pager.PageSize)
-	if err := r.f.ReadCounted(id, buf, c); err != nil {
+	if err := r.f.Read(id, buf); err != nil {
 		return nil, err
 	}
 	p := parsePage(buf)
@@ -341,6 +341,19 @@ func (r *Reader) Get(key []byte) ([]byte, bool, error) {
 // copied out of the pool but the value itself — the cheap way to probe
 // a single position without materializing a leaf.
 func (r *Reader) SeekValue(from, dst []byte, c *pager.Counters) (val []byte, ok bool, err error) {
+	return r.seek(from, dst, c, false)
+}
+
+// SeekKey is SeekValue returning the entry's key instead of its value:
+// the same descent, page reads and in-view copy. A skip scan probes
+// with it for the next distinct key prefix.
+func (r *Reader) SeekKey(from, dst []byte, c *pager.Counters) (key []byte, ok bool, err error) {
+	return r.seek(from, dst, c, true)
+}
+
+// seek copies the key (wantKey) or the value of the first entry with
+// key >= from into dst[:0].
+func (r *Reader) seek(from, dst []byte, c *pager.Counters, wantKey bool) ([]byte, bool, error) {
 	id := r.tree.Root
 	for {
 		var found, exhausted bool
@@ -373,7 +386,11 @@ func (r *Reader) SeekValue(from, dst []byte, c *pager.Counters) (val []byte, ok 
 				next = p.next
 				return nil
 			}
-			dst = append(dst[:0], p.value(i)...)
+			if wantKey {
+				dst = append(dst[:0], p.key(i)...)
+			} else {
+				dst = append(dst[:0], p.value(i)...)
+			}
 			found = true
 			return nil
 		})
@@ -547,7 +564,6 @@ func (r *Reader) EstimateRange(from, to []byte, c *pager.Counters) (uint64, erro
 // Iter iterates entries in key order.
 type Iter struct {
 	r    *Reader
-	c    *pager.Counters // per-caller page accounting, may be nil
 	p    *page
 	idx  int
 	to   []byte // exclusive; nil = unbounded
@@ -558,16 +574,12 @@ type Iter struct {
 }
 
 // Scan returns an iterator over keys in [from, to). A nil from starts at
-// the smallest key; nil to means unbounded.
+// the smallest key; nil to means unbounded. It copies each leaf it
+// visits out of the pool, and its page reads go uncounted: it is the
+// reference reader the seek and estimate probes are tested against.
 func (r *Reader) Scan(from, to []byte) *Iter {
-	return r.ScanCounted(from, to, nil)
-}
-
-// ScanCounted is Scan with per-caller page accounting: every page the
-// scan touches (descent and leaf chain) is also recorded in c.
-func (r *Reader) ScanCounted(from, to []byte, c *pager.Counters) *Iter {
-	it := &Iter{r: r, c: c, to: to}
-	p, err := r.leafFor(from, c)
+	it := &Iter{r: r, to: to}
+	p, err := r.leafFor(from, nil)
 	if err == nil {
 		i := 0
 		if from != nil {
@@ -582,22 +594,6 @@ func (r *Reader) ScanCounted(from, to []byte, c *pager.Counters) *Iter {
 	return it
 }
 
-// ScanPrefix returns an iterator over all keys that start with prefix.
-func (r *Reader) ScanPrefix(prefix []byte) *Iter {
-	return r.Scan(prefix, prefixSuccessor(prefix))
-}
-
-func prefixSuccessor(p []byte) []byte {
-	out := append([]byte(nil), p...)
-	for i := len(out) - 1; i >= 0; i-- {
-		if out[i] != 0xFF {
-			out[i]++
-			return out[:i+1]
-		}
-	}
-	return nil
-}
-
 // Next advances the iterator. It returns false at the end of the range or
 // on error; check Err afterwards.
 func (it *Iter) Next() bool {
@@ -610,7 +606,7 @@ func (it *Iter) Next() bool {
 			return false
 		}
 		var err error
-		it.p, err = it.r.loadPage(it.p.next, it.c)
+		it.p, err = it.r.loadPage(it.p.next)
 		if err != nil {
 			it.err = err
 			return false

@@ -170,38 +170,6 @@ func TestRangeScan(t *testing.T) {
 	}
 }
 
-func TestScanPrefix(t *testing.T) {
-	f := pager.OpenMem(64)
-	defer f.Close()
-	b := NewBuilder(f)
-	words := []string{"app", "apple", "apply", "banana", "band", "banish"}
-	sort.Strings(words)
-	for i, w := range words {
-		if err := b.Add([]byte(w), val(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tree, err := b.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewReader(f, tree)
-	it := r.ScanPrefix([]byte("ban"))
-	var got []string
-	for it.Next() {
-		got = append(got, string(it.Key()))
-	}
-	want := []string{"banana", "band", "banish"}
-	if len(got) != len(want) {
-		t.Fatalf("prefix scan got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("prefix scan got %v, want %v", got, want)
-		}
-	}
-}
-
 func TestRejectsUnsortedKeys(t *testing.T) {
 	f := pager.OpenMem(16)
 	defer f.Close()

@@ -10,7 +10,9 @@ import (
 // TestSeekValueSweep probes every position of a multi-leaf tree three
 // ways: the exact key, a key strictly between it and its successor
 // (which at leaf boundaries forces the follow-next-leaf path), and the
-// smallest entry via a nil from.
+// smallest entry via a nil from. SeekKey, the same descent, must return
+// the key of the entry SeekValue returns the value of, with the same
+// page requests.
 func TestSeekValueSweep(t *testing.T) {
 	f := pager.OpenMem(256)
 	defer f.Close()
@@ -46,6 +48,15 @@ func TestSeekValueSweep(t *testing.T) {
 			}
 		} else if !ok || !bytes.Equal(dst, val(i+1)) {
 			t.Fatalf("SeekValue(between %d and %d) = %q, %v; want successor %q", i, i+1, dst, ok, val(i+1))
+		}
+		var vc, kc pager.Counters
+		_, vok, _ := r.SeekValue(between, nil, &vc)
+		k, kok, err := r.SeekKey(between, nil, &kc)
+		if err != nil || kok != vok || (kok && !bytes.Equal(k, key(i+1))) {
+			t.Fatalf("SeekKey(between %d and %d) = %q, %v, %v; want %q, %v", i, i+1, k, kok, err, key(i+1), vok)
+		}
+		if kc.Reads.Load() != vc.Reads.Load() {
+			t.Fatalf("SeekKey(between %d and %d) made %d page requests, SeekValue %d", i, i+1, kc.Reads.Load(), vc.Reads.Load())
 		}
 	}
 }

@@ -16,8 +16,8 @@ func TestHotpathAnnotations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || !got["mergeJoinChunk"] {
-		t.Errorf("//blas:hotpath set = %v, want exactly [mergeJoinChunk]: annotate new hot functions here and add an allocation guard for them", got)
+	if len(got) != 1 || !got["mergeJoin"] {
+		t.Errorf("//blas:hotpath set = %v, want exactly [mergeJoin]: annotate new hot functions here and add an allocation guard for them", got)
 	}
 }
 
@@ -37,7 +37,7 @@ func TestMergeJoinAllocatesPerChunk(t *testing.T) {
 	}
 	in := &joinInput{rows: core.Rows(n), anc: bindingsOf(ancs, false), descs: bindingsOf(descs, true), j: translate.Join{Gap: 1, Exact: true}}
 	var out core.Tuples[int32]
-	allocs := testing.AllocsPerRun(5, func() { out = mergeJoinChunk(in, 0, n, 0, len(descs)) })
+	allocs := testing.AllocsPerRun(5, func() { out = mergeJoin(in) })
 	if out.Len() != len(descs) {
 		t.Fatalf("%d joined rows, want %d", out.Len(), len(descs))
 	}

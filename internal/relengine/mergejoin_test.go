@@ -14,7 +14,7 @@ import (
 )
 
 // perTupleMergeJoin is the reference D-join the row-based
-// mergeJoinChunk must reproduce pair for pair: the same stack sweep over
+// mergeJoin must reproduce pair for pair: the same stack sweep over
 // start-sorted inputs, on record tuples, allocating one slice per tuple.
 func perTupleMergeJoin(tuples [][]relstore.Record, ancCol int, descs []relstore.Record, j translate.Join) [][]relstore.Record {
 	sort.SliceStable(tuples, func(a, b int) bool { return tuples[a][ancCol].Start < tuples[b][ancCol].Start })
@@ -51,9 +51,10 @@ func bindingsOf(recs []relstore.Record, ret bool) *core.Bindings {
 }
 
 // TestStructuralMergeJoinChunking exercises the row-based join
-// (structuralMergeJoin over one mergeJoinChunk) directly with synthetic
-// nested intervals: the merge must equal the per-tuple reference join
-// tuple for tuple, in order, once its id rows are resolved to records,
+// (mergeJoin, whose output arena grows a chunk at a time) directly with
+// synthetic nested intervals: the merge must equal the per-tuple
+// reference join tuple for tuple, in order, once its id rows are
+// resolved to records,
 // and the nested-loop join must produce exactly the same tuples in its
 // own order — with either input, or neither, held as the return
 // fragment's record arena.
@@ -126,7 +127,7 @@ func TestStructuralMergeJoinChunking(t *testing.T) {
 				in := &joinInput{rows: rows, ancCol: 1, anc: bindingsOf(ancs, ret == 1), descs: bindingsOf(descs, ret == 2), j: j}
 				var joined core.Tuples[int32]
 				if join == MergeJoin {
-					joined = structuralMergeJoin(in)
+					joined = mergeJoin(in)
 				} else {
 					joined = nestedLoopJoin(in)
 				}

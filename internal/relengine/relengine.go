@@ -139,7 +139,7 @@ func Run(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, join Jo
 		case NestedLoopJoin:
 			rows = nestedLoopJoin(&in)
 		default:
-			rows = structuralMergeJoin(&in)
+			rows = mergeJoin(&in)
 		}
 		cols[j.Desc] = len(cols)
 		if rows.Len() == 0 {
@@ -225,41 +225,35 @@ func orderAt(perm []int32, k int) int32 {
 	return perm[k]
 }
 
-// structuralMergeJoin extends each row with the descendants of its
-// ancCol binding. Both inputs are put in start order — as permutations
-// of row and descendant ids, never copies — then merged with a stack of
-// open ancestors: amortized linear plus output.
-func structuralMergeJoin(in *joinInput) core.Tuples[int32] {
-	n, nd := in.rows.Len(), in.descs.Len()
-	in.rowOrder = core.SortedBy(n, func(i int) uint32 { return in.ancSpan(int32(i)).Start })
-	// Fragment streams deliver bindings in start order, so the
-	// descendant check usually finds them in place; rows carried
-	// through earlier joins are in those joins' order.
-	in.descOrder = core.SortedBy(nd, func(i int) uint32 { return in.descs.SpanAt(i).Start })
-	return mergeJoinChunk(in, 0, n, 0, nd)
-}
-
 // openAnc is an ancestor row on the merge stack, with its binding.
 type openAnc struct {
 	row  int32
 	span core.Span
 }
 
-// mergeJoinChunk runs the stack-based structural merge sweep over the
-// rows at positions [lo, hi) of the ancestor start order and the
-// descendants at positions [dlo, dhi) of theirs, and returns the joined
-// rows: an input row extended by one descendant id.
+// mergeJoin extends each row with the descendants of its ancCol
+// binding, and returns the joined rows: an input row extended by one
+// descendant id. Both inputs are put in start order — as permutations
+// of row and descendant ids, never copies — then merged with a stack of
+// open ancestors: amortized linear plus output.
 //
 //blas:hotpath
-func mergeJoinChunk(in *joinInput, lo, hi, dlo, dhi int) core.Tuples[int32] {
+func mergeJoin(in *joinInput) core.Tuples[int32] {
+	n, nd := in.rows.Len(), in.descs.Len()
+	in.rowOrder = core.SortedBy(n, func(i int) uint32 { return in.ancSpan(int32(i)).Start })
+	// Fragment streams deliver bindings in start order, so the
+	// descendant check usually finds them in place; rows carried
+	// through earlier joins are in those joins' order.
+	in.descOrder = core.SortedBy(nd, func(i int) uint32 { return in.descs.SpanAt(i).Start })
+
 	out := core.NewTuples[int32](in.rows.Stride + 1)
 	var stack []openAnc // outermost first
 	var desc [1]int32
-	ti := lo
-	for dk := dlo; dk < dhi; dk++ {
+	ti := 0
+	for dk := 0; dk < nd; dk++ {
 		did, d := in.desc(dk)
 		// Open all ancestor rows that start before d.
-		for ; ti < hi; ti++ {
+		for ; ti < n; ti++ {
 			r := in.row(ti)
 			a := in.ancSpan(r)
 			if a.Start >= d.Start {

@@ -5,9 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/keyenc"
-	"repro/internal/obs"
 	"repro/internal/pager"
-	"repro/internal/pbtree"
 	"repro/internal/uint128"
 )
 
@@ -111,82 +109,6 @@ func (b *Batch) Release() {
 	idleBatches.Unlock()
 }
 
-// fetchBatch decodes the records addressed by locs into dst (len(dst)
-// must equal len(locs)). Runs of consecutive locators on the same heap
-// page are decoded under one pager view, and runs of consecutive slots
-// within it with one column-group pass each: the pool is consulted once
-// per page run, not once per record. Every decoded record is accounted
-// to ctx.
-//
-//blas:hotpath
-func (r *Relation) fetchBatch(ctx *ExecContext, locs []Locator, dst []Record) error {
-	tr := ctx.Trace()
-	for i := 0; i < len(locs); {
-		j := i + 1
-		for j < len(locs) && locs[j].Page == locs[i].Page {
-			j++
-		}
-		lo, hi := i, j
-		err := r.f.ViewCounted(locs[lo].Page, ctx.pageCounters(), func(p []byte) error {
-			begin := tr.Begin()
-			for k := lo; k < hi; {
-				m := k + 1
-				for m < hi && locs[m].Slot == locs[m-1].Slot+1 {
-					m++
-				}
-				s := int(locs[k].Slot)
-				if err := decodeColSlots(p, r.meta.kind, s, s+(m-k), dst[k:m]); err != nil {
-					return err
-				}
-				k = m
-			}
-			tr.End(obs.PhaseDecode, begin)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		ctx.addVisitedN(uint64(hi - lo))
-		tr.AddDecoded(hi - lo)
-		i = j
-	}
-	return nil
-}
-
-// indexBatchIter drains a start-index scan in locator batches and
-// decodes them with fetchBatch.
-type indexBatchIter struct {
-	r    *Relation
-	ctx  *ExecContext
-	it   *pbtree.Iter
-	locs []Locator
-	done bool
-}
-
-func (b *indexBatchIter) NextBatch(dst []Record) (int, error) {
-	if b.done || len(dst) == 0 {
-		return 0, nil
-	}
-	locs := b.locs[:0]
-	for len(locs) < len(dst) && b.it.Next() {
-		locs = append(locs, decodeLocator(b.it.Value()))
-	}
-	b.locs = locs
-	if len(locs) < len(dst) {
-		b.done = true
-		if err := b.it.Err(); err != nil {
-			return 0, err
-		}
-	}
-	if len(locs) == 0 {
-		return 0, nil
-	}
-	if err := b.r.fetchBatch(b.ctx, locs, dst[:len(locs)]); err != nil {
-		return 0, err
-	}
-	return len(locs), nil
-}
-
 // ScanAllBatch iterates every record in cluster-key order. The index is
 // probed for exactly one position (the first entry); the scan then walks
 // the heap pages directly.
@@ -206,12 +128,6 @@ func (r *Relation) ScanPLabelExactBatch(ctx *ExecContext, p uint128.Uint128) Bat
 // order, the same way. The relation must be tag-clustered.
 func (r *Relation) ScanTagBatch(ctx *ExecContext, tagID uint32) BatchIter {
 	return r.seekHeapRun(ctx, keyenc.Uint32(tagID), uint128.Uint128{}, tagID, false)
-}
-
-// ScanStartOrderBatch iterates every record in document (start) order
-// via the start index.
-func (r *Relation) ScanStartOrderBatch(ctx *ExecContext) BatchIter {
-	return &indexBatchIter{r: r, ctx: ctx, it: r.startIdx.ScanCounted(nil, nil, ctx.pageCounters())}
 }
 
 // --- k-way batch merge ---
@@ -240,10 +156,11 @@ func (r *mergeBatchRun) refill() (bool, error) {
 }
 
 // MergeBatchesByStart combines start-ordered batched streams into one
-// start-ordered batched stream (k-way heap merge). Start positions are
-// unique document positions, so the merge order is total. It builds the
-// document-order streams of P-label set and range fragments, whose
-// selections span several cluster runs. Each run reads into a pooled
+// start-ordered batched stream (k-way heap merge); no runs make an
+// empty stream. Start positions are unique document positions, so the
+// merge order is total. It builds the document-order stream of every
+// fragment whose selection spans several cluster runs: a P-label set or
+// range on SP, every element tag on SD. Each run reads into a pooled
 // buffer of its own, so no run splits a page, and gives it back when
 // the run is exhausted.
 func MergeBatchesByStart(runs []BatchIter) (BatchIter, error) {

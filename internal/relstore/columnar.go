@@ -254,9 +254,9 @@ func colRunAt(p []byte, kind Clustering, ri int) (colRun, error) {
 // loop; records before a are walked (their deltas position the cursors)
 // but never stored. A heap-run scan with a BatchSize buffer always
 // starts at a = 0, so that prefix walk happens only for scans read with
-// smaller buffers, which resume mid-run, and for fetchBatch. Strings
-// are copied out of the page, so nothing in dst references the pager
-// frame after the caller's view ends.
+// smaller buffers, which resume mid-run. Strings are copied out of the
+// page, so nothing in dst references the pager frame after the caller's
+// view ends.
 //
 //blas:hotpath
 func decodeRunRecords(p []byte, kind Clustering, run colRun, a, b int, dst []Record) error {
@@ -342,45 +342,6 @@ func decodeRunRecords(p []byte, kind Clustering, run colRun, a, b int, dst []Rec
 			dst[i-a].PLabel = uint128.FromBytes(p[run.plabels+16*i:])
 			dst[i-a].TagID = run.tagID
 		}
-	}
-	return nil
-}
-
-// decodeColSlots decodes page slots [lo, hi) of a columnar page into
-// dst[0 : hi-lo], walking the run directory and decoding each run's
-// overlap. A directory whose runs leave any of those slots uncovered is
-// corrupt.
-//
-//blas:hotpath
-func decodeColSlots(p []byte, kind Clustering, lo, hi int, dst []Record) error {
-	nrecs, nruns, err := colPageCounts(p)
-	if err != nil {
-		return err
-	}
-	if lo < 0 || hi > nrecs || lo > hi {
-		return fmt.Errorf("relstore: slots [%d, %d) out of range on columnar page (%d records)", lo, hi, nrecs)
-	}
-	origLo := lo
-	for ri := 0; ri < nruns && lo < hi; ri++ {
-		run, err := colRunAt(p, kind, ri)
-		if err != nil {
-			return err
-		}
-		if run.firstSlot+run.count <= lo {
-			continue
-		}
-		if run.firstSlot > lo {
-			return fmt.Errorf("relstore: corrupt columnar page: run %d starts at slot %d, slot %d is in no run", ri, run.firstSlot, lo)
-		}
-		a := lo - run.firstSlot
-		b := min(hi-run.firstSlot, run.count)
-		if err := decodeRunRecords(p, kind, run, a, b, dst[lo-origLo:lo-origLo+(b-a)]); err != nil {
-			return err
-		}
-		lo = run.firstSlot + b
-	}
-	if lo < hi {
-		return fmt.Errorf("relstore: corrupt columnar page: slot %d is in no run", lo)
 	}
 	return nil
 }

@@ -165,25 +165,6 @@ func TestColumnarRoundTrip(t *testing.T) {
 	}
 }
 
-// TestColumnarStartIndexFetch routes the start-index batch path (index
-// locators resolved through fetchBatch's columnar slot decoding) on
-// both relations and compares it with the input in start order.
-func TestColumnarStartIndexFetch(t *testing.T) {
-	recs := makeRecords(3000)
-	byStart := sortedByStart(recs)
-	for _, kind := range []Clustering{ClusterPLabel, ClusterTag} {
-		rel := buildT(t, kind, recs)
-		ctx := NewExecContext()
-		got := drainBatch(t, rel.ScanStartOrderBatch(ctx), 100)
-		if !recordsEqual(got, byStart) {
-			t.Fatalf("kind %v: %d records, want %d", kind, len(got), len(byStart))
-		}
-		if ctx.Visited() != uint64(len(byStart)) {
-			t.Fatalf("kind %v: visited %d, want %d", kind, ctx.Visited(), len(byStart))
-		}
-	}
-}
-
 // TestFormatVersionMismatch: a store in any format but BLASREL2 — the
 // retired BLASREL1 or one written by a newer build — must be rejected
 // with an error that names its magic, the readable format, and points
@@ -343,8 +324,7 @@ func TestCorruptColumnarPageErrors(t *testing.T) {
 			case tc.fullWalkOnly:
 				// Only a scan that walks to the page's end can see an
 				// overstated record count: the selective scans stop at
-				// their prefix, and the start index addresses slots the
-				// runs still cover.
+				// their prefix.
 			case kind == ClusterPLabel:
 				// makeRecords' runs 0..9 all carry plabel 0.
 				scans["ScanPLabelExactBatch"] = func() BatchIter { return rel.ScanPLabelExactBatch(nil, u(0)) }
@@ -352,9 +332,6 @@ func TestCorruptColumnarPageErrors(t *testing.T) {
 				// SD run ri holds tag ri+1.
 				tag := uint32(tc.run + 1)
 				scans["ScanTagBatch"] = func() BatchIter { return rel.ScanTagBatch(nil, tag) }
-			}
-			if !tc.fullWalkOnly {
-				scans["ScanStartOrderBatch"] = func() BatchIter { return rel.ScanStartOrderBatch(nil) }
 			}
 			for name, scan := range scans {
 				err, failure := scanOutcome(scan)
@@ -403,6 +380,26 @@ func zeroAllocPageRecords(kind Clustering) []Record {
 	return recs
 }
 
+// decodePageRuns decodes every run of page p into dst with
+// decodeRunRecords, the decoder every heap-run scan runs, one whole run
+// at a time as a BatchSize scan does.
+func decodePageRuns(p []byte, kind Clustering, dst []Record) error {
+	_, nruns, err := colPageCounts(p)
+	if err != nil {
+		return err
+	}
+	for ri := 0; ri < nruns; ri++ {
+		run, err := colRunAt(p, kind, ri)
+		if err != nil {
+			return err
+		}
+		if err := decodeRunRecords(p, kind, run, 0, run.count, dst[run.firstSlot:]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestColumnarDecodeZeroAlloc guards the decode hot path: materializing
 // records with empty values into a preallocated batch must not allocate
 // (with values, the only allocation is the one blob per run chunk).
@@ -413,13 +410,13 @@ func TestColumnarDecodeZeroAlloc(t *testing.T) {
 		dst := make([]Record, len(recs))
 		var decodeErr error
 		allocs := testing.AllocsPerRun(100, func() {
-			decodeErr = decodeColSlots(p, kind, 0, len(recs), dst)
+			decodeErr = decodePageRuns(p, kind, dst)
 		})
 		if decodeErr != nil {
 			t.Fatal(decodeErr)
 		}
 		if allocs != 0 {
-			t.Errorf("kind %v: decodeColSlots allocates %.1f times per page, want 0", kind, allocs)
+			t.Errorf("kind %v: decodeRunRecords allocates %.1f times per page, want 0", kind, allocs)
 		}
 		for i := range recs {
 			if dst[i] != recs[i] {
@@ -437,7 +434,7 @@ func TestHotpathAnnotations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"decodeColSlots", "decodeRunRecords", "fetchBatch"}
+	want := []string{"decodeRunRecords"}
 	for _, name := range want {
 		if !got[name] {
 			t.Errorf("%s lost its //blas:hotpath annotation; the decode zero-alloc guard and hotalloc no longer cover the same code", name)
@@ -462,7 +459,7 @@ func BenchmarkDecodeColumnarPage(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := decodeColSlots(p, ClusterPLabel, 0, len(recs), dst); err != nil {
+		if err := decodePageRuns(p, ClusterPLabel, dst); err != nil {
 			b.Fatal(err)
 		}
 	}

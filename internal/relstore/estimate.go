@@ -43,7 +43,8 @@ func (r *Relation) EstimateTag(ctx *ExecContext, tagID uint32) (uint64, error) {
 }
 
 // EstimateData estimates the number of records whose data equals value,
-// via the data index (which indexes only non-empty values).
+// via the data index (which indexes only non-empty values). The relation
+// must be plabel-clustered: SD has no data index, and reports 0.
 func (r *Relation) EstimateData(ctx *ExecContext, value string) (uint64, error) {
 	prefix := keyenc.String(value)
 	return r.dataIdx.EstimateRange(prefix, keyenc.PrefixSuccessor(prefix), ctx.pageCounters())

@@ -43,20 +43,20 @@ func TestEstimates(t *testing.T) {
 		t.Fatal("probe page reads were not accounted to the ExecContext")
 	}
 
-	// Data probe: "val-3" occurs every 13 records; "nope" never.
-	f := pager.OpenMem(256)
-	sd, err := Build(f, ClusterTag, makeRecords(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := sd.EstimateData(nil, "nope"); err != nil || got != 0 {
+	// Data probe on SP, the only relation with a data index: "val-3"
+	// occurs every 13 records; "nope" never.
+	if got, err := sp.EstimateData(nil, "nope"); err != nil || got != 0 {
 		t.Fatalf("EstimateData(nope) = %d, %v, want 0", got, err)
 	}
-	got, err := sd.EstimateData(nil, "val-3")
+	got, err := sp.EstimateData(nil, "val-3")
 	if err != nil || got == 0 {
 		t.Fatalf("EstimateData(val-3) = %d, %v, want > 0", got, err)
 	}
 	// Tag probe on the SD relation: each tag covers ~1/7 of the corpus.
+	sd, err := Build(pager.OpenMem(256), ClusterTag, makeRecords(n))
+	if err != nil {
+		t.Fatal(err)
+	}
 	gotTag, err := sd.EstimateTag(nil, 1)
 	if err != nil || gotTag == 0 {
 		t.Fatalf("EstimateTag(1) = %d, %v, want > 0", gotTag, err)

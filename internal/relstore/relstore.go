@@ -10,12 +10,19 @@
 // plus the tag id, so either relation can answer any query.
 //
 // A relation is a paged heap file holding records in cluster-key order,
-// plus three bulk-loaded B+ tree indexes (paper §4: "B+ tree indexes are
-// built on start, plabel and data"):
+// plus the bulk-loaded B+ trees that are read:
 //
 //	cluster: (plabel|tag, start) -> locator     — the clustered index
-//	start:   start              -> locator
-//	data:    (data, start)      -> locator      — only non-empty values
+//	data:    (data, start)      -> locator      — SP only, non-empty values
+//
+// The paper's §4 says "B+ tree indexes are built on start, plabel and
+// data", for an RDBMS optimizer to choose among. This engine reads each
+// relation only through its clustering, because every selection it runs
+// is one cluster prefix or a start-ordered merge of several (a P-label
+// set or range on SP, a tag or every element tag on SD): a start index
+// would trade one seek per run for one heap page per record, and a data
+// index on SD would serve no plan. SP's data index backs the planner's
+// value cap (EstimateData) and nothing else.
 //
 // All reads go through the pager's buffer pool, and every record decoded
 // by a scan is counted in the querying ExecContext — the two quantities
@@ -26,8 +33,7 @@
 // clustered index once and then walks the heap pages, one page's share
 // of its selection per batch: BatchSize is the most records a page can
 // hold, so a stream reading into a BatchSize buffer (a pooled Batch)
-// requests each page once and decodes each record once. A start-index
-// scan decodes the records of one heap page under a single pager view.
+// requests each page once and decodes each record once.
 //
 // # On-disk page format
 //
@@ -40,6 +46,12 @@
 //	                    prefix run, starts as ascending delta varints,
 //	                    ends/levels/value-lengths as packed varint
 //	                    columns, values out of line
+//
+// The meta page has a slot for each of the cluster, start and data
+// trees. Build writes the start slot, and SD's data slot, as zero
+// trees, and Open ignores them, so a store whose meta page names trees
+// there (built before they were dropped) opens and answers the same;
+// those trees are dead pages.
 //
 // Compatibility contract: Build writes BLASREL2 and Open reads BLASREL2;
 // any other magic, BLASREL1 included, is rejected with an error naming
@@ -121,11 +133,10 @@ func decodeLocator(b []byte) Locator {
 // and safe for concurrent scans; per-query statistics accumulate in the
 // ExecContext each scan is given.
 type Relation struct {
-	f        *pager.File
-	meta     relMeta
-	cluster  *pbtree.Reader
-	startIdx *pbtree.Reader
-	dataIdx  *pbtree.Reader
+	f       *pager.File
+	meta    relMeta
+	cluster *pbtree.Reader
+	dataIdx *pbtree.Reader // a zero tree on SD
 }
 
 type relMeta struct {
@@ -134,8 +145,7 @@ type relMeta struct {
 	heapFirst pager.PageID
 	heapLast  pager.PageID
 	cluster   pbtree.Tree
-	start     pbtree.Tree
-	data      pbtree.Tree
+	data      pbtree.Tree // SP only
 }
 
 // FormatColumnar is the heap page format Build writes, the columnar
@@ -152,7 +162,9 @@ func writeMeta(f *pager.File, id pager.PageID, m *relMeta) error {
 		binary.LittleEndian.PutUint32(p[17:], uint32(m.heapFirst))
 		binary.LittleEndian.PutUint32(p[21:], uint32(m.heapLast))
 		off := 25
-		for _, t := range []pbtree.Tree{m.cluster, m.start, m.data} {
+		// The middle slot is the start tree's; nothing reads it, so it
+		// is written as a zero tree.
+		for _, t := range []pbtree.Tree{m.cluster, {}, m.data} {
 			binary.LittleEndian.PutUint32(p[off:], uint32(t.Root))
 			binary.LittleEndian.PutUint32(p[off+4:], t.Height)
 			binary.LittleEndian.PutUint64(p[off+8:], t.Count)
@@ -176,23 +188,31 @@ func readMeta(f *pager.File, id pager.PageID) (relMeta, error) {
 		m.count = binary.LittleEndian.Uint64(p[9:])
 		m.heapFirst = pager.PageID(binary.LittleEndian.Uint32(p[17:]))
 		m.heapLast = pager.PageID(binary.LittleEndian.Uint32(p[21:]))
-		off := 25
-		for _, t := range []*pbtree.Tree{&m.cluster, &m.start, &m.data} {
-			t.Root = pager.PageID(binary.LittleEndian.Uint32(p[off:]))
-			t.Height = binary.LittleEndian.Uint32(p[off+4:])
-			t.Count = binary.LittleEndian.Uint64(p[off+8:])
-			off += 16
+		// The slots are cluster (25), start (41) and data (57); the
+		// start slot, and SD's data slot, are never read.
+		m.cluster = metaTree(p, 25)
+		if m.kind == ClusterPLabel {
+			m.data = metaTree(p, 57)
 		}
 		return nil
 	})
 	return m, err
 }
 
+// metaTree decodes the tree descriptor at offset off of meta page p.
+func metaTree(p []byte, off int) pbtree.Tree {
+	return pbtree.Tree{
+		Root:   pager.PageID(binary.LittleEndian.Uint32(p[off:])),
+		Height: binary.LittleEndian.Uint32(p[off+4:]),
+		Count:  binary.LittleEndian.Uint64(p[off+8:]),
+	}
+}
+
 // Build creates a relation in f from records. The records are sorted by
 // the cluster key internally (the input order does not matter); the heap
 // is packed in cluster order into columnar delta-compressed pages
-// (FormatColumnar), then the three indexes are bulk loaded. Page 0 of f
-// holds the metadata.
+// (FormatColumnar), then the clustered index and, on SP, the data index
+// are bulk loaded. Page 0 of f holds the metadata.
 func Build(f *pager.File, kind Clustering, records []Record) (*Relation, error) {
 	if kind != ClusterPLabel && kind != ClusterTag {
 		return nil, fmt.Errorf("relstore: bad clustering %d", kind)
@@ -300,52 +320,36 @@ func Build(f *pager.File, kind Clustering, records []Record) (*Relation, error) 
 		return nil, err
 	}
 
-	byStart := make([]pending, len(placed))
-	copy(byStart, placed)
-	sort.Slice(byStart, func(i, j int) bool { return byStart[i].rec.Start < byStart[j].rec.Start })
-	sb := pbtree.NewBuilder(f)
-	for _, pe := range byStart {
-		if err := sb.Add(keyenc.Uint32(pe.rec.Start), encodeLocator(pe.loc)); err != nil {
-			return nil, err
-		}
-	}
-	startTree, err := sb.Finish()
-	if err != nil {
-		return nil, err
-	}
-
-	var byData []pending
-	for _, pe := range placed {
-		if pe.rec.Data != "" {
-			byData = append(byData, pe)
-		}
-	}
-	sort.Slice(byData, func(i, j int) bool {
-		if byData[i].rec.Data != byData[j].rec.Data {
-			return byData[i].rec.Data < byData[j].rec.Data
-		}
-		return byData[i].rec.Start < byData[j].rec.Start
-	})
-	db := pbtree.NewBuilder(f)
-	for _, pe := range byData {
-		k := keyenc.New(nil).PutString(pe.rec.Data).PutUint32(pe.rec.Start).Bytes()
-		if err := db.Add(k, encodeLocator(pe.loc)); err != nil {
-			return nil, err
-		}
-	}
-	dataTree, err := db.Finish()
-	if err != nil {
-		return nil, err
-	}
-
 	m := relMeta{
 		kind:      kind,
 		count:     uint64(len(recs)),
 		heapFirst: heapFirst,
 		heapLast:  heapLast,
 		cluster:   clusterTree,
-		start:     startTree,
-		data:      dataTree,
+	}
+	if kind == ClusterPLabel {
+		var byData []pending
+		for _, pe := range placed {
+			if pe.rec.Data != "" {
+				byData = append(byData, pe)
+			}
+		}
+		sort.Slice(byData, func(i, j int) bool {
+			if byData[i].rec.Data != byData[j].rec.Data {
+				return byData[i].rec.Data < byData[j].rec.Data
+			}
+			return byData[i].rec.Start < byData[j].rec.Start
+		})
+		db := pbtree.NewBuilder(f)
+		for _, pe := range byData {
+			k := keyenc.New(nil).PutString(pe.rec.Data).PutUint32(pe.rec.Start).Bytes()
+			if err := db.Add(k, encodeLocator(pe.loc)); err != nil {
+				return nil, err
+			}
+		}
+		if m.data, err = db.Finish(); err != nil {
+			return nil, err
+		}
 	}
 	if err := writeMeta(f, metaPage, &m); err != nil {
 		return nil, err
@@ -383,11 +387,10 @@ func Open(f *pager.File) (*Relation, error) {
 
 func openWithMeta(f *pager.File, m relMeta) *Relation {
 	return &Relation{
-		f:        f,
-		meta:     m,
-		cluster:  pbtree.NewReader(f, m.cluster),
-		startIdx: pbtree.NewReader(f, m.start),
-		dataIdx:  pbtree.NewReader(f, m.data),
+		f:       f,
+		meta:    m,
+		cluster: pbtree.NewReader(f, m.cluster),
+		dataIdx: pbtree.NewReader(f, m.data),
 	}
 }
 

@@ -1,13 +1,16 @@
 package relstore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/keyenc"
 	"repro/internal/pager"
+	"repro/internal/pbtree"
 	"repro/internal/uint128"
 )
 
@@ -55,12 +58,28 @@ func scanPLabelRange(t testing.TB, r *Relation, ctx *ExecContext, lo, hi uint128
 	return out
 }
 
-// dataIndexRecords resolves the data-index entries for value to their
-// heap records, in (data, start) index order.
+// dataIndexRecords resolves SP's data-index entries for value to their
+// heap records, in (data, start) index order, one heap page view per
+// entry.
 func dataIndexRecords(t testing.TB, r *Relation, value string) []Record {
 	t.Helper()
 	prefix := keyenc.String(value)
-	return collect(t, &indexBatchIter{r: r, it: r.dataIdx.Scan(prefix, keyenc.PrefixSuccessor(prefix))})
+	var out []Record
+	it := r.dataIdx.Scan(prefix, keyenc.PrefixSuccessor(prefix))
+	for it.Next() {
+		loc := decodeLocator(it.Value())
+		var rec [1]Record
+		if err := r.f.View(loc.Page, func(p []byte) error {
+			return decodeColSlots(p, r.meta.kind, int(loc.Slot), int(loc.Slot)+1, rec[:])
+		}); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rec[0])
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func buildSP(t testing.TB, recs []Record) *Relation {
@@ -224,34 +243,43 @@ func TestEmptyDataNotIndexed(t *testing.T) {
 	}
 }
 
-// TestScanStartRange: the start-index scan returns every record in
-// document order, also on a tag-clustered relation whose heap order is
-// not start order.
-func TestScanStartRange(t *testing.T) {
-	r := buildT(t, ClusterTag, makeRecords(50))
-	got := collect(t, r.ScanStartOrderBatch(nil))
-	if len(got) != 50 {
-		t.Fatalf("got %d, want 50", len(got))
-	}
-	for i, rec := range got {
-		if want := uint32(2*i + 1); rec.Start != want {
-			t.Fatalf("record %d start = %d, want %d", i, rec.Start, want)
-		}
-	}
-}
-
+// TestDistinctPLabels checks the skip scan's labels and its page reads.
+// Each probe is one SeekKey: a descent of the height-2 cluster index,
+// plus one read when the next label heads the following leaf; the last
+// probe finds the label past the range, or nothing. The counts pinned
+// here are those of the leaf-copying index iterator the skip scan used
+// before, so SeekKey reads exactly the same pages.
 func TestDistinctPLabels(t *testing.T) {
-	r := buildSP(t, makeRecords(100))
-	got, err := r.DistinctPLabels(nil, u(2), u(7))
-	if err != nil {
-		t.Fatal(err)
+	r := buildSP(t, makeRecords(5000))
+	if h := r.meta.cluster.Height; h != 2 {
+		t.Fatalf("cluster index height %d, want 2", h)
 	}
-	if len(got) != 6 {
-		t.Fatalf("got %d distinct plabels: %v", len(got), got)
-	}
-	for i, p := range got {
-		if p != u(uint64(i+2)) {
-			t.Fatalf("plabel[%d] = %v", i, p)
+	for _, tc := range []struct {
+		lo, hi uint64
+		labels int
+		reads  uint64
+	}{
+		{2, 7, 6, 14},        // 7 probes on one leaf
+		{0, 499, 500, 1011},  // 501 probes, 9 leaf hops
+		{100, 400, 301, 610}, // 302 probes, 6 leaf hops
+		{498, 600, 2, 6},     // the third probe is past the last entry
+		{600, 700, 0, 2},     // one probe, past the last entry
+	} {
+		ctx := NewExecContext()
+		got, err := r.DistinctPLabels(ctx, u(tc.lo), u(tc.hi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != tc.labels {
+			t.Fatalf("[%d, %d]: %d distinct plabels, want %d", tc.lo, tc.hi, len(got), tc.labels)
+		}
+		for i, p := range got {
+			if p != u(tc.lo+uint64(i)) {
+				t.Fatalf("[%d, %d]: plabel[%d] = %v", tc.lo, tc.hi, i, p)
+			}
+		}
+		if reads := ctx.PageReads(); reads != tc.reads {
+			t.Errorf("[%d, %d]: %d page reads, want %d", tc.lo, tc.hi, reads, tc.reads)
 		}
 	}
 }
@@ -501,5 +529,123 @@ func TestScanOrderedAfterShuffledBuildByTag(t *testing.T) {
 	})
 	if !ok {
 		t.Fatal("SD relation not in (tag,start) order")
+	}
+}
+
+// metaSlot reads the tree descriptor at byte offset off of r's meta
+// page: 25 is the cluster slot, 41 the start slot, 57 the data slot.
+func metaSlot(t *testing.T, f *pager.File, off int) pbtree.Tree {
+	t.Helper()
+	var tr pbtree.Tree
+	if err := f.View(0, func(p []byte) error {
+		tr = metaTree(p, off)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestRelationShape: Build writes only the trees that are read — the
+// clustered index on both relations and the data index on SP — and
+// leaves the start slot, and SD's data slot, zero trees. A relation
+// whose meta page names a start tree and (on SD) a data tree, as a
+// store built with them has, opens and scans the same records: Open
+// ignores those slots and their trees are dead pages.
+func TestRelationShape(t *testing.T) {
+	recs := makeRecords(2000)
+	for _, kind := range []Clustering{ClusterPLabel, ClusterTag} {
+		f := pager.OpenMem(256)
+		rel, err := Build(f, kind, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr := metaSlot(t, f, 25); tr.Count != uint64(len(recs)) {
+			t.Fatalf("%v: cluster tree %+v, want %d entries", kind, tr, len(recs))
+		}
+		if tr := metaSlot(t, f, 41); tr != (pbtree.Tree{}) {
+			t.Fatalf("%v: start slot holds %+v, want a zero tree", kind, tr)
+		}
+		data := metaSlot(t, f, 57)
+		if kind == ClusterPLabel && data.Count != uint64(len(recs)) {
+			t.Fatalf("SP: data tree %+v, want %d entries", data, len(recs))
+		}
+		if kind == ClusterTag && data != (pbtree.Tree{}) {
+			t.Fatalf("SD: data slot holds %+v, want a zero tree", data)
+		}
+		before := collect(t, rel.ScanAllBatch(nil))
+
+		// Write the trees a store built with a start index (both
+		// relations) and an SD data index carries, and name them in the
+		// meta page.
+		pages, err := HeapPages(rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type entry struct {
+			rec Record
+			loc Locator
+		}
+		var entries []entry
+		for i, page := range pages {
+			for slot, r := range page {
+				entries = append(entries, entry{r, Locator{Page: rel.meta.heapFirst + pager.PageID(i), Slot: uint16(slot)}})
+			}
+		}
+		load := func(key func(Record) []byte, less func(a, b Record) bool) pbtree.Tree {
+			sorted := slices.Clone(entries)
+			sort.Slice(sorted, func(i, j int) bool { return less(sorted[i].rec, sorted[j].rec) })
+			b := pbtree.NewBuilder(f)
+			for _, e := range sorted {
+				if err := b.Add(key(e.rec), encodeLocator(e.loc)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tr, err := b.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr
+		}
+		slots := map[int]pbtree.Tree{41: load(func(r Record) []byte { return keyenc.Uint32(r.Start) },
+			func(a, b Record) bool { return a.Start < b.Start })}
+		if kind == ClusterTag {
+			slots[57] = load(func(r Record) []byte { return keyenc.New(nil).PutString(r.Data).PutUint32(r.Start).Bytes() },
+				func(a, b Record) bool { return a.Data < b.Data || (a.Data == b.Data && a.Start < b.Start) })
+		}
+		if err := f.Update(0, func(p []byte) error {
+			for off, tr := range slots {
+				binary.LittleEndian.PutUint32(p[off:], uint32(tr.Root))
+				binary.LittleEndian.PutUint32(p[off+4:], tr.Height)
+				binary.LittleEndian.PutUint64(p[off+8:], tr.Count)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+
+		old, err := Open(f)
+		if err != nil {
+			t.Fatalf("%v: open with start/data descriptors: %v", kind, err)
+		}
+		if !recordsEqual(collect(t, old.ScanAllBatch(nil)), before) {
+			t.Fatalf("%v: full scan differs once the meta page names the extra trees", kind)
+		}
+		for tag := uint32(1); tag <= 7 && kind == ClusterTag; tag++ {
+			if !recordsEqual(collect(t, old.ScanTagBatch(nil, tag)), collect(t, rel.ScanTagBatch(nil, tag))) {
+				t.Fatalf("SD: tag %d scan differs", tag)
+			}
+		}
+		if kind == ClusterPLabel {
+			if !recordsEqual(collect(t, old.ScanPLabelExactBatch(nil, u(17))), collect(t, rel.ScanPLabelExactBatch(nil, u(17)))) {
+				t.Fatal("SP: plabel scan differs")
+			}
+			if n, err := old.EstimateData(nil, "val-5"); err != nil || n == 0 {
+				t.Fatalf("SP: EstimateData(val-5) = %d, %v after reopen", n, err)
+			}
+		}
+		if kind == ClusterTag && old.meta.data != (pbtree.Tree{}) {
+			t.Fatalf("SD: Open read the data slot: %+v", old.meta.data)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/plabel"
 	"repro/internal/uint128"
+	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
@@ -146,7 +147,7 @@ func (u *unfolder) enumerate(steps []fragStep) ([][]string, error) {
 				cur = append(cur, []string{r})
 			}
 		}
-	case first.tag == "*": // //*: any node at all
+	case first.tag == "*": // //*: any element at all
 		for _, r := range g.Roots() {
 			cur = append(cur, []string{r})
 			chains, err := g.AllChains(r, depth-1, u.maxPaths)
@@ -154,7 +155,9 @@ func (u *unfolder) enumerate(steps []fragStep) ([][]string, error) {
 				return nil, fallbackError{err.Error()}
 			}
 			for _, c := range chains {
-				cur = append(cur, append([]string{r}, c...))
+				if !xmltree.IsAttrTag(c[len(c)-1]) {
+					cur = append(cur, append([]string{r}, c...))
+				}
 			}
 		}
 	default:
@@ -176,7 +179,9 @@ func (u *unfolder) enumerate(steps []fragStep) ([][]string, error) {
 			switch {
 			case st.axis == xpath.Child && st.tag == "*":
 				for _, c := range g.Children(last) {
-					next = append(next, extend(p, c))
+					if !xmltree.IsAttrTag(c) {
+						next = append(next, extend(p, c))
+					}
 				}
 			case st.axis == xpath.Child:
 				if g.HasEdge(last, st.tag) {
@@ -194,6 +199,9 @@ func (u *unfolder) enumerate(steps []fragStep) ([][]string, error) {
 					return nil, fallbackError{err.Error()}
 				}
 				for _, c := range chains {
+					if st.tag == "*" && xmltree.IsAttrTag(c[len(c)-1]) {
+						continue // * matches elements only
+					}
 					next = append(next, append(append([]string(nil), p...), c...))
 				}
 			}

@@ -11,7 +11,9 @@
 // entirely. Each plan fragment becomes one twig node whose input stream
 // is the fragment's selection delivered in document (start) order:
 //
-//	D-labeling mode: one per-tag stream from the SD relation;
+//	D-labeling mode: one per-tag stream from the SD relation, and for
+//	                 a wildcard the element-tag runs of SD (k-way
+//	                 merged into document order);
 //	BLAS mode:       per-P-label-range streams from the SP relation
 //	                 (k-way merged into document order).
 //
@@ -36,9 +38,10 @@
 // (relstore.BatchIter via core.FragmentStream): a cluster-scan batch is
 // one heap page's share of the selection, decoded under a single pager
 // view into the stream's pooled relstore.Batch, so each page is
-// requested once, and the per-P-label runs of a BLAS-mode range
-// selection are k-way merged batch-wise (relstore.MergeBatchesByStart,
-// a pooled buffer per run). Every pooled buffer goes back when its
+// requested once, and the runs of a multi-run selection — the
+// P-labels of a BLAS-mode set or range, the element tags of a wildcard —
+// are k-way merged batch-wise (relstore.MergeBatchesByStart, a pooled
+// buffer per run). Every pooled buffer goes back when its
 // stream or run ends. A query runs exactly one sweep, on the calling
 // goroutine, so its visited elements and page reads depend only on its
 // plan and the data.

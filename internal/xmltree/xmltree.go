@@ -28,7 +28,11 @@ type Node struct {
 }
 
 // IsAttr reports whether n is an attribute node.
-func (n *Node) IsAttr() bool { return strings.HasPrefix(n.Tag, "@") }
+func (n *Node) IsAttr() bool { return IsAttrTag(n.Tag) }
+
+// IsAttrTag reports whether tag names an attribute ("@name"). XPath's
+// * matches elements only, so every wildcard expansion skips these.
+func IsAttrTag(tag string) bool { return strings.HasPrefix(tag, "@") }
 
 // New returns an element node with the given tag.
 func New(tag string) *Node { return &Node{Tag: tag} }
