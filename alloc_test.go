@@ -14,25 +14,32 @@ import (
 // engines bind narrow and materialize late — a non-return binding or
 // path level is a 12-byte span, joins carry int32 ids, and the return
 // column is copied once, by finalize, from the arena the engine left it
-// in — so a query costs at most about one record per visited element
-// (the return fragment's scan bindings, the twig return column) plus
-// its output. An engine that binds full records where a span does,
-// copies bindings into join intermediates or the return column into a
-// second result, regrows its scan results or keys a hash map per path
-// solution exceeds the budget. The Q1 rows are single-fragment plans,
-// where visited elements equal matches and only a second copy of the
-// return column could be saved. Batch buffers come from relstore's pool and cost a warm query nothing, so
+// in — and every binding, solution and join-row chunk comes from the
+// query's pooled core.Arena, so a warm query allocates no chunk at all.
+// What is left per visited element is the value bytes the decoder
+// builds, and per match the answer itself. An engine that takes chunks
+// from the garbage collector instead of the arena, copies bindings into
+// join intermediates or the return column into a second result, or
+// keys a hash map per path solution exceeds the budget. The Q1 rows are
+// single-fragment plans, where visited elements equal matches. Batch
+// buffers come from relstore's pool and cost a warm query nothing, so
 // the fixed term covers parse, plan and headers only: an engine that
 // allocates a batch buffer per stream (95 KiB each) exceeds it. The
 // keyword rows are one P-label range fragment that resolves to 34 runs
 // of a few records each, so a merge that allocates a buffer per run
 // rather than taking it from the pool exceeds theirs.
+//
+// The twig engine's return column holds one record per path solution,
+// not per match, and it too comes from the arena: on every query both
+// engines run, the twig engine allocates at most twigOverRel times what
+// the relational engine does.
 func TestQueryAllocBudget(t *testing.T) {
 	const (
-		perVisited = 48   // a: bytes per visited element (a 12-byte span or, for return bindings, a 48-byte record)
-		perMatch   = 336  // b: bytes per match (its Match, path and value)
-		fixed      = 32e3 // c: parse, plan, stream and arena headers
-		runs       = 5
+		perVisited  = 16   // a: bytes per visited element (value bytes)
+		perMatch    = 336  // b: bytes per match (its Match, path and value)
+		fixed       = 32e3 // c: parse, plan, stream and arena headers
+		twigOverRel = 1.15
+		runs        = 5
 	)
 	var doc strings.Builder
 	if err := GenerateDataset(&doc, datagen.NameAuction, DatasetOptions{Seed: 1, Factor: 2}); err != nil {
@@ -60,6 +67,7 @@ func TestQueryAllocBudget(t *testing.T) {
 		{"keyword/relational", "//keyword", QueryOptions{Engine: EngineRelational}},
 		{"keyword/twig", "//keyword", QueryOptions{Engine: EngineTwig}},
 	}
+	perQuery := map[string]float64{}
 	for _, c := range cases {
 		warm, err := st.Query(c.query, c.opts) // warms the pool and the name caches
 		if err != nil {
@@ -73,13 +81,22 @@ func TestQueryAllocBudget(t *testing.T) {
 			}
 		}
 		runtime.ReadMemStats(&after)
-		perQuery := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		got := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		perQuery[c.name] = got
 		budget := perVisited*float64(warm.Stats.VisitedElements) + perMatch*float64(len(warm.Matches)) + fixed
 		t.Logf("%s: %.1f KiB/query, budget %.1f KiB (%d visited, %d matches)",
-			c.name, perQuery/1024, budget/1024, warm.Stats.VisitedElements, len(warm.Matches))
-		if perQuery > budget {
+			c.name, got/1024, budget/1024, warm.Stats.VisitedElements, len(warm.Matches))
+		if got > budget {
 			t.Errorf("%s allocates %.1f KiB per query, budget %.1f KiB for %d visited elements and %d matches",
-				c.name, perQuery/1024, budget/1024, warm.Stats.VisitedElements, len(warm.Matches))
+				c.name, got/1024, budget/1024, warm.Stats.VisitedElements, len(warm.Matches))
+		}
+	}
+	for name, twig := range perQuery {
+		q, ok := strings.CutSuffix(name, "/twig")
+		rel, paired := perQuery[q+"/relational"]
+		if ok && paired && twig > twigOverRel*rel {
+			t.Errorf("%s: the twig engine allocates %.1f KiB per query, the relational %.1f KiB: more than %.2f times",
+				q, twig/1024, rel/1024, twigOverRel)
 		}
 	}
 }

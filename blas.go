@@ -69,6 +69,14 @@
 // distinct root-to-node path of the document: a few hundred for the
 // paper's data sets), and nothing is built at Open.
 //
+// Everything else a query builds on the way — scan bindings, twig path
+// solutions, join rows — lives in chunks of one per-query arena, which
+// the query hands back to process-wide free lists once its matches are
+// copied out. A warm query therefore allocates its answer (and the
+// value strings its scans decode) but no intermediate result; the free
+// lists keep at most a few MiB idle, so one huge query does not pin
+// its memory.
+//
 // # Storage
 //
 // The two relations live in paged heap files (internal/relstore), each
@@ -514,23 +522,29 @@ func (s *Store) Query(query string, opts QueryOptions) (*Result, error) {
 // run executes a physical plan and assembles the Result. The caller has
 // registered the operation (begin) and the query (QueryBegin), and owns
 // ctx — planner probe reads already accounted there stay in the stats.
-// run balances QueryBegin with QueryDone or QueryFailed.
+// run balances QueryBegin with QueryDone or QueryFailed. The engine
+// runs in an arena of run's own, released once finalize has copied the
+// answer into the matches: a warm query allocates no binding, solution
+// or join-row chunk.
 func (s *Store) run(ctx *relstore.ExecContext, phys *planner.Physical, planElapsed time.Duration, opts QueryOptions, trace *obs.Trace) (*Result, error) {
 	lp := phys.Logical
 	execBegin := time.Now()
+	arena := core.NewArena()
 	var res *core.Result
 	var err error
 	switch engineOf(opts) {
 	case EngineTwig:
-		res, err = twig.Run(ctx, s.inner, phys)
+		res, err = twig.Run(ctx, arena, s.inner, phys)
 	default:
-		res, err = relengine.Run(ctx, s.inner, phys, relengine.MergeJoin)
+		res, err = relengine.Run(ctx, arena, s.inner, phys, relengine.MergeJoin)
 	}
 	if err != nil {
+		arena.Release()
 		s.metrics.QueryFailed()
 		return nil, err
 	}
 	recs := s.finalizeMatches(ctx, res.Return)
+	arena.Release()
 	early := res.EarlyTerminated
 	execElapsed := time.Since(execBegin)
 

@@ -54,12 +54,14 @@ func engineRecords(t *testing.T, st *Store, query string, opts QueryOptions) []r
 
 func executeRecords(t *testing.T, st *Store, phys *planner.Physical, opts QueryOptions) []relstore.Record {
 	t.Helper()
+	a := core.NewArena()
+	defer a.Release()
 	var res *core.Result
 	var err error
 	if engineOf(opts) == EngineTwig {
-		res, err = twig.Run(nil, st.inner, phys)
+		res, err = twig.Run(nil, a, st.inner, phys)
 	} else {
-		res, err = relengine.Run(nil, st.inner, phys, relengine.MergeJoin)
+		res, err = relengine.Run(nil, a, st.inner, phys, relengine.MergeJoin)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +137,7 @@ func TestFinalizeAllocations(t *testing.T) {
 	defer st.Close()
 	recs := engineRecords(t, st, "//*", QueryOptions{Translator: TranslatorDLabel})
 	n, k := len(recs), distinctLabels(recs)
-	arena := core.NewTuples[relstore.Record](1)
+	arena := core.NewTuples[relstore.Record](core.NewArena(), 1)
 	arena.Extend(recs)
 	view := core.DocOrder(arena, nil)
 	if n < 3000 || k < 5 || k > 50 {

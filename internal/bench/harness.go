@@ -140,14 +140,16 @@ func (h *Harness) Run(dataset string, factor int, queryName, query, translator, 
 		if err != nil {
 			return Measurement{}, fmt.Errorf("bench: plan %s/%s: %w", queryName, translator, err)
 		}
+		arena := core.NewArena()
 		var res *core.Result
 		switch engine {
 		case "twig":
-			res, err = twig.Run(ctx, st, phys)
+			res, err = twig.Run(ctx, arena, st, phys)
 		default:
-			res, err = relengine.Run(ctx, st, phys, relengine.MergeJoin)
+			res, err = relengine.Run(ctx, arena, st, phys, relengine.MergeJoin)
 		}
 		if err != nil {
+			arena.Release()
 			return Measurement{}, fmt.Errorf("bench: %s/%s %s: %w", queryName, translator, engine, err)
 		}
 		times = append(times, time.Since(begin))
@@ -155,6 +157,7 @@ func (h *Harness) Run(dataset string, factor int, queryName, query, translator, 
 		m.PageReads = ctx.PageReads()
 		m.PageMisses = ctx.PageMisses()
 		m.Results = res.Return.Len()
+		arena.Release()
 	}
 	m.Elapsed = trimmedMean(times)
 	h.Record(m)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/planner"
 	"repro/internal/relengine"
@@ -96,8 +97,10 @@ func (h *Harness) planMeasure(dataset, queryName, query string, noReorder bool) 
 		if err != nil {
 			return Measurement{}, fmt.Errorf("bench: plan %s/%s: %w", queryName, mode, err)
 		}
-		res, err := relengine.Run(ctx, st, phys, relengine.MergeJoin)
+		arena := core.NewArena()
+		res, err := relengine.Run(ctx, arena, st, phys, relengine.MergeJoin)
 		if err != nil {
+			arena.Release()
 			return Measurement{}, fmt.Errorf("bench: %s/%s: %w", queryName, mode, err)
 		}
 		times = append(times, time.Since(begin))
@@ -105,6 +108,7 @@ func (h *Harness) planMeasure(dataset, queryName, query string, noReorder bool) 
 		m.PageReads = ctx.PageReads()
 		m.PageMisses = ctx.PageMisses()
 		m.Results = res.Return.Len()
+		arena.Release()
 	}
 	m.Elapsed = trimmedMean(times)
 	return m, nil

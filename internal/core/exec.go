@@ -23,12 +23,14 @@ func (c ExecConfig) BatchController() *relstore.BatchController { return nil }
 // Result holds a query's answer on either engine.
 type Result struct {
 	// Return is the answer: the return-node bindings, deduplicated, in
-	// document order, in place in the engine's return arena.
+	// document order, in place in the engine's return arena. It is
+	// valid until the query's Arena is released.
 	Return View
 	// Records is Return copied out. Only the engines' Execute fills it,
 	// for callers that read records rather than the view (the
-	// benchmark's per-layer pipeline and tests); the library's
-	// Store.Query finalizes from Return and never copies it.
+	// benchmark's per-layer pipeline and tests), and then empties
+	// Return, whose arena it releases; the library's Store.Query
+	// finalizes from Return and never copies it.
 	Records []relstore.Record
 	// EarlyTerminated reports that an empty intermediate (a planner
 	// proof, an empty fragment scan or stream, or an empty join result)
@@ -36,8 +38,16 @@ type Result struct {
 	EarlyTerminated bool
 }
 
-// Starts returns the start positions of the result bindings.
+// Starts returns the start positions of the result bindings, from
+// Records when Execute filled it (and released the arena Return viewed).
 func (r *Result) Starts() []uint32 {
+	if r.Records != nil {
+		out := make([]uint32, len(r.Records))
+		for i := range r.Records {
+			out[i] = r.Records[i].Start
+		}
+		return out
+	}
 	out := make([]uint32, r.Return.Len())
 	for i := range out {
 		out[i] = r.Return.At(i).Start
@@ -117,14 +127,14 @@ func (fs *FragmentStream) Open(ctx *relstore.ExecContext) (relstore.BatchIter, e
 }
 
 // Collect drains the fragment's whole stream into a one-column binding
-// arena, filtered by fs.Filter: the records of the return fragment
-// (ret), the spans of any other. Every batch is read into batch, which
-// the caller may reuse across streams; a heap-run batch is one page's
-// share of the selection, which a BatchSize buffer always holds, so
-// each page is requested once. The survivors of each batch are copied
-// into the chunked arena, which is never regrown.
-func (fs *FragmentStream) Collect(ctx *relstore.ExecContext, batch *relstore.Batch, ret bool) (Bindings, error) {
-	b := NewBindings(ret)
+// arena with chunks from a, filtered by fs.Filter: the records of the
+// return fragment (ret), the spans of any other. Every batch is read
+// into batch, which the caller may reuse across streams; a heap-run
+// batch is one page's share of the selection, which a BatchSize buffer
+// always holds, so each page is requested once. The survivors of each
+// batch are copied into the chunked arena, which is never regrown.
+func (fs *FragmentStream) Collect(ctx *relstore.ExecContext, a *Arena, batch *relstore.Batch, ret bool) (Bindings, error) {
+	b := NewBindings(a, ret)
 	bi, err := fs.Open(ctx)
 	if err != nil {
 		return b, err

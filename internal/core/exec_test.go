@@ -84,7 +84,7 @@ func TestCollectFiltersEveryBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := fs.Collect(ctx, batch, true)
+		got, err := fs.Collect(ctx, NewArena(), batch, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestCollectFiltersEveryBatch(t *testing.T) {
 			t.Errorf("%s: %d page reads, %d without filter", c.name, ctx.PageReads(), refCtx.PageReads())
 		}
 		// A non-return fragment binds the same nodes as spans only.
-		spans, err := fs.Collect(nil, batch, false)
+		spans, err := fs.Collect(nil, NewArena(), batch, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestCollectFiltersEveryBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := fs.Collect(nil, batch, false); err != nil || got.Len() != n {
+	if got, err := fs.Collect(nil, NewArena(), batch, false); err != nil || got.Len() != n {
 		t.Fatalf("nil context: %d records, err %v", got.Len(), err)
 	}
 }

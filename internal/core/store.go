@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"repro/internal/pager"
 	"repro/internal/plabel"
@@ -56,6 +57,12 @@ type Store struct {
 	// elemTags are the element tag ids, ascending: the SD runs a
 	// wildcard fragment merges.
 	elemTags []uint32
+	// elemCount caches ElementCount, probed once per open store.
+	elemCount struct {
+		once sync.Once
+		n    uint64
+		err  error
+	}
 }
 
 type storeMeta struct {
@@ -78,6 +85,25 @@ func (s *Store) SP() *relstore.Relation { return s.sp }
 
 // SD returns the tag-clustered relation.
 func (s *Store) SD() *relstore.Relation { return s.sd }
+
+// ElementCount estimates the element records of SD, the records a
+// wildcard fragment's merge of elemTags runs decodes: the sum of
+// EstimateTag over those runs. The probes run once per open store, on
+// the first call, and are charged to no query.
+func (s *Store) ElementCount() (uint64, error) {
+	c := &s.elemCount
+	c.once.Do(func() {
+		for _, tag := range s.elemTags {
+			n, err := s.sd.EstimateTag(nil, tag)
+			if err != nil {
+				c.err = err
+				return
+			}
+			c.n += n
+		}
+	})
+	return c.n, c.err
+}
 
 // NodeCount returns the number of nodes (element + attribute).
 func (s *Store) NodeCount() uint64 { return s.meta.Nodes }

@@ -1,42 +1,18 @@
 package core
 
 import (
-	"math/bits"
 	"slices"
 
 	"repro/internal/relstore"
 )
 
-// Chunk geometry of a Tuples arena, in tuples: the first geoChunks
-// chunks hold firstChunk, 2*firstChunk, ... tuples, so a small arena
-// stays small; every later chunk holds 1<<tupleChunkShift tuples (a few
-// tens of KiB at the strides real plans reach).
-const (
-	firstChunk      = 16
-	geoChunks       = 5
-	geoTuples       = firstChunk<<geoChunks - firstChunk // tuples in the geometric chunks
-	tupleChunkShift = 9
-)
+// tupleChunkShift sets the chunk geometry of every Tuples: a chunk holds
+// 1<<tupleChunkShift tuples, Stride items each.
+const tupleChunkShift = 9
 
 // chunkOf locates tuple i: chunk c, tuple k within it.
 func chunkOf(i int) (c, k int) {
-	if i >= geoTuples {
-		i -= geoTuples
-		return geoChunks + i>>tupleChunkShift, i & (1<<tupleChunkShift - 1)
-	}
-	// Chunk c < geoChunks holds tuples [firstChunk<<c - firstChunk,
-	// firstChunk<<(c+1) - firstChunk).
-	j := uint(i + firstChunk)
-	c = bits.Len(j) - bits.Len(firstChunk)
-	return c, int(j) - firstChunk<<c
-}
-
-// chunkTuples is the capacity of chunk c, in tuples.
-func chunkTuples(c int) int {
-	if c < geoChunks {
-		return firstChunk << c
-	}
-	return 1 << tupleChunkShift
+	return i >> tupleChunkShift, i & (1<<tupleChunkShift - 1)
 }
 
 // Tuples is an arena of fixed-width tuples, Stride items each. It is the
@@ -58,30 +34,39 @@ func chunkTuples(c int) int {
 //
 // Producing a tuple copies it to the end of the last chunk instead of
 // allocating a slice (or a map entry) of its own. The arena grows a
-// chunk at a time and never moves, regrows or copies a tuple once it is
-// written: chunks double from 16 tuples up to 1<<tupleChunkShift and
-// stay at that size, so n tuples cost O(log n + n/512) allocations and
-// at most one chunk of slack.
+// chunk of 1<<tupleChunkShift tuples at a time and never moves, regrows
+// or copies a tuple once it is written.
+//
+// Chunks belong to the query's Arena, which the Tuples remembers: a
+// Tuples made with NewTuples(a, ...) takes its chunks from a's free
+// lists, and they die when a is released, after finalize has copied the
+// answer out. Nothing may read a Tuples (or a View of one) after that.
 type Tuples[T any] struct {
 	Stride int
-	chunks [][]T // chunk c has capacity chunkTuples(c)*Stride
+	arena  *Arena
+	chunks [][]T // each of capacity Stride<<tupleChunkShift
 	n      int
 }
 
-// NewTuples returns an empty arena of the given tuple width.
-func NewTuples[T any](stride int) Tuples[T] { return Tuples[T]{Stride: stride} }
+// NewTuples returns an empty arena of the given tuple width whose chunks
+// come from a.
+func NewTuples[T any](a *Arena, stride int) Tuples[T] {
+	return Tuples[T]{Stride: stride, arena: a}
+}
 
-// Rows returns the one-column join rows 0..n-1: the ids of n bindings
-// (or path solutions) as the initial join tuples.
-func Rows(n int) Tuples[int32] {
-	t := NewTuples[int32](1)
-	var run [1 << tupleChunkShift]int32
-	for lo := 0; lo < n; lo += len(run) {
-		k := min(len(run), n-lo)
-		for i := range k {
-			run[i] = int32(lo + i)
+// Arena returns the arena t takes its chunks from.
+func (t *Tuples[T]) Arena() *Arena { return t.arena }
+
+// Rows returns the one-column join rows 0..n-1, in chunks from a: the
+// ids of n bindings (or path solutions) as the initial join tuples.
+func Rows(a *Arena, n int) Tuples[int32] {
+	t := NewTuples[int32](a, 1)
+	for t.n < n {
+		c := t.last()
+		for k := min(cap(*c)-len(*c), n-t.n); k > 0; k-- {
+			*c = append(*c, int32(t.n))
+			t.n++
 		}
-		t.Extend(run[:k])
 	}
 	return t
 }
@@ -113,13 +98,13 @@ func (t Tuples[T]) Column(col int) []T {
 	return out
 }
 
-// last returns the chunk the next tuple goes to, allocating it when the
-// current last chunk is full.
+// last returns the chunk the next tuple goes to, taking a new one from
+// the arena when the current last chunk is full.
 func (t *Tuples[T]) last() *[]T {
 	c := len(t.chunks) - 1
 	if c < 0 || len(t.chunks[c]) == cap(t.chunks[c]) {
+		t.chunks = append(t.chunks, partOf[T](t.arena).chunk(t.Stride))
 		c++
-		t.chunks = append(t.chunks, make([]T, 0, chunkTuples(c)*t.Stride))
 	}
 	return &t.chunks[c]
 }
@@ -167,19 +152,20 @@ func SpanOf(r *relstore.Record) Span { return Span{Start: r.Start, End: r.End, L
 // one-column arenas: Recs for the return fragment, whose records
 // finalize reads, and Spans for every other fragment, whose joins read
 // intervals only. Holding both would cost the return fragment a span
-// per binding for nothing.
+// per binding for nothing. Their chunks belong to the query's Arena and
+// die when it is released.
 type Bindings struct {
 	Spans Tuples[Span]
 	Recs  Tuples[relstore.Record]
 }
 
-// NewBindings returns an empty binding arena: records for the return
-// fragment (ret), spans for any other.
-func NewBindings(ret bool) Bindings {
+// NewBindings returns an empty binding arena with chunks from a:
+// records for the return fragment (ret), spans for any other.
+func NewBindings(a *Arena, ret bool) Bindings {
 	if ret {
-		return Bindings{Recs: NewTuples[relstore.Record](1)}
+		return Bindings{Recs: NewTuples[relstore.Record](a, 1)}
 	}
-	return Bindings{Spans: NewTuples[Span](1)}
+	return Bindings{Spans: NewTuples[Span](a, 1)}
 }
 
 // Len returns the number of bindings.
@@ -281,7 +267,10 @@ func DocOrder(recs Tuples[relstore.Record], ids []int32) View {
 // View is a query's answer as both engines leave it: the return-node
 // bindings, deduplicated, in document order, read in place from the
 // return arena (the tuples of recs that ids lists, or every tuple when
-// ids is nil). Finalize reads it once, into the result.
+// ids is nil). Finalize reads it once, into the result. The view
+// aliases the query's Arena, so it is valid only until the arena is
+// released: the finalizer copies it out (Store.Query into its matches,
+// the engines' Execute with Records) before releasing.
 type View struct {
 	recs Tuples[relstore.Record]
 	ids  []int32

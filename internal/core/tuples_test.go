@@ -20,16 +20,25 @@ func tuple(i, stride int, start uint32) []relstore.Record {
 	return t
 }
 
-// TestTuplesAcrossChunks fills arenas past several chunk boundaries and
-// checks that every access path — At, Get, Column, Extend,
-// AppendAll — sees exactly the tuples that were appended, in order.
+// TestTuplesAcrossChunks fills arenas up to and past chunk boundaries
+// and checks that every access path — At, Get, Column, Extend,
+// AppendAll — sees exactly the tuples that were appended, in order, in
+// three arenas in turn, each reusing the chunks the one before released.
 func TestTuplesAcrossChunks(t *testing.T) {
+	for round := 0; round < 3; round++ {
+		a := NewArena()
+		testTuplesAcrossChunks(t, a)
+		a.Release()
+	}
+}
+
+func testTuplesAcrossChunks(t *testing.T, a *Arena) {
 	const chunk = 1 << tupleChunkShift
 	for _, stride := range []int{1, 3} {
-		for _, n := range []int{0, 1, 15, 16, 17, 48, geoTuples - 1, geoTuples, geoTuples + 1, geoTuples + chunk, 3*chunk + 7} {
+		for _, n := range []int{0, 1, chunk - 1, chunk, chunk + 1, 3*chunk + 7} {
 			var want [][]relstore.Record
 			var flat []relstore.Record
-			arena := NewTuples[relstore.Record](stride)
+			arena := NewTuples[relstore.Record](a, stride)
 			for i := 0; i < n; i++ {
 				tp := tuple(i, stride, uint32(10*i))
 				want = append(want, tp)
@@ -62,14 +71,14 @@ func TestTuplesAcrossChunks(t *testing.T) {
 				}
 			}
 			// Bulk extension in uneven pieces equals tuple-wise appends.
-			bulk := NewTuples[relstore.Record](stride)
+			bulk := NewTuples[relstore.Record](a, stride)
 			for rest, k := flat, 1; len(rest) > 0; k = k*3 + 1 {
 				m := min(len(rest), k*stride)
 				bulk.Extend(rest[:m])
 				rest = rest[m:]
 			}
 			// Concatenation: a partly filled arena followed by this one.
-			joined := NewTuples[relstore.Record](stride)
+			joined := NewTuples[relstore.Record](a, stride)
 			joined.Append(tuple(-1, stride, 5), nil)
 			joined.AppendAll(arena)
 			if bulk.Len() != n || joined.Len() != n+1 {
@@ -90,7 +99,7 @@ func TestTuplesAcrossChunks(t *testing.T) {
 // TestRowsAreIdentity: the initial join rows are the ids 0..n-1.
 func TestRowsAreIdentity(t *testing.T) {
 	for _, n := range []int{0, 1, 511, 512, 513, 1500} {
-		rows := Rows(n)
+		rows := Rows(NewArena(), n)
 		if rows.Len() != n || rows.Stride != 1 {
 			t.Fatalf("Rows(%d): %d rows of stride %d", n, rows.Len(), rows.Stride)
 		}
@@ -142,7 +151,7 @@ func TestSortedByIsStableSort(t *testing.T) {
 	// The bindings listed directly and through ids (reversed, so the ids
 	// carry the order).
 	for _, in := range [][]relstore.Record{recs, want} {
-		arena, reversed := NewTuples[relstore.Record](1), NewTuples[relstore.Record](1)
+		arena, reversed := NewTuples[relstore.Record](NewArena(), 1), NewTuples[relstore.Record](NewArena(), 1)
 		ids := make([]int32, n)
 		for i := range in {
 			arena.Append(in[i:i+1], nil)
@@ -156,7 +165,7 @@ func TestSortedByIsStableSort(t *testing.T) {
 			}
 		}
 	}
-	for _, v := range []View{DocOrder(NewTuples[relstore.Record](1), nil), DocOrder(NewTuples[relstore.Record](1), []int32{}), {}} {
+	for _, v := range []View{DocOrder(NewTuples[relstore.Record](NewArena(), 1), nil), DocOrder(NewTuples[relstore.Record](NewArena(), 1), []int32{}), {}} {
 		if v.Len() != 0 || v.Records() != nil {
 			t.Error("DocOrder of nothing is not empty")
 		}
@@ -170,7 +179,7 @@ func TestSortedByIsStableSort(t *testing.T) {
 // nothing.
 func TestDocOrderSortedDistinctZeroAlloc(t *testing.T) {
 	const n = 3000
-	arena := NewTuples[relstore.Record](1)
+	arena := NewTuples[relstore.Record](NewArena(), 1)
 	ids := make([]int32, 0, n/2)
 	for i := 0; i < n; i++ {
 		arena.Append([]relstore.Record{{Start: uint32(3 * i), End: uint32(3*i + 1)}}, nil)
@@ -202,12 +211,12 @@ func TestTuplesAppendAllocatesPerChunk(t *testing.T) {
 	const n = 20 << tupleChunkShift
 	prefix, suffix := tuple(0, 2, 1), tuple(0, 1, 9)
 	allocs := testing.AllocsPerRun(5, func() {
-		arena := NewTuples[relstore.Record](3)
+		arena := NewTuples[relstore.Record](NewArena(), 3)
 		for i := 0; i < n; i++ {
 			arena.Append(prefix, suffix)
 		}
 	})
-	// 25 chunks, ~6 growths of the chunk list.
+	// 20 chunks, ~6 growths of the chunk list.
 	if allocs > 40 {
 		t.Errorf("appending %d tuples allocated %.0f times, want one per %d-tuple chunk", n, allocs, 1<<tupleChunkShift)
 	}
@@ -231,7 +240,7 @@ func TestHotpathAnnotations(t *testing.T) {
 func TestSpanAtZeroAlloc(t *testing.T) {
 	recs := []relstore.Record{{Start: 1, End: 9, Level: 1, Data: "x"}, {Start: 2, End: 3, Level: 2}}
 	for _, ret := range []bool{false, true} {
-		b := NewBindings(ret)
+		b := NewBindings(NewArena(), ret)
 		b.Extend(recs)
 		var got Span
 		if allocs := testing.AllocsPerRun(20, func() { got = b.SpanAt(1) }); allocs != 0 {

@@ -43,10 +43,13 @@
 //     lifecycle: relations are written single-threaded at build time and
 //     immutable afterwards.
 //
-// DropCache may run concurrently with readers: it discards frames from
-// the pool without reusing their buffers, so a pinned reader keeps a
-// valid (garbage-collector-protected) snapshot while subsequent requests
-// for the page miss and fetch a fresh frame.
+// DropCache may run concurrently with readers. It empties the pool, and
+// keeps the frames nobody has pinned on the shard's idle list, from
+// which later misses take their buffers before allocating: a cold-cache
+// query loop reuses the same frames instead of allocating a page per
+// miss. A pinned frame is discarded instead, never reused, so its reader
+// keeps a valid (garbage-collector-protected) snapshot while subsequent
+// requests for the page miss and fetch another frame.
 package pager
 
 import (
@@ -218,6 +221,7 @@ type shard struct {
 	lruHead *frame // most recently used
 	lruTail *frame // least recently used
 	cap     int
+	idle    []*frame // unpinned frames DropCache took out of the pool, for reuse
 
 	reads     atomic.Uint64
 	misses    atomic.Uint64
@@ -362,7 +366,8 @@ func (f *File) ResetStats() {
 // DropCache flushes and evicts every pooled page, simulating a cold cache.
 // The paper's experiments run on a cold cache (§5.1). A dirty-page write
 // error does not abort the drain: every frame is still dropped, and the
-// first error is returned. Concurrent readers are unaffected — their
+// first error is returned. Unpinned frames go to the shard's idle list
+// for later misses to reuse. Concurrent readers are unaffected — their
 // pinned frames keep valid buffers, which are discarded rather than
 // reused (see the package documentation).
 func (f *File) DropCache() error {
@@ -378,6 +383,9 @@ func (f *File) DropCache() error {
 			}
 			sh.lruUnlink(fr)
 			delete(sh.pool, id)
+			if fr.pins == 0 {
+				sh.idle = append(sh.idle, fr)
+			}
 		}
 		sh.mu.Unlock()
 	}
@@ -490,7 +498,9 @@ func (f *File) pageIn(sh *shard, id PageID, c *Counters) (*frame, error) {
 // loading the page contents from the backing store. Pinned frames are
 // never chosen as eviction victims — their buffers are in use outside
 // the lock — so an all-pinned shard grows past its capacity transiently
-// instead. Caller holds sh.mu; sh owns id.
+// instead. A frame that evicts nothing comes from the idle list when
+// DropCache left one there, and is allocated otherwise. Caller holds
+// sh.mu; sh owns id.
 func (f *File) frameFor(sh *shard, id PageID, load bool) (*frame, error) {
 	if fr, ok := sh.pool[id]; ok {
 		sh.lruTouch(fr)
@@ -524,7 +534,14 @@ func (f *File) frameFor(sh *shard, id PageID, load bool) (*frame, error) {
 		}
 	}
 	if fr == nil {
-		fr = &frame{data: make([]byte, PageSize)}
+		if n := len(sh.idle); n > 0 {
+			fr = sh.idle[n-1]
+			sh.idle[n-1] = nil
+			sh.idle = sh.idle[:n-1]
+			fr.dirty = false
+		} else {
+			fr = &frame{data: make([]byte, PageSize)}
+		}
 	}
 	fr.id = id
 	if load {

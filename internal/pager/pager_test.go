@@ -2,6 +2,7 @@ package pager
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -272,6 +273,131 @@ func TestViewSurvivesDropCache(t *testing.T) {
 	}
 	if f.Stats().Misses == 0 {
 		t.Fatal("expected a miss after DropCache")
+	}
+}
+
+// TestColdRereadReusesFrames: after DropCache every miss takes a frame
+// the drop left idle, so re-reading a dropped working set allocates no
+// page buffer, and every page still reads back its own bytes.
+func TestColdRereadReusesFrames(t *testing.T) {
+	const pages = 64
+	f := OpenMem(pages)
+	defer f.Close()
+	ids := make([]PageID, pages)
+	for i := range ids {
+		id, err := f.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Update(id, func(p []byte) error { p[0], p[PageSize-1] = byte(i), byte(i+1); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	var bad error
+	check := func(i int) func([]byte) error {
+		return func(p []byte) error {
+			if p[0] != byte(i) || p[PageSize-1] != byte(i+1) {
+				bad = fmt.Errorf("page %d reads %d/%d", ids[i], p[0], p[PageSize-1])
+			}
+			return nil
+		}
+	}
+	checks := make([]func([]byte) error, pages)
+	for i := range checks {
+		checks[i] = check(i)
+	}
+	round := func() {
+		if err := f.DropCache(); err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range ids {
+			if err := f.View(id, checks[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	round() // writes the dirty pages back and sizes the idle lists
+	before := f.Stats()
+	var mem0, mem1 runtime.MemStats
+	runtime.ReadMemStats(&mem0)
+	const rounds = 10
+	for range rounds {
+		round()
+	}
+	runtime.ReadMemStats(&mem1)
+	if bad != nil {
+		t.Fatal(bad)
+	}
+	if misses := f.Stats().Misses - before.Misses; misses != rounds*pages {
+		t.Fatalf("%d misses, want %d: every re-read after a drop is cold", misses, rounds*pages)
+	}
+	if grown := mem1.TotalAlloc - mem0.TotalAlloc; grown >= PageSize {
+		t.Errorf("%d cold re-reads allocated %d bytes: at least one fresh frame", rounds*pages, grown)
+	}
+}
+
+// TestPinnedFrameNeverReused: a frame pinned while DropCache runs is
+// discarded, not put on the idle list, so the misses that follow never
+// load another page into the buffer its reader is still looking at. Run
+// under -race, a reuse also shows as a write racing the pinned read.
+func TestPinnedFrameNeverReused(t *testing.T) {
+	const pages = 16
+	f := OpenMem(pages)
+	defer f.Close()
+	ids := make([]PageID, pages)
+	for i := range ids {
+		id, err := f.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Update(id, func(p []byte) error { clear(p); p[0] = byte(i + 1); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	pinned, done := make(chan []byte), make(chan struct{})
+	viewErr := make(chan error, 1)
+	go func() {
+		viewErr <- f.View(ids[0], func(p []byte) error {
+			pinned <- p
+			<-done
+			want := make([]byte, PageSize)
+			want[0] = 1
+			if !bytes.Equal(p, want) {
+				return fmt.Errorf("pinned page changed after the drop: byte 0 = %d", p[0])
+			}
+			return nil
+		})
+	}()
+	p := <-pinned
+	for round := 0; round < 3; round++ {
+		if err := f.DropCache(); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids[1:] {
+			if err := f.View(id, func([]byte) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(done)
+	if err := <-viewErr; err != nil {
+		t.Fatal(err)
+	}
+	// The discarded buffer is in neither a pool nor an idle list.
+	if err := f.DropCache(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range f.shards {
+		sh := &f.shards[i]
+		sh.mu.Lock()
+		for _, fr := range sh.idle {
+			if &fr.data[0] == &p[0] {
+				t.Error("the frame pinned during DropCache is on the idle list")
+			}
+		}
+		sh.mu.Unlock()
 	}
 }
 

@@ -261,8 +261,10 @@ func estimateFragment(ctx *relstore.ExecContext, st *core.Store, f *translate.Fr
 		e, err = st.SD().EstimateTag(ctx, f.Access.TagID)
 		provable = true
 	case translate.AccessAll:
-		// Free: the relation count is exact.
-		return st.SD().Count(), true, nil
+		// The element records, counted once per open store: a wildcard
+		// reads SD's element-tag runs, never its attribute records.
+		n, err := st.ElementCount()
+		return n, true, err
 	default:
 		return 0, false, fmt.Errorf("unknown access kind %v", f.Access.Kind)
 	}

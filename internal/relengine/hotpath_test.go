@@ -35,14 +35,14 @@ func TestMergeJoinAllocatesPerChunk(t *testing.T) {
 			descs = append(descs, relstore.Record{Start: base + 1 + 2*d, End: base + 2 + 2*d, Level: 3})
 		}
 	}
-	in := &joinInput{rows: core.Rows(n), anc: bindingsOf(ancs, false), descs: bindingsOf(descs, true), j: translate.Join{Gap: 1, Exact: true}}
+	in := &joinInput{rows: core.Rows(core.NewArena(), n), anc: bindingsOf(ancs, false), descs: bindingsOf(descs, true), j: translate.Join{Gap: 1, Exact: true}}
 	var out core.Tuples[int32]
 	allocs := testing.AllocsPerRun(5, func() { out = mergeJoin(in) })
 	if out.Len() != len(descs) {
 		t.Fatalf("%d joined rows, want %d", out.Len(), len(descs))
 	}
-	// 8192 rows are 16 chunks, plus the first chunk's doublings and the
-	// growth of the chunk list and the stack.
+	// 8192 rows are 16 chunks, plus the growth of the chunk list and
+	// the stack.
 	if allocs > 40 {
 		t.Errorf("joining %d descendants allocated %.0f times, want one per arena chunk", len(descs), allocs)
 	}

@@ -45,7 +45,7 @@ func perTupleMergeJoin(tuples [][]relstore.Record, ancCol int, descs []relstore.
 // bindingsOf returns recs as a fragment's binding arena: records when
 // ret (the return fragment), spans otherwise.
 func bindingsOf(recs []relstore.Record, ret bool) *core.Bindings {
-	b := core.NewBindings(ret)
+	b := core.NewBindings(core.NewArena(), ret)
 	b.Extend(recs)
 	return &b
 }
@@ -97,7 +97,7 @@ func TestStructuralMergeJoinChunking(t *testing.T) {
 	rnd.Shuffle(len(ancs), func(i, j int) { ancs[i], ancs[j] = ancs[j], ancs[i] })
 
 	var tuples [][]relstore.Record
-	rows := core.NewTuples[int32](2)
+	rows := core.NewTuples[int32](core.NewArena(), 2)
 	for i, a := range ancs {
 		tuples = append(tuples, []relstore.Record{root[0], a})
 		rows.Append([]int32{0, int32(i)}, nil)

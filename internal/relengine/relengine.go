@@ -25,7 +25,9 @@
 // single pager view into one pooled relstore.Batch that every scan of
 // the query reuses, so each page is requested once. The bindings a
 // selection keeps are appended to the fragment's chunked binding arena
-// (core.Bindings), which is never regrown or copied.
+// (core.Bindings), which is never regrown or copied. Its chunks, and
+// those of every join's rows, come from the query's core.Arena, whose
+// owner releases them all once the answer is copied out.
 //
 // Bindings are narrow and materialization is late. A D-join reads only
 // intervals and levels, so every fragment but the return one binds a
@@ -72,24 +74,29 @@ type Options struct {
 	core.ExecConfig
 }
 
-// Execute is Run with the answer also copied out into
-// core.Result.Records, for callers that read records instead of the
-// view (the benchmark's per-layer pipeline and tests).
+// Execute is Run in an arena of its own, with the answer copied out
+// into core.Result.Records before the arena is released, for callers
+// that read records instead of the view (the benchmark's per-layer
+// pipeline and tests). Result.Return is left empty.
 func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opts Options) (*core.Result, error) {
-	res, err := Run(ctx, st, p, opts.Join)
+	a := core.NewArena()
+	defer a.Release()
+	res, err := Run(ctx, a, st, p, opts.Join)
 	if err != nil {
 		return nil, err
 	}
-	res.Records = res.Return.Records()
+	res.Records, res.Return = res.Return.Records(), core.View{}
 	return res, nil
 }
 
 // Run runs a physical plan against a store, with its D-joins run by
 // join, and returns the answer as a view of the return fragment's
-// bindings. Statistics accumulate in ctx (nil discards them). Run is
-// safe to call concurrently with any other reads of the same store,
-// provided each call gets its own ctx.
-func Run(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, join JoinAlgorithm) (*core.Result, error) {
+// bindings. Every binding and join row is a chunk of arena a, which the
+// caller releases once it has copied the answer out. Statistics
+// accumulate in ctx (nil discards them). Run is safe to call
+// concurrently with any other reads of the same store, provided each
+// call gets its own ctx and arena.
+func Run(ctx *relstore.ExecContext, a *core.Arena, st *core.Store, p *planner.Physical, join JoinAlgorithm) (*core.Result, error) {
 	lp := p.Logical
 	if p.KnownEmpty || lp.Empty() {
 		// A probe-proven empty plan skips every scan and join — zero
@@ -101,7 +108,7 @@ func Run(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, join Jo
 
 	// Evaluate every fragment, most selective first.
 	scanBegin := tr.Begin()
-	bindings, err := scanFragments(ctx, st, p)
+	bindings, err := scanFragments(ctx, a, st, p)
 	tr.End(obs.PhaseScan, scanBegin)
 	if err != nil {
 		return nil, err
@@ -127,7 +134,7 @@ func Run(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, join Jo
 	cols := map[int]int{}
 	first := p.Joins[0].Anc
 	cols[first] = 0
-	rows := core.Rows(bindings[first].Len())
+	rows := core.Rows(a, bindings[first].Len())
 
 	for ji, j := range p.Joins {
 		ancCol, ok := cols[j.Anc]
@@ -161,10 +168,10 @@ func Run(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, join Jo
 // empty skips the expensive ones — and it only holds if scan k+1 cannot
 // start before scan k is known non-empty; racing the scans would read
 // the large fragments the order exists to avoid, and make the page and
-// visited counters depend on scheduling. Every scan decodes into the same pooled batch
-// buffer, released when the scans end. The return fragment binds
-// records, every other fragment spans.
-func scanFragments(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical) ([]core.Bindings, error) {
+// visited counters depend on scheduling. Every scan decodes into the
+// same pooled batch buffer, released when the scans end, and binds into
+// chunks of a: the return fragment records, every other fragment spans.
+func scanFragments(ctx *relstore.ExecContext, a *core.Arena, st *core.Store, p *planner.Physical) ([]core.Bindings, error) {
 	frags := p.Logical.Fragments
 	bindings := make([]core.Bindings, len(frags))
 	batch := relstore.GetBatch()
@@ -174,7 +181,7 @@ func scanFragments(ctx *relstore.ExecContext, st *core.Store, p *planner.Physica
 		if err != nil {
 			return nil, err
 		}
-		b, err := fs.Collect(ctx, batch, i == p.Logical.Return)
+		b, err := fs.Collect(ctx, a, batch, i == p.Logical.Return)
 		if err != nil {
 			return nil, err
 		}
@@ -235,7 +242,8 @@ type openAnc struct {
 // binding, and returns the joined rows: an input row extended by one
 // descendant id. Both inputs are put in start order — as permutations
 // of row and descendant ids, never copies — then merged with a stack of
-// open ancestors: amortized linear plus output.
+// open ancestors: amortized linear plus output. The joined rows take
+// their chunks from the input rows' arena.
 //
 //blas:hotpath
 func mergeJoin(in *joinInput) core.Tuples[int32] {
@@ -246,7 +254,7 @@ func mergeJoin(in *joinInput) core.Tuples[int32] {
 	// through earlier joins are in those joins' order.
 	in.descOrder = core.SortedBy(nd, func(i int) uint32 { return in.descs.SpanAt(i).Start })
 
-	out := core.NewTuples[int32](in.rows.Stride + 1)
+	out := core.NewTuples[int32](in.rows.Arena(), in.rows.Stride+1)
 	var stack []openAnc // outermost first
 	var desc [1]int32
 	ti := 0
@@ -289,7 +297,7 @@ func mergeJoin(in *joinInput) core.Tuples[int32] {
 
 // nestedLoopJoin is the quadratic D-join used by the ablation benchmark.
 func nestedLoopJoin(in *joinInput) core.Tuples[int32] {
-	out := core.NewTuples[int32](in.rows.Stride + 1)
+	out := core.NewTuples[int32](in.rows.Arena(), in.rows.Stride+1)
 	var desc [1]int32
 	for r := 0; r < in.rows.Len(); r++ {
 		a := in.ancSpan(int32(r))

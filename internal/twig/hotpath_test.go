@@ -50,7 +50,7 @@ func TestCollectSolutionsAllocatesPerChunk(t *testing.T) {
 	eng := &engine{nodes: []*tnode{root, mid, leaf}, root: root, leaves: []*tnode{leaf}, maxDepth: 3, retDepth: 1}
 	const emissions = 4096
 	allocs := testing.AllocsPerRun(5, func() {
-		st := newSweepState(eng)
+		st := newSweepState(eng, core.NewArena())
 		// Two nested roots, two mids under the inner one: every leaf
 		// element yields 2 (mid) x 2 (root) = 4 path solutions.
 		st.stacks[0] = []stackItem{{rec: relstore.Record{Start: 1, Level: 1}, parentIdx: -1}, {rec: relstore.Record{Start: 2, Level: 2}, parentIdx: -1}}
@@ -68,9 +68,10 @@ func TestCollectSolutionsAllocatesPerChunk(t *testing.T) {
 			}
 		}
 	})
-	// 16384 solutions fill 36 chunks in each of the two arenas (94
-	// allocations with the chunk lists' growth and the fixture); a
-	// per-solution allocation would be thousands.
+	// 16384 solutions fill 32 chunks in each of the two arenas (97
+	// allocations with the growth of the chunk lists and of the
+	// arena's own lists, and the fixture); a per-solution allocation
+	// would be thousands.
 	if allocs > 110 {
 		t.Errorf("%d emissions allocated %.0f times, want one per arena chunk", emissions, allocs)
 	}
@@ -83,8 +84,8 @@ func TestCollectSolutionsAllocatesPerChunk(t *testing.T) {
 // sort runs.
 func TestFoldLeafAllocatesPerChunk(t *testing.T) {
 	const n = 4096
-	prev := core.NewTuples[core.Span](2)
-	sols := core.NewTuples[core.Span](3)
+	prev := core.NewTuples[core.Span](core.NewArena(), 2)
+	sols := core.NewTuples[core.Span](core.NewArena(), 3)
 	for i := 0; i < n; i++ {
 		prev.Append([]core.Span{{Start: 1}, {Start: uint32(10 + i)}}, nil)
 	}
@@ -93,7 +94,7 @@ func TestFoldLeafAllocatesPerChunk(t *testing.T) {
 			sols.Append([]core.Span{{Start: 1}, {Start: uint32(10 + i)}, {Start: uint32(2*n + 2*i + k)}}, nil)
 		}
 	}
-	assigns := core.Rows(n)
+	assigns := core.Rows(core.NewArena(), n)
 	var out core.Tuples[int32]
 	allocs := testing.AllocsPerRun(5, func() { out = foldLeaf(assigns, prev, sols, 2) })
 	if out.Len() != 2*n {

@@ -7,9 +7,10 @@ import (
 
 // sweepStreams runs the stack-chain sweep over every node's stream on
 // the calling goroutine and returns the per-leaf path-solution lists in
-// emission order, and the return column of the return leaf's solutions.
-func (e *engine) sweepStreams(ctx *relstore.ExecContext) ([]core.Tuples[core.Span], core.Tuples[relstore.Record], error) {
-	st := newSweepState(e)
+// emission order, and the return column of the return leaf's solutions,
+// all in chunks of a.
+func (e *engine) sweepStreams(ctx *relstore.ExecContext, a *core.Arena) ([]core.Tuples[core.Span], core.Tuples[relstore.Record], error) {
+	st := newSweepState(e, a)
 	for i, n := range e.nodes {
 		bi, err := n.stream.Open(ctx)
 		if err != nil {
@@ -33,18 +34,18 @@ type sweepState struct {
 }
 
 // newSweepState returns the empty state of a sweep over e, streams not
-// yet opened.
-func newSweepState(e *engine) *sweepState {
+// yet opened, whose solution and return arenas take chunks from a.
+func newSweepState(e *engine, a *core.Arena) *sweepState {
 	st := &sweepState{
 		eng:     e,
 		streams: make([]*batchStream, len(e.nodes)),
 		stacks:  make([][]stackItem, len(e.nodes)),
 		sols:    make([]core.Tuples[core.Span], len(e.leaves)),
-		ret:     core.NewTuples[relstore.Record](1),
+		ret:     core.NewTuples[relstore.Record](a, 1),
 		scratch: make([]core.Span, e.maxDepth),
 	}
 	for li, leaf := range e.leaves {
-		st.sols[li] = core.NewTuples[core.Span](len(leaf.path))
+		st.sols[li] = core.NewTuples[core.Span](a, len(leaf.path))
 	}
 	return st
 }

@@ -30,7 +30,9 @@
 // leaf's solutions by binary search over its solution ids sorted by
 // prefix, so the merge copies ids, never bindings, and the answer is a
 // core.View of the return arena, which Store.Query's finalize reads
-// once into its matches.
+// once into its matches. Every solution, return and assignment chunk
+// comes from the query's core.Arena, whose owner releases them all once
+// the answer is copied out.
 //
 // # Batched streams and one sweep
 //
@@ -74,16 +76,19 @@ import (
 	"repro/internal/translate"
 )
 
-// Execute is Run with the answer also copied out into
-// core.Result.Records, for callers that read records instead of the
-// view (the benchmark's per-layer pipeline and tests). cfg is ignored;
-// it exists only for benchmark/ and goes with ROADMAP item 1(d).
+// Execute is Run in an arena of its own, with the answer copied out
+// into core.Result.Records before the arena is released, for callers
+// that read records instead of the view (the benchmark's per-layer
+// pipeline and tests). Result.Return is left empty. cfg is ignored; it
+// exists only for benchmark/ and goes with ROADMAP item 1(d).
 func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, cfg core.ExecConfig) (*core.Result, error) {
-	res, err := Run(ctx, st, p)
+	a := core.NewArena()
+	defer a.Release()
+	res, err := Run(ctx, a, st, p)
 	if err != nil {
 		return nil, err
 	}
-	res.Records = res.Return.Records()
+	res.Records, res.Return = res.Return.Records(), core.View{}
 	return res, nil
 }
 
@@ -92,11 +97,13 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, cfg
 // plan's join order does not change the sweep (all streams
 // advance in global start order), but the planner's emptiness proofs
 // do: a KnownEmpty plan skips stream preparation entirely, and a stream
-// that resolves to zero P-label runs skips the sweep and merge.
-// Statistics accumulate in ctx (nil discards them); one ctx per call
-// makes concurrent Run calls over one store safe. The sweep runs on
-// the calling goroutine and starts no other.
-func Run(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical) (*core.Result, error) {
+// that resolves to zero P-label runs skips the sweep and merge. Every
+// path solution, return binding and assignment row is a chunk of arena
+// a, which the caller releases once it has copied the answer out.
+// Statistics accumulate in ctx (nil discards them); one ctx and arena per call
+// makes concurrent Run calls over one store safe. The sweep runs on the
+// calling goroutine and starts no other.
+func Run(ctx *relstore.ExecContext, a *core.Arena, st *core.Store, p *planner.Physical) (*core.Result, error) {
 	lp := p.Logical
 	if p.KnownEmpty || lp.Empty() {
 		return &core.Result{EarlyTerminated: p.ProbedEmpty()}, nil
@@ -116,7 +123,7 @@ func Run(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical) (*core.
 		}
 	}
 	sweepBegin := tr.Begin()
-	leafSols, ret, err := eng.sweepStreams(ctx)
+	leafSols, ret, err := eng.sweepStreams(ctx, a)
 	tr.End(obs.PhaseSweep, sweepBegin)
 	if err != nil {
 		return nil, err
@@ -263,7 +270,7 @@ func (e *engine) merge(leafSols []core.Tuples[core.Span], ret core.Tuples[relsto
 	// root..branch-point prefix of its path, and in DFS order the previous
 	// leaf's path runs through the branch point, so that leaf's solution
 	// (an assignment's last column) binds the whole shared prefix.
-	assigns := core.Rows(leafSols[0].Len())
+	assigns := core.Rows(ret.Arena(), leafSols[0].Len())
 	for li := 1; li < len(e.leaves); li++ {
 		leaf := e.leaves[li]
 		shared := 0
@@ -299,7 +306,8 @@ func comparePrefix(a, b []core.Span, shared int) int {
 // ids are stable-sorted by prefix, so each distinct assignment prefix is
 // one binary search for a run of matches in emission order; the output
 // is assignment-major, then emission order — the order of a hash join
-// probed by assignment.
+// probed by assignment. The output rows take their chunks from the
+// assignments' arena.
 //
 //blas:hotpath
 func foldLeaf(assigns core.Tuples[int32], prev, sols core.Tuples[core.Span], shared int) core.Tuples[int32] {
@@ -313,7 +321,7 @@ func foldLeaf(assigns core.Tuples[int32], prev, sols core.Tuples[core.Span], sha
 		slices.SortStableFunc(order, byPrefix)
 	}
 
-	out := core.NewTuples[int32](assigns.Stride + 1)
+	out := core.NewTuples[int32](assigns.Arena(), assigns.Stride+1)
 	var next [1]int32
 	last, lo, hi := int32(-1), 0, 0
 	for ai, n := 0, assigns.Len(); ai < n; ai++ {

@@ -2,6 +2,8 @@ package blas
 
 import (
 	"bytes"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -184,6 +186,46 @@ func TestExplainShowsOrder(t *testing.T) {
 	}
 	if fx.Reordered || !strings.Contains(fx.OrderText, "order[fixed]") {
 		t.Errorf("NoReorder explain: Reordered=%v OrderText=%q", fx.Reordered, fx.OrderText)
+	}
+}
+
+// TestWildcardEstimateCountsElements: a wildcard fragment reads SD's
+// element-tag runs only, so the planner estimates it by the element
+// records (the sum of the per-tag estimates), not by every SD record:
+// auction carries about a fifth of its records as attributes. The
+// records the fragment decodes are the visited elements of dlabel's
+// //*, one wildcard fragment on the same runs; the estimate must lie
+// within EstimateTag's interpolation error (below 10 %) of them.
+func TestWildcardEstimateCountsElements(t *testing.T) {
+	var doc strings.Builder
+	if err := GenerateDataset(&doc, datagen.NameAuction, DatasetOptions{Seed: 2, Factor: 2}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := BuildFromString(doc.String(), Options{PoolPages: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	all, err := st.Query("//*", QueryOptions{Translator: TranslatorDLabel, Engine: EngineRelational})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := all.Stats.VisitedElements
+	ex, err := st.Explain("/site/*/person/name", QueryOptions{Translator: TranslatorDLabel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`scan F1 \(est (\d+)\)`).FindStringSubmatch(ex.OrderText)
+	if m == nil {
+		t.Fatalf("no estimate for the wildcard fragment F1 in\n%s%s", ex.PlanText, ex.OrderText)
+	}
+	est, err := strconv.ParseUint(m[1], 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := max(est, decoded) - min(est, decoded); diff*10 > decoded {
+		t.Errorf("wildcard fragment estimated at %d records, decodes %d (SD holds %d with attributes)",
+			est, decoded, st.inner.SD().Count())
 	}
 }
 
