@@ -254,32 +254,6 @@ func BenchmarkScanOverlap(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDJoin compares the structural merge join against the
-// nested-loop D-join (the paper's premise that join implementation
-// matters, §1).
-func BenchmarkAblationDJoin(b *testing.B) {
-	st := benchStore(b, "protein", 1, 0)
-	plan := benchPlan(b, st, bench.Fig10Queries["QP3"], "pushup", false)
-	for _, mode := range []struct {
-		name string
-		opts relengine.Options
-	}{
-		{"merge", relengine.Options{Join: relengine.MergeJoin}},
-		{"nestedloop", relengine.Options{Join: relengine.NestedLoopJoin}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := st.DropCaches(); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := relengine.Execute(nil, st, planner.Fixed(plan), mode.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationClustering compares answering a suffix path query via
 // the clustered P-label selection (SP) against reading the same nodes
 // through the tag-clustered SD relation — the paper's §4.2 disk-access

@@ -536,7 +536,7 @@ func (s *Store) run(ctx *relstore.ExecContext, phys *planner.Physical, planElaps
 	case EngineTwig:
 		res, err = twig.Run(ctx, arena, s.inner, phys)
 	default:
-		res, err = relengine.Run(ctx, arena, s.inner, phys, relengine.MergeJoin)
+		res, err = relengine.Run(ctx, arena, s.inner, phys)
 	}
 	if err != nil {
 		arena.Release()

@@ -61,7 +61,7 @@ func executeRecords(t *testing.T, st *Store, phys *planner.Physical, opts QueryO
 	if engineOf(opts) == EngineTwig {
 		res, err = twig.Run(nil, a, st.inner, phys)
 	} else {
-		res, err = relengine.Run(nil, a, st.inner, phys, relengine.MergeJoin)
+		res, err = relengine.Run(nil, a, st.inner, phys)
 	}
 	if err != nil {
 		t.Fatal(err)

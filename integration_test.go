@@ -48,7 +48,7 @@ func runStarts(ctx *relstore.ExecContext, st *core.Store, phys *planner.Physical
 	if twigEngine {
 		res, err = twig.Run(ctx, a, st, phys)
 	} else {
-		res, err = relengine.Run(ctx, a, st, phys, relengine.MergeJoin)
+		res, err = relengine.Run(ctx, a, st, phys)
 	}
 	if err != nil {
 		return nil, err

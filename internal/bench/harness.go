@@ -146,7 +146,7 @@ func (h *Harness) Run(dataset string, factor int, queryName, query, translator, 
 		case "twig":
 			res, err = twig.Run(ctx, arena, st, phys)
 		default:
-			res, err = relengine.Run(ctx, arena, st, phys, relengine.MergeJoin)
+			res, err = relengine.Run(ctx, arena, st, phys)
 		}
 		if err != nil {
 			arena.Release()

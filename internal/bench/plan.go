@@ -98,7 +98,7 @@ func (h *Harness) planMeasure(dataset, queryName, query string, noReorder bool) 
 			return Measurement{}, fmt.Errorf("bench: plan %s/%s: %w", queryName, mode, err)
 		}
 		arena := core.NewArena()
-		res, err := relengine.Run(ctx, arena, st, phys, relengine.MergeJoin)
+		res, err := relengine.Run(ctx, arena, st, phys)
 		if err != nil {
 			arena.Release()
 			return Measurement{}, fmt.Errorf("bench: %s/%s: %w", queryName, mode, err)

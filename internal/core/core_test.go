@@ -8,8 +8,30 @@ import (
 	"testing"
 
 	"repro/internal/relstore"
+	"repro/internal/uint128"
 	"repro/internal/xmltree"
 )
+
+// drain returns a cursor's records.
+func drain(c *relstore.Cursor) ([]relstore.Record, error) {
+	var out []relstore.Record
+	err := c.Drain(func(recs []relstore.Record) { out = append(out, recs...) })
+	return out, err
+}
+
+// scanAll returns every record of r in cluster-key order.
+func scanAll(r *relstore.Relation) ([]relstore.Record, error) {
+	var out []relstore.Record
+	buf := make([]relstore.Record, relstore.BatchSize)
+	it := r.ScanAllBatch(nil)
+	for {
+		n, err := it.NextBatch(buf)
+		if err != nil || n == 0 {
+			return out, err
+		}
+		out = append(out, buf[:n]...)
+	}
+}
 
 const sampleDoc = `<proteinDatabase>
   <proteinEntry>
@@ -72,7 +94,7 @@ func TestSuffixPathSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := relstore.CollectBatches(st.SP().ScanPLabelExactBatch(nil, lbl), 0)
+	recs, err := drain(st.SP().ScanPLabels(nil, []uint128.Uint128{lbl}, nil, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +117,12 @@ func TestDLabelNesting(t *testing.T) {
 	if !ok {
 		t.Fatal("tag missing")
 	}
-	entries, err := relstore.CollectBatches(st.SD().ScanTagBatch(nil, id), 0)
+	entries, err := drain(st.SD().ScanTags(nil, []uint32{id}, nil, 0))
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("entries: %d, %v", len(entries), err)
 	}
 	yid, _ := st.TagID("year")
-	years, err := relstore.CollectBatches(st.SD().ScanTagBatch(nil, yid), 0)
+	years, err := drain(st.SD().ScanTags(nil, []uint32{yid}, nil, 0))
 	if err != nil || len(years) != 1 {
 		t.Fatalf("years: %d, %v", len(years), err)
 	}
@@ -128,7 +150,7 @@ func TestAttributesShredded(t *testing.T) {
 	if !ok {
 		t.Fatal("@id not in scheme")
 	}
-	attrs, err := relstore.CollectBatches(st.SD().ScanTagBatch(nil, id), 0)
+	attrs, err := drain(st.SD().ScanTags(nil, []uint32{id}, nil, 0))
 	if err != nil || len(attrs) != 1 {
 		t.Fatalf("attrs: %d, %v", len(attrs), err)
 	}
@@ -176,11 +198,11 @@ func TestBuildFromReaderMatchesTree(t *testing.T) {
 	if st1.NodeCount() != st2.NodeCount() {
 		t.Fatalf("node counts differ: %d vs %d", st1.NodeCount(), st2.NodeCount())
 	}
-	r1, err := relstore.CollectBatches(st1.SP().ScanAllBatch(nil), 0)
+	r1, err := scanAll(st1.SP())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := relstore.CollectBatches(st2.SP().ScanAllBatch(nil), 0)
+	r2, err := scanAll(st2.SP())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +243,7 @@ func TestPersistAndOpen(t *testing.T) {
 		t.Fatal("schema lost")
 	}
 	lbl, _ := st2.Scheme().LabelPath([]string{"proteinDatabase", "proteinEntry", "protein", "name"})
-	recs, err := relstore.CollectBatches(st2.SP().ScanPLabelExactBatch(nil, lbl), 0)
+	recs, err := drain(st2.SP().ScanPLabels(nil, []uint128.Uint128{lbl}, nil, 0))
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("scan after reopen: %d, %v", len(recs), err)
 	}
@@ -259,7 +281,7 @@ func TestCountersAndCaches(t *testing.T) {
 	}
 	ctx := relstore.NewExecContext()
 	lbl, _ := st.Scheme().LabelPath([]string{"proteinDatabase", "proteinEntry"})
-	if _, err := relstore.CollectBatches(st.SP().ScanPLabelExactBatch(ctx, lbl), 0); err != nil {
+	if _, err := drain(st.SP().ScanPLabels(ctx, []uint128.Uint128{lbl}, nil, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if got := ctx.Visited(); got != 1 {

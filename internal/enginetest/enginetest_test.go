@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/relstore"
+	"repro/internal/uint128"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
@@ -25,7 +26,8 @@ func TestLabelTreeMatchesShredder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := relstore.CollectBatches(st.SP().ScanPLabelExactBatch(nil, lbl), 0)
+	var recs []relstore.Record
+	err = st.SP().ScanPLabels(nil, []uint128.Uint128{lbl}, nil, 0).Drain(func(batch []relstore.Record) { recs = append(recs, batch...) })
 	if err != nil {
 		t.Fatal(err)
 	}

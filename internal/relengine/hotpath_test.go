@@ -35,7 +35,7 @@ func TestMergeJoinAllocatesPerChunk(t *testing.T) {
 			descs = append(descs, relstore.Record{Start: base + 1 + 2*d, End: base + 2 + 2*d, Level: 3})
 		}
 	}
-	in := &joinInput{rows: core.Rows(core.NewArena(), n), anc: bindingsOf(ancs, false), descs: bindingsOf(descs, true), j: translate.Join{Gap: 1, Exact: true}}
+	in := joinInput{rows: core.Rows(core.NewArena(), n), anc: bindingsOf(ancs, false), descs: bindingsOf(descs, true), j: translate.Join{Gap: 1, Exact: true}}
 	var out core.Tuples[int32]
 	allocs := testing.AllocsPerRun(5, func() { out = mergeJoin(in) })
 	if out.Len() != len(descs) {

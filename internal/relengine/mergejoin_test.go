@@ -42,6 +42,24 @@ func perTupleMergeJoin(tuples [][]relstore.Record, ancCol int, descs []relstore.
 	return out
 }
 
+// nestedLoopJoin is the quadratic D-join: the merge join's second
+// reference, and the ablation benchmark's baseline.
+func nestedLoopJoin(in joinInput) core.Tuples[int32] {
+	out := core.NewTuples[int32](in.rows.Arena(), in.rows.Stride+1)
+	var desc [1]int32
+	for r := 0; r < in.rows.Len(); r++ {
+		a := in.ancSpan(int32(r))
+		for di := 0; di < in.descs.Len(); di++ {
+			d := in.descs.SpanAt(di)
+			if a.Start < d.Start && a.End > d.End && in.j.LevelOK(a.Level, d.Level) {
+				desc[0] = int32(di)
+				out.Append(in.rows.At(r), desc[:])
+			}
+		}
+	}
+	return out
+}
+
 // bindingsOf returns recs as a fragment's binding arena: records when
 // ret (the return fragment), spans otherwise.
 func bindingsOf(recs []relstore.Record, ret bool) *core.Bindings {
@@ -123,19 +141,19 @@ func TestStructuralMergeJoinChunking(t *testing.T) {
 		sorted := slices.Clone(want)
 		slices.SortFunc(sorted, byPair)
 		for ret := range 3 { // 0: neither input, 1: the ancestors, 2: the descendants
-			for _, join := range []JoinAlgorithm{MergeJoin, NestedLoopJoin} {
-				in := &joinInput{rows: rows, ancCol: 1, anc: bindingsOf(ancs, ret == 1), descs: bindingsOf(descs, ret == 2), j: j}
+			for join, nested := range []bool{false, true} {
+				in := joinInput{rows: rows, ancCol: 1, anc: bindingsOf(ancs, ret == 1), descs: bindingsOf(descs, ret == 2), j: j}
 				var joined core.Tuples[int32]
-				if join == MergeJoin {
-					joined = mergeJoin(in)
-				} else {
+				if nested {
 					joined = nestedLoopJoin(in)
+				} else {
+					joined = mergeJoin(in)
 				}
 				if joined.Stride != 3 || joined.Len() != len(want) {
 					t.Fatalf("%v ret=%d join=%d: %d rows of stride %d, want %d of stride 3", j, ret, join, joined.Len(), joined.Stride, len(want))
 				}
 				got, ref := resolve(joined), want
-				if join == NestedLoopJoin {
+				if nested {
 					slices.SortFunc(got, byPair)
 					ref = sorted
 				}

@@ -3,8 +3,8 @@
 // over the SP or SD relation, and fragments are combined with structural
 // D-joins. The join operator is a stack-based structural merge join
 // (Al-Khalifa et al., "stack-tree" family) that runs in
-// O(inputs + output); a nested-loop D-join is provided for the ablation
-// benchmark.
+// O(inputs + output). The tests keep a nested-loop D-join as its
+// reference and as the ablation benchmark's baseline.
 //
 // The engine takes a planner.Physical and honors its order: fragment
 // selections run in Physical.Scans order (most selective first under the
@@ -19,15 +19,18 @@
 // (see scanFragments: the planner's order is an early-termination
 // device, and it only works if a later scan cannot start before an
 // earlier one is known non-empty), and each D-join is one sequential
-// stack merge. Fragment selections read through the batched stream layer
-// (core.FragmentStream.Collect over relstore.BatchIter): a cluster-scan
-// batch is one heap page's share of the selection, decoded under a
-// single pager view into one pooled relstore.Batch that every scan of
-// the query reuses, so each page is requested once. The bindings a
-// selection keeps are appended to the fragment's chunked binding arena
-// (core.Bindings), which is never regrown or copied. Its chunks, and
-// those of every join's rows, come from the query's core.Arena, whose
-// owner releases them all once the answer is copied out.
+// stack merge. Each fragment selection drains the fragment's
+// relstore.Cursor (core.Store.PrepareFragmentStream): each cluster run
+// reads one heap page's share of the selection at a time, under a
+// single pager view, into a pooled buffer of its own, and filters it
+// there, so each page is requested once; a selection of one run hands
+// each filtered page share to its bindings whole. A cursor gives its
+// buffers back as it ends, so a plan of single-run fragments holds one
+// buffer at a time. The bindings a selection keeps are appended to the
+// fragment's chunked binding arena (core.Bindings), which is never
+// regrown or copied. Its chunks, and those of every join's rows, come
+// from the query's core.Arena, whose owner releases them all once the
+// answer is copied out.
 //
 // Bindings are narrow and materialization is late. A D-join reads only
 // intervals and levels, so every fragment but the return one binds a
@@ -57,18 +60,8 @@ import (
 	"repro/internal/translate"
 )
 
-// JoinAlgorithm selects the D-join implementation.
-type JoinAlgorithm int
-
-// Join algorithms.
-const (
-	MergeJoin      JoinAlgorithm = iota // stack-based structural merge join
-	NestedLoopJoin                      // quadratic baseline (ablation only)
-)
-
 // Options configures Execute.
 type Options struct {
-	Join JoinAlgorithm
 	// ExecConfig is ignored. It exists only for benchmark/ and goes
 	// with ROADMAP item 1(d).
 	core.ExecConfig
@@ -81,7 +74,7 @@ type Options struct {
 func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opts Options) (*core.Result, error) {
 	a := core.NewArena()
 	defer a.Release()
-	res, err := Run(ctx, a, st, p, opts.Join)
+	res, err := Run(ctx, a, st, p)
 	if err != nil {
 		return nil, err
 	}
@@ -89,14 +82,21 @@ func Execute(ctx *relstore.ExecContext, st *core.Store, p *planner.Physical, opt
 	return res, nil
 }
 
-// Run runs a physical plan against a store, with its D-joins run by
-// join, and returns the answer as a view of the return fragment's
-// bindings. Every binding and join row is a chunk of arena a, which the
-// caller releases once it has copied the answer out. Statistics
-// accumulate in ctx (nil discards them). Run is safe to call
-// concurrently with any other reads of the same store, provided each
-// call gets its own ctx and arena.
-func Run(ctx *relstore.ExecContext, a *core.Arena, st *core.Store, p *planner.Physical, join JoinAlgorithm) (*core.Result, error) {
+// Run runs a physical plan against a store and returns the answer as a
+// view of the return fragment's bindings. Every binding and join row is
+// a chunk of arena a, which the caller releases once it has copied the
+// answer out. Statistics accumulate in ctx (nil discards them). Run is
+// safe to call concurrently with any other reads of the same store,
+// provided each call gets its own ctx and arena.
+func Run(ctx *relstore.ExecContext, a *core.Arena, st *core.Store, p *planner.Physical) (*core.Result, error) {
+	return run(ctx, a, st, p, mergeJoin)
+}
+
+// run is Run with its D-joins run by join, so tests can drive whole
+// plans through a reference join. join takes its input by value:
+// called through a func value, a pointer would move every join's input
+// to the heap.
+func run(ctx *relstore.ExecContext, a *core.Arena, st *core.Store, p *planner.Physical, join func(joinInput) core.Tuples[int32]) (*core.Result, error) {
 	lp := p.Logical
 	if p.KnownEmpty || lp.Empty() {
 		// A probe-proven empty plan skips every scan and join — zero
@@ -141,13 +141,7 @@ func Run(ctx *relstore.ExecContext, a *core.Arena, st *core.Store, p *planner.Ph
 		if !ok {
 			return nil, fmt.Errorf("relengine: join order is not a tree (fragment %d not yet bound)", j.Anc)
 		}
-		in := joinInput{rows: rows, ancCol: ancCol, anc: &bindings[j.Anc], descs: &bindings[j.Desc], j: j}
-		switch join {
-		case NestedLoopJoin:
-			rows = nestedLoopJoin(&in)
-		default:
-			rows = mergeJoin(&in)
-		}
+		rows = join(joinInput{rows: rows, ancCol: ancCol, anc: &bindings[j.Anc], descs: &bindings[j.Desc], j: j})
 		cols[j.Desc] = len(cols)
 		if rows.Len() == 0 {
 			return &core.Result{EarlyTerminated: ji < len(p.Joins)-1}, nil
@@ -168,21 +162,20 @@ func Run(ctx *relstore.ExecContext, a *core.Arena, st *core.Store, p *planner.Ph
 // empty skips the expensive ones — and it only holds if scan k+1 cannot
 // start before scan k is known non-empty; racing the scans would read
 // the large fragments the order exists to avoid, and make the page and
-// visited counters depend on scheduling. Every scan decodes into the
-// same pooled batch buffer, released when the scans end, and binds into
-// chunks of a: the return fragment records, every other fragment spans.
+// visited counters depend on scheduling. Each scan drains its
+// fragment's cursor to the end, so its run buffers are back in the pool
+// before the next scan starts, and binds into chunks of a: the return
+// fragment records, every other fragment spans.
 func scanFragments(ctx *relstore.ExecContext, a *core.Arena, st *core.Store, p *planner.Physical) ([]core.Bindings, error) {
 	frags := p.Logical.Fragments
 	bindings := make([]core.Bindings, len(frags))
-	batch := relstore.GetBatch()
-	defer batch.Release()
 	for _, i := range p.Scans {
-		fs, err := st.PrepareFragmentStream(ctx, frags[i])
+		cur, err := st.PrepareFragmentStream(ctx, frags[i])
 		if err != nil {
 			return nil, err
 		}
-		b, err := fs.Collect(ctx, a, batch, i == p.Logical.Return)
-		if err != nil {
+		b := core.NewBindings(a, i == p.Logical.Return)
+		if err := cur.Drain(b.Extend); err != nil {
 			return nil, err
 		}
 		if b.Len() == 0 {
@@ -246,7 +239,7 @@ type openAnc struct {
 // their chunks from the input rows' arena.
 //
 //blas:hotpath
-func mergeJoin(in *joinInput) core.Tuples[int32] {
+func mergeJoin(in joinInput) core.Tuples[int32] {
 	n, nd := in.rows.Len(), in.descs.Len()
 	in.rowOrder = core.SortedBy(n, func(i int) uint32 { return in.ancSpan(int32(i)).Start })
 	// Fragment streams deliver bindings in start order, so the
@@ -289,23 +282,6 @@ func mergeJoin(in *joinInput) core.Tuples[int32] {
 			}
 			if in.j.LevelOK(o.span.Level, d.Level) {
 				out.Append(in.rows.At(int(o.row)), desc[:])
-			}
-		}
-	}
-	return out
-}
-
-// nestedLoopJoin is the quadratic D-join used by the ablation benchmark.
-func nestedLoopJoin(in *joinInput) core.Tuples[int32] {
-	out := core.NewTuples[int32](in.rows.Arena(), in.rows.Stride+1)
-	var desc [1]int32
-	for r := 0; r < in.rows.Len(); r++ {
-		a := in.ancSpan(int32(r))
-		for di := 0; di < in.descs.Len(); di++ {
-			d := in.descs.SpanAt(di)
-			if a.Start < d.Start && a.End > d.End && in.j.LevelOK(a.Level, d.Level) {
-				desc[0] = int32(di)
-				out.Append(in.rows.At(r), desc[:])
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/enginetest"
 	"repro/internal/planner"
 	"repro/internal/relstore"
@@ -109,31 +110,69 @@ func TestProteinQueries(t *testing.T) {
 	}
 }
 
+// runWith runs a whole plan with its D-joins run by join and returns
+// the answer's start positions.
+func runWith(t testing.TB, st *core.Store, p *planner.Physical, join func(joinInput) core.Tuples[int32]) []uint32 {
+	t.Helper()
+	a := core.NewArena()
+	defer a.Release()
+	res, err := run(nil, a, st, p, join)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Starts()
+}
+
 func TestNestedLoopJoinAgreesWithMerge(t *testing.T) {
-	st, tree, err := enginetest.MustBuild(proteinDoc)
+	st, _, err := enginetest.MustBuild(proteinDoc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	_ = tree
 	q := xpath.MustParse(`//proteinEntry[protein//superfamily="globin"]//title`)
 	p, err := translate.Split(ctxFor(st), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	merge, err := Execute(nil, st, planner.Fixed(p), Options{Join: MergeJoin})
-	if err != nil {
-		t.Fatal(err)
+	merge := runWith(t, st, planner.Fixed(p), mergeJoin)
+	nl := runWith(t, st, planner.Fixed(p), nestedLoopJoin)
+	if !enginetest.StartsEqual(merge, nl) {
+		t.Fatalf("join algorithms disagree: %v vs %v", merge, nl)
 	}
-	nl, err := Execute(nil, st, planner.Fixed(p), Options{Join: NestedLoopJoin})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !enginetest.StartsEqual(merge.Starts(), nl.Starts()) {
-		t.Fatalf("join algorithms disagree: %v vs %v", merge.Starts(), nl.Starts())
-	}
-	if len(merge.Records) == 0 {
+	if len(merge) == 0 {
 		t.Fatal("expected results")
+	}
+}
+
+// BenchmarkAblationDJoin compares the structural merge join against the
+// nested-loop D-join on the protein corpus's QP3 (the paper's premise
+// that join implementation matters, §1).
+func BenchmarkAblationDJoin(b *testing.B) {
+	st, err := core.BuildFromTree(datagen.Protein(datagen.Options{Seed: 1, Factor: 1}), core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	q := xpath.MustParse("/ProteinDatabase/ProteinEntry[reference/refinfo[citation and year]]/protein/name")
+	p, err := translate.PushUp(ctxFor(st), q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name string
+		join func(joinInput) core.Tuples[int32]
+	}{
+		{"merge", mergeJoin},
+		{"nestedloop", nestedLoopJoin},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := st.DropCaches(); err != nil {
+					b.Fatal(err)
+				}
+				runWith(b, st, planner.Fixed(p), mode.join)
+			}
+		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package relstore
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -40,10 +39,10 @@ func batchFixture(t *testing.T, nlabels, perLabel int) (*Relation, []Record) {
 	return rel, recs
 }
 
-// TestBatchScanMatchesIter: every batched exact scan must produce
-// exactly the input records of its label in start order, at several
-// batch sizes (including sizes smaller than a page run and larger than
-// the result).
+// TestBatchScanMatchesIter: every run decoder must produce exactly the
+// input records of its label in start order, at several batch sizes
+// (including sizes smaller than a page run and larger than the result),
+// and so must the label's cursor.
 func TestBatchScanMatchesIter(t *testing.T) {
 	rel, recs := batchFixture(t, 6, 40)
 	byStart := sortedByStart(recs)
@@ -51,58 +50,35 @@ func TestBatchScanMatchesIter(t *testing.T) {
 		for label := uint64(1); label <= 6; label++ {
 			p := uint128.From64(label)
 			want := filterRecs(byStart, func(r *Record) bool { return r.PLabel == p })
-			got, err := CollectBatches(rel.ScanPLabelExactBatch(nil, p), batchSize)
+			got, err := collectRun(plabelRun(rel, nil, p), batchSize)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !recordsEqual(got, want) {
 				t.Fatalf("label %d batchSize %d: %d records, want %d", label, batchSize, len(got), len(want))
 			}
+			if got, err = drainCursor(exact(rel, nil, p)); err != nil || !recordsEqual(got, want) {
+				t.Fatalf("label %d cursor: %d records (err %v), want %d", label, len(got), err, len(want))
+			}
 		}
 	}
 }
 
-// TestBatchMergeByStart: the batched k-way merge over several exact
-// scans must equal the start-sorted concatenation of their runs.
-func TestBatchMergeByStart(t *testing.T) {
-	rel, recs := batchFixture(t, 6, 50)
-	labels := []uint64{1, 3, 5, 6}
-
-	var batchRuns []BatchIter
-	inRuns := map[uint128.Uint128]bool{}
-	for _, l := range labels {
-		batchRuns = append(batchRuns, rel.ScanPLabelExactBatch(nil, uint128.From64(l)))
-		inRuns[uint128.From64(l)] = true
-	}
-	want := filterRecs(sortedByStart(recs), func(r *Record) bool { return inRuns[r.PLabel] })
-	mBatch, err := MergeBatchesByStart(batchRuns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := CollectBatches(mBatch, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 || !recordsEqual(got, want) {
-		t.Fatalf("batched merge: %d records, want %d", len(got), len(want))
-	}
-}
-
-// TestBatchPageReadAmortization pins the point of the batch layer: a
-// batched scan of a multi-page run must issue fewer buffer-pool requests
-// than the same scan one record per batch, which pays one view per
-// record.
+// TestBatchPageReadAmortization pins the point of page-sized batches: a
+// run decoder reading a multi-page run into a BatchSize buffer must
+// issue fewer buffer-pool requests than the same scan one record per
+// batch, which pays one view per record.
 func TestBatchPageReadAmortization(t *testing.T) {
 	rel, _ := batchFixture(t, 2, 600) // hundreds of records per label => several heap pages
 	p := uint128.From64(1)
 
 	oneCtx := NewExecContext()
-	recs, err := CollectBatches(rel.ScanPLabelExactBatch(oneCtx, p), 1)
+	recs, err := collectRun(plabelRun(rel, oneCtx, p), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	batchCtx := NewExecContext()
-	brecs, err := CollectBatches(rel.ScanPLabelExactBatch(batchCtx, p), BatchSize)
+	brecs, err := collectRun(plabelRun(rel, batchCtx, p), BatchSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,79 +147,23 @@ func TestBatchSizeHoldsAFullPage(t *testing.T) {
 // which would hand the buffer to two streams, panics.
 func TestBatchReleaseClearsWhatItHeld(t *testing.T) {
 	rel, _ := batchFixture(t, 2, 600)
-	b := GetBatch()
-	recs, err := b.Next(rel.ScanPLabelExactBatch(nil, uint128.From64(1)))
+	b := getBatch()
+	recs, err := b.next(plabelRun(rel, nil, uint128.From64(1)))
 	if err != nil || len(recs) == 0 {
 		t.Fatalf("first batch: %d records, err %v", len(recs), err)
 	}
-	b.Release()
+	b.release()
 	assertReleased(t, "batch", b)
 	defer func() {
 		if recover() == nil {
-			t.Error("a second Release did not panic")
+			t.Error("a second release did not panic")
 		}
 	}()
-	b.Release()
-}
-
-// TestMergeReleasesEachRunOnce: every run of a batch merge reads into a
-// pooled buffer of its own and returns it once, when the run is
-// exhausted, however often the merge is drained past its end; the merge
-// returns the same records as the start-sorted union of its runs.
-func TestMergeReleasesEachRunOnce(t *testing.T) {
-	var recs []Record
-	for i := 0; i < 3*300+5*5; i++ {
-		label := 1 + i%3 // three runs of 300 records
-		if i >= 900 {
-			label = 4 + i%5 // five runs of 5
-		}
-		s := uint32(2*i + 1)
-		recs = append(recs, Record{PLabel: uint128.From64(uint64(label)), TagID: 1, Start: s, End: s + 1, Level: 2, Data: "v"})
-	}
-	rel, err := Build(pager.OpenMem(16), ClusterPLabel, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var srcs []BatchIter
-	for l := uint64(1); l <= 8; l++ {
-		srcs = append(srcs, rel.ScanPLabelExactBatch(nil, uint128.From64(l)))
-	}
-	bi, err := MergeBatchesByStart(srcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := bi.(*batchMergeIter)
-	runs := append([]*mergeBatchRun(nil), m.runs...)
-	var batches []*Batch
-	for _, r := range runs {
-		batches = append(batches, r.batch)
-	}
-	if len(runs) != 8 {
-		t.Fatalf("%d runs, want 8", len(runs))
-	}
-	got, err := CollectBatches(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !recordsEqual(got, sortedByStart(recs)) {
-		t.Fatalf("merge returned %d records, want %d in start order", len(got), len(recs))
-	}
-	drain := make([]Record, 7)
-	for i := 0; i < 3; i++ {
-		if n, err := m.NextBatch(drain); n != 0 || err != nil {
-			t.Fatalf("drain past the end: %d records, err %v", n, err)
-		}
-	}
-	for i, r := range runs {
-		if r.batch != nil {
-			t.Fatalf("run %d: the exhausted run still holds its buffer", i)
-		}
-		assertReleased(t, fmt.Sprintf("run %d", i), batches[i])
-	}
+	b.release()
 }
 
 // assertReleased checks that b is back in the pool with no record left.
-func assertReleased(t *testing.T, name string, b *Batch) {
+func assertReleased(t *testing.T, name string, b *batch) {
 	t.Helper()
 	if !b.pooled || b.used != 0 {
 		t.Fatalf("%s: not released (pooled %v, used %d)", name, b.pooled, b.used)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/keyenc"
 	"repro/internal/obs"
 	"repro/internal/pager"
 	"repro/internal/uint128"
@@ -251,10 +252,10 @@ func colRunAt(p []byte, kind Clustering, ri int) (colRun, error) {
 
 // decodeRunRecords materializes the run's records with relative indices
 // in [a, b) into dst[0 : b-a]. Each column decodes in its own tight
-// loop; records before a are walked (their deltas position the cursors)
-// but never stored. A heap-run scan with a BatchSize buffer always
-// starts at a = 0, so that prefix walk happens only for scans read with
-// smaller buffers, which resume mid-run. Strings are copied out of the
+// loop; records before a are walked (their deltas position the column
+// offsets) but never stored. A run decoder with a BatchSize buffer
+// always starts at a = 0, so that prefix walk happens only for scans
+// read with smaller buffers, which resume mid-run. Strings are copied out of the
 // page, so nothing in dst references the pager frame after the caller's
 // view ends.
 //
@@ -346,44 +347,47 @@ func decodeRunRecords(p []byte, kind Clustering, run colRun, a, b int, dst []Rec
 	return nil
 }
 
-// heapRunIter is the cluster-scan iterator: one index descend finds the
-// first qualifying locator, then the scan walks the contiguous heap
-// pages directly, stopping on the first run whose prefix leaves the
-// selection. Index leaf pages are never touched past the initial seek,
-// and only materialized records count as visited.
+// heapRunIter is the run decoder, the page reader under every cursor
+// run: one index descend (seek) finds the first qualifying locator, then
+// the scan walks the contiguous heap pages directly, stopping on the
+// first run whose prefix leaves the selection. Index leaf pages are
+// never touched past the initial seek, and only materialized records
+// count as visited.
 type heapRunIter struct {
-	r    *Relation
-	ctx  *ExecContext
-	kind Clustering
-	// selection: the cluster prefix. matchAll accepts every run — the
-	// full-relation scan.
+	r   *Relation
+	ctx *ExecContext
+	// selection: the cluster prefix, plabel on SP and tagID on SD.
+	// matchAll accepts every run — the full-relation scan.
 	plabel   uint128.Uint128
+	err      error
+	slot     int
+	page     pager.PageID
 	tagID    uint32
 	matchAll bool
-
-	page pager.PageID
-	slot int
-	done bool
-	err  error
+	done     bool
 }
 
-// seekHeapRun positions a heap-run scan at the first record with cluster
-// key >= from, handing back a ready BatchIter. The seek probes exactly
-// one index position (SeekValue runs inside pager views); the cluster
-// prefix in the iterator's selection bounds the scan above, so no `to`
-// key is needed.
-func (r *Relation) seekHeapRun(ctx *ExecContext, from []byte, plabel uint128.Uint128, tagID uint32, matchAll bool) BatchIter {
-	h := &heapRunIter{r: r, ctx: ctx, kind: r.meta.kind, plabel: plabel, tagID: tagID, matchAll: matchAll}
+// seek positions a decoder, built unpositioned, at the first record of
+// its selection. It probes exactly one index position (SeekValue runs
+// inside pager views); the cluster prefix bounds the scan above, so no
+// `to` key is needed.
+func (h *heapRunIter) seek() {
+	var from []byte
+	switch {
+	case h.matchAll:
+	case h.r.meta.kind == ClusterPLabel:
+		from = keyenc.Uint128(h.plabel)
+	default:
+		from = keyenc.Uint32(h.tagID)
+	}
 	var locBuf [6]byte
-	val, ok, err := r.cluster.SeekValue(from, locBuf[:0], ctx.pageCounters())
+	val, ok, err := h.r.cluster.SeekValue(from, locBuf[:0], h.ctx.pageCounters())
 	if err != nil || !ok {
-		h.done = true
-		h.err = err
-		return h
+		h.done, h.err = true, err
+		return
 	}
 	loc := decodeLocator(val)
 	h.page, h.slot = loc.Page, int(loc.Slot)
-	return h
 }
 
 // matches reports whether a run belongs to the selection.
@@ -391,7 +395,7 @@ func (h *heapRunIter) matches(run colRun) bool {
 	if h.matchAll {
 		return true
 	}
-	if h.kind == ClusterPLabel {
+	if h.r.meta.kind == ClusterPLabel {
 		return run.plabel == h.plabel
 	}
 	return run.tagID == h.tagID
@@ -404,6 +408,7 @@ func (h *heapRunIter) matches(run colRun) bool {
 // call views it again and resumes mid-run. The selection's end is seen
 // in the same view when another run follows it on the page; when it
 // ends with its page, the next call views the following page to see it.
+// A return of (0, nil) means the selection is exhausted.
 func (h *heapRunIter) NextBatch(dst []Record) (int, error) {
 	if h.err != nil {
 		return 0, h.err
@@ -464,7 +469,7 @@ func (h *heapRunIter) decodePage(p []byte, dst []Record) (int, error) {
 	}
 	n := 0
 	for ri := max(lo-1, 0); ri < nruns; ri++ {
-		run, err := colRunAt(p, h.kind, ri)
+		run, err := colRunAt(p, h.r.meta.kind, ri)
 		if err != nil {
 			return 0, err
 		}
@@ -482,7 +487,7 @@ func (h *heapRunIter) decodePage(p []byte, dst []Record) (int, error) {
 		}
 		a := h.slot - run.firstSlot
 		b := min(run.count, a+len(dst)-n)
-		if err := decodeRunRecords(p, h.kind, run, a, b, dst[n:n+(b-a)]); err != nil {
+		if err := decodeRunRecords(p, h.r.meta.kind, run, a, b, dst[n:n+(b-a)]); err != nil {
 			return 0, err
 		}
 		n += b - a

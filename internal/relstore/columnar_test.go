@@ -67,7 +67,7 @@ func buildT(t testing.TB, kind Clustering, recs []Record) *Relation {
 	return r
 }
 
-func drainBatch(t testing.TB, bi BatchIter, bufSize int) []Record {
+func drainBatch(t testing.TB, bi *heapRunIter, bufSize int) []Record {
 	t.Helper()
 	buf := make([]Record, bufSize)
 	var out []Record
@@ -136,7 +136,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 		want := sortedByCluster(kind, recs)
 
 		ctx := NewExecContext()
-		got, err := CollectBatches(rel.ScanAllBatch(ctx), 0)
+		got, err := collectRun(rel.ScanAllBatch(ctx), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,14 +149,14 @@ func TestColumnarRoundTrip(t *testing.T) {
 
 		if kind == ClusterPLabel {
 			for _, p := range []uint128.Uint128{u(1), u(3), u(40), u(9999)} {
-				got := drainBatch(t, rel.ScanPLabelExactBatch(nil, p), 128)
+				got := drainBatch(t, plabelRun(rel, nil, p), 128)
 				if w := filterRecs(want, hasPLabel(p)); !recordsEqual(got, w) {
 					t.Fatalf("plabel %v: batch scan differs from the input (%d vs %d)", p, len(got), len(w))
 				}
 			}
 		} else {
 			for tag := uint32(1); tag <= 14; tag++ {
-				got := drainBatch(t, rel.ScanTagBatch(nil, tag), 128)
+				got := drainBatch(t, tagRun(rel, nil, tag), 128)
 				if w := filterRecs(want, func(r *Record) bool { return r.TagID == tag }); !recordsEqual(got, w) {
 					t.Fatalf("tag %d: batch scan differs from the input (%d vs %d)", tag, len(got), len(w))
 				}
@@ -221,7 +221,7 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 		rel := buildT(t, ClusterPLabel, recs)
 		sorted := sortedByCluster(ClusterPLabel, recs)
 		ctx := NewExecContext()
-		got, err := CollectBatches(rel.ScanAllBatch(ctx), 0)
+		got, err := collectRun(rel.ScanAllBatch(ctx), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +233,7 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 		}
 		if len(recs) > 0 {
 			p := recs[rng.Intn(len(recs))].PLabel
-			x := drainBatch(t, rel.ScanPLabelExactBatch(nil, p), 64)
+			x := drainBatch(t, plabelRun(rel, nil, p), 64)
 			if y := filterRecs(sorted, hasPLabel(p)); !recordsEqual(x, y) {
 				t.Fatalf("exact scan differs from the input: %d vs %d records", len(x), len(y))
 			}
@@ -241,9 +241,9 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 	})
 }
 
-// scanOutcome drains bi and reports its error, turning a panic into a
-// failure message and giving up on a scan that never ends.
-func scanOutcome(bi func() BatchIter) (err error, failure string) {
+// scanOutcome runs a drain and reports its error, turning a panic into
+// a failure message and giving up on a scan that never ends.
+func scanOutcome(drain func() ([]Record, error)) (err error, failure string) {
 	type result struct {
 		err     error
 		failure string
@@ -255,7 +255,7 @@ func scanOutcome(bi func() BatchIter) (err error, failure string) {
 				done <- result{failure: fmt.Sprintf("panicked: %v", p)}
 			}
 		}()
-		_, err := CollectBatches(bi(), 0)
+		_, err := drain()
 		done <- result{err: err}
 	}()
 	select {
@@ -317,8 +317,8 @@ func TestCorruptColumnarPageErrors(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			scans := map[string]func() BatchIter{
-				"ScanAllBatch": func() BatchIter { return rel.ScanAllBatch(nil) },
+			scans := map[string]func() ([]Record, error){
+				"ScanAllBatch": func() ([]Record, error) { return collectRun(rel.ScanAllBatch(nil), 0) },
 			}
 			switch {
 			case tc.fullWalkOnly:
@@ -327,11 +327,11 @@ func TestCorruptColumnarPageErrors(t *testing.T) {
 				// their prefix.
 			case kind == ClusterPLabel:
 				// makeRecords' runs 0..9 all carry plabel 0.
-				scans["ScanPLabelExactBatch"] = func() BatchIter { return rel.ScanPLabelExactBatch(nil, u(0)) }
+				scans["ScanPLabels"] = func() ([]Record, error) { return drainCursor(exact(rel, nil, u(0))) }
 			default:
 				// SD run ri holds tag ri+1.
 				tag := uint32(tc.run + 1)
-				scans["ScanTagBatch"] = func() BatchIter { return rel.ScanTagBatch(nil, tag) }
+				scans["ScanTags"] = func() ([]Record, error) { return drainCursor(tagged(rel, nil, tag)) }
 			}
 			for name, scan := range scans {
 				err, failure := scanOutcome(scan)
@@ -478,7 +478,7 @@ func BenchmarkDecodeColumnarScan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bi := r.ScanPLabelExactBatch(nil, u(uint64(i%10000)))
+		bi := plabelRun(r, nil, u(uint64(i%10000)))
 		for {
 			n, err := bi.NextBatch(buf)
 			if err != nil {

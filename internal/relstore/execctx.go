@@ -29,7 +29,7 @@ type ExecContext struct {
 func NewExecContext() *ExecContext { return &ExecContext{} }
 
 // SetTrace attaches a phase trace to the context. Both engines and the
-// stream layer report spans into it via Trace(); with no trace attached
+// fragment cursors report spans into it via Trace(); with no trace attached
 // (the default) span recording is a nil check and nothing more. SetTrace
 // must be called before the context is shared with other goroutines.
 func (c *ExecContext) SetTrace(t *obs.Trace) {

@@ -1,6 +1,10 @@
 package relstore
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/uint128"
+)
 
 // HeapPages decodes every heap page of r and returns each page's
 // records in slot order, for tests that check which pages a scan reads.
@@ -66,3 +70,38 @@ func decodeColSlots(p []byte, kind Clustering, lo, hi int, dst []Record) error {
 // ClusterHeight returns the height of r's clustered index: the page
 // reads of one seek.
 func ClusterHeight(r *Relation) int { return int(r.meta.cluster.Height) }
+
+// EmptyBatchPool drops every idle run buffer. The pool allocates only
+// when it is empty, so once every cursor started afterwards has given
+// its buffers back, the pool holds as many buffers as those cursors
+// held at their peak.
+func EmptyBatchPool() {
+	idleBatches.Lock()
+	clear(idleBatches.list)
+	idleBatches.list = idleBatches.list[:0]
+	idleBatches.Unlock()
+}
+
+// IdleBatches returns the number of run buffers in the pool.
+func IdleBatches() int {
+	idleBatches.Lock()
+	defer idleBatches.Unlock()
+	return len(idleBatches.list)
+}
+
+// RunSeekReads returns the page requests of the index seek that opens a
+// cursor's run of one cluster prefix: plabel on SP, tag on SD.
+func RunSeekReads(r *Relation, plabel uint128.Uint128, tag uint32) uint64 {
+	ctx := NewExecContext()
+	h := heapRunIter{r: r, ctx: ctx, plabel: plabel, tagID: tag}
+	h.seek()
+	return ctx.PageReads()
+}
+
+// CollectRun drains the run decoder of one cluster prefix (plabel on
+// SP, tag on SD) in batches of batchSize records.
+func CollectRun(r *Relation, plabel uint128.Uint128, tag uint32, batchSize int) ([]Record, error) {
+	h := heapRunIter{r: r, plabel: plabel, tagID: tag}
+	h.seek()
+	return collectRun(&h, batchSize)
+}

@@ -10,14 +10,15 @@ import (
 	"repro/internal/uint128"
 )
 
-// TestHeapScanViewsEachPageOnce pins the page-sized batch: a heap-run
-// scan drained into a BatchSize buffer returns one page's share of its
-// selection per batch, so it requests each heap page that holds the
-// selection exactly once, on SP for every P-label and on SD for every
-// tag of a generated document. The one extra request is the page after
-// a selection that ends with its page, viewed to see that the
-// selection stopped. A 7-record buffer splits pages and must still
-// return the same records in the same order.
+// TestHeapScanViewsEachPageOnce pins the page-sized batch: a one-run
+// cursor reads one page's share of its selection per refill into its
+// BatchSize buffer, and Drain hands over each share whole, so it
+// requests each heap page that holds the selection exactly once, on SP
+// for every P-label and on SD for every tag of a generated document.
+// The one extra request is the page after a selection that ends with
+// its page, viewed to see that the selection stopped. The run decoder
+// read with a 7-record buffer splits pages and must still return the
+// same records in the same order.
 func TestHeapScanViewsEachPageOnce(t *testing.T) {
 	st, err := core.BuildFromTree(datagen.Auction(datagen.Options{Seed: 1, Factor: 1}), core.Options{})
 	if err != nil {
@@ -64,11 +65,11 @@ func TestHeapScanViewsEachPageOnce(t *testing.T) {
 		}
 		largest := 0
 		for _, s := range sels {
-			scan := func(ctx *relstore.ExecContext) relstore.BatchIter {
+			cursor := func(ctx *relstore.ExecContext) *relstore.Cursor {
 				if rel.Kind() == relstore.ClusterPLabel {
-					return rel.ScanPLabelExactBatch(ctx, s.key.plabel)
+					return rel.ScanPLabels(ctx, []uint128.Uint128{s.key.plabel}, nil, 0)
 				}
-				return rel.ScanTagBatch(ctx, s.key.tag)
+				return rel.ScanTags(ctx, []uint32{s.key.tag}, nil, 0)
 			}
 			name := fmt.Sprintf("%s %+v", rel.Kind(), s.key)
 			wantReads := uint64(len(s.held))
@@ -77,25 +78,19 @@ func TestHeapScanViewsEachPageOnce(t *testing.T) {
 			}
 
 			ctx := relstore.NewExecContext()
-			bi := scan(ctx)
-			seekReads := ctx.PageReads()
-			buf := make([]relstore.Record, relstore.BatchSize)
+			seekReads := relstore.RunSeekReads(rel, s.key.plabel, s.key.tag)
 			var got []relstore.Record
-			for {
-				n, err := bi.NextBatch(buf)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if n == 0 {
-					break
-				}
-				largest = max(largest, n)
-				for _, r := range buf[1:n] {
-					if pageOf[r.Start] != pageOf[buf[0].Start] {
-						t.Fatalf("%s: one batch spans heap pages %d and %d", name, pageOf[buf[0].Start], pageOf[r.Start])
+			err := cursor(ctx).Drain(func(batch []relstore.Record) {
+				largest = max(largest, len(batch))
+				for _, r := range batch[1:] {
+					if pageOf[r.Start] != pageOf[batch[0].Start] {
+						t.Fatalf("%s: one batch spans heap pages %d and %d", name, pageOf[batch[0].Start], pageOf[r.Start])
 					}
 				}
-				got = append(got, buf[:n]...)
+				got = append(got, batch...)
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
 			if !equalRecords(got, s.want) {
 				t.Fatalf("%s: scan returned %d records, want %d", name, len(got), len(s.want))
@@ -108,7 +103,7 @@ func TestHeapScanViewsEachPageOnce(t *testing.T) {
 				t.Errorf("%s: visited %d, want %d", name, ctx.Visited(), len(s.want))
 			}
 
-			small, err := relstore.CollectBatches(scan(nil), 7)
+			small, err := relstore.CollectRun(rel, s.key.plabel, s.key.tag, 7)
 			if err != nil {
 				t.Fatalf("%s, 7-record batches: %v", name, err)
 			}

@@ -29,11 +29,14 @@
 // the paper's experiments report, attributed per query so that any
 // number of queries can run concurrently over one Relation.
 //
-// Every read is a batched scan (BatchIter). A cluster scan seeks the
-// clustered index once and then walks the heap pages, one page's share
-// of its selection per batch: BatchSize is the most records a page can
-// hold, so a stream reading into a BatchSize buffer (a pooled Batch)
-// requests each page once and decodes each record once.
+// Every read of a selection is a Cursor (ScanPLabels, ScanTags): the
+// selection's records in start order, filtered by a fragment's value
+// and level predicates. Each cluster run of a cursor seeks the
+// clustered index once and then walks the heap pages, decoding one
+// page's share of the run at a time into a pooled buffer of its own:
+// BatchSize is the most records a page can hold, so a run requests each
+// page once and decodes each record once. A heap ordered by head start
+// merges the runs of a multi-run selection.
 //
 // # On-disk page format
 //

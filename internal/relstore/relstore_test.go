@@ -33,10 +33,20 @@ func makeRecords(n int) []Record {
 	return recs
 }
 
-// collect drains a batched scan at the default batch size.
-func collect(t testing.TB, bi BatchIter) []Record {
+// collect drains a cursor.
+func collect(t testing.TB, c *Cursor) []Record {
 	t.Helper()
-	recs, err := CollectBatches(bi, 0)
+	recs, err := drainCursor(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// scanAll drains a whole relation in cluster-key order.
+func scanAll(t testing.TB, r *Relation) []Record {
+	t.Helper()
+	recs, err := collectRun(r.ScanAllBatch(nil), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +63,7 @@ func scanPLabelRange(t testing.TB, r *Relation, ctx *ExecContext, lo, hi uint128
 	}
 	var out []Record
 	for _, p := range labels {
-		out = append(out, collect(t, r.ScanPLabelExactBatch(ctx, p))...)
+		out = append(out, collect(t, exact(r, ctx, p))...)
 	}
 	return out
 }
@@ -107,7 +117,7 @@ func TestBuildEmpty(t *testing.T) {
 	if r.Count() != 0 {
 		t.Fatal("count")
 	}
-	got, err := CollectBatches(r.ScanAllBatch(nil), 0)
+	got, err := collectRun(r.ScanAllBatch(nil), 0)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("scan of empty relation: %d records, %v", len(got), err)
 	}
@@ -118,7 +128,7 @@ func TestScanAllOrdered(t *testing.T) {
 	// Shuffle the input: Build must sort.
 	rand.New(rand.NewSource(1)).Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
 	r := buildSP(t, recs)
-	got := collect(t, r.ScanAllBatch(nil))
+	got := scanAll(t, r)
 	if len(got) != 500 {
 		t.Fatalf("got %d records", len(got))
 	}
@@ -132,7 +142,7 @@ func TestScanAllOrdered(t *testing.T) {
 
 func TestScanPLabelExact(t *testing.T) {
 	r := buildSP(t, makeRecords(100))
-	got := collect(t, r.ScanPLabelExactBatch(nil, u(3)))
+	got := collect(t, exact(r, nil, u(3)))
 	if len(got) != 10 {
 		t.Fatalf("got %d records, want 10", len(got))
 	}
@@ -145,7 +155,7 @@ func TestScanPLabelExact(t *testing.T) {
 		}
 	}
 	// Missing plabel.
-	got = collect(t, r.ScanPLabelExactBatch(nil, u(99)))
+	got = collect(t, exact(r, nil, u(99)))
 	if len(got) != 0 {
 		t.Fatalf("missing plabel returned %d records", len(got))
 	}
@@ -184,7 +194,7 @@ func TestScanTag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := collect(t, r.ScanTagBatch(nil, 3))
+	got := collect(t, tagged(r, nil, 3))
 	want := 0
 	for _, rec := range recs {
 		if rec.TagID == 3 {
@@ -311,15 +321,7 @@ func TestScanPLabelRangeByStart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runs := make([]BatchIter, 0, len(labels))
-		for _, p := range labels {
-			runs = append(runs, r.ScanPLabelExactBatch(nil, p))
-		}
-		m, err := MergeBatchesByStart(runs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return collect(t, m)
+		return collect(t, r.ScanPLabels(nil, labels, nil, 0))
 	}
 	got := byStart(u(1), u(3))
 	if len(got) != 60 {
@@ -343,7 +345,7 @@ func TestScanPLabelRangeByStart(t *testing.T) {
 func TestVisitedCounter(t *testing.T) {
 	r := buildSP(t, makeRecords(100))
 	ctx := NewExecContext()
-	collect(t, r.ScanPLabelExactBatch(ctx, u(1)))
+	collect(t, exact(r, ctx, u(1)))
 	if got := ctx.Visited(); got != 10 {
 		t.Fatalf("visited = %d, want 10", got)
 	}
@@ -354,7 +356,7 @@ func TestVisitedCounter(t *testing.T) {
 	if NewExecContext().Visited() != 0 {
 		t.Fatal("fresh context not zero")
 	}
-	collect(t, r.ScanPLabelExactBatch(nil, u(1)))
+	collect(t, exact(r, nil, u(1)))
 }
 
 func TestExecContextIsolation(t *testing.T) {
@@ -362,7 +364,7 @@ func TestExecContextIsolation(t *testing.T) {
 	// counts — the property the old store-global counters lacked.
 	r := buildSP(t, makeRecords(100))
 	a, b := NewExecContext(), NewExecContext()
-	collect(t, r.ScanPLabelExactBatch(a, u(1)))
+	collect(t, exact(r, a, u(1)))
 	scanPLabelRange(t, r, b, u(2), u(4))
 	if got := a.Visited(); got != 10 {
 		t.Fatalf("ctx a visited = %d, want 10", got)
@@ -399,7 +401,7 @@ func TestPersistenceAcrossOpen(t *testing.T) {
 	if r.Count() != 300 {
 		t.Fatalf("count after reopen = %d", r.Count())
 	}
-	got, err := CollectBatches(r.ScanPLabelExactBatch(nil, u(7)), 0)
+	got, err := drainCursor(exact(r, nil, u(7)))
 	if err != nil || len(got) != 10 {
 		t.Fatalf("scan after reopen: %d, %v", len(got), err)
 	}
@@ -424,7 +426,7 @@ func TestLargeDataValues(t *testing.T) {
 		{PLabel: u(2), TagID: 1, Start: 3, End: 4, Level: 1, Data: "small"},
 	}
 	r := buildSP(t, recs)
-	got, err := CollectBatches(r.ScanAllBatch(nil), 0)
+	got, err := collectRun(r.ScanAllBatch(nil), 0)
 	if err != nil || len(got) != 2 {
 		t.Fatalf("got %d, %v", len(got), err)
 	}
@@ -463,7 +465,7 @@ func TestClusteringReducesPageMisses(t *testing.T) {
 	}
 	_ = f.DropCache()
 	f.ResetStats()
-	got := collect(t, r.ScanPLabelExactBatch(nil, u(5)))
+	got := collect(t, exact(r, nil, u(5)))
 	if len(got) != n/100 {
 		t.Fatalf("got %d", len(got))
 	}
@@ -496,7 +498,7 @@ func BenchmarkScanPLabelExact(b *testing.B) {
 	buf := make([]Record, BatchSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bi := r.ScanPLabelExactBatch(nil, u(uint64(i%10000)))
+		bi := plabelRun(r, nil, u(uint64(i%10000)))
 		for {
 			n, err := bi.NextBatch(buf)
 			if err != nil {
@@ -517,7 +519,7 @@ func TestScanOrderedAfterShuffledBuildByTag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := collect(t, r.ScanAllBatch(nil))
+	got := scanAll(t, r)
 	if len(got) != len(recs) {
 		t.Fatalf("got %d records, want %d", len(got), len(recs))
 	}
@@ -573,7 +575,7 @@ func TestRelationShape(t *testing.T) {
 		if kind == ClusterTag && data != (pbtree.Tree{}) {
 			t.Fatalf("SD: data slot holds %+v, want a zero tree", data)
 		}
-		before := collect(t, rel.ScanAllBatch(nil))
+		before := scanAll(t, rel)
 
 		// Write the trees a store built with a start index (both
 		// relations) and an SD data index carries, and name them in the
@@ -628,16 +630,16 @@ func TestRelationShape(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: open with start/data descriptors: %v", kind, err)
 		}
-		if !recordsEqual(collect(t, old.ScanAllBatch(nil)), before) {
+		if !recordsEqual(scanAll(t, old), before) {
 			t.Fatalf("%v: full scan differs once the meta page names the extra trees", kind)
 		}
 		for tag := uint32(1); tag <= 7 && kind == ClusterTag; tag++ {
-			if !recordsEqual(collect(t, old.ScanTagBatch(nil, tag)), collect(t, rel.ScanTagBatch(nil, tag))) {
+			if !recordsEqual(collect(t, tagged(old, nil, tag)), collect(t, tagged(rel, nil, tag))) {
 				t.Fatalf("SD: tag %d scan differs", tag)
 			}
 		}
 		if kind == ClusterPLabel {
-			if !recordsEqual(collect(t, old.ScanPLabelExactBatch(nil, u(17))), collect(t, rel.ScanPLabelExactBatch(nil, u(17)))) {
+			if !recordsEqual(collect(t, exact(old, nil, u(17))), collect(t, exact(rel, nil, u(17)))) {
 				t.Fatal("SP: plabel scan differs")
 			}
 			if n, err := old.EstimateData(nil, "val-5"); err != nil || n == 0 {

@@ -10,9 +10,9 @@ import (
 // DistinctPLabels enumerates the distinct plabel values present in
 // [lo, hi] using a skip scan over the clustered index: one SeekKey per
 // run, inside pager views, touching only the first entry of each run.
-// A P-label range selection reads its records as one
-// ScanPLabelExactBatch per returned label, combined in document order
-// by MergeBatchesByStart.
+// A P-label range selection reads its records through the cursor
+// ScanPLabels opens over the returned labels: one cluster run per
+// label, merged by start.
 func (r *Relation) DistinctPLabels(ctx *ExecContext, lo, hi uint128.Uint128) ([]uint128.Uint128, error) {
 	var out []uint128.Uint128
 	var keyBuf [20]byte // plabel + start: one cluster key

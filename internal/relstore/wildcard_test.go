@@ -52,32 +52,19 @@ func TestWildcardStreamReadsElementRuns(t *testing.T) {
 		t.Fatalf("document has %d attribute records and %d element tags; the test needs both kinds", attrs, elemTags)
 	}
 
-	// Put one buffer per run on top of the pool; a stream that gives
-	// each back leaves exactly these on top again.
-	seeded := map[*relstore.Batch]bool{}
-	bufs := make([]*relstore.Batch, elemTags)
-	for i := range bufs {
-		bufs[i] = relstore.GetBatch()
-		seeded[bufs[i]] = true
-	}
-	for _, b := range bufs {
-		b.Release()
-	}
-
+	// From an empty pool, a drain whose runs each take one buffer and
+	// give it back leaves exactly one buffer per run in the pool.
+	relstore.EmptyBatchPool()
 	if err := st.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
 	ctx := relstore.NewExecContext()
-	fs, err := st.PrepareFragmentStream(ctx, &translate.Fragment{Access: translate.Access{Kind: translate.AccessAll}})
+	cur, err := st.PrepareFragmentStream(ctx, &translate.Fragment{Access: translate.Access{Kind: translate.AccessAll}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bi, err := fs.Open(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := relstore.CollectBatches(bi, relstore.BatchSize)
-	if err != nil {
+	var got []relstore.Record
+	if err := cur.Drain(func(recs []relstore.Record) { got = append(got, recs...) }); err != nil {
 		t.Fatal(err)
 	}
 	if !equalRecords(got, want) {
@@ -86,17 +73,8 @@ func TestWildcardStreamReadsElementRuns(t *testing.T) {
 	if v := ctx.Visited(); v != uint64(len(want)) {
 		t.Errorf("visited %d records, want the %d element records (%d attribute records exist)", v, len(want), attrs)
 	}
-
-	for i := range bufs {
-		b := relstore.GetBatch()
-		if !seeded[b] {
-			t.Fatalf("buffer %d taken after the drain was not one the runs held: a run kept its buffer", i)
-		}
-		delete(seeded, b)
-		bufs[i] = b
-	}
-	for _, b := range bufs {
-		b.Release()
+	if idle := relstore.IdleBatches(); idle != elemTags {
+		t.Fatalf("%d buffers back in the pool after the drain, want one per run (%d): a run kept its buffer or took two", idle, elemTags)
 	}
 
 	bound := uint64(len(pages) + elemTags*(relstore.ClusterHeight(sd)+1))

@@ -9,15 +9,8 @@ import (
 // the calling goroutine and returns the per-leaf path-solution lists in
 // emission order, and the return column of the return leaf's solutions,
 // all in chunks of a.
-func (e *engine) sweepStreams(ctx *relstore.ExecContext, a *core.Arena) ([]core.Tuples[core.Span], core.Tuples[relstore.Record], error) {
+func (e *engine) sweepStreams(a *core.Arena) ([]core.Tuples[core.Span], core.Tuples[relstore.Record], error) {
 	st := newSweepState(e, a)
-	for i, n := range e.nodes {
-		bi, err := n.stream.Open(ctx)
-		if err != nil {
-			return nil, st.ret, err
-		}
-		st.streams[i] = newBatchStream(bi, n.stream.Filter)
-	}
 	err := st.sweep()
 	return st.sols, st.ret, err
 }
@@ -25,7 +18,6 @@ func (e *engine) sweepStreams(ctx *relstore.ExecContext, a *core.Arena) ([]core.
 // sweepState is the mutable state of one sweep.
 type sweepState struct {
 	eng     *engine
-	streams []*batchStream
 	stacks  [][]stackItem
 	sols    []core.Tuples[core.Span]     // per leaf: path solutions in emission order, stride = path length
 	ret     core.Tuples[relstore.Record] // the return node's binding of each solution of leaf eng.retLeaf
@@ -33,12 +25,11 @@ type sweepState struct {
 	retRec  [1]relstore.Record           // return binding of the solution being climbed (return leaf only)
 }
 
-// newSweepState returns the empty state of a sweep over e, streams not
-// yet opened, whose solution and return arenas take chunks from a.
+// newSweepState returns the empty state of a sweep over e, whose
+// solution and return arenas take chunks from a.
 func newSweepState(e *engine, a *core.Arena) *sweepState {
 	st := &sweepState{
 		eng:     e,
-		streams: make([]*batchStream, len(e.nodes)),
 		stacks:  make([][]stackItem, len(e.nodes)),
 		sols:    make([]core.Tuples[core.Span], len(e.leaves)),
 		ret:     core.NewTuples[relstore.Record](a, 1),
@@ -50,30 +41,30 @@ func newSweepState(e *engine, a *core.Arena) *sweepState {
 	return st
 }
 
-// sweep runs the stack machine over all streams in start order.
+// sweep runs the stack machine over all node cursors in start order.
 //
 //blas:hotpath
 func (st *sweepState) sweep() error {
 	nodes := st.eng.nodes
 	for {
-		// Pick the non-exhausted stream with the smallest head start.
+		// Pick the non-exhausted cursor with the smallest head start.
+		var el *relstore.Record
 		q := -1
-		var qStart uint32
-		for i, s := range st.streams {
-			if s.err != nil {
-				return s.err
-			}
-			if s.eof {
+		for i, n := range nodes {
+			h := n.stream.Head()
+			if h == nil {
+				if err := n.stream.Err(); err != nil {
+					return err
+				}
 				continue
 			}
-			if q < 0 || s.head().Start < qStart {
-				q, qStart = i, s.head().Start
+			if el == nil || h.Start < el.Start {
+				q, el = i, h
 			}
 		}
 		if q < 0 {
 			return nil
 		}
-		el := st.streams[q].head()
 
 		// Global clean: pop every stack item whose interval ended before
 		// el. Processing in ascending start order makes this safe — a
@@ -94,13 +85,13 @@ func (st *sweepState) sweep() error {
 			if n.parent != nil {
 				pi = len(st.stacks[n.parent.id]) - 1
 			}
-			st.stacks[q] = append(st.stacks[q], stackItem{rec: el, parentIdx: pi})
+			st.stacks[q] = append(st.stacks[q], stackItem{rec: *el, parentIdx: pi})
 			if len(n.children) == 0 {
 				st.collectSolutions(n)
 				st.stacks[q] = st.stacks[q][:len(st.stacks[q])-1]
 			}
 		}
-		st.streams[q].advance()
+		n.stream.Advance()
 	}
 }
 

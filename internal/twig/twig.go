@@ -34,19 +34,20 @@
 // comes from the query's core.Arena, whose owner releases them all once
 // the answer is copied out.
 //
-// # Batched streams and one sweep
+// # Cursors and one sweep
 //
-// Streams are read through the relstore batched scan layer
-// (relstore.BatchIter via core.FragmentStream): a cluster-scan batch is
-// one heap page's share of the selection, decoded under a single pager
-// view into the stream's pooled relstore.Batch, so each page is
-// requested once, and the runs of a multi-run selection — the
-// P-labels of a BLAS-mode set or range, the element tags of a wildcard —
-// are k-way merged batch-wise (relstore.MergeBatchesByStart, a pooled
-// buffer per run). Every pooled buffer goes back when its
-// stream or run ends. A query runs exactly one sweep, on the calling
-// goroutine, so its visited elements and page reads depend only on its
-// plan and the data.
+// Each node's stream is its fragment's relstore.Cursor
+// (core.Store.PrepareFragmentStream), and the sweep drives the cursors
+// directly: Head is the next record that passes the fragment's
+// predicates, Advance moves past it. Each cluster run of a cursor reads
+// one heap page's share of the selection at a time, under a single
+// pager view, into a pooled buffer of its own and filters it there, so
+// each page is requested once; the runs of a multi-run selection — the
+// P-labels of a BLAS-mode set or range, the element tags of a
+// wildcard — are merged by a heap of runs ordered by head start. Every
+// pooled buffer goes back when its run ends. A query runs exactly one
+// sweep, on the calling goroutine, so its visited elements and page
+// reads depend only on its plan and the data.
 //
 // The engine reads every stream element exactly once, which is what the
 // paper's "number of elements read" metric (Figs. 14-18) measures: in
@@ -123,7 +124,7 @@ func Run(ctx *relstore.ExecContext, a *core.Arena, st *core.Store, p *planner.Ph
 		}
 	}
 	sweepBegin := tr.Begin()
-	leafSols, ret, err := eng.sweepStreams(ctx, a)
+	leafSols, ret, err := eng.sweepStreams(a)
 	tr.End(obs.PhaseSweep, sweepBegin)
 	if err != nil {
 		return nil, err
@@ -134,9 +135,10 @@ func Run(ctx *relstore.ExecContext, a *core.Arena, st *core.Store, p *planner.Ph
 	return res, nil
 }
 
-// tnode is one twig node: the static query structure plus the prepared
-// stream opener. The sweep's mutable state (stacks, stream positions,
-// collected solutions) lives in sweepState.
+// tnode is one twig node: the static query structure plus the
+// fragment's cursor. The sweep's mutable state (stacks, collected
+// solutions) lives in sweepState; the cursor is the node's stream
+// position.
 type tnode struct {
 	id       int
 	frag     *translate.Fragment
@@ -144,7 +146,7 @@ type tnode struct {
 	children []*tnode
 	edge     translate.Join // incoming edge (zero value for the root)
 
-	stream *core.FragmentStream
+	stream *relstore.Cursor
 
 	// leaf bookkeeping
 	leafIdx int      // index into engine.leaves; -1 for inner nodes
