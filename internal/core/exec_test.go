@@ -11,12 +11,13 @@ import (
 	"repro/internal/xmltree"
 )
 
-// TestCollectFiltersEveryBatch: Collect decodes every batch into one
-// reused buffer and filters it there with the stream's own filter, and
-// neither may show in the answer. With and without a filter, the arena
-// must hold exactly what collect-then-filter returns and account the
-// same visited records, and — the batch requests being the same — the
-// page reads must not depend on the filter.
+// TestCollectFiltersEveryBatch: the cursor PrepareFragmentStream
+// returns applies the fragment's value and level predicates to every
+// page share it reads, and the buffer it reads into must not show in
+// the answer. With and without a filter, the cursor must return exactly
+// what collect-then-filter returns and account the same visited
+// records, and — the page requests being the same — the page reads must
+// not depend on the filter.
 func TestCollectFiltersEveryBatch(t *testing.T) {
 	const n = 4 * relstore.BatchSize
 	var doc strings.Builder
@@ -45,11 +46,7 @@ func TestCollectFiltersEveryBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bi, err := ref.Open(refCtx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, err := relstore.CollectBatches(bi, relstore.BatchSize)
+	all, err := drain(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,26 +71,25 @@ func TestCollectFiltersEveryBatch(t *testing.T) {
 		{"unfiltered", translate.Fragment{Access: access}, all},
 		{"value", translate.Fragment{Access: access, Value: &v1}, keep(func(r relstore.Record) bool { return r.Data == v1 })},
 		{"level", translate.Fragment{Access: access, LevelEq: 3}, all},
+		{"level-drop-all", translate.Fragment{Access: access, LevelEq: 2}, nil},
 		{"drop-all", translate.Fragment{Access: access, Value: &none}, nil},
 	}
-	batch := relstore.GetBatch()
-	defer batch.Release()
 	for _, c := range cases {
 		ctx := relstore.NewExecContext()
 		fs, err := st.PrepareFragmentStream(ctx, &c.frag)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := fs.Collect(ctx, NewArena(), batch, true)
+		got, err := drain(fs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Len() != len(c.want) || got.Spans.Len() != 0 {
-			t.Fatalf("%s: %d records (%d spans), want %d records", c.name, got.Len(), got.Spans.Len(), len(c.want))
+		if len(got) != len(c.want) {
+			t.Fatalf("%s: %d records, want %d", c.name, len(got), len(c.want))
 		}
 		for i, w := range c.want {
-			if r := *got.Recs.Get(i, 0); r != w {
-				t.Fatalf("%s: record %d = %+v, want %+v", c.name, i, r, w)
+			if got[i] != w {
+				t.Fatalf("%s: record %d = %+v, want %+v", c.name, i, got[i], w)
 			}
 		}
 		if ctx.Visited() != refCtx.Visited() {
@@ -102,26 +98,5 @@ func TestCollectFiltersEveryBatch(t *testing.T) {
 		if ctx.PageReads() != refCtx.PageReads() {
 			t.Errorf("%s: %d page reads, %d without filter", c.name, ctx.PageReads(), refCtx.PageReads())
 		}
-		// A non-return fragment binds the same nodes as spans only.
-		spans, err := fs.Collect(nil, NewArena(), batch, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if spans.Len() != len(c.want) || spans.Recs.Len() != 0 {
-			t.Fatalf("%s: %d spans (%d records), want %d spans", c.name, spans.Len(), spans.Recs.Len(), len(c.want))
-		}
-		for i, w := range c.want {
-			if sp, ref := spans.SpanAt(i), SpanOf(&w); sp != ref || *spans.Spans.Get(i, 0) != ref || got.SpanAt(i) != ref {
-				t.Fatalf("%s: span %d = %+v, want %+v", c.name, i, sp, ref)
-			}
-		}
-	}
-	// A nil context (no counters) is valid.
-	fs, err := st.PrepareFragmentStream(nil, &translate.Fragment{Access: access})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := fs.Collect(nil, NewArena(), batch, false); err != nil || got.Len() != n {
-		t.Fatalf("nil context: %d records, err %v", got.Len(), err)
 	}
 }

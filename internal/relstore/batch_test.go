@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -61,6 +62,39 @@ func TestBatchScanMatchesIter(t *testing.T) {
 				t.Fatalf("label %d cursor: %d records (err %v), want %d", label, len(got), err, len(want))
 			}
 		}
+	}
+}
+
+// TestBatchMergeByStart: the cursor over several exact label runs must
+// equal the start-sorted concatenation of those runs, read through
+// Head/Advance and through Drain.
+func TestBatchMergeByStart(t *testing.T) {
+	rel, recs := batchFixture(t, 6, 50)
+	labels := []uint128.Uint128{uint128.From64(1), uint128.From64(3), uint128.From64(5), uint128.From64(6)}
+	inRuns := map[uint128.Uint128]bool{}
+	for _, l := range labels {
+		inRuns[l] = true
+	}
+	want := filterRecs(sortedByStart(recs), func(r *Record) bool { return inRuns[r.PLabel] })
+
+	var got []Record
+	c := rel.ScanPLabels(nil, labels, nil, 0)
+	for h := c.Head(); h != nil; h = c.Head() {
+		got = append(got, *h)
+		c.Advance()
+	}
+	if c.Err() != nil {
+		t.Fatal(c.Err())
+	}
+	if len(want) == 0 || !recordsEqual(got, want) {
+		t.Fatalf("Head/Advance merge: %d records, want %d", len(got), len(want))
+	}
+	got, err := drainCursor(rel.ScanPLabels(nil, labels, nil, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !recordsEqual(got, want) {
+		t.Fatalf("Drain merge: %d records, want %d", len(got), len(want))
 	}
 }
 
@@ -160,6 +194,71 @@ func TestBatchReleaseClearsWhatItHeld(t *testing.T) {
 		}
 	}()
 	b.release()
+}
+
+// TestMergeReleasesEachRunOnce: every run of a merging cursor reads
+// into a pooled buffer of its own and returns it once, when the run is
+// exhausted, however often the cursor is read past its end; the cursor
+// returns the same records as the start-sorted union of its runs.
+func TestMergeReleasesEachRunOnce(t *testing.T) {
+	var recs []Record
+	for i := 0; i < 3*300+5*5; i++ {
+		label := 1 + i%3 // three runs of 300 records
+		if i >= 900 {
+			label = 4 + i%5 // five runs of 5
+		}
+		s := uint32(2*i + 1)
+		recs = append(recs, Record{PLabel: uint128.From64(uint64(label)), TagID: 1, Start: s, End: s + 1, Level: 2, Data: "v"})
+	}
+	rel, err := Build(pager.OpenMem(16), ClusterPLabel, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var labels []uint128.Uint128
+	for l := uint64(1); l <= 8; l++ {
+		labels = append(labels, uint128.From64(l))
+	}
+	ctx := NewExecContext()
+	c := rel.ScanPLabels(ctx, labels, nil, 0)
+	if c.Head() == nil {
+		t.Fatal("the cursor has no head")
+	}
+	if len(c.runs) != 8 {
+		t.Fatalf("%d runs, want 8", len(c.runs))
+	}
+	own := map[*batch]bool{}
+	var batches []*batch
+	for i := range c.runs {
+		b := c.runs[i].buf
+		if b == nil || own[b] {
+			t.Fatalf("run %d: no buffer of its own after the first Head", i)
+		}
+		own[b] = true
+		batches = append(batches, b)
+	}
+	var got []Record
+	for h := c.Head(); h != nil; h = c.Head() {
+		got = append(got, *h)
+		c.Advance()
+	}
+	if c.Err() != nil || !recordsEqual(got, sortedByStart(recs)) {
+		t.Fatalf("merge returned %d records (err %v), want %d in start order", len(got), c.Err(), len(recs))
+	}
+	reads := ctx.PageReads()
+	for i := 0; i < 3; i++ {
+		if c.Head() != nil || c.Err() != nil {
+			t.Fatalf("read past the end: head %v, err %v", c.Head(), c.Err())
+		}
+	}
+	if ctx.PageReads() != reads {
+		t.Fatalf("read past the end: %d more page requests", ctx.PageReads()-reads)
+	}
+	for i := range c.runs {
+		if c.runs[i].buf != nil {
+			t.Fatalf("run %d: the exhausted run still holds its buffer", i)
+		}
+		assertReleased(t, fmt.Sprintf("run %d", i), batches[i])
+	}
 }
 
 // assertReleased checks that b is back in the pool with no record left.

@@ -1,57 +1,75 @@
 package twig
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/planner"
 	"repro/internal/relstore"
+	"repro/internal/translate"
+	"repro/internal/xmltree"
+	"repro/internal/xpath"
 )
 
-// countingIter serves recs in batches of at most step records and
-// counts the NextBatch calls it gets.
-type countingIter struct {
-	recs  []relstore.Record
-	step  int
-	calls int
-}
-
-func (c *countingIter) NextBatch(dst []relstore.Record) (int, error) {
-	c.calls++
-	n := copy(dst[:min(len(dst), c.step)], c.recs)
-	c.recs = c.recs[n:]
-	return n, nil
-}
-
-// TestBatchStreamReleasesOnce: a twig stream gives its pooled buffer
-// back when it reaches the end of its input, and drained past that end
-// it neither reads its input again (into a buffer it no longer owns)
-// nor releases the buffer a second time, which would panic.
+// TestBatchStreamReleasesOnce: the sweep reads every node's cursor to
+// the end of its input, where each cursor run gives its pooled buffer
+// back; read past that end, a cursor neither reads its input again
+// (into a buffer it no longer owns) nor releases a buffer a second
+// time, which would panic.
 func TestBatchStreamReleasesOnce(t *testing.T) {
-	var recs []relstore.Record
-	for i := uint32(1); i <= 50; i++ {
-		recs = append(recs, relstore.Record{Start: 2 * i, End: 2*i + 1, Level: 1, Data: "v"})
+	const n = 3 * relstore.BatchSize // several heap pages per stream
+	var doc strings.Builder
+	doc.WriteString("<r>")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&doc, "<a><b>v%d</b></a>", i%3)
 	}
-	src := &countingIter{recs: recs, step: 7}
-	s := newBatchStream(src, core.RecFilter{})
-	var got int
-	for !s.eof {
-		if s.head().Start != recs[got].Start {
-			t.Fatalf("record %d: start %d, want %d", got, s.head().Start, recs[got].Start)
+	doc.WriteString("</r>")
+	tree, err := xmltree.ParseString(doc.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := core.BuildFromTree(tree, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	p, err := translate.Baseline(ctxFor(st), xpath.MustParse("/r/a/b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := relstore.NewExecContext()
+	eng, err := build(ctx, st, planner.Fixed(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(eng.nodes) < 2 {
+		t.Fatalf("%d twig nodes, want several streams", len(eng.nodes))
+	}
+	a := core.NewArena()
+	defer a.Release()
+	_, ret, err := eng.sweepStreams(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ret.Len() != n {
+		t.Fatalf("the sweep bound %d return records, want %d", ret.Len(), n)
+	}
+	for _, nd := range eng.nodes {
+		if nd.stream.Head() != nil || nd.stream.Err() != nil {
+			t.Fatalf("node %d: the sweep ended before its stream (err %v)", nd.id, nd.stream.Err())
 		}
-		got++
-		s.advance()
 	}
-	if got != len(recs) || s.err != nil {
-		t.Fatalf("drained %d records (err %v), want %d", got, s.err, len(recs))
-	}
-	if s.batch != nil {
-		t.Fatal("the stream kept its buffer after the end of its input")
-	}
-	calls := src.calls
+	reads, visited := ctx.PageReads(), ctx.Visited()
 	for i := 0; i < 3; i++ {
-		s.fill()
+		for _, nd := range eng.nodes {
+			if nd.stream.Head() != nil || nd.stream.Err() != nil {
+				t.Fatalf("node %d: a head or an error past the end", nd.id)
+			}
+		}
 	}
-	if src.calls != calls || !s.eof {
-		t.Fatalf("drained past the end: %d more input reads, eof %v", src.calls-calls, s.eof)
+	if ctx.PageReads() != reads || ctx.Visited() != visited {
+		t.Fatalf("drained past the end: %d more page reads, %d more records", ctx.PageReads()-reads, ctx.Visited()-visited)
 	}
 }
