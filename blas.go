@@ -494,39 +494,39 @@ func phaseBreakdown(s obs.TraceSnapshot) *PhaseBreakdown {
 // to call concurrently from any number of goroutines. It returns
 // ErrClosed once Close has been called.
 func (s *Store) Query(query string, opts QueryOptions) (*Result, error) {
+	return s.run(query, nil, opts)
+}
+
+// run plans query, unless phys is a prepared plan, then executes the
+// plan and assembles the Result. It registers the operation (begin)
+// and balances QueryBegin with QueryDone or QueryFailed. The execution
+// context is created before planning, so the planner's selectivity
+// probe page reads land in this query's ExecStats. The engine runs in
+// an arena of run's own, released once finalize has copied the answer
+// into the matches: a warm query allocates no binding, solution or
+// join-row chunk.
+func (s *Store) run(query string, phys *planner.Physical, opts QueryOptions) (*Result, error) {
 	if err := s.begin(); err != nil {
 		return nil, err
 	}
 	defer s.end()
 	s.metrics.QueryBegin()
-
 	var trace *obs.Trace
 	if opts.Trace {
 		trace = obs.NewTrace()
 	}
-
-	// The execution context is created before planning so the planner's
-	// selectivity probe page reads land in this query's ExecStats.
 	ctx := relstore.NewExecContext()
 	ctx.SetTrace(trace)
-
-	planBegin := time.Now()
-	phys, err := s.plan(ctx, query, opts, trace)
-	if err != nil {
-		s.metrics.QueryFailed()
-		return nil, err
+	var planElapsed time.Duration
+	if phys == nil {
+		planBegin := time.Now()
+		var err error
+		if phys, err = s.plan(ctx, query, opts, trace); err != nil {
+			s.metrics.QueryFailed()
+			return nil, err
+		}
+		planElapsed = time.Since(planBegin)
 	}
-	return s.run(ctx, phys, time.Since(planBegin), opts, trace)
-}
-
-// run executes a physical plan and assembles the Result. The caller has
-// registered the operation (begin) and the query (QueryBegin), and owns
-// ctx — planner probe reads already accounted there stay in the stats.
-// run balances QueryBegin with QueryDone or QueryFailed. The engine
-// runs in an arena of run's own, released once finalize has copied the
-// answer into the matches: a warm query allocates no binding, solution
-// or join-row chunk.
-func (s *Store) run(ctx *relstore.ExecContext, phys *planner.Physical, planElapsed time.Duration, opts QueryOptions, trace *obs.Trace) (*Result, error) {
 	lp := phys.Logical
 	execBegin := time.Now()
 	arena := core.NewArena()
@@ -669,23 +669,11 @@ func (s *Store) Prepare(query string, opts QueryOptions) (*PreparedQuery, error)
 		return nil, err
 	}
 	defer s.end()
-	q, err := xpath.Parse(query)
+	phys, err := s.plan(relstore.NewExecContext(), query, opts, nil)
 	if err != nil {
 		return nil, err
 	}
-	tr, err := translate.ByName(string(s.EffectiveTranslator(opts.Translator)))
-	if err != nil {
-		return nil, err
-	}
-	lp, err := tr(translate.Context{Scheme: s.inner.Scheme(), Schema: s.inner.Schema()}, q)
-	if err != nil {
-		return nil, err
-	}
-	phys, err := planner.Plan(relstore.NewExecContext(), s.inner, lp, planner.Options{NoReorder: opts.NoReorder})
-	if err != nil {
-		return nil, err
-	}
-	return &PreparedQuery{store: s, phys: phys, norm: q.String(), gen: s.gen}, nil
+	return &PreparedQuery{store: s, phys: phys, norm: phys.Logical.Source.String(), gen: s.gen}, nil
 }
 
 // Normalized returns the canonical rendering of the prepared query (see
@@ -708,19 +696,7 @@ func (p *PreparedQuery) Joins() int { return p.phys.Logical.NumJoins() }
 // was paid once, in Prepare — so Elapsed is pure execution time. It
 // returns ErrClosed once the store's Close has been called.
 func (p *PreparedQuery) Query(opts QueryOptions) (*Result, error) {
-	s := p.store
-	if err := s.begin(); err != nil {
-		return nil, err
-	}
-	defer s.end()
-	s.metrics.QueryBegin()
-	var trace *obs.Trace
-	if opts.Trace {
-		trace = obs.NewTrace()
-	}
-	ctx := relstore.NewExecContext()
-	ctx.SetTrace(trace)
-	return s.run(ctx, p.phys, 0, opts, trace)
+	return p.store.run("", p.phys, opts)
 }
 
 // finalizeMatches renders the engine's answer into Matches under a

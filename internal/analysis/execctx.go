@@ -11,10 +11,10 @@ import (
 // each entry point, never through package-level state. Two rules:
 //
 //  1. In package relstore, an exported method on *Relation whose name
-//     starts with Scan, or is Get or DistinctPLabels, must take a
-//     *ExecContext as its first parameter — these are the measured
-//     entry points, and a counter recorded anywhere else is invisible
-//     to the query that caused it.
+//     starts with Scan or is Get, or the Open or Estimate method of a
+//     Selection, must take a *ExecContext as its first parameter —
+//     these are the measured entry points, and a counter recorded
+//     anywhere else is invisible to the query that caused it.
 //  2. Packages relstore, pbtree and pager must not declare
 //     package-level counter state: variables of an atomic type, of a
 //     Counters type, or of ExecContext type. A global counter is
@@ -49,22 +49,28 @@ func runExecCtx(pass *Pass) error {
 	return nil
 }
 
-// isMeasuredEntryPoint reports whether fd is an exported *Relation
-// method that records execution counters.
+// isMeasuredEntryPoint reports whether fd is an exported *Relation or
+// Selection method that records execution counters.
 func isMeasuredEntryPoint(fd *ast.FuncDecl) bool {
 	if fd.Recv == nil || len(fd.Recv.List) != 1 || !fd.Name.IsExported() {
 		return false
 	}
-	star, ok := fd.Recv.List[0].Type.(*ast.StarExpr)
+	recv := fd.Recv.List[0].Type
+	if star, ok := recv.(*ast.StarExpr); ok {
+		recv = star.X
+	}
+	id, ok := recv.(*ast.Ident)
 	if !ok {
 		return false
 	}
-	id, ok := star.X.(*ast.Ident)
-	if !ok || id.Name != "Relation" {
-		return false
-	}
 	n := fd.Name.Name
-	return strings.HasPrefix(n, "Scan") || n == "Get" || n == "DistinctPLabels"
+	switch id.Name {
+	case "Relation":
+		return strings.HasPrefix(n, "Scan") || n == "Get"
+	case "Selection":
+		return n == "Open" || n == "Estimate"
+	}
+	return false
 }
 
 // checkEntryPoint verifies the first parameter is *ExecContext.

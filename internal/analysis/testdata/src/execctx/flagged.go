@@ -7,6 +7,8 @@ import "sync/atomic"
 
 type Relation struct{}
 
+type Selection struct{}
+
 type ExecContext struct{}
 
 type Locator struct{}
@@ -25,9 +27,14 @@ func (r *Relation) ScanTag(tagID uint32) error { // want "ScanTag must take"
 	return nil
 }
 
-// DistinctPLabels records counters but takes no context at all.
-func (r *Relation) DistinctPLabels() []string { // want "records execution counters but takes no"
+// Open records counters but takes no context at all.
+func (s Selection) Open() error { // want "records execution counters but takes no"
 	return nil
+}
+
+// Estimate takes the context, but not first.
+func (s Selection) Estimate(n int, ctx *ExecContext) uint64 { // want "Estimate must take"
+	return 0
 }
 
 // Get takes the context, but not first.

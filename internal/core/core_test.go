@@ -8,14 +8,16 @@ import (
 	"testing"
 
 	"repro/internal/relstore"
-	"repro/internal/uint128"
 	"repro/internal/xmltree"
 )
 
 // drain returns a cursor's records.
-func drain(c *relstore.Cursor) ([]relstore.Record, error) {
+func drain(c *relstore.Cursor, err error) ([]relstore.Record, error) {
+	if err != nil {
+		return nil, err
+	}
 	var out []relstore.Record
-	err := c.Drain(func(recs []relstore.Record) { out = append(out, recs...) })
+	err = c.Drain(func(recs []relstore.Record) { out = append(out, recs...) })
 	return out, err
 }
 
@@ -94,7 +96,7 @@ func TestSuffixPathSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := drain(st.SP().ScanPLabels(nil, []uint128.Uint128{lbl}, nil, 0))
+	recs, err := drain(st.SP().PLabel(lbl).Open(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +119,12 @@ func TestDLabelNesting(t *testing.T) {
 	if !ok {
 		t.Fatal("tag missing")
 	}
-	entries, err := drain(st.SD().ScanTags(nil, []uint32{id}, nil, 0))
+	entries, err := drain(st.SD().Tag(id).Open(nil))
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("entries: %d, %v", len(entries), err)
 	}
 	yid, _ := st.TagID("year")
-	years, err := drain(st.SD().ScanTags(nil, []uint32{yid}, nil, 0))
+	years, err := drain(st.SD().Tag(yid).Open(nil))
 	if err != nil || len(years) != 1 {
 		t.Fatalf("years: %d, %v", len(years), err)
 	}
@@ -150,7 +152,7 @@ func TestAttributesShredded(t *testing.T) {
 	if !ok {
 		t.Fatal("@id not in scheme")
 	}
-	attrs, err := drain(st.SD().ScanTags(nil, []uint32{id}, nil, 0))
+	attrs, err := drain(st.SD().Tag(id).Open(nil))
 	if err != nil || len(attrs) != 1 {
 		t.Fatalf("attrs: %d, %v", len(attrs), err)
 	}
@@ -243,7 +245,7 @@ func TestPersistAndOpen(t *testing.T) {
 		t.Fatal("schema lost")
 	}
 	lbl, _ := st2.Scheme().LabelPath([]string{"proteinDatabase", "proteinEntry", "protein", "name"})
-	recs, err := drain(st2.SP().ScanPLabels(nil, []uint128.Uint128{lbl}, nil, 0))
+	recs, err := drain(st2.SP().PLabel(lbl).Open(nil))
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("scan after reopen: %d, %v", len(recs), err)
 	}
@@ -281,7 +283,7 @@ func TestCountersAndCaches(t *testing.T) {
 	}
 	ctx := relstore.NewExecContext()
 	lbl, _ := st.Scheme().LabelPath([]string{"proteinDatabase", "proteinEntry"})
-	if _, err := drain(st.SP().ScanPLabels(ctx, []uint128.Uint128{lbl}, nil, 0)); err != nil {
+	if _, err := drain(st.SP().PLabel(lbl).Open(ctx)); err != nil {
 		t.Fatal(err)
 	}
 	if got := ctx.Visited(); got != 1 {

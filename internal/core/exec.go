@@ -1,11 +1,8 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/relstore"
 	"repro/internal/translate"
-	"repro/internal/uint128"
 )
 
 // ExecConfig is ignored: a query runs on its calling goroutine on
@@ -55,36 +52,32 @@ func (r *Result) Starts() []uint32 {
 	return out
 }
 
-// PrepareFragmentStream resolves fragment f's access path into the
-// relstore.Cursor both engines read the fragment through: the relational
-// engine drains each fragment's cursor into its bindings, the twig
-// engine's sweep drives every fragment's cursor at once.
-//
-// Every selection is a list of cluster runs: P-labels on SP for an
-// equality, set or range selection, tag ids on SD for a tag selection or
-// a wildcard (every element tag; attributes are never read). The list
-// is resolved here, before any record is read — for a range selection,
-// by a skip scan over the cluster index, accounted to ctx (index pages
-// only). The cursor applies the fragment's value and level predicates
-// and reads nothing until its first Head. A range that resolves to no
-// P-label makes a cursor that is KnownEmpty. (A set with no labels
-// never gets here: translation marks it an Empty fragment.)
-func (s *Store) PrepareFragmentStream(ctx *relstore.ExecContext, f *translate.Fragment) (*relstore.Cursor, error) {
-	switch f.Access.Kind {
-	case translate.AccessPLabelEq:
-		return s.sp.ScanPLabels(ctx, []uint128.Uint128{f.Access.Range.Lo}, f.Value, f.LevelEq), nil
-	case translate.AccessPLabelSet:
-		return s.sp.ScanPLabels(ctx, f.Access.Labels, f.Value, f.LevelEq), nil
-	case translate.AccessPLabelRange:
-		plabels, err := s.sp.DistinctPLabels(ctx, f.Access.Range.Lo, f.Access.Range.Hi)
-		if err != nil {
-			return nil, err
-		}
-		return s.sp.ScanPLabels(ctx, plabels, f.Value, f.LevelEq), nil
-	case translate.AccessTag:
-		return s.sd.ScanTags(ctx, []uint32{f.Access.TagID}, f.Value, f.LevelEq), nil
-	case translate.AccessAll:
-		return s.sd.ScanTags(ctx, s.elemTags, f.Value, f.LevelEq), nil
+// Select maps fragment f onto the relstore.Selection that is the only
+// access path to its records: the planner estimates it, and both
+// engines read the fragment through the cursor it opens. This is the
+// one place that tells the access kinds apart: P-labels on SP for an
+// equality, set or range selection, tag ids on SD for a tag selection
+// or a wildcard (every element tag; attributes are never read). An
+// Empty fragment, or an empty range, selects no run.
+func (s *Store) Select(f *translate.Fragment) relstore.Selection {
+	a := &f.Access
+	if f.Empty || a.Kind == translate.AccessPLabelRange && a.Range.Empty {
+		return s.sp.PLabels(nil)
 	}
-	return nil, fmt.Errorf("core: unknown access kind %v", f.Access.Kind)
+	var sel relstore.Selection
+	switch a.Kind {
+	case translate.AccessPLabelEq:
+		sel = s.sp.PLabel(a.Range.Lo)
+	case translate.AccessPLabelRange:
+		sel = s.sp.PLabelRange(a.Range.Lo, a.Range.Hi)
+	case translate.AccessPLabelSet:
+		sel = s.sp.PLabels(a.Labels)
+	case translate.AccessTag:
+		sel = s.sd.Tag(a.TagID)
+	case translate.AccessAll:
+		sel = s.sd.Tags(s.elemTags)
+	default:
+		panic("core: unknown access kind " + a.Kind.String())
+	}
+	return sel.Where(f.Value, f.LevelEq, s.sp)
 }

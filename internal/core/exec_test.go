@@ -11,8 +11,8 @@ import (
 	"repro/internal/xmltree"
 )
 
-// TestCollectFiltersEveryBatch: the cursor PrepareFragmentStream
-// returns applies the fragment's value and level predicates to every
+// TestCollectFiltersEveryBatch: the cursor a fragment's Selection
+// opens applies the fragment's value and level predicates to every
 // page share it reads, and the buffer it reads into must not show in
 // the answer. With and without a filter, the cursor must return exactly
 // what collect-then-filter returns and account the same visited
@@ -42,11 +42,7 @@ func TestCollectFiltersEveryBatch(t *testing.T) {
 	access := translate.Access{Kind: translate.AccessPLabelEq, Range: plabel.Range{Lo: lbl, Hi: lbl, Exact: true}}
 
 	refCtx := relstore.NewExecContext()
-	ref, err := st.PrepareFragmentStream(refCtx, &translate.Fragment{Access: access})
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, err := drain(ref)
+	all, err := drain(st.Select(&translate.Fragment{Access: access}).Open(refCtx))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +72,7 @@ func TestCollectFiltersEveryBatch(t *testing.T) {
 	}
 	for _, c := range cases {
 		ctx := relstore.NewExecContext()
-		fs, err := st.PrepareFragmentStream(ctx, &c.frag)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := drain(fs)
+		got, err := drain(st.Select(&c.frag).Open(ctx))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/relstore"
-	"repro/internal/uint128"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
@@ -27,7 +26,11 @@ func TestLabelTreeMatchesShredder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var recs []relstore.Record
-	err = st.SP().ScanPLabels(nil, []uint128.Uint128{lbl}, nil, 0).Drain(func(batch []relstore.Record) { recs = append(recs, batch...) })
+	cur, err := st.SP().PLabel(lbl).Open(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = cur.Drain(func(batch []relstore.Record) { recs = append(recs, batch...) })
 	if err != nil {
 		t.Fatal(err)
 	}

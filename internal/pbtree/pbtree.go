@@ -237,7 +237,7 @@ func (b *Builder) Finish() (Tree, error) {
 	return Tree{Root: id, Height: uint32(len(b.levels)), Count: b.count}, nil
 }
 
-// Reader provides lookups and scans over a finished tree.
+// Reader provides seeks and estimates over a finished tree.
 type Reader struct {
 	f    *pager.File
 	tree Tree
@@ -249,13 +249,10 @@ func NewReader(f *pager.File, tree Tree) *Reader { return &Reader{f: f, tree: tr
 // Count returns the number of entries in the tree.
 func (r *Reader) Count() uint64 { return r.tree.Count }
 
-// page interprets a page image: either a pinned pager frame (valid only
-// inside a view, used for descents) or a private copy (what iterators
-// hold — the copy is what makes them immune to eviction: the pager
-// frame is unpinned while the iterator keeps reading its own buffer).
-// Slot offsets are read straight out of the image on demand; parsing
-// the whole slot table up front would cost O(n) per page load when a
-// descent only touches O(log n) slots.
+// page interprets a page image, usually a pinned pager frame that is
+// valid only inside its view. Slot offsets are read straight out of the
+// image on demand; parsing the whole slot table up front would cost
+// O(n) per page when a descent only touches O(log n) slots.
 type page struct {
 	typ  byte
 	n    int
@@ -271,16 +268,6 @@ func parsePage(buf []byte) page {
 		next: pager.PageID(binary.LittleEndian.Uint32(buf[3:7])),
 		data: buf,
 	}
-}
-
-// loadPage copies page id out of the pool into a private buffer.
-func (r *Reader) loadPage(id pager.PageID) (*page, error) {
-	buf := make([]byte, pager.PageSize)
-	if err := r.f.Read(id, buf); err != nil {
-		return nil, err
-	}
-	p := parsePage(buf)
-	return &p, nil
 }
 
 func (p *page) slot(i int) int {
@@ -321,127 +308,72 @@ func (p *page) search(key []byte) int {
 	return lo
 }
 
-// Get returns the value stored under key.
-func (r *Reader) Get(key []byte) ([]byte, bool, error) {
-	p, err := r.leafFor(key, nil)
-	if err != nil {
-		return nil, false, err
-	}
+// lowerBound returns the index of the first key in p that is >= key (0
+// for a nil key), p.n when there is none.
+func (p *page) lowerBound(key []byte) int {
 	i := p.search(key)
 	if i > 0 && bytes.Equal(p.key(i-1), key) {
-		return p.value(i - 1), true, nil
+		i-- // include the exact match
 	}
-	return nil, false, nil
+	return i
 }
 
-// SeekValue copies the value of the first entry with key >= from (nil
-// from = the smallest entry) into dst[:0], returning the possibly grown
-// slice. ok is false when no such entry exists. The descent and leaf
-// inspection run entirely inside pager views: unlike Scan, nothing is
-// copied out of the pool but the value itself — the cheap way to probe
-// a single position without materializing a leaf.
+// descend searches the inner pages from the root toward key, in place
+// inside pager views, and returns the leaf where key's lower bound (the
+// first entry >= key) lies, or whose end it is: each inner page picks
+// the last child whose smallest key is <= key, the first child when
+// none is (a nil key descends leftmost), so an entry past the leaf's
+// end heads the next leaf. rank is the fraction of the tree's entries
+// that lie in the leaves left of that leaf and span the fraction one
+// leaf covers, both interpolated from the slot positions along the
+// path. Every seek and estimate starts here.
+func (r *Reader) descend(key []byte, c *pager.Counters) (leaf pager.PageID, rank, span float64, err error) {
+	id, span := r.tree.Root, 1.0
+	for level := r.tree.Height; level > 1 && err == nil; level-- {
+		err = r.f.ViewCounted(id, c, func(buf []byte) error {
+			p := parsePage(buf)
+			if p.typ != pageTypeInner || p.n == 0 {
+				return fmt.Errorf("pbtree: page %d is not an inner page of a height-%d tree", id, r.tree.Height)
+			}
+			i := max(p.search(key), 1) - 1
+			rank += span * float64(i) / float64(p.n)
+			span /= float64(p.n)
+			id = p.child(i)
+			return nil
+		})
+	}
+	return id, rank, span, err
+}
+
+// Seek copies the key and the value of the first entry with key >=
+// from (nil from = the smallest entry) into kdst[:0] and vdst[:0],
+// returning the possibly grown slices. ok is false when no such entry
+// exists. The descent and the leaf are read inside pager views, so
+// nothing is copied out of the pool but the entry: one descent finds a
+// position, and a skip scan reads the next distinct key prefix and its
+// locator from the same entry.
+func (r *Reader) Seek(from, kdst, vdst []byte, c *pager.Counters) (key, val []byte, ok bool, err error) {
+	id, _, _, err := r.descend(from, c)
+	for err == nil && id != noPage && !ok {
+		err = r.f.ViewCounted(id, c, func(buf []byte) error {
+			p := parsePage(buf)
+			if i := p.lowerBound(from); i < p.n {
+				kdst, vdst, ok = append(kdst[:0], p.key(i)...), append(vdst[:0], p.value(i)...), true
+			}
+			id = p.next // past this leaf, the entry (if any) heads the next
+			return nil
+		})
+	}
+	return kdst, vdst, ok, err
+}
+
+// SeekValue is Seek for the value alone, which the entry's key is
+// copied beside on the stack: the cursor's run seek reads only the
+// locator.
 func (r *Reader) SeekValue(from, dst []byte, c *pager.Counters) (val []byte, ok bool, err error) {
-	return r.seek(from, dst, c, false)
-}
-
-// SeekKey is SeekValue returning the entry's key instead of its value:
-// the same descent, page reads and in-view copy. A skip scan probes
-// with it for the next distinct key prefix.
-func (r *Reader) SeekKey(from, dst []byte, c *pager.Counters) (key []byte, ok bool, err error) {
-	return r.seek(from, dst, c, true)
-}
-
-// seek copies the key (wantKey) or the value of the first entry with
-// key >= from into dst[:0].
-func (r *Reader) seek(from, dst []byte, c *pager.Counters, wantKey bool) ([]byte, bool, error) {
-	id := r.tree.Root
-	for {
-		var found, exhausted bool
-		next := id
-		err := r.f.ViewCounted(id, c, func(buf []byte) error {
-			p := parsePage(buf)
-			if p.typ == pageTypeInner {
-				i := p.search(from)
-				if i == 0 {
-					i = 1
-				}
-				next = p.child(i - 1)
-				return nil
-			}
-			i := 0
-			if from != nil {
-				i = p.search(from)
-				if i > 0 && bytes.Equal(p.key(i-1), from) {
-					i-- // include the exact match
-				}
-			}
-			if i >= p.n {
-				// Past this leaf: the sought entry, if any, heads the
-				// next leaf (descent picked the last subtree whose
-				// separator is <= from, so that key is provably > from).
-				if p.next == noPage {
-					exhausted = true
-					return nil
-				}
-				next = p.next
-				return nil
-			}
-			if wantKey {
-				dst = append(dst[:0], p.key(i)...)
-			} else {
-				dst = append(dst[:0], p.value(i)...)
-			}
-			found = true
-			return nil
-		})
-		if err != nil {
-			return dst, false, err
-		}
-		if found {
-			return dst, true, nil
-		}
-		if exhausted {
-			return dst, false, nil
-		}
-		id = next
-	}
-}
-
-// leafFor descends to the leaf that would contain key (a nil key
-// descends leftmost). Inner pages are searched in place inside pager
-// views — no copy, no allocation — and only the leaf is copied out,
-// since it is the one page that outlives the descent.
-func (r *Reader) leafFor(key []byte, c *pager.Counters) (*page, error) {
-	id := r.tree.Root
-	for {
-		var leaf *page
-		next := id
-		err := r.f.ViewCounted(id, c, func(buf []byte) error {
-			p := parsePage(buf)
-			if p.typ == pageTypeInner {
-				i := p.search(key)
-				if i == 0 {
-					// key is smaller than every key in the tree (or nil):
-					// descend leftmost.
-					i = 1
-				}
-				next = p.child(i - 1)
-				return nil
-			}
-			own := make([]byte, len(buf))
-			copy(own, buf)
-			lp := parsePage(own)
-			leaf = &lp
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if leaf != nil {
-			return leaf, nil
-		}
-		id = next
-	}
+	var keyBuf [32]byte
+	_, val, ok, err = r.Seek(from, keyBuf[:0], dst, c)
+	return val, ok, err
 }
 
 // loc is a resolved key position used by EstimateRange: the leaf holding
@@ -457,62 +389,28 @@ type loc struct {
 // locate descends to key's lower-bound position in O(height) page reads.
 // A nil key locates the first entry. When the lower bound falls past the
 // end of its leaf, the position is normalized to the head of the next
-// leaf (whose first key is provably > key, because descent always picks
-// the last subtree whose separator is <= key), so two positions on the
+// leaf (whose first key is provably > key), so two positions on the
 // same leaf always yield an exact entry count.
 func (r *Reader) locate(key []byte, c *pager.Counters) (loc, error) {
-	id := r.tree.Root
-	var frac float64
-	span := 1.0
-	for {
-		var out loc
-		done := false
-		next := id
-		err := r.f.ViewCounted(id, c, func(buf []byte) error {
-			// The whole descent runs against pinned frames: locate
-			// retains only offsets and fractions, never page bytes, so
-			// nothing needs to be copied out of the pool.
-			p := parsePage(buf)
-			if p.typ == pageTypeInner {
-				i := 0
-				if key != nil {
-					if i = p.search(key); i > 0 {
-						i--
-					}
-				}
-				frac += span * float64(i) / float64(p.n)
-				span /= float64(p.n)
-				next = p.child(i)
-				return nil
-			}
-			done = true
-			lb := 0
-			if key != nil {
-				lb = p.search(key)
-				if lb > 0 && bytes.Equal(p.key(lb-1), key) {
-					lb-- // lower bound includes the exact match
-				}
-			}
-			if p.n > 0 {
-				frac += span * float64(lb) / float64(p.n)
-			}
-			if lb >= p.n {
-				// Past this leaf's entries: the lower bound is the next
-				// leaf's first entry (its id is free — no extra read).
-				out = loc{leaf: p.next, idx: 0, frac: frac}
-				return nil
-			}
-			out = loc{leaf: id, idx: lb, frac: frac}
-			return nil
-		})
-		if err != nil {
-			return loc{}, err
-		}
-		if done {
-			return out, nil
-		}
-		id = next
+	id, rank, span, err := r.descend(key, c)
+	if err != nil {
+		return loc{}, err
 	}
+	out := loc{leaf: id}
+	err = r.f.ViewCounted(id, c, func(buf []byte) error {
+		p := parsePage(buf)
+		out.idx = p.lowerBound(key)
+		if p.n > 0 {
+			rank += span * float64(out.idx) / float64(p.n)
+		}
+		if out.idx >= p.n {
+			// The next leaf's first entry: its id is free, no extra read.
+			out.leaf, out.idx = p.next, 0
+		}
+		return nil
+	})
+	out.frac = rank
+	return out, err
 }
 
 // EstimateRange estimates the number of entries with from <= key < to
@@ -560,79 +458,3 @@ func (r *Reader) EstimateRange(from, to []byte, c *pager.Counters) (uint64, erro
 	}
 	return uint64(est), nil
 }
-
-// Iter iterates entries in key order.
-type Iter struct {
-	r    *Reader
-	p    *page
-	idx  int
-	to   []byte // exclusive; nil = unbounded
-	key  []byte
-	val  []byte
-	err  error
-	done bool
-}
-
-// Scan returns an iterator over keys in [from, to). A nil from starts at
-// the smallest key; nil to means unbounded. It copies each leaf it
-// visits out of the pool, and its page reads go uncounted: it is the
-// reference reader the seek and estimate probes are tested against.
-func (r *Reader) Scan(from, to []byte) *Iter {
-	it := &Iter{r: r, to: to}
-	p, err := r.leafFor(from, nil)
-	if err == nil {
-		i := 0
-		if from != nil {
-			i = p.search(from)
-			if i > 0 && bytes.Equal(p.key(i-1), from) {
-				i-- // include the exact match
-			}
-		}
-		it.p, it.idx = p, i
-	}
-	it.err = err
-	return it
-}
-
-// Next advances the iterator. It returns false at the end of the range or
-// on error; check Err afterwards.
-func (it *Iter) Next() bool {
-	if it.done || it.err != nil {
-		return false
-	}
-	for it.p != nil && it.idx >= it.p.n {
-		if it.p.next == noPage {
-			it.done = true
-			return false
-		}
-		var err error
-		it.p, err = it.r.loadPage(it.p.next)
-		if err != nil {
-			it.err = err
-			return false
-		}
-		it.idx = 0
-	}
-	if it.p == nil {
-		it.done = true
-		return false
-	}
-	k := it.p.key(it.idx)
-	if it.to != nil && bytes.Compare(k, it.to) >= 0 {
-		it.done = true
-		return false
-	}
-	it.key = k
-	it.val = it.p.value(it.idx)
-	it.idx++
-	return true
-}
-
-// Key returns the current key (valid until the next call to Next).
-func (it *Iter) Key() []byte { return it.key }
-
-// Value returns the current value (valid until the next call to Next).
-func (it *Iter) Value() []byte { return it.val }
-
-// Err returns the first error encountered during iteration.
-func (it *Iter) Err() error { return it.err }

@@ -10,9 +10,9 @@ import (
 // TestSeekValueSweep probes every position of a multi-leaf tree three
 // ways: the exact key, a key strictly between it and its successor
 // (which at leaf boundaries forces the follow-next-leaf path), and the
-// smallest entry via a nil from. SeekKey, the same descent, must return
-// the key of the entry SeekValue returns the value of, with the same
-// page requests.
+// smallest entry via a nil from. Seek, the same descent, must return
+// the key and the value of the entry SeekValue returns the value of,
+// with the same page requests.
 func TestSeekValueSweep(t *testing.T) {
 	f := pager.OpenMem(256)
 	defer f.Close()
@@ -51,12 +51,12 @@ func TestSeekValueSweep(t *testing.T) {
 		}
 		var vc, kc pager.Counters
 		_, vok, _ := r.SeekValue(between, nil, &vc)
-		k, kok, err := r.SeekKey(between, nil, &kc)
-		if err != nil || kok != vok || (kok && !bytes.Equal(k, key(i+1))) {
-			t.Fatalf("SeekKey(between %d and %d) = %q, %v, %v; want %q, %v", i, i+1, k, kok, err, key(i+1), vok)
+		k, v, kok, err := r.Seek(between, nil, nil, &kc)
+		if err != nil || kok != vok || (kok && (!bytes.Equal(k, key(i+1)) || !bytes.Equal(v, val(i+1)))) {
+			t.Fatalf("Seek(between %d and %d) = %q, %q, %v, %v; want %q, %q, %v", i, i+1, k, v, kok, err, key(i+1), val(i+1), vok)
 		}
 		if kc.Reads.Load() != vc.Reads.Load() {
-			t.Fatalf("SeekKey(between %d and %d) made %d page requests, SeekValue %d", i, i+1, kc.Reads.Load(), vc.Reads.Load())
+			t.Fatalf("Seek(between %d and %d) made %d page requests, SeekValue %d", i, i+1, kc.Reads.Load(), vc.Reads.Load())
 		}
 	}
 }

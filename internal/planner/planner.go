@@ -5,7 +5,7 @@
 // fragment selections and which structural joins. The planner decides in
 // what ORDER, using the one statistic BLAS gets for free: a fragment's
 // P-label run length is readable from the clustered B+ tree in O(log n)
-// before any record is fetched (relstore's Estimate probes). Following
+// before any record is fetched (relstore.Selection.Estimate). Following
 // the greedy statistics-free discipline, fragment scans are ordered
 // most-selective-first and the join tree is expanded greedily from its
 // root, always picking the frontier edge whose descendant fragment has
@@ -38,10 +38,6 @@ import (
 	"repro/internal/relstore"
 	"repro/internal/translate"
 )
-
-// maxSetProbes caps per-label probing of an AccessPLabelSet (Unfold can
-// emit hundreds of labels); beyond the cap the sum is extrapolated.
-const maxSetProbes = 16
 
 // Options configures planning.
 type Options struct {
@@ -112,7 +108,9 @@ func Plan(ctx *relstore.ExecContext, st *core.Store, lp *translate.Plan, opts Op
 
 	est := make([]uint64, len(lp.Fragments))
 	for _, f := range lp.Fragments {
-		e, provable, err := estimateFragment(ctx, st, f)
+		// A zero estimate is exact unless extrapolated (see
+		// relstore.Selection.Estimate).
+		e, provable, err := st.Select(f).Estimate(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("planner: fragment %d: %w", f.ID, err)
 		}
@@ -213,76 +211,6 @@ func orderJoins(lp *translate.Plan, est []uint64) []translate.Join {
 		out = append(out, lp.Joins[pick])
 	}
 	return out
-}
-
-// estimateFragment probes the store for one fragment's output
-// cardinality. provable reports that a zero estimate is a proof of
-// emptiness (an interpolated or extrapolated zero is returned as the
-// floor value 1 by the probes themselves, so zeros here are exact).
-func estimateFragment(ctx *relstore.ExecContext, st *core.Store, f *translate.Fragment) (e uint64, provable bool, err error) {
-	if f.Empty {
-		return 0, true, nil
-	}
-	switch f.Access.Kind {
-	case translate.AccessPLabelEq:
-		e, err = st.SP().EstimatePLabelExact(ctx, f.Access.Range.Lo)
-		provable = true
-	case translate.AccessPLabelRange:
-		if f.Access.Range.Empty {
-			return 0, true, nil
-		}
-		e, err = st.SP().EstimatePLabelRange(ctx, f.Access.Range.Lo, f.Access.Range.Hi)
-		provable = true
-	case translate.AccessPLabelSet:
-		labels := f.Access.Labels
-		probed := len(labels)
-		if probed > maxSetProbes {
-			probed = maxSetProbes
-		}
-		var sum uint64
-		for _, l := range labels[:probed] {
-			var le uint64
-			if le, err = st.SP().EstimatePLabelExact(ctx, l); err != nil {
-				return 0, false, err
-			}
-			sum += le
-		}
-		if probed == len(labels) {
-			return sum, true, nil
-		}
-		// Extrapolate the unprobed tail; a zero partial sum proves
-		// nothing about it, so floor at 1.
-		e = sum * uint64(len(labels)) / uint64(probed)
-		if e == 0 {
-			e = 1
-		}
-		return e, false, nil
-	case translate.AccessTag:
-		e, err = st.SD().EstimateTag(ctx, f.Access.TagID)
-		provable = true
-	case translate.AccessAll:
-		// The element records, counted once per open store: a wildcard
-		// reads SD's element-tag runs, never its attribute records.
-		n, err := st.ElementCount()
-		return n, true, err
-	default:
-		return 0, false, fmt.Errorf("unknown access kind %v", f.Access.Kind)
-	}
-	if err != nil {
-		return 0, false, err
-	}
-	// A value predicate caps the output by the data index's run for that
-	// exact value — and an absent value proves the fragment empty.
-	if f.Value != nil {
-		dv, derr := st.SP().EstimateData(ctx, *f.Value)
-		if derr != nil {
-			return 0, false, derr
-		}
-		if dv < e {
-			e = dv
-		}
-	}
-	return e, provable, nil
 }
 
 // String renders the physical order for Explain output: scans with

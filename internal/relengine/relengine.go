@@ -19,8 +19,8 @@
 // (see scanFragments: the planner's order is an early-termination
 // device, and it only works if a later scan cannot start before an
 // earlier one is known non-empty), and each D-join is one sequential
-// stack merge. Each fragment selection drains the fragment's
-// relstore.Cursor (core.Store.PrepareFragmentStream): each cluster run
+// stack merge. Each fragment selection drains the cursor its
+// relstore.Selection opens (core.Store.Select): each cluster run
 // reads one heap page's share of the selection at a time, under a
 // single pager view, into a pooled buffer of its own, and filters it
 // there, so each page is requested once; a selection of one run hands
@@ -170,7 +170,7 @@ func scanFragments(ctx *relstore.ExecContext, a *core.Arena, st *core.Store, p *
 	frags := p.Logical.Fragments
 	bindings := make([]core.Bindings, len(frags))
 	for _, i := range p.Scans {
-		cur, err := st.PrepareFragmentStream(ctx, frags[i])
+		cur, err := st.Select(frags[i]).Open(ctx)
 		if err != nil {
 			return nil, err
 		}

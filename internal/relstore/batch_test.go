@@ -78,7 +78,7 @@ func TestBatchMergeByStart(t *testing.T) {
 	want := filterRecs(sortedByStart(recs), func(r *Record) bool { return inRuns[r.PLabel] })
 
 	var got []Record
-	c := rel.ScanPLabels(nil, labels, nil, 0)
+	c := cursorOf(rel.PLabels(labels), nil)
 	for h := c.Head(); h != nil; h = c.Head() {
 		got = append(got, *h)
 		c.Advance()
@@ -89,7 +89,7 @@ func TestBatchMergeByStart(t *testing.T) {
 	if len(want) == 0 || !recordsEqual(got, want) {
 		t.Fatalf("Head/Advance merge: %d records, want %d", len(got), len(want))
 	}
-	got, err := drainCursor(rel.ScanPLabels(nil, labels, nil, 0))
+	got, err := drainCursor(cursorOf(rel.PLabels(labels), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestMergeReleasesEachRunOnce(t *testing.T) {
 		labels = append(labels, uint128.From64(l))
 	}
 	ctx := NewExecContext()
-	c := rel.ScanPLabels(ctx, labels, nil, 0)
+	c := cursorOf(rel.PLabels(labels), ctx)
 	if c.Head() == nil {
 		t.Fatal("the cursor has no head")
 	}

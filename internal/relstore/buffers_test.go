@@ -46,18 +46,11 @@ func TestCursorBuffersPerRun(t *testing.T) {
 		t.Helper()
 		out := make([]int, len(p.Fragments))
 		for i, f := range p.Fragments {
-			switch f.Access.Kind {
-			case translate.AccessPLabelEq, translate.AccessTag:
-				out[i] = 1
-			case translate.AccessPLabelRange:
-				labels, err := st.SP().DistinctPLabels(nil, f.Access.Range.Lo, f.Access.Range.Hi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out[i] = len(labels)
-			default:
-				t.Fatalf("fragment %d: access kind %v not expected here", i, f.Access.Kind)
+			c, err := st.Select(f).Open(nil)
+			if err != nil {
+				t.Fatal(err)
 			}
+			out[i] = relstore.CursorRuns(c)
 		}
 		return out
 	}

@@ -348,11 +348,11 @@ func decodeRunRecords(p []byte, kind Clustering, run colRun, a, b int, dst []Rec
 }
 
 // heapRunIter is the run decoder, the page reader under every cursor
-// run: one index descend (seek) finds the first qualifying locator, then
-// the scan walks the contiguous heap pages directly, stopping on the
-// first run whose prefix leaves the selection. Index leaf pages are
-// never touched past the initial seek, and only materialized records
-// count as visited.
+// run: one index descent finds the first qualifying locator (seek, or
+// the skip scan of a range selection), then the scan walks the
+// contiguous heap pages directly, stopping on the first run whose
+// prefix leaves the selection. Index leaf pages are never touched past
+// that descent, and only materialized records count as visited.
 type heapRunIter struct {
 	r   *Relation
 	ctx *ExecContext

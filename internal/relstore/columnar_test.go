@@ -327,11 +327,11 @@ func TestCorruptColumnarPageErrors(t *testing.T) {
 				// their prefix.
 			case kind == ClusterPLabel:
 				// makeRecords' runs 0..9 all carry plabel 0.
-				scans["ScanPLabels"] = func() ([]Record, error) { return drainCursor(exact(rel, nil, u(0))) }
+				scans["PLabel"] = func() ([]Record, error) { return drainCursor(exact(rel, nil, u(0))) }
 			default:
 				// SD run ri holds tag ri+1.
 				tag := uint32(tc.run + 1)
-				scans["ScanTags"] = func() ([]Record, error) { return drainCursor(tagged(rel, nil, tag)) }
+				scans["Tag"] = func() ([]Record, error) { return drainCursor(tagged(rel, nil, tag)) }
 			}
 			for name, scan := range scans {
 				err, failure := scanOutcome(scan)

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/pager"
-	"repro/internal/uint128"
 )
 
 // BatchSize is the buffer size of every cursor run: the most records
@@ -35,34 +34,11 @@ func (r *Relation) ScanAllBatch(ctx *ExecContext) *heapRunIter {
 	return h
 }
 
-// ScanPLabels returns the cursor over the records whose P-label is one
-// of labels, the selection of a P-label equality, set or range: one
-// cluster run per label. The relation must be plabel-clustered. value
-// (when non-nil) and level (when non-zero) are the fragment's local
-// predicates, which the cursor applies as it reads.
-func (r *Relation) ScanPLabels(ctx *ExecContext, labels []uint128.Uint128, value *string, level uint16) *Cursor {
-	c := &Cursor{runs: make([]cursorRun, len(labels)), value: value, level: level}
-	for i, p := range labels {
-		c.runs[i].heapRunIter = heapRunIter{r: r, ctx: ctx, plabel: p}
-	}
-	return c
-}
-
-// ScanTags returns the cursor over the records whose tag id is one of
-// tags, the selection of a tag or a wildcard, the same way. The
-// relation must be tag-clustered.
-func (r *Relation) ScanTags(ctx *ExecContext, tags []uint32, value *string, level uint16) *Cursor {
-	c := &Cursor{runs: make([]cursorRun, len(tags)), value: value, level: level}
-	for i, t := range tags {
-		c.runs[i].heapRunIter = heapRunIter{r: r, ctx: ctx, tagID: t}
-	}
-	return c
-}
-
-// Cursor is the one scan of a fragment's selection that both engines
+// Cursor is the one scan of a fragment's Selection that both engines
 // read: its records in document (start) order, filtered by the
 // fragment's value and level predicates. Every selection is a list of
-// cluster runs. Each run seeks the clustered index once, then reads
+// cluster runs. Each run starts at one position of the clustered index
+// (found by its own seek, or by the skip scan of a range), then reads
 // one heap page's share of the run at a time into a pooled BatchSize
 // buffer of its own and filters it there; a heap of runs ordered by
 // head start merges several runs, so it only ever compares records
@@ -157,12 +133,16 @@ func (c *Cursor) Drain(f func([]Record)) error {
 	return c.err
 }
 
-// open seeks every run, in selection order, then fills each run's
-// buffer and heaps the runs that have a head.
+// open seeks every run the skip scan of a range did not start, in
+// selection order (page 0 is the meta page, so a run at page 0 has no
+// position yet), then fills each run's buffer and heaps the runs that
+// have a head.
 func (c *Cursor) open() {
 	c.opened = true
 	for i := range c.runs {
-		c.runs[i].seek()
+		if c.runs[i].page == 0 {
+			c.runs[i].seek()
+		}
 	}
 	if c.heap = c.one[:0]; len(c.runs) > 1 {
 		c.heap = make([]*cursorRun, 0, len(c.runs))

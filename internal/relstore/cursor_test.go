@@ -23,14 +23,23 @@ func tagRun(r *Relation, ctx *ExecContext, tag uint32) *heapRunIter {
 	return &h
 }
 
+// cursorOf opens a selection that is not a range, which cannot fail.
+func cursorOf(s Selection, ctx *ExecContext) *Cursor {
+	c, err := s.Open(ctx)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // exact returns the cursor over P-label p's records, unfiltered.
 func exact(r *Relation, ctx *ExecContext, p uint128.Uint128) *Cursor {
-	return r.ScanPLabels(ctx, []uint128.Uint128{p}, nil, 0)
+	return cursorOf(r.PLabel(p), ctx)
 }
 
 // tagged returns the cursor over a tag's records, unfiltered.
 func tagged(r *Relation, ctx *ExecContext, tag uint32) *Cursor {
-	return r.ScanTags(ctx, []uint32{tag}, nil, 0)
+	return cursorOf(r.Tag(tag), ctx)
 }
 
 // collectRun drains a run decoder in batches of batchSize records
@@ -156,9 +165,9 @@ func TestCursorMatchesReference(t *testing.T) {
 		}
 		open := func(ctx *ExecContext, value *string, level uint16) *Cursor {
 			if rel == sd {
-				return rel.ScanTags(ctx, tags, value, level)
+				return cursorOf(rel.Tags(NewTagList(tags)).Where(value, level, nil), ctx)
 			}
-			return rel.ScanPLabels(ctx, labels, value, level)
+			return cursorOf(rel.PLabels(labels).Where(value, level, nil), ctx)
 		}
 		var selected []Record
 		for _, r := range recs {
@@ -252,7 +261,7 @@ func TestCursorRunsInSelectionOrder(t *testing.T) {
 	}
 	r := buildT(t, ClusterPLabel, recs)
 	labels := []uint128.Uint128{u(3), u(0), u(4), u(1)}
-	got, err := drainCursor(r.ScanPLabels(nil, labels, nil, 0))
+	got, err := drainCursor(cursorOf(r.PLabels(labels), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +287,7 @@ func TestCursorReportsPageErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	labels := []uint128.Uint128{u(0), u(199)} // the first and the last page
-	c := rel.ScanPLabels(nil, labels, nil, 0)
+	c := cursorOf(rel.PLabels(labels), nil)
 	if _, err := drainCursor(c); err == nil {
 		t.Fatal("a cursor over a corrupt page returned no error")
 	}

@@ -89,6 +89,9 @@ func IdleBatches() int {
 	return len(idleBatches.list)
 }
 
+// CursorRuns returns the number of cluster runs c reads.
+func CursorRuns(c *Cursor) int { return len(c.runs) }
+
 // RunSeekReads returns the page requests of the index seek that opens a
 // cursor's run of one cluster prefix: plabel on SP, tag on SD.
 func RunSeekReads(r *Relation, plabel uint128.Uint128, tag uint32) uint64 {

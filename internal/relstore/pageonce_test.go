@@ -66,10 +66,12 @@ func TestHeapScanViewsEachPageOnce(t *testing.T) {
 		largest := 0
 		for _, s := range sels {
 			cursor := func(ctx *relstore.ExecContext) *relstore.Cursor {
+				sel := rel.Tag(s.key.tag)
 				if rel.Kind() == relstore.ClusterPLabel {
-					return rel.ScanPLabels(ctx, []uint128.Uint128{s.key.plabel}, nil, 0)
+					sel = rel.PLabel(s.key.plabel)
 				}
-				return rel.ScanTags(ctx, []uint32{s.key.tag}, nil, 0)
+				c, _ := sel.Open(ctx) // a one-run selection opens without reading
+				return c
 			}
 			name := fmt.Sprintf("%s %+v", rel.Kind(), s.key)
 			wantReads := uint64(len(s.held))

@@ -22,21 +22,26 @@
 // set or range on SP, a tag or every element tag on SD): a start index
 // would trade one seek per run for one heap page per record, and a data
 // index on SD would serve no plan. SP's data index backs the planner's
-// value cap (EstimateData) and nothing else.
+// value cap (Selection.Estimate) and nothing else.
 //
 // All reads go through the pager's buffer pool, and every record decoded
 // by a scan is counted in the querying ExecContext — the two quantities
 // the paper's experiments report, attributed per query so that any
 // number of queries can run concurrently over one Relation.
 //
-// Every read of a selection is a Cursor (ScanPLabels, ScanTags): the
-// selection's records in start order, filtered by a fragment's value
-// and level predicates. Each cluster run of a cursor seeks the
-// clustered index once and then walks the heap pages, decoding one
-// page's share of the run at a time into a pooled buffer of its own:
-// BatchSize is the most records a page can hold, so a run requests each
-// page once and decodes each record once. A heap ordered by head start
-// merges the runs of a multi-run selection.
+// A fragment reaches its records only through a Selection: one run of
+// a cluster prefix (PLabel, Tag), a list of them (PLabels, Tags), or the
+// runs of a P-label range (PLabelRange), with the fragment's value and
+// level predicates (Where). Its Estimate is the planner's probe, from
+// index descents alone; its Open is a Cursor, the selection's records
+// in start order, filtered by the predicates. Each cluster run of a
+// cursor starts at one position of the clustered index — its own seek,
+// or for a range the skip scan's entry that named the run's P-label —
+// and then walks the heap pages, decoding one page's share of the run
+// at a time into a pooled buffer of its own: BatchSize is the most
+// records a page can hold, so a run requests each page once and decodes
+// each record once. A heap ordered by head start merges the runs of a
+// multi-run selection.
 //
 // # On-disk page format
 //

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -53,16 +54,27 @@ func scanAll(t testing.TB, r *Relation) []Record {
 	return recs
 }
 
+// rangeLabels returns the P-labels of the runs a range selection's
+// skip scan opens, in label order.
+func rangeLabels(t testing.TB, r *Relation, ctx *ExecContext, lo, hi uint128.Uint128) []uint128.Uint128 {
+	t.Helper()
+	c, err := r.PLabelRange(lo, hi).Open(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var labels []uint128.Uint128
+	for i := range c.runs {
+		labels = append(labels, c.runs[i].plabel)
+	}
+	return labels
+}
+
 // scanPLabelRange returns the records with lo <= plabel <= hi in
 // (plabel, start) order: one exact scan per distinct label.
 func scanPLabelRange(t testing.TB, r *Relation, ctx *ExecContext, lo, hi uint128.Uint128) []Record {
 	t.Helper()
-	labels, err := r.DistinctPLabels(ctx, lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out []Record
-	for _, p := range labels {
+	for _, p := range rangeLabels(t, r, ctx, lo, hi) {
 		out = append(out, collect(t, exact(r, ctx, p))...)
 	}
 	return out
@@ -75,9 +87,16 @@ func dataIndexRecords(t testing.TB, r *Relation, value string) []Record {
 	t.Helper()
 	prefix := keyenc.String(value)
 	var out []Record
-	it := r.dataIdx.Scan(prefix, keyenc.PrefixSuccessor(prefix))
-	for it.Next() {
-		loc := decodeLocator(it.Value())
+	for from := prefix; ; {
+		k, v, ok, err := r.dataIdx.Seek(from, nil, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok || !bytes.HasPrefix(k, prefix) {
+			return out
+		}
+		from = append(k, 0) // the next key
+		loc := decodeLocator(v)
 		var rec [1]Record
 		if err := r.f.View(loc.Page, func(p []byte) error {
 			return decodeColSlots(p, r.meta.kind, int(loc.Slot), int(loc.Slot)+1, rec[:])
@@ -86,10 +105,6 @@ func dataIndexRecords(t testing.TB, r *Relation, value string) []Record {
 		}
 		out = append(out, rec[0])
 	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return out
 }
 
 func buildSP(t testing.TB, recs []Record) *Relation {
@@ -216,7 +231,7 @@ func TestScanTag(t *testing.T) {
 
 // TestScanData checks the data index: its entries for a value resolve
 // to exactly that value's records in start order, and the planner's
-// EstimateData probe counts them.
+// estimateData probe counts them.
 func TestScanData(t *testing.T) {
 	r := buildSP(t, makeRecords(130))
 	got := dataIndexRecords(t, r, "val-5")
@@ -231,8 +246,8 @@ func TestScanData(t *testing.T) {
 			t.Fatal("data scan not start-ordered")
 		}
 	}
-	if n, err := r.EstimateData(nil, "val-5"); err != nil || n != 10 {
-		t.Fatalf("EstimateData(val-5) = %d, %v, want 10", n, err)
+	if n, err := r.estimateData(nil, "val-5"); err != nil || n != 10 {
+		t.Fatalf("estimateData(val-5) = %d, %v, want 10", n, err)
 	}
 	if got := dataIndexRecords(t, r, "absent"); len(got) != 0 {
 		t.Fatal("absent value matched")
@@ -248,17 +263,18 @@ func TestEmptyDataNotIndexed(t *testing.T) {
 	if got := dataIndexRecords(t, r, ""); len(got) != 0 {
 		t.Fatalf("empty data indexed: %d", len(got))
 	}
-	if n, err := r.EstimateData(nil, ""); err != nil || n != 0 {
-		t.Fatalf("EstimateData(\"\") = %d, %v, want 0", n, err)
+	if n, err := r.estimateData(nil, ""); err != nil || n != 0 {
+		t.Fatalf("estimateData(\"\") = %d, %v, want 0", n, err)
 	}
 }
 
-// TestDistinctPLabels checks the skip scan's labels and its page reads.
-// Each probe is one SeekKey: a descent of the height-2 cluster index,
-// plus one read when the next label heads the following leaf; the last
-// probe finds the label past the range, or nothing. The counts pinned
-// here are those of the leaf-copying index iterator the skip scan used
-// before, so SeekKey reads exactly the same pages.
+// TestDistinctPLabels checks the labels and the page reads of a range
+// selection's skip scan, which opens its cursor's runs. Each probe is
+// one Seek: a descent of the height-2 cluster index, plus one read when
+// the next label heads the following leaf; the last probe finds the
+// label past the range, or nothing. The counts pinned here are those of
+// the leaf-copying index iterator the skip scan used before, so Seek
+// reads exactly the same pages.
 func TestDistinctPLabels(t *testing.T) {
 	r := buildSP(t, makeRecords(5000))
 	if h := r.meta.cluster.Height; h != 2 {
@@ -276,10 +292,7 @@ func TestDistinctPLabels(t *testing.T) {
 		{600, 700, 0, 2},     // one probe, past the last entry
 	} {
 		ctx := NewExecContext()
-		got, err := r.DistinctPLabels(ctx, u(tc.lo), u(tc.hi))
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := rangeLabels(t, r, ctx, u(tc.lo), u(tc.hi))
 		if len(got) != tc.labels {
 			t.Fatalf("[%d, %d]: %d distinct plabels, want %d", tc.lo, tc.hi, len(got), tc.labels)
 		}
@@ -317,11 +330,11 @@ func TestScanPLabelRangeByStart(t *testing.T) {
 	// label, merged by start — how a range fragment's stream is built.
 	byStart := func(lo, hi uint128.Uint128) []Record {
 		t.Helper()
-		labels, err := r.DistinctPLabels(nil, lo, hi)
+		c, err := r.PLabelRange(lo, hi).Open(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return collect(t, r.ScanPLabels(nil, labels, nil, 0))
+		return collect(t, c)
 	}
 	got := byStart(u(1), u(3))
 	if len(got) != 60 {
@@ -642,8 +655,8 @@ func TestRelationShape(t *testing.T) {
 			if !recordsEqual(collect(t, exact(old, nil, u(17))), collect(t, exact(rel, nil, u(17)))) {
 				t.Fatal("SP: plabel scan differs")
 			}
-			if n, err := old.EstimateData(nil, "val-5"); err != nil || n == 0 {
-				t.Fatalf("SP: EstimateData(val-5) = %d, %v after reopen", n, err)
+			if n, err := old.estimateData(nil, "val-5"); err != nil || n == 0 {
+				t.Fatalf("SP: estimateData(val-5) = %d, %v after reopen", n, err)
 			}
 		}
 		if kind == ClusterTag && old.meta.data != (pbtree.Tree{}) {

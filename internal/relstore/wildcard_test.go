@@ -59,7 +59,7 @@ func TestWildcardStreamReadsElementRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := relstore.NewExecContext()
-	cur, err := st.PrepareFragmentStream(ctx, &translate.Fragment{Access: translate.Access{Kind: translate.AccessAll}})
+	cur, err := st.Select(&translate.Fragment{Access: translate.Access{Kind: translate.AccessAll}}).Open(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

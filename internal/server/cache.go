@@ -32,77 +32,112 @@ type planKey struct {
 	query      string // normalized form (blas.NormalizeQuery)
 }
 
-// planCache is a bounded LRU of PreparedQuery by planKey, caching
-// exactly what ExecStats.PlanElapsed measures: parse, translate and the
-// physical planner's selectivity-ordered pass — a cached entry holds
-// the ordered physical plan (immutable, see package planner), so a
-// warm hit skips the planner's index probes too. The generation key
-// also guards the planner's estimates: they were probed from one
-// store's indexes and are as generation-bound as the P-label ranges.
-type planCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[planKey]*list.Element
-	lru     *list.List // front = most recently used; element values are *planEntry
+// lru is a bounded LRU cache with traffic counters: at most maxEntries
+// entries and, when size is non-nil, entries whose sizes sum to at most
+// maxBytes; an entry larger than maxBytes is not cached at all. A nil
+// lru is a disabled cache: it holds nothing and counts nothing. The
+// server has two:
+//   - The plan cache maps a planKey to a PreparedQuery, caching exactly
+//     what ExecStats.PlanElapsed measures: parse, translate and the
+//     physical planner's selectivity-ordered pass. An entry holds the
+//     ordered physical plan (immutable, see package planner), so a warm
+//     hit skips the planner's index probes too. The generation key also
+//     guards the planner's estimates: they were probed from one store's
+//     indexes and are as generation-bound as the P-label ranges.
+//   - The result cache maps a resultKey to an encodedResult, and is the
+//     only one with a byte bound.
+type lru[K comparable, V any] struct {
+	mu         sync.Mutex
+	maxEntries int
+	maxBytes   int64
+	bytes      int64
+	size       func(V) int64 // nil: no byte bound
+	entries    map[K]*list.Element
+	order      *list.List // front = most recently used; element values are *lruEntry
 
 	hits, misses, evictions, invalidations uint64
 }
 
-type planEntry struct {
-	key planKey
-	pq  *blas.PreparedQuery
+type lruEntry[K comparable, V any] struct {
+	key K
+	val V
 }
 
-func newPlanCache(max int) *planCache {
-	return &planCache{max: max, entries: map[planKey]*list.Element{}, lru: list.New()}
+func newLRU[K comparable, V any](maxEntries int, maxBytes int64, size func(V) int64) *lru[K, V] {
+	return &lru[K, V]{maxEntries: maxEntries, maxBytes: maxBytes, size: size, entries: map[K]*list.Element{}, order: list.New()}
 }
 
-func (c *planCache) get(k planKey) (*blas.PreparedQuery, bool) {
+func (c *lru[K, V]) get(k K) (val V, ok bool) {
+	if c == nil {
+		return val, false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[k]
 	if !ok {
 		c.misses++
-		return nil, false
+		return val, false
 	}
 	c.hits++
-	c.lru.MoveToFront(el)
-	return el.Value.(*planEntry).pq, true
+	c.order.MoveToFront(el)
+	return el.Value.(*lruEntry[K, V]).val, true
 }
 
-func (c *planCache) put(k planKey, pq *blas.PreparedQuery) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok { // lost a prepare race; keep the winner fresh
-		c.lru.MoveToFront(el)
+func (c *lru[K, V]) put(k K, v V) {
+	if c == nil {
 		return
 	}
-	c.entries[k] = c.lru.PushFront(&planEntry{key: k, pq: pq})
-	for len(c.entries) > c.max {
-		tail := c.lru.Back()
-		c.lru.Remove(tail)
-		delete(c.entries, tail.Value.(*planEntry).key)
+	var size int64
+	if c.size != nil {
+		if size = c.size(v); size > c.maxBytes {
+			return
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[k]; ok { // lost a race to fill it; keep the winner fresh
+		c.order.MoveToFront(el)
+		return
+	}
+	c.entries[k] = c.order.PushFront(&lruEntry[K, V]{key: k, val: v})
+	c.bytes += size
+	for len(c.entries) > c.maxEntries || c.bytes > c.maxBytes {
+		tail := c.order.Back()
+		c.order.Remove(tail)
+		e := tail.Value.(*lruEntry[K, V])
+		delete(c.entries, e.key)
+		if c.size != nil {
+			c.bytes -= c.size(e.val)
+		}
 		c.evictions++
 	}
 }
 
 // purge drops every entry, returning how many were dropped.
-func (c *planCache) purge() int {
+func (c *lru[K, V]) purge() int {
+	if c == nil {
+		return 0
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := len(c.entries)
-	c.entries = map[planKey]*list.Element{}
-	c.lru.Init()
+	c.entries = map[K]*list.Element{}
+	c.order.Init()
+	c.bytes = 0
 	c.invalidations += uint64(n)
 	return n
 }
 
-func (c *planCache) metrics() CacheMetrics {
+func (c *lru[K, V]) metrics() CacheMetrics {
+	if c == nil {
+		return CacheMetrics{}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheMetrics{
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-		Invalidations: c.invalidations, Entries: len(c.entries), MaxEntries: c.max,
+		Invalidations: c.invalidations, Entries: len(c.entries),
+		MaxEntries: c.maxEntries, Bytes: c.bytes, MaxBytes: c.maxBytes,
 	}
 }
 
@@ -115,20 +150,6 @@ type resultKey struct {
 	engine     blas.Engine
 	translator blas.Translator
 	query      string // normalized form
-}
-
-// resultCache is a bounded LRU of encoded query results with both an
-// entry limit and a byte limit. Entries larger than the byte limit are
-// not cached at all.
-type resultCache struct {
-	mu         sync.Mutex
-	maxEntries int
-	maxBytes   int64
-	bytes      int64
-	entries    map[resultKey]*list.Element
-	lru        *list.List // element values are *resultEntry
-
-	hits, misses, evictions, invalidations uint64
 }
 
 // encodedResult is one executed query as the response needs it: the
@@ -159,73 +180,3 @@ func encodeResult(res *blas.Result) (*encodedResult, error) {
 // size is what an entry is charged against the byte limit: the encoded
 // matches it pins, plus a fixed allowance for the entry and its stats.
 func (r *encodedResult) size() int64 { return int64(len(r.matches)) + 256 }
-
-type resultEntry struct {
-	key resultKey
-	res *encodedResult
-}
-
-func newResultCache(maxEntries int, maxBytes int64) *resultCache {
-	return &resultCache{
-		maxEntries: maxEntries, maxBytes: maxBytes,
-		entries: map[resultKey]*list.Element{}, lru: list.New(),
-	}
-}
-
-func (c *resultCache) get(k resultKey) (*encodedResult, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[k]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.lru.MoveToFront(el)
-	return el.Value.(*resultEntry).res, true
-}
-
-// put caches an encoded result.
-func (c *resultCache) put(k resultKey, res *encodedResult) {
-	size := res.size()
-	if size > c.maxBytes {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[k] = c.lru.PushFront(&resultEntry{key: k, res: res})
-	c.bytes += size
-	for len(c.entries) > c.maxEntries || c.bytes > c.maxBytes {
-		tail := c.lru.Back()
-		c.lru.Remove(tail)
-		e := tail.Value.(*resultEntry)
-		delete(c.entries, e.key)
-		c.bytes -= e.res.size()
-		c.evictions++
-	}
-}
-
-func (c *resultCache) purge() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.entries)
-	c.entries = map[resultKey]*list.Element{}
-	c.lru.Init()
-	c.bytes = 0
-	c.invalidations += uint64(n)
-	return n
-}
-
-func (c *resultCache) metrics() CacheMetrics {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheMetrics{
-		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-		Invalidations: c.invalidations, Entries: len(c.entries),
-		MaxEntries: c.maxEntries, Bytes: c.bytes, MaxBytes: c.maxBytes,
-	}
-}

@@ -107,8 +107,8 @@ type Server struct {
 	storeMu sync.RWMutex
 	store   *blas.Store
 
-	plans   *planCache   // nil when disabled
-	results *resultCache // nil when disabled
+	plans   *lru[planKey, *blas.PreparedQuery] // nil when disabled
+	results *lru[resultKey, *encodedResult]    // nil when disabled
 
 	slots chan struct{} // admission semaphore, capacity MaxInFlight
 
@@ -134,10 +134,10 @@ func New(store *blas.Store, cfg Config) *Server {
 		slots: make(chan struct{}, cfg.MaxInFlight),
 	}
 	if cfg.PlanCacheEntries > 0 {
-		s.plans = newPlanCache(cfg.PlanCacheEntries)
+		s.plans = newLRU[planKey, *blas.PreparedQuery](cfg.PlanCacheEntries, 0, nil)
 	}
 	if cfg.ResultCacheEntries > 0 {
-		s.results = newResultCache(cfg.ResultCacheEntries, cfg.ResultCacheBytes)
+		s.results = newLRU[resultKey](cfg.ResultCacheEntries, cfg.ResultCacheBytes, (*encodedResult).size)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", s.handleQuery)
@@ -174,12 +174,8 @@ func (s *Server) SwapStore(next *blas.Store) *blas.Store {
 	old := s.store
 	s.store = next
 	s.storeMu.Unlock()
-	if s.plans != nil {
-		s.plans.purge()
-	}
-	if s.results != nil {
-		s.results.purge()
-	}
+	s.plans.purge()
+	s.results.purge()
 	return old
 }
 
@@ -377,9 +373,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	planHit := false
 	var planNs int64
 	pk := planKey{gen: gen, translator: eff, query: norm}
-	if s.plans != nil {
-		pq, planHit = s.plans.get(pk)
-	}
+	pq, planHit = s.plans.get(pk)
 	if pq == nil {
 		prepBegin := time.Now()
 		pq, err = st.Prepare(norm, blas.QueryOptions{Translator: eff})
@@ -393,9 +387,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		planNs = time.Since(prepBegin).Nanoseconds()
 		s.planNs.Add(planNs)
-		if s.plans != nil {
-			s.plans.put(pk, pq)
-		}
+		s.plans.put(pk, pq)
 	}
 
 	// Admission: a free execution slot or an immediate 429 — requests
@@ -482,20 +474,11 @@ func (s *Server) handleCacheDelete(w http.ResponseWriter, r *http.Request) {
 	var results, plans int
 	switch scope {
 	case "", "results":
-		if s.results != nil {
-			results = s.results.purge()
-		}
+		results = s.results.purge()
 	case "plans":
-		if s.plans != nil {
-			plans = s.plans.purge()
-		}
+		plans = s.plans.purge()
 	case "all":
-		if s.results != nil {
-			results = s.results.purge()
-		}
-		if s.plans != nil {
-			plans = s.plans.purge()
-		}
+		results, plans = s.results.purge(), s.plans.purge()
 	default:
 		writeError(w, http.StatusBadRequest,
 			fmt.Sprintf("unknown scope %q (want results, plans or all)", scope))
@@ -551,12 +534,7 @@ func (s *Server) Metrics() Metrics {
 		QueryErrors:      s.queryErrors.Load(),
 		PlanNsTotal:      s.planNs.Load(),
 	}
-	if s.plans != nil {
-		m.PlanCache = s.plans.metrics()
-	}
-	if s.results != nil {
-		m.ResultCache = s.results.metrics()
-	}
+	m.PlanCache, m.ResultCache = s.plans.metrics(), s.results.metrics()
 	return m
 }
 

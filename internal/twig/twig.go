@@ -36,8 +36,8 @@
 //
 // # Cursors and one sweep
 //
-// Each node's stream is its fragment's relstore.Cursor
-// (core.Store.PrepareFragmentStream), and the sweep drives the cursors
+// Each node's stream is the relstore.Cursor its fragment's Selection
+// opens (core.Store.Select), and the sweep drives the cursors
 // directly: Head is the next record that passes the fragment's
 // predicates, Advance moves past it. Each cluster run of a cursor reads
 // one heap page's share of the selection at a time, under a single
@@ -185,7 +185,7 @@ func build(ctx *relstore.ExecContext, st *core.Store, phys *planner.Physical) (*
 	eng := &engine{plan: p}
 	eng.nodes = make([]*tnode, len(p.Fragments))
 	for i, f := range p.Fragments {
-		fs, err := st.PrepareFragmentStream(ctx, f)
+		fs, err := st.Select(f).Open(ctx)
 		if err != nil {
 			return nil, err
 		}

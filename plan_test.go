@@ -195,7 +195,7 @@ func TestExplainShowsOrder(t *testing.T) {
 // auction carries about a fifth of its records as attributes. The
 // records the fragment decodes are the visited elements of dlabel's
 // //*, one wildcard fragment on the same runs; the estimate must lie
-// within EstimateTag's interpolation error (below 10 %) of them.
+// within the tag estimate's interpolation error (below 10 %) of them.
 func TestWildcardEstimateCountsElements(t *testing.T) {
 	var doc strings.Builder
 	if err := GenerateDataset(&doc, datagen.NameAuction, DatasetOptions{Seed: 2, Factor: 2}); err != nil {
