@@ -12,7 +12,8 @@ import (
 //
 //  1. In package relstore, an exported method on *Relation whose name
 //     starts with Scan or is Get, or the Open or Estimate method of a
-//     Selection, must take a *ExecContext as its first parameter —
+//     Selection (on a value or a pointer receiver, whatever it
+//     returns), must take a *ExecContext as its first parameter —
 //     these are the measured entry points, and a counter recorded
 //     anywhere else is invisible to the query that caused it.
 //  2. Packages relstore, pbtree and pager must not declare

@@ -15,6 +15,12 @@ func (r *Relation) scanClusterBatch(from, to []byte) error {
 // Open threads the per-query context first.
 func (s Selection) Open(ctx *ExecContext) error { return nil }
 
+// Estimate threads the per-query context first, and returns the
+// selection with the run positions its probe read.
+func (s Selection) Estimate(ctx *ExecContext) (Selection, uint64, bool, error) {
+	return s, 0, true, nil
+}
+
 // Where is exported but not a measured entry point.
 func (s Selection) Where(level uint16) Selection { return s }
 

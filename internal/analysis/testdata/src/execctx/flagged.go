@@ -37,6 +37,18 @@ func (s Selection) Estimate(n int, ctx *ExecContext) uint64 { // want "Estimate 
 	return 0
 }
 
+// Estimate on a pointer receiver, keeping the run positions its probe
+// read in place, is the same entry point, and drops the context.
+func (s *Selection) Estimate() (uint64, error) { // want "records execution counters but takes no"
+	return 0, nil
+}
+
+// Estimate returning the positioned selection takes the context, but
+// not first.
+func (s Selection) Estimate(n int, ctx *ExecContext) (Selection, uint64, bool, error) { // want "Estimate must take"
+	return s, 0, true, nil
+}
+
 // Get takes the context, but not first.
 func (r *Relation) Get(loc Locator, ctx *ExecContext) error { // want "Get must take"
 	return nil

@@ -2,6 +2,7 @@ package pbtree
 
 import (
 	"bytes"
+	"math"
 
 	"repro/internal/pager"
 )
@@ -23,11 +24,87 @@ func (r *Reader) loadPage(id pager.PageID) (*page, error) {
 // leafFor returns a private copy of the leaf that would contain key (a
 // nil key: the leftmost leaf).
 func (r *Reader) leafFor(key []byte) (*page, error) {
-	id, _, _, err := r.descend(key, nil)
-	if err != nil {
+	b := [1]probe{{key: key}}
+	if err := r.descend(b[:], nil); err != nil {
 		return nil, err
 	}
-	return r.loadPage(id)
+	return r.loadPage(b[0].id)
+}
+
+// loc is a key's lower-bound position as the two-descent estimate
+// resolved it: the leaf holding the lower bound (the first entry >=
+// key), the bound's index in that leaf, and its fractional rank in
+// [0, 1] interpolated from the slot positions along the descent path.
+type loc struct {
+	leaf pager.PageID // noPage once the position is past the last entry
+	idx  int
+	frac float64
+}
+
+// locate descends alone to key's lower-bound position (a nil key: the
+// first entry) and returns it with the pages of its path, root to leaf.
+// When the lower bound falls past the end of its leaf, the position is
+// normalized to the head of the next leaf, whose id is free.
+func (r *Reader) locate(key []byte) (loc, []pager.PageID, error) {
+	var path []pager.PageID
+	id, rank, span := r.tree.Root, 0.0, 1.0
+	for level := r.tree.Height; level > 1; level-- {
+		path = append(path, id)
+		p, err := r.loadPage(id)
+		if err != nil {
+			return loc{}, nil, err
+		}
+		i := max(p.search(key), 1) - 1
+		rank += span * float64(i) / float64(p.n)
+		span /= float64(p.n)
+		id = p.child(i)
+	}
+	path = append(path, id)
+	p, err := r.loadPage(id)
+	if err != nil {
+		return loc{}, nil, err
+	}
+	out := loc{leaf: id, idx: p.lowerBound(key)}
+	if p.n > 0 {
+		rank += span * float64(out.idx) / float64(p.n)
+	}
+	if out.idx >= p.n {
+		out.leaf, out.idx = p.next, 0
+	}
+	out.frac = rank
+	return out, path, nil
+}
+
+// estimateRangeRef is EstimateRange by one descent per bound, the
+// reference the paired descent is tested against. It returns the
+// estimate and the pages the two descents read, with repeats.
+func (r *Reader) estimateRangeRef(from, to []byte) (uint64, []pager.PageID, error) {
+	if r.tree.Count == 0 || from != nil && to != nil && bytes.Compare(from, to) >= 0 {
+		return 0, nil, nil
+	}
+	lo, pages, err := r.locate(from)
+	if err != nil || lo.leaf == noPage {
+		return 0, pages, err
+	}
+	hi := loc{leaf: noPage, frac: 1}
+	if to != nil {
+		var path []pager.PageID
+		if hi, path, err = r.locate(to); err != nil {
+			return 0, nil, err
+		}
+		pages = append(pages, path...)
+	}
+	if hi.leaf == lo.leaf {
+		return uint64(hi.idx - lo.idx), pages, nil
+	}
+	est := int64(math.Round((hi.frac - lo.frac) * float64(r.tree.Count)))
+	if est < 1 {
+		est = 1
+	}
+	if uint64(est) > r.tree.Count {
+		return r.tree.Count, pages, nil
+	}
+	return uint64(est), pages, nil
 }
 
 // Get returns the value stored under key.

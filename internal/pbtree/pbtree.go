@@ -318,31 +318,78 @@ func (p *page) lowerBound(key []byte) int {
 	return i
 }
 
-// descend searches the inner pages from the root toward key, in place
-// inside pager views, and returns the leaf where key's lower bound (the
-// first entry >= key) lies, or whose end it is: each inner page picks
-// the last child whose smallest key is <= key, the first child when
-// none is (a nil key descends leftmost), so an entry past the leaf's
-// end heads the next leaf. rank is the fraction of the tree's entries
-// that lie in the leaves left of that leaf and span the fraction one
-// leaf covers, both interpolated from the slot positions along the
-// path. Every seek and estimate starts here.
-func (r *Reader) descend(key []byte, c *pager.Counters) (leaf pager.PageID, rank, span float64, err error) {
-	id, span := r.tree.Root, 1.0
-	for level := r.tree.Height; level > 1 && err == nil; level-- {
-		err = r.f.ViewCounted(id, c, func(buf []byte) error {
-			p := parsePage(buf)
-			if p.typ != pageTypeInner || p.n == 0 {
-				return fmt.Errorf("pbtree: page %d is not an inner page of a height-%d tree", id, r.tree.Height)
-			}
-			i := max(p.search(key), 1) - 1
-			rank += span * float64(i) / float64(p.n)
-			span /= float64(p.n)
-			id = p.child(i)
-			return nil
-		})
+// probe is one key's way down the tree: the page it is on, and its
+// fractional rank among the tree's entries with the span one entry of
+// that page covers, both interpolated from the slot positions along
+// its path. At its leaf, idx is the key's lower bound (the first entry
+// >= key) in that leaf.
+type probe struct {
+	key        []byte
+	id         pager.PageID
+	rank, span float64
+	idx        int
+}
+
+// inner steps b from inner page p to its child: the last child whose
+// smallest key is <= b.key, the first child when none is (a nil key
+// descends leftmost), so a lower bound past the end of the leaf it
+// reaches heads the next leaf.
+func (b *probe) inner(p *page) {
+	i := max(p.search(b.key), 1) - 1
+	b.rank += b.span * float64(i) / float64(p.n)
+	b.span /= float64(p.n)
+	b.id = p.child(i)
+}
+
+// leaf finds b's lower bound in leaf p and adds its position to b.rank.
+func (b *probe) leaf(p *page) {
+	b.idx = p.lowerBound(b.key)
+	if p.n > 0 {
+		b.rank += b.span * float64(b.idx) / float64(p.n)
 	}
-	return id, rank, span, err
+}
+
+// together returns the end of the probes of ps from i on that are on
+// ps[i]'s page. Probes in key order that share a page are adjacent,
+// since two descent paths that part never meet again, so one view of
+// the page serves ps[i:together(ps, i)].
+func together(ps []probe, i int) int {
+	j := i + 1
+	for j < len(ps) && ps[j].id == ps[i].id {
+		j++
+	}
+	return j
+}
+
+// descend moves the probes of ps (one key, or two in ascending order)
+// from the root to their leaves through the inner pages, in place
+// inside pager views: each page on both paths is viewed once, and the
+// paths split only where the keys do. Every seek and estimate starts
+// here.
+func (r *Reader) descend(ps []probe, c *pager.Counters) error {
+	for i := range ps {
+		ps[i].id, ps[i].rank, ps[i].span = r.tree.Root, 0, 1
+	}
+	for level := r.tree.Height; level > 1; level-- {
+		for i, j := 0, 0; i < len(ps); i = j {
+			id := ps[i].id
+			j = together(ps, i)
+			err := r.f.ViewCounted(id, c, func(buf []byte) error {
+				p := parsePage(buf)
+				if p.typ != pageTypeInner || p.n == 0 {
+					return fmt.Errorf("pbtree: page %d is not an inner page of a height-%d tree", id, r.tree.Height)
+				}
+				for k := i; k < j; k++ {
+					ps[k].inner(&p)
+				}
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Seek copies the key and the value of the first entry with key >=
@@ -351,14 +398,25 @@ func (r *Reader) descend(key []byte, c *pager.Counters) (leaf pager.PageID, rank
 // exists. The descent and the leaf are read inside pager views, so
 // nothing is copied out of the pool but the entry: one descent finds a
 // position, and a skip scan reads the next distinct key prefix and its
-// locator from the same entry.
+// locator from the same entry. By the descent's invariant the entry
+// lies in the leaf reached or heads the next one, so Seek reads at most
+// those two leaves: a leaf chain that leads further is corrupt (a
+// hostile next pointer could otherwise loop forever).
 func (r *Reader) Seek(from, kdst, vdst []byte, c *pager.Counters) (key, val []byte, ok bool, err error) {
-	id, _, _, err := r.descend(from, c)
-	for err == nil && id != noPage && !ok {
+	b := [1]probe{{key: from}}
+	if err := r.descend(b[:], c); err != nil {
+		return kdst, vdst, false, err
+	}
+	id := b[0].id
+	for hop := 0; err == nil && id != noPage && !ok; hop++ {
 		err = r.f.ViewCounted(id, c, func(buf []byte) error {
 			p := parsePage(buf)
 			if i := p.lowerBound(from); i < p.n {
 				kdst, vdst, ok = append(kdst[:0], p.key(i)...), append(vdst[:0], p.value(i)...), true
+				return nil
+			}
+			if hop > 0 {
+				return fmt.Errorf("pbtree: corrupt leaf %d: it follows the leaf of a key's lower bound but holds no entry at or above the key", id)
 			}
 			id = p.next // past this leaf, the entry (if any) heads the next
 			return nil
@@ -376,85 +434,75 @@ func (r *Reader) SeekValue(from, dst []byte, c *pager.Counters) (val []byte, ok 
 	return val, ok, err
 }
 
-// loc is a resolved key position used by EstimateRange: the leaf holding
-// the key's lower bound (the first entry >= key), the bound's index in
-// that leaf, and a fractional rank in [0, 1] interpolated from the slot
-// positions along the descent path.
-type loc struct {
-	leaf pager.PageID // noPage once the position is past the last entry
-	idx  int
-	frac float64
-}
-
-// locate descends to key's lower-bound position in O(height) page reads.
-// A nil key locates the first entry. When the lower bound falls past the
-// end of its leaf, the position is normalized to the head of the next
-// leaf (whose first key is provably > key), so two positions on the
-// same leaf always yield an exact entry count.
-func (r *Reader) locate(key []byte, c *pager.Counters) (loc, error) {
-	id, rank, span, err := r.descend(key, c)
-	if err != nil {
-		return loc{}, err
-	}
-	out := loc{leaf: id}
-	err = r.f.ViewCounted(id, c, func(buf []byte) error {
-		p := parsePage(buf)
-		out.idx = p.lowerBound(key)
-		if p.n > 0 {
-			rank += span * float64(out.idx) / float64(p.n)
-		}
-		if out.idx >= p.n {
-			// The next leaf's first entry: its id is free, no extra read.
-			out.leaf, out.idx = p.next, 0
-		}
-		return nil
-	})
-	out.frac = rank
-	return out, err
-}
-
 // EstimateRange estimates the number of entries with from <= key < to
-// (nil to = unbounded above, nil from = unbounded below) in O(height)
-// page reads per bound — the statistics-free selectivity probe behind
-// the greedy physical planner.
+// (nil to = unbounded above, nil from = unbounded below) — the
+// statistics-free selectivity probe behind the greedy physical planner.
+// One descent locates both bounds (see descend), so the probe reads at
+// most height pages per bound, and a page on both paths once.
 //
 // The result is exact whenever both bounds resolve to the same leaf
-// page; otherwise it interpolates between the bounds' fractional ranks
+// page (a bound past the end of its leaf resolves to the head of the
+// next); otherwise it interpolates between the bounds' fractional ranks
 // and clamps to [1, Count]. Zero is therefore definitive: a zero return
-// proves the range is empty. Pages touched by the two descents are
-// recorded in c like any other index traversal.
+// proves the range is empty. The pages the descent reads are recorded
+// in c like any other index traversal.
 func (r *Reader) EstimateRange(from, to []byte, c *pager.Counters) (uint64, error) {
-	if r.tree.Count == 0 {
-		return 0, nil
+	n, _, _, err := r.EstimateRangeValue(from, to, nil, c)
+	return n, err
+}
+
+// EstimateRangeValue is EstimateRange that also copies into vdst[:0]
+// the value of from's lower bound, the value Seek(from) finds, when
+// that entry lies in the leaf the probe reads: then ok is true, and a
+// scan of the range can start there without a descent of its own. When
+// the lower bound heads the next leaf, or there is none, or vdst is nil
+// (nothing is copied then), ok is false.
+func (r *Reader) EstimateRangeValue(from, to, vdst []byte, c *pager.Counters) (n uint64, val []byte, ok bool, err error) {
+	if r.tree.Count == 0 || from != nil && to != nil && bytes.Compare(from, to) >= 0 {
+		return 0, vdst, false, nil
 	}
-	if from != nil && to != nil && bytes.Compare(from, to) >= 0 {
-		return 0, nil
-	}
-	lo, err := r.locate(from, c)
-	if err != nil {
-		return 0, err
-	}
-	if lo.leaf == noPage {
-		return 0, nil // no entry at or above from
-	}
-	hi := loc{leaf: noPage, idx: 0, frac: 1}
+	ps := [2]probe{{key: from}, {key: to}}
+	bounds := ps[:1]
 	if to != nil {
-		if hi, err = r.locate(to, c); err != nil {
-			return 0, err
+		bounds = ps[:]
+	}
+	if err := r.descend(bounds, c); err != nil {
+		return 0, vdst, false, err
+	}
+	for i, j := 0, 0; i < len(bounds); i = j {
+		j = together(bounds, i)
+		err := r.f.ViewCounted(bounds[i].id, c, func(buf []byte) error {
+			p := parsePage(buf)
+			for k := i; k < j; k++ {
+				b := &bounds[k]
+				b.leaf(&p)
+				if b.idx >= p.n {
+					// The next leaf's first entry: its id is free, no
+					// extra read.
+					b.id, b.idx = p.next, 0
+				} else if k == 0 && vdst != nil {
+					val, ok = append(vdst[:0], p.value(b.idx)...), true
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return 0, vdst, false, err
 		}
 	}
-	if hi.leaf == lo.leaf {
-		return uint64(hi.idx - lo.idx), nil
+	lo, hi := &ps[0], &ps[1]
+	switch {
+	case lo.id == noPage:
+		return 0, val, ok, nil // no entry at or above from
+	case to == nil:
+		hi.id, hi.rank = noPage, 1
+	}
+	if hi.id == lo.id {
+		return uint64(hi.idx - lo.idx), val, ok, nil
 	}
 	// Bounds on different leaves: at least one entry is in range (the
 	// entry at lo itself), so the clamped interpolation never reports a
 	// false empty.
-	est := int64(math.Round((hi.frac - lo.frac) * float64(r.tree.Count)))
-	if est < 1 {
-		est = 1
-	}
-	if uint64(est) > r.tree.Count {
-		return r.tree.Count, nil
-	}
-	return uint64(est), nil
+	est := int64(math.Round((hi.rank - lo.rank) * float64(r.tree.Count)))
+	return uint64(min(max(est, 1), int64(r.tree.Count))), val, ok, nil
 }

@@ -363,8 +363,9 @@ func TestEstimateRangeEmptyTree(t *testing.T) {
 	}
 }
 
-// TestEstimateRangeCost pins the O(log n) claim: a probe is two index
-// descents, so it touches at most 2×height pages (and they are counted).
+// TestEstimateRangeCost pins the O(log n) claim: a probe descends to
+// two bounds, so it touches at most 2×height pages (and they are
+// counted).
 func TestEstimateRangeCost(t *testing.T) {
 	f := pager.OpenMem(256)
 	defer f.Close()

@@ -26,7 +26,11 @@
 // (and therefore the chosen order and any KnownEmpty proof) were read
 // from one store's indexes, so a physical plan is only valid against the
 // store that planned it — cache layers key plans by store generation for
-// exactly this reason.
+// exactly this reason. The same holds for the run positions the probes
+// read: the plan keeps each fragment's probed selection, whose runs
+// start where the probe found them, so no execution seeks a probed run
+// again. The plan also keeps the store it probed, and opens its
+// selections only on that store (see Physical.Selection).
 package planner
 
 import (
@@ -61,7 +65,8 @@ type Physical struct {
 	// Est holds per-fragment cardinality estimates indexed by fragment
 	// id; nil when planning ran with NoReorder. A zero entry is a
 	// proof of emptiness, not an estimate. The estimates decide the
-	// order and are rendered by String; engines do not read them.
+	// order and are rendered by String; engines read the probes
+	// themselves through Selection.
 	Est []uint64
 	// KnownEmpty reports that the plan can bind nothing — statically
 	// (translate marked a fragment empty) or proven by a probe.
@@ -73,6 +78,22 @@ type Physical struct {
 	// Reordered reports whether greedy ordering ran (false for Fixed
 	// and NoReorder plans).
 	Reordered bool
+
+	// sels holds each fragment's probed selection by fragment id, and
+	// store the store probed; both nil when the plan was not probed.
+	sels  []relstore.Selection
+	store *core.Store
+}
+
+// Selection returns fragment f's access path for an execution on st:
+// the selection the planner probed, whose probed runs start at the
+// positions the probe read, when the plan was probed on st; otherwise
+// st.Select(f), whose runs seek their own starts.
+func (p *Physical) Selection(st *core.Store, f *translate.Fragment) relstore.Selection {
+	if p.sels != nil && p.store == st {
+		return p.sels[f.ID]
+	}
+	return st.Select(f)
 }
 
 // ProbedEmpty reports whether emptiness was proven by a planner probe
@@ -107,14 +128,15 @@ func Plan(ctx *relstore.ExecContext, st *core.Store, lp *translate.Plan, opts Op
 	}
 
 	est := make([]uint64, len(lp.Fragments))
+	sels := make([]relstore.Selection, len(lp.Fragments))
 	for _, f := range lp.Fragments {
 		// A zero estimate is exact unless extrapolated (see
 		// relstore.Selection.Estimate).
-		e, provable, err := st.Select(f).Estimate(ctx)
+		sel, e, provable, err := st.Select(f).Estimate(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("planner: fragment %d: %w", f.ID, err)
 		}
-		est[f.ID] = e
+		est[f.ID], sels[f.ID] = e, sel
 		if e == 0 && provable {
 			// Probe-proven empty fragment: every join is an inner join,
 			// so the whole plan is empty. Keep the fixed order (it will
@@ -138,6 +160,8 @@ func Plan(ctx *relstore.ExecContext, st *core.Store, lp *translate.Plan, opts Op
 		Est:           est,
 		EmptyFragment: -1,
 		Reordered:     true,
+		sels:          sels,
+		store:         st,
 	}
 	return p, nil
 }

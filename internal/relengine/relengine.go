@@ -170,7 +170,7 @@ func scanFragments(ctx *relstore.ExecContext, a *core.Arena, st *core.Store, p *
 	frags := p.Logical.Fragments
 	bindings := make([]core.Bindings, len(frags))
 	for _, i := range p.Scans {
-		cur, err := st.Select(frags[i]).Open(ctx)
+		cur, err := p.Selection(st, frags[i]).Open(ctx)
 		if err != nil {
 			return nil, err
 		}

@@ -348,8 +348,9 @@ func decodeRunRecords(p []byte, kind Clustering, run colRun, a, b int, dst []Rec
 }
 
 // heapRunIter is the run decoder, the page reader under every cursor
-// run: one index descent finds the first qualifying locator (seek, or
-// the skip scan of a range selection), then the scan walks the
+// run: one index descent finds the first qualifying locator (the
+// planner's probe of the run, the skip scan of a range selection, or
+// seek), then the scan walks the
 // contiguous heap pages directly, stopping on the first run whose
 // prefix leaves the selection. Index leaf pages are never touched past
 // that descent, and only materialized records count as visited.
@@ -368,9 +369,10 @@ type heapRunIter struct {
 }
 
 // seek positions a decoder, built unpositioned, at the first record of
-// its selection. It probes exactly one index position (SeekValue runs
-// inside pager views); the cluster prefix bounds the scan above, so no
-// `to` key is needed.
+// its selection: the runs no probe or skip scan started, and the
+// benchmark's whole-relation scan. It probes exactly one index position
+// (SeekValue runs inside pager views); the cluster prefix bounds the
+// scan above, so no `to` key is needed.
 func (h *heapRunIter) seek() {
 	var from []byte
 	switch {

@@ -38,7 +38,8 @@ func (r *Relation) ScanAllBatch(ctx *ExecContext) *heapRunIter {
 // read: its records in document (start) order, filtered by the
 // fragment's value and level predicates. Every selection is a list of
 // cluster runs. Each run starts at one position of the clustered index
-// (found by its own seek, or by the skip scan of a range), then reads
+// (read by the planner's probe of the run, by the skip scan of a range,
+// or else by the run's own seek), then reads
 // one heap page's share of the run at a time into a pooled BatchSize
 // buffer of its own and filters it there; a heap of runs ordered by
 // head start merges several runs, so it only ever compares records
@@ -133,10 +134,10 @@ func (c *Cursor) Drain(f func([]Record)) error {
 	return c.err
 }
 
-// open seeks every run the skip scan of a range did not start, in
-// selection order (page 0 is the meta page, so a run at page 0 has no
-// position yet), then fills each run's buffer and heaps the runs that
-// have a head.
+// open seeks every run that neither a probe nor the skip scan of a
+// range started, in selection order (page 0 is the meta page, so a run
+// at page 0 has no position yet), then fills each run's buffer and
+// heaps the runs that have a head.
 func (c *Cursor) open() {
 	c.opened = true
 	for i := range c.runs {

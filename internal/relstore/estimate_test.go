@@ -17,18 +17,18 @@ func TestEstimates(t *testing.T) {
 
 	ctx := NewExecContext()
 	// Exact run length: plabel 3 is a run of 10, well inside one leaf.
-	if got, exact, err := sp.PLabel(u(3)).Estimate(ctx); err != nil || got != 10 || !exact {
+	if _, got, exact, err := sp.PLabel(u(3)).Estimate(ctx); err != nil || got != 10 || !exact {
 		t.Fatalf("PLabel(3).Estimate = %d, %v, %v, want exact 10", got, exact, err)
 	}
 	// Provably empty run: plabel past the data.
-	if got, exact, err := sp.PLabel(u(n)).Estimate(ctx); err != nil || got != 0 || !exact {
+	if _, got, exact, err := sp.PLabel(u(n)).Estimate(ctx); err != nil || got != 0 || !exact {
 		t.Fatalf("PLabel(%d).Estimate = %d, %v, %v, want exact 0", n, got, exact, err)
 	}
 	// Range probe vs. true count.
 	trueCount := func(lo, hi uint64) int { return len(scanPLabelRange(t, sp, nil, u(lo), u(hi))) }
 	for _, r := range [][2]uint64{{0, 0}, {10, 20}, {0, n / 10}, {100, 400}} {
 		want := trueCount(r[0], r[1])
-		got, _, err := sp.PLabelRange(u(r[0]), u(r[1])).Estimate(ctx)
+		_, got, _, err := sp.PLabelRange(u(r[0]), u(r[1])).Estimate(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,14 +58,14 @@ func TestEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotTag, _, err := sd.Tag(1).Estimate(nil)
+	_, gotTag, _, err := sd.Tag(1).Estimate(nil)
 	if err != nil || gotTag == 0 {
 		t.Fatalf("Tag(1).Estimate = %d, %v, want > 0", gotTag, err)
 	}
 	if want := uint64(n / 7); gotTag > want*3 || want > gotTag*3 {
 		t.Fatalf("Tag(1).Estimate = %d, want near %d", gotTag, want)
 	}
-	if got, _, err := sd.Tag(99).Estimate(nil); err != nil || got != 0 {
+	if _, got, _, err := sd.Tag(99).Estimate(nil); err != nil || got != 0 {
 		t.Fatalf("Tag(99).Estimate = %d, %v, want 0", got, err)
 	}
 }

@@ -108,3 +108,23 @@ func CollectRun(r *Relation, plabel uint128.Uint128, tag uint32, batchSize int) 
 	h.seek()
 	return collectRun(&h, batchSize)
 }
+
+// RunStart is one run of a cursor that has not been read: its cluster
+// prefix (PLabel on SP, Tag on SD) and whether it has its position
+// already, read by the planner's probe or a range's skip scan, or will
+// seek it on the cursor's first Head.
+type RunStart struct {
+	PLabel     uint128.Uint128
+	Tag        uint32
+	Positioned bool
+}
+
+// RunStarts returns the runs of c, which must not have been read yet.
+func RunStarts(c *Cursor) []RunStart {
+	out := make([]RunStart, len(c.runs))
+	for i := range c.runs {
+		h := &c.runs[i].heapRunIter
+		out[i] = RunStart{PLabel: h.plabel, Tag: h.tagID, Positioned: h.page != 0}
+	}
+	return out
+}

@@ -18,7 +18,9 @@ const maxSetProbes = 16
 // and the value and level predicates its records must pass. It is the
 // only way to a fragment's records — Estimate is the planner's probe of
 // their number, Open the cursor both engines read them through — and a
-// value: building one reads and allocates nothing.
+// value: building one reads and allocates nothing, and the selection
+// Estimate returns, which also knows where its probed runs start, is a
+// new value that may be opened any number of times, concurrently.
 type Selection struct {
 	r      *Relation
 	labels []uint128.Uint128 // labelList: one run per P-label
@@ -29,6 +31,10 @@ type Selection struct {
 	values *Relation // whose data index caps a one-run or range estimate by value
 	level  uint16
 	shape  shape
+	// starts holds, by run, the locator of each run's first record as
+	// Estimate's probe read it; a run past the slice, or at a zero
+	// Locator (page 0 is the meta page), has no position yet.
+	starts []Locator
 }
 
 // shape is how a Selection names its runs.
@@ -81,7 +87,7 @@ func NewTagList(tags []uint32) *TagList { return &TagList{tags: tags} }
 func (l *TagList) count(r *Relation) (uint64, error) {
 	l.once.Do(func() {
 		for _, t := range l.tags {
-			n, err := r.prefixCount(nil, keyenc.Uint32(t), nil)
+			n, _, err := r.prefixCount(nil, keyenc.Uint32(t), nil)
 			if l.err = err; err != nil {
 				return
 			}
@@ -110,48 +116,66 @@ func (s Selection) Where(value *string, level uint16, values *Relation) Selectio
 //     maxSetProbes probed and the rest extrapolated, in which case the
 //     sum is floored at 1 and not exact.
 //   - A tag list: the sum of its run lengths (see TagList); exact.
-func (s Selection) Estimate(ctx *ExecContext) (n uint64, exact bool, err error) {
+//
+// The probe of a run reads the locator of its first record whenever
+// that lies in the leaf its lower bound's descent reads. Estimate
+// returns s with those positions kept, as probed, whose cursors start
+// those runs there with no descent of their own. That covers a P-label
+// run, a tag run and each probed label of a list; a range keeps its
+// skip scan.
+func (s Selection) Estimate(ctx *ExecContext) (probed Selection, n uint64, exact bool, err error) {
 	switch s.shape {
 	case labelList:
-		probed := min(len(s.labels), maxSetProbes)
-		for _, p := range s.labels[:probed] {
-			k, err := s.r.prefixCount(ctx, keyenc.Uint128(p), nil)
+		probes := min(len(s.labels), maxSetProbes)
+		s.starts = make([]Locator, probes)
+		for i, p := range s.labels[:probes] {
+			k, start, err := s.r.prefixCount(ctx, keyenc.Uint128(p), nil)
 			if err != nil {
-				return 0, false, err
+				return s, 0, false, err
 			}
 			n += k
+			s.starts[i] = start
 		}
-		if probed == len(s.labels) {
-			return n, true, nil
+		if probes == len(s.labels) {
+			return s, n, true, nil
 		}
-		return max(n*uint64(len(s.labels))/uint64(probed), 1), false, nil
+		return s, max(n*uint64(len(s.labels))/uint64(probes), 1), false, nil
 	case tagList:
 		n, err = s.tags.count(s.r)
-		return n, true, err
+		return s, n, true, err
 	case labelRange:
-		n, err = s.r.prefixCount(ctx, keyenc.Uint128(s.lo), keyenc.Uint128(s.hi))
+		n, _, err = s.r.prefixCount(ctx, keyenc.Uint128(s.lo), keyenc.Uint128(s.hi))
 	default:
+		var start Locator
 		if s.r.meta.kind == ClusterPLabel {
-			n, err = s.r.prefixCount(ctx, keyenc.Uint128(s.lo), nil)
+			n, start, err = s.r.prefixCount(ctx, keyenc.Uint128(s.lo), nil)
 		} else {
-			n, err = s.r.prefixCount(ctx, keyenc.Uint32(s.tag), nil)
+			n, start, err = s.r.prefixCount(ctx, keyenc.Uint32(s.tag), nil)
 		}
+		s.starts = []Locator{start}
 	}
 	if err != nil || s.value == nil || s.values == nil {
-		return n, true, err
+		return s, n, true, err
 	}
 	// An absent value proves the selection empty.
 	dv, err := s.values.estimateData(ctx, *s.value)
-	return min(n, dv), true, err
+	return s, min(n, dv), true, err
 }
 
 // prefixCount estimates the records whose cluster prefix lies between
-// lo and hi (hi nil: equals lo).
-func (r *Relation) prefixCount(ctx *ExecContext, lo, hi []byte) (uint64, error) {
+// lo and hi (hi nil: equals lo), and returns the locator of the first
+// record at or after lo when the probe read it (a zero Locator when
+// that entry heads the leaf after the one the probe read).
+func (r *Relation) prefixCount(ctx *ExecContext, lo, hi []byte) (uint64, Locator, error) {
 	if hi == nil {
 		hi = lo
 	}
-	return r.cluster.EstimateRange(lo, keyenc.PrefixSuccessor(hi), ctx.pageCounters())
+	var locBuf [6]byte
+	n, v, ok, err := r.cluster.EstimateRangeValue(lo, keyenc.PrefixSuccessor(hi), locBuf[:0], ctx.pageCounters())
+	if err != nil || !ok {
+		return n, Locator{}, err
+	}
+	return n, decodeLocator(v), nil
 }
 
 // estimateData estimates the number of records whose data equals value,
@@ -164,12 +188,15 @@ func (r *Relation) estimateData(ctx *ExecContext, value string) (uint64, error) 
 
 // Open returns the cursor over the selection's records in start order,
 // filtered by its predicates, with the pages it reads and the records
-// it decodes accounted to ctx. A range finds its runs here, by a skip
-// scan of the clustered index: one Seek per distinct P-label reads the
-// label and the locator of its first record from one entry, and the
-// label's run starts at that locator. Every other run seeks its start
-// on the cursor's first Head, so a cursor that is never read reads
-// nothing. A range with no P-label opens a KnownEmpty cursor.
+// it decodes accounted to ctx. A run Estimate probed starts at the
+// locator the probe read. A range finds its runs here, by a skip scan
+// of the clustered index: one Seek per distinct P-label reads the label
+// and the locator of its first record from one entry, and the label's
+// run starts at that locator. Every other run — a selection that was
+// not probed, a list's labels past the probe cap, a run whose first
+// record headed the leaf after its probe's — seeks its start on the
+// cursor's first Head, so a cursor that is never read reads nothing. A
+// range with no P-label opens a KnownEmpty cursor.
 func (s Selection) Open(ctx *ExecContext) (*Cursor, error) {
 	c := &Cursor{value: s.value, level: s.level}
 	n := 1
@@ -192,6 +219,9 @@ func (s Selection) Open(ctx *ExecContext) (*Cursor, error) {
 			h.plabel = s.labels[i]
 		} else if s.shape == tagList {
 			h.tagID = s.tags.tags[i]
+		}
+		if i < len(s.starts) {
+			h.page, h.slot = s.starts[i].Page, int(s.starts[i].Slot)
 		}
 	}
 	return c, nil

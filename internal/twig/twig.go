@@ -185,7 +185,7 @@ func build(ctx *relstore.ExecContext, st *core.Store, phys *planner.Physical) (*
 	eng := &engine{plan: p}
 	eng.nodes = make([]*tnode, len(p.Fragments))
 	for i, f := range p.Fragments {
-		fs, err := st.Select(f).Open(ctx)
+		fs, err := phys.Selection(st, f).Open(ctx)
 		if err != nil {
 			return nil, err
 		}
