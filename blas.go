@@ -83,16 +83,17 @@
 // read only through its bulk-loaded clustered B+-tree index; SP also
 // keeps a data index for the planner's value-predicate estimate. Every
 // selection is one cluster run or a start-ordered merge of several — a
-// wildcard merges SD's element-tag runs. Heap pages (format BLASREL2)
+// wildcard merges SD's element-tag runs. Heap pages (format BLASREL3)
 // are columnar and delta-compressed: a page's cluster-key-ordered
 // records are cut into runs sharing the cluster prefix, and each run
 // stores its starts as ascending delta-varints, its
 // ends/levels/value-lengths as packed varint columns, and its values
 // out-of-line — so a batched scan decodes a whole run with one
-// branch-light loop per column. Build writes this format and Open reads
-// only it: a store in any other format (an older BLASREL1 store
-// included) is rejected with an error naming the fix, rebuild with
-// blasload. A stream reads one heap page's share of its selection per
+// branch-light loop per column. An SD run stores its distinct P-labels
+// once and a small index per record. Build writes this format and Open
+// reads only it: a store in any other format (an older BLASREL1 or
+// BLASREL2 store included) is rejected with an error naming the fix,
+// rebuild with blasload. A stream reads one heap page's share of its selection per
 // batch, so a query's PageReads depend on its plan and the data, never
 // on what the buffer pool happens to hold; per-query decode work
 // surfaces in ExecStats.Phases.

@@ -2,6 +2,7 @@ package blas
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -146,6 +147,51 @@ func TestPersistentStore(t *testing.T) {
 	}
 	if len(res.Matches) != 3 {
 		t.Fatalf("matches after reopen = %d", len(res.Matches))
+	}
+}
+
+// TestOpenRejectsBLASREL2Store: a store directory whose relations say
+// BLASREL2 on their meta pages — a store built before SD runs kept a
+// label dictionary — must not open, since reading its SD pages with the
+// current layout would give wrong answers. Open fails with the rebuild
+// hint and returns no store to query, whichever relation is old.
+func TestOpenRejectsBLASREL2Store(t *testing.T) {
+	for _, stale := range [][]string{{"sp.pg"}, {"sd.pg"}, {"sp.pg", "sd.pg"}} {
+		dir := filepath.Join(t.TempDir(), "cat.blas")
+		st, err := BuildFromString(catalogDoc, Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range stale {
+			f, err := os.OpenFile(filepath.Join(dir, name), os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The magic opens page 0, the relation's meta page.
+			_, err = f.WriteAt([]byte("BLASREL2"), 0)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		st2, err := Open(Options{Dir: dir})
+		if err == nil {
+			st2.Close()
+			t.Fatalf("%v say BLASREL2: Open succeeded", stale)
+		}
+		if st2 != nil {
+			t.Errorf("%v say BLASREL2: Open returned a store with its error", stale)
+		}
+		for _, want := range []string{"BLASREL2", "BLASREL3", "blasload"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%v say BLASREL2: error %q does not mention %q", stale, err, want)
+			}
+		}
 	}
 }
 

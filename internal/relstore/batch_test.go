@@ -146,7 +146,10 @@ func recordsEqual(a, b []Record) bool {
 // BatchSize records, or an engine buffer would split that page and
 // request it once per batch. On SP the densest page holds exactly
 // BatchSize: a format change that narrows records must raise the
-// constant with it.
+// constant with it. On SD, where a record adds a one-byte label index
+// and its run one dictionary entry, it holds the 1 630 the BatchSize
+// comment names. A drain of the one cluster run requests each heap page
+// once and hands over each page's records as one batch.
 func TestBatchSizeHoldsAFullPage(t *testing.T) {
 	recs := make([]Record, 3*BatchSize)
 	for i := range recs {
@@ -172,7 +175,31 @@ func TestBatchSizeHoldsAFullPage(t *testing.T) {
 		if kind == ClusterPLabel && densest != BatchSize {
 			t.Errorf("SP: the densest heap page holds %d minimal records, BatchSize = %d is not derived from the page layout", densest, BatchSize)
 		}
+		if kind == ClusterTag && densest != 1630 {
+			t.Errorf("SD: the densest heap page holds %d minimal records, the BatchSize comment says 1 630", densest)
+		}
 		t.Logf("%s: densest page %d records, BatchSize %d", kind, densest, BatchSize)
+
+		ctx := NewExecContext()
+		sel := rel.Tag(1)
+		if kind == ClusterPLabel {
+			sel = rel.PLabel(uint128.From64(1))
+		}
+		var batches []int
+		if err := cursorOf(sel, ctx).Drain(func(b []Record) { batches = append(batches, len(b)) }); err != nil {
+			t.Fatal(err)
+		}
+		if reads := ctx.PageReads() - RunSeekReads(rel, uint128.From64(1), 1); reads != uint64(len(pages)) {
+			t.Errorf("%s: drain requested %d heap pages, want each of the %d once", kind, reads, len(pages))
+		}
+		if len(batches) != len(pages) {
+			t.Fatalf("%s: drain handed over %d batches for %d heap pages", kind, len(batches), len(pages))
+		}
+		for i, n := range batches {
+			if n != len(pages[i]) {
+				t.Errorf("%s: batch %d holds %d records, heap page %d holds %d", kind, i, n, i, len(pages[i]))
+			}
+		}
 	}
 }
 

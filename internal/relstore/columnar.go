@@ -10,7 +10,7 @@ import (
 	"repro/internal/uint128"
 )
 
-// --- columnar heap page layout (BLASREL2) ---
+// --- columnar heap page layout (BLASREL3) ---
 //
 // A heap page stores its cluster-key-ordered records as runs of column
 // groups:
@@ -24,9 +24,13 @@ import (
 // prefix (the {plabel, tag id} pair on SP, the tag id on SD). Its block:
 //
 //	SP: plabel[16] tagID[4] count[2] startsLen[2] endsLen[2] levelsLen[2] vlensLen[2]
-//	SD: tagID[4] count[2] startsLen[2] endsLen[2] levelsLen[2] vlensLen[2] plabels[16*count]
+//	SD: tagID[4] count[2] startsLen[2] endsLen[2] levelsLen[2] vlensLen[2] nlabels[2] idxLen[2]
+//	    labels[16*nlabels] then the label index column
 //
-// followed by four varint columns and the value bytes:
+// An SD run stores each distinct P-label of its records once, in order
+// of first appearance, and each record a uvarint index into that
+// dictionary (one byte while the run has fewer than 128 labels). Every
+// block continues with four varint columns and the value bytes:
 //
 //	starts: uvarint(start[0]), then uvarint(start[i] - start[i-1])
 //	ends:   zigzag-uvarint(end[i] - start[i]) per record
@@ -45,7 +49,7 @@ const (
 	colPageHeader = 4 // record count + run count
 	colRunDirEnt  = 4 // block offset + first slot
 	spRunHeader   = 16 + 4 + 2 + 4*2
-	sdRunHeader   = 4 + 2 + 4*2
+	sdRunHeader   = 4 + 2 + 4*2 + 2 + 2
 	minColRecord  = 4 // one byte in each varint column, no value bytes
 )
 
@@ -56,12 +60,26 @@ func runHeaderSize(kind Clustering) int {
 	return sdRunHeader
 }
 
-// perRecordFixed is the fixed per-record cost outside the varint columns.
-func perRecordFixed(kind Clustering) int {
-	if kind == ClusterTag {
-		return 16 // the plabel column entry
+// labelIndex returns p's index in an SD run's label dictionary and
+// whether the dictionary holds it; a new label takes the next index.
+// A run holds a handful of labels (at most 12 on auction factor 8), so
+// a linear scan is enough.
+func labelIndex(dict []uint128.Uint128, p uint128.Uint128) (int, bool) {
+	for i, l := range dict {
+		if l == p {
+			return i, true
+		}
 	}
-	return 0
+	return len(dict), false
+}
+
+// labelCost is the encoded size of an SD record's label: its index
+// entry, plus the dictionary entry when the label is new to the run.
+func labelCost(idx int, known bool) int {
+	if known {
+		return uvarintLen(uint64(idx))
+	}
+	return 16 + uvarintLen(uint64(idx))
 }
 
 func uvarintLen(v uint64) int {
@@ -84,10 +102,10 @@ func sameRun(kind Clustering, a, b *Record) bool {
 	return a.TagID == b.TagID
 }
 
-// colRecordCost returns the encoded size of r on a heap page: the
-// varint column bytes, the value bytes, and (on SD) the plabel column
-// entry. prev is the preceding record of the run, nil when r opens one.
-func colRecordCost(kind Clustering, prev, r *Record) int {
+// colRecordCost returns the encoded size of r's varint column and
+// value bytes on a heap page; an SD record also pays its labelCost.
+// prev is the preceding record of the run, nil when r opens one.
+func colRecordCost(prev, r *Record) int {
 	var startBytes int
 	if prev == nil {
 		startBytes = uvarintLen(uint64(r.Start))
@@ -98,8 +116,7 @@ func colRecordCost(kind Clustering, prev, r *Record) int {
 		uvarintLen(zigzag(int64(r.End)-int64(r.Start))) +
 		uvarintLen(uint64(r.Level)) +
 		uvarintLen(uint64(len(r.Data))) +
-		len(r.Data) +
-		perRecordFixed(kind)
+		len(r.Data)
 }
 
 // colMaxRecord is the largest encoded size a single record may have and
@@ -131,7 +148,8 @@ func encodeColumnarPage(p []byte, kind Clustering, recs []*Record) error {
 		binary.LittleEndian.PutUint16(p[colPageHeader+colRunDirEnt*ri+2:], uint16(rs.lo))
 
 		rr := recs[rs.lo:rs.hi]
-		var starts, ends, levels, vlens []byte
+		var starts, ends, levels, vlens, idxs []byte
+		var labels []uint128.Uint128 // SD: the run's label dictionary
 		var vbytes int
 		prev := uint32(0)
 		for i, r := range rr {
@@ -145,6 +163,21 @@ func encodeColumnarPage(p []byte, kind Clustering, recs []*Record) error {
 			levels = binary.AppendUvarint(levels, uint64(r.Level))
 			vlens = binary.AppendUvarint(vlens, uint64(len(r.Data)))
 			vbytes += len(r.Data)
+			if kind == ClusterTag {
+				idx, known := labelIndex(labels, r.PLabel)
+				if !known {
+					labels = append(labels, r.PLabel)
+				}
+				idxs = binary.AppendUvarint(idxs, uint64(idx))
+			}
+		}
+
+		end := off + runHeaderSize(kind) + 16*len(labels) + vbytes
+		for _, col := range [][]byte{idxs, starts, ends, levels, vlens} {
+			end += len(col)
+		}
+		if end > pager.PageSize {
+			return fmt.Errorf("relstore: columnar page overflow (%d bytes) — builder cost accounting is wrong", end)
 		}
 
 		h := rr[0]
@@ -164,13 +197,15 @@ func encodeColumnarPage(p []byte, kind Clustering, recs []*Record) error {
 			binary.LittleEndian.PutUint16(p[off+8:], uint16(len(ends)))
 			binary.LittleEndian.PutUint16(p[off+10:], uint16(len(levels)))
 			binary.LittleEndian.PutUint16(p[off+12:], uint16(len(vlens)))
+			binary.LittleEndian.PutUint16(p[off+14:], uint16(len(labels)))
+			binary.LittleEndian.PutUint16(p[off+16:], uint16(len(idxs)))
 			off += sdRunHeader
-			for _, r := range rr {
-				copy(p[off:], r.PLabel.AppendBytes(nil))
+			for _, l := range labels {
+				copy(p[off:], l.AppendBytes(nil))
 				off += 16
 			}
 		}
-		for _, col := range [][]byte{starts, ends, levels, vlens} {
+		for _, col := range [][]byte{idxs, starts, ends, levels, vlens} {
 			copy(p[off:], col)
 			off += len(col)
 		}
@@ -179,20 +214,19 @@ func encodeColumnarPage(p []byte, kind Clustering, recs []*Record) error {
 			off += len(r.Data)
 		}
 	}
-	if off > pager.PageSize {
-		return fmt.Errorf("relstore: columnar page overflow (%d bytes) — builder cost accounting is wrong", off)
-	}
 	return nil
 }
 
 // colRun is the decoded shape of one run block: the prefix it shares and
 // absolute page offsets of every column.
 type colRun struct {
-	plabel    uint128.Uint128 // SP runs only (SD stores plabels per record)
+	plabel    uint128.Uint128 // SP runs only (SD runs index a dictionary)
 	tagID     uint32
 	count     int
 	firstSlot int
-	plabels   int // SD plabel column offset (0 on SP)
+	labels    int // SD label dictionary offset (0 on SP)
+	nlabels   int // SD dictionary entries
+	idxs      int // SD label index column offset
 	starts    int
 	ends      int
 	levels    int
@@ -212,9 +246,9 @@ func colPageCounts(p []byte) (nrecs, nruns int, err error) {
 
 // colRunAt parses run ri's directory entry and block header. It checks
 // once per run that the header, every column start and (on SD) the
-// plabel column lie inside the page, so the per-record decode loops can
-// index p without further checks: a varint cursor that starts inside p
-// never leaves it.
+// label dictionary lie inside the page, so the per-record decode loops
+// can index p without further checks: a varint cursor that starts
+// inside p never leaves it.
 func colRunAt(p []byte, kind Clustering, ri int) (colRun, error) {
 	off := int(binary.LittleEndian.Uint16(p[colPageHeader+colRunDirEnt*ri:]))
 	first := int(binary.LittleEndian.Uint16(p[colPageHeader+colRunDirEnt*ri+2:]))
@@ -235,15 +269,17 @@ func colRunAt(p []byte, kind Clustering, ri int) (colRun, error) {
 	} else {
 		r.tagID = binary.LittleEndian.Uint32(p[off:])
 		r.count = int(binary.LittleEndian.Uint16(p[off+4:]))
-		r.plabels = off + sdRunHeader
-		r.starts = r.plabels + 16*r.count
+		r.nlabels = int(binary.LittleEndian.Uint16(p[off+14:]))
+		r.labels = off + sdRunHeader
+		r.idxs = r.labels + 16*r.nlabels
+		r.starts = r.idxs + int(binary.LittleEndian.Uint16(p[off+16:]))
 		r.ends = r.starts + int(binary.LittleEndian.Uint16(p[off+6:]))
 		r.levels = r.ends + int(binary.LittleEndian.Uint16(p[off+8:]))
 		r.vlens = r.levels + int(binary.LittleEndian.Uint16(p[off+10:]))
 		r.values = r.vlens + int(binary.LittleEndian.Uint16(p[off+12:]))
 	}
 	// Columns are laid out in order, so the last column end bounds them
-	// all (on SD the plabel column ends where the starts begin).
+	// all (on SD the dictionary and the index column precede the starts).
 	if r.values > len(p) {
 		return r, fmt.Errorf("relstore: corrupt columnar page: run %d columns end at %d, past the page", ri, r.values)
 	}
@@ -339,9 +375,20 @@ func decodeRunRecords(p []byte, kind Clustering, run colRun, a, b int, dst []Rec
 			dst[i-a].TagID = run.tagID
 		}
 	} else {
-		for i := a; i < b; i++ {
-			dst[i-a].PLabel = uint128.FromBytes(p[run.plabels+16*i:])
-			dst[i-a].TagID = run.tagID
+		xOff := run.idxs
+		for i := 0; i < b; i++ {
+			x, n := binary.Uvarint(p[xOff:])
+			if n <= 0 {
+				return fmt.Errorf("relstore: corrupt label index column at offset %d", xOff)
+			}
+			if x >= uint64(run.nlabels) {
+				return fmt.Errorf("relstore: label index %d out of range (%d labels) at offset %d", x, run.nlabels, xOff)
+			}
+			xOff += n
+			if i >= a {
+				dst[i-a].PLabel = uint128.FromBytes(p[run.labels+16*int(x):])
+				dst[i-a].TagID = run.tagID
+			}
 		}
 	}
 	return nil

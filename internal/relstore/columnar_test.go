@@ -165,12 +165,12 @@ func TestColumnarRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFormatVersionMismatch: a store in any format but BLASREL2 — the
-// retired BLASREL1 or one written by a newer build — must be rejected
-// with an error that names its magic, the readable format, and points
-// at rebuilding.
+// TestFormatVersionMismatch: a store in any format but BLASREL3 — the
+// retired BLASREL1 and BLASREL2 or one written by a newer build — must
+// be rejected with an error that names its magic, the readable format,
+// and points at rebuilding.
 func TestFormatVersionMismatch(t *testing.T) {
-	for _, magic := range []string{"BLASREL1", "BLASREL9"} {
+	for _, magic := range []string{"BLASREL1", "BLASREL2", "BLASREL9"} {
 		f := pager.OpenMem(64)
 		if _, err := Build(f, ClusterPLabel, makeRecords(10)); err != nil {
 			t.Fatal(err)
@@ -185,7 +185,7 @@ func TestFormatVersionMismatch(t *testing.T) {
 		if err == nil {
 			t.Fatalf("Open accepted page-format magic %s", magic)
 		}
-		for _, want := range []string{magic, "BLASREL2", "blasload"} {
+		for _, want := range []string{magic, "BLASREL3", "blasload"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("format-mismatch error %q does not mention %q", err, want)
 			}
@@ -194,9 +194,10 @@ func TestFormatVersionMismatch(t *testing.T) {
 }
 
 // TestBuildFormatRejectsUnknown: BuildFormat builds FormatColumnar and
-// rejects every other format number, the retired format 1 included.
+// rejects every other format number, the retired formats 1 and 2
+// included.
 func TestBuildFormatRejectsUnknown(t *testing.T) {
-	for _, format := range []int{0, 1, 3, -1} {
+	for _, format := range []int{0, 1, 2, -1} {
 		if _, err := BuildFormat(pager.OpenMem(16), ClusterPLabel, nil, format); err == nil {
 			t.Errorf("BuildFormat accepted format %d", format)
 		}
@@ -207,35 +208,47 @@ func TestBuildFormatRejectsUnknown(t *testing.T) {
 	}
 }
 
-// FuzzColumnarRoundTrip builds a derived corpus and requires the full
-// scan and an exact scan to equal the input sorted in memory.
-// The corpus shape (run lengths, value sizes, start gaps) is derived
-// from the fuzzed seed.
+// FuzzColumnarRoundTrip builds a derived corpus into both relations
+// and requires the full scan and an exact scan to equal the input
+// sorted in memory. The corpus shape (run lengths, value sizes, start
+// gaps) is derived from the fuzzed seed; nLabels adds a tag whose
+// records cycle through that many P-labels (mod 512), so SD runs need
+// a label dictionary of up to that size and two-byte label indexes.
 func FuzzColumnarRoundTrip(f *testing.F) {
-	f.Add(int64(1), uint16(10))
-	f.Add(int64(99), uint16(3))
-	f.Add(int64(-7), uint16(60))
-	f.Fuzz(func(t *testing.T, seed int64, nRuns uint16) {
+	f.Add(int64(1), uint16(10), uint16(0))
+	f.Add(int64(99), uint16(3), uint16(0))
+	f.Add(int64(-7), uint16(60), uint16(0))
+	f.Add(int64(5), uint16(4), uint16(300)) // an SD run of more than 128 labels
+	f.Fuzz(func(t *testing.T, seed int64, nRuns, nLabels uint16) {
 		rng := rand.New(rand.NewSource(seed))
 		recs := genColumnarCorpus(rng, int(nRuns%64))
-		rel := buildT(t, ClusterPLabel, recs)
-		sorted := sortedByCluster(ClusterPLabel, recs)
-		ctx := NewExecContext()
-		got, err := collectRun(rel.ScanAllBatch(ctx), 0)
-		if err != nil {
-			t.Fatal(err)
+		if n := int(nLabels % 512); n > 0 {
+			recs = append(recs, labelCycleRun(rng, 14, n, 2*n, uint32(len(recs))*500+1)...)
 		}
-		if !recordsEqual(got, sorted) {
-			t.Fatalf("full scan differs from the input: %d vs %d records", len(got), len(sorted))
-		}
-		if ctx.Visited() != uint64(len(recs)) {
-			t.Fatalf("full drain visited %d, want %d", ctx.Visited(), len(recs))
-		}
-		if len(recs) > 0 {
-			p := recs[rng.Intn(len(recs))].PLabel
-			x := drainBatch(t, plabelRun(rel, nil, p), 64)
-			if y := filterRecs(sorted, hasPLabel(p)); !recordsEqual(x, y) {
-				t.Fatalf("exact scan differs from the input: %d vs %d records", len(x), len(y))
+		for _, kind := range []Clustering{ClusterPLabel, ClusterTag} {
+			rel := buildT(t, kind, recs)
+			sorted := sortedByCluster(kind, recs)
+			ctx := NewExecContext()
+			got, err := collectRun(rel.ScanAllBatch(ctx), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !recordsEqual(got, sorted) {
+				t.Fatalf("%s: full scan differs from the input: %d vs %d records", kind, len(got), len(sorted))
+			}
+			if ctx.Visited() != uint64(len(recs)) {
+				t.Fatalf("%s: full drain visited %d, want %d", kind, ctx.Visited(), len(recs))
+			}
+			if len(recs) == 0 {
+				continue
+			}
+			r := recs[rng.Intn(len(recs))]
+			x, keep := drainBatch(t, plabelRun(rel, nil, r.PLabel), 64), hasPLabel(r.PLabel)
+			if kind == ClusterTag {
+				x, keep = drainBatch(t, tagRun(rel, nil, r.TagID), 64), func(q *Record) bool { return q.TagID == r.TagID }
+			}
+			if y := filterRecs(sorted, keep); !recordsEqual(x, y) {
+				t.Fatalf("%s: exact scan differs from the input: %d vs %d records", kind, len(x), len(y))
 			}
 		}
 	})
@@ -269,8 +282,8 @@ func scanOutcome(drain func() ([]Record, error)) (err error, failure string) {
 // TestCorruptColumnarPageErrors damages the first heap page of a built
 // relation in the ways the decoder must check once per page or run —
 // an oversized run directory, a run block or column past the page end,
-// an SD plabel column that does not fit, runs that leave slots
-// uncovered — and requires every scan path that reads the page to
+// an SD run whose record count, label dictionary or label index does
+// not fit, runs that leave slots uncovered — and requires every scan path that reads the page to
 // return an error: never a panic, a hang or silently wrong records.
 func TestCorruptColumnarPageErrors(t *testing.T) {
 	le16 := binary.LittleEndian.PutUint16
@@ -292,6 +305,17 @@ func TestCorruptColumnarPageErrors(t *testing.T) {
 			}
 		}},
 		{"sd-plabel-column", []Clustering{ClusterTag}, 0, false, func(_ Clustering, p []byte) { le16(p[runOff(p, 0)+4:], 0xFFFF) }},
+		{"sd-label-count", []Clustering{ClusterTag}, 0, false, func(_ Clustering, p []byte) {
+			// 16 bytes per label: the dictionary runs past the page.
+			le16(p[runOff(p, 0)+14:], pager.PageSize/16)
+		}},
+		{"sd-label-index", []Clustering{ClusterTag}, 0, false, func(_ Clustering, p []byte) {
+			// The first record's index names the entry just past the
+			// dictionary: the smallest index that is out of range.
+			off := runOff(p, 0)
+			nlabels := binary.LittleEndian.Uint16(p[off+14:])
+			p[off+sdRunHeader+16*int(nlabels)] = byte(nlabels)
+		}},
 		{"slot-gap", nil, 1, false, func(_ Clustering, p []byte) {
 			first := p[colPageHeader+colRunDirEnt+2:]
 			le16(first, binary.LittleEndian.Uint16(first)+1)

@@ -10,12 +10,13 @@ import (
 // one columnar heap page can hold. The densest page is a single SP run
 // of minimal records — one byte in each of the four varint columns and
 // no value bytes — after the page header, one directory entry and the
-// run header; an SD record adds its 16-byte plabel, so SD pages hold at
-// most 408. A run decoder returns one page's share of its selection per
-// batch (heapRunIter.NextBatch), so a buffer of this size never splits
-// a page: each page a cursor touches is requested from the pool once
-// and decoded once, and a query's page reads depend only on its plan
-// and the data.
+// run header; an SD record adds a one-byte label index and its run at
+// least one 16-byte dictionary entry, so SD pages hold at most 1 630.
+// A run decoder returns one page's share of its selection per batch
+// (heapRunIter.NextBatch), so a buffer of this size never splits a
+// page: each page a cursor touches is requested from the pool once and
+// decoded once, and a query's page reads depend only on its plan and
+// the data.
 const BatchSize = (pager.PageSize - colPageHeader - colRunDirEnt - spRunHeader) / minColRecord
 
 // MaxBatchSize is the batch the benchmark's per-layer decode probe

@@ -49,22 +49,24 @@
 //
 //	format  magic       heap page layout
 //	------  ----------  ----------------------------------------------
-//	2       "BLASREL2"  columnar, delta-compressed runs — see the
+//	3       "BLASREL3"  columnar, delta-compressed runs — see the
 //	                    layout comment in columnar.go: per cluster-
 //	                    prefix run, starts as ascending delta varints,
 //	                    ends/levels/value-lengths as packed varint
-//	                    columns, values out of line
+//	                    columns, values out of line; an SD run stores
+//	                    its distinct P-labels once and a uvarint index
+//	                    per record
 //
 // The meta page has a slot for each of the cluster, start and data
 // trees. Build writes the start slot, and SD's data slot, as zero
-// trees, and Open ignores them, so a store whose meta page names trees
-// there (built before they were dropped) opens and answers the same;
-// those trees are dead pages.
+// trees, and Open ignores them.
 //
-// Compatibility contract: Build writes BLASREL2 and Open reads BLASREL2;
-// any other magic, BLASREL1 included, is rejected with an error naming
-// it and saying to rebuild the store with blasload. A store is derived
-// from its XML document, so rebuilding is the migration.
+// Compatibility contract: Build writes BLASREL3 and Open reads BLASREL3;
+// any other magic, BLASREL1 and BLASREL2 included, is rejected with an
+// error naming it and saying to rebuild the store with blasload. There
+// is no decoder for an older format and no upgrader: a BLASREL2 SD page
+// read with the BLASREL3 layout would give wrong answers, and a store
+// is derived from its XML document, so rebuilding is the migration.
 package relstore
 
 import (
@@ -158,9 +160,9 @@ type relMeta struct {
 
 // FormatColumnar is the heap page format Build writes, the columnar
 // delta-compressed layout (see the package doc's format table).
-const FormatColumnar = 2
+const FormatColumnar = 3
 
-const metaMagic = "BLASREL2"
+const metaMagic = "BLASREL3"
 
 func writeMeta(f *pager.File, id pager.PageID, m *relMeta) error {
 	return f.Update(id, func(p []byte) error {
@@ -277,28 +279,46 @@ func Build(f *pager.File, kind Clustering, records []Record) (*Relation, error) 
 		return nil
 	}
 
+	// labels is the SD label dictionary of the page's last run; it
+	// resets whenever a run opens.
+	var labels []uint128.Uint128
 	for _, r := range recs {
-		if colRecordCost(kind, nil, r) > colMaxRecord(kind) {
+		opening := colRecordCost(nil, r)
+		if kind == ClusterTag {
+			opening += labelCost(0, false)
+		}
+		if opening > colMaxRecord(kind) {
 			return nil, fmt.Errorf("relstore: record too large (%d bytes of data %q…)", len(r.Data), clip(r.Data, 20))
 		}
 		// Exact incremental cost: a record continuing the current page's
-		// last run pays its column bytes only; a record opening a run
-		// additionally pays the directory entry and run header, and its
-		// start is stored absolute.
+		// last run pays its column bytes only (on SD, its label index and,
+		// for a label new to the run, the dictionary entry); a record
+		// opening a run additionally pays the directory entry and run
+		// header, and its start is stored absolute.
 		var prev *Record
 		runCost := 0
 		if len(curRecs) > 0 && sameRun(kind, curRecs[len(curRecs)-1], r) {
 			prev = curRecs[len(curRecs)-1]
 		} else {
 			runCost = colRunDirEnt + runHeaderSize(kind)
+			labels = labels[:0]
 		}
-		need := runCost + colRecordCost(kind, prev, r)
+		need := runCost + colRecordCost(prev, r)
+		idx, known := labelIndex(labels, r.PLabel)
+		if kind == ClusterTag {
+			need += labelCost(idx, known)
+		}
 		if curUsed+need > pager.PageSize {
 			if err := flush(); err != nil {
 				return nil, err
 			}
 			// On a fresh page the record opens a run unconditionally.
-			need = colRunDirEnt + runHeaderSize(kind) + colRecordCost(kind, nil, r)
+			need = colRunDirEnt + runHeaderSize(kind) + opening
+			labels = labels[:0]
+			known = false
+		}
+		if kind == ClusterTag && !known {
+			labels = append(labels, r.PLabel)
 		}
 		curRecs = append(curRecs, r)
 		curUsed += need
